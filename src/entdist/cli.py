@@ -2,13 +2,14 @@
 
 Exit codes: 0 success, 2 usage error, 3 non-physical point, 4 I/O failure.
 All floating-point output is fixed at 9 significant digits so files are
-byte-identical across runs, platforms and thread counts.
+byte-identical across runs and platforms.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -27,7 +28,7 @@ from .protocols import (
     run_swap,
     swap_eps_asymptotic,
 )
-from .scanner import DISTILLABLE_EPS, Activation, Protocol, ScanSpec, scan
+from .scanner import DISTILLABLE_EPS, Activation, Protocol, ScanGrid, ScanSpec, scan
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -67,6 +68,17 @@ def _json_ready(value):
     return value
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: nan, inf and non-numbers are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entdist",
@@ -75,37 +87,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, needs_point: bool) -> None:
-        p.add_argument("--tau", type=float, required=True, help="beam-splitter transmissivity in (0, 1)")
+        p.add_argument("--tau", type=_finite_float, required=True, help="beam-splitter transmissivity in (0, 1)")
         group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--omega", type=float, help="thermal variance (>= 1)")
+        group.add_argument("--omega", type=_finite_float, help="thermal variance (>= 1)")
         group.add_argument("--at-eb", action="store_true",
                            help="place the channels exactly at the entanglement-breaking threshold")
         if needs_point:
-            p.add_argument("--g", type=float, required=True, help="q-quadrature correlation")
-            p.add_argument("--gp", type=float, required=True, help="p-quadrature correlation")
+            p.add_argument("--g", type=_finite_float, required=True, help="q-quadrature correlation")
+            p.add_argument("--gp", type=_finite_float, required=True, help="p-quadrature correlation")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--output", "-o", default=None,
                        help=f"output path ('-' for stdout; default ${OUTPUT_ENV_VAR} or stdout)")
 
     p_point = sub.add_parser("point", help="classify one environment and evaluate both protocols")
     add_common(p_point, needs_point=True)
-    p_point.add_argument("--mu", type=float, default=None,
+    p_point.add_argument("--mu", type=_finite_float, default=None,
                          help="also evaluate the finite-mu pipelines at this input variance")
 
     p_scan = sub.add_parser("scan", help="rasterize the correlation plane")
     add_common(p_scan, needs_point=False)
     p_scan.add_argument("--protocol", choices=sorted(_PROTOCOLS), required=True)
     p_scan.add_argument("--resolution", type=int, default=201)
-    p_scan.add_argument("--g-min", type=float, default=None)
-    p_scan.add_argument("--g-max", type=float, default=None)
-    p_scan.add_argument("--gp-min", type=float, default=None)
-    p_scan.add_argument("--gp-max", type=float, default=None)
-    p_scan.add_argument("--threads", type=int, default=1)
+    p_scan.add_argument("--g-min", type=_finite_float, default=None)
+    p_scan.add_argument("--g-max", type=_finite_float, default=None)
+    p_scan.add_argument("--gp-min", type=_finite_float, default=None)
+    p_scan.add_argument("--gp-max", type=_finite_float, default=None)
 
     p_conv = sub.add_parser("converge", help="finite-mu convergence toward the asymptotic eps")
     add_common(p_conv, needs_point=True)
     p_conv.add_argument("--protocol", choices=["direct", "swap"], required=True)
-    p_conv.add_argument("--mu", type=float, nargs="+", default=list(DEFAULT_CONVERGE_MUS))
+    p_conv.add_argument("--mu", type=_finite_float, nargs="+", default=list(DEFAULT_CONVERGE_MUS))
 
     return parser
 
@@ -221,8 +232,6 @@ def cmd_scan(args) -> int:
     omega = _validate_common(args)
     if args.resolution < 2:
         raise UsageError(f"--resolution must be >= 2, got {args.resolution}")
-    if args.threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {args.threads}")
     for lo, hi, name in ((args.g_min, args.g_max, "--g-min/--g-max"),
                          (args.gp_min, args.gp_max, "--gp-min/--gp-max")):
         if (lo is None) != (hi is None):
@@ -238,7 +247,7 @@ def cmd_scan(args) -> int:
         gp_range=None if args.gp_min is None else (args.gp_min, args.gp_max),
         omega=None if args.at_eb else omega,
     )
-    grid = scan(spec, threads=args.threads)
+    grid = scan(spec)
     if args.format == "json":
         text = _render_scan_json(grid)
     else:
@@ -247,45 +256,34 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _scan_rows(grid):
-    gs = grid.spec.g_centers()
-    gps = grid.spec.gp_centers()
-    res = grid.spec.resolution
-    for i in range(res):
-        for j in range(res):
-            cell = grid.cells[i * res + j]
-            yield gs[i], gps[j], cell
+def _scan_cells(grid: ScanGrid, number, no_eps):
+    """Row-major ((g, gp), index into ``_PAIRS``, eps) of every cell; each center
+    and physical eps is rendered once by ``number``, Forbidden cells carry ``no_eps``."""
+    spec = grid.spec
+    gs = [number(g) for g in spec.g_centers()]
+    gps = [number(gp) for gp in spec.gp_centers()]
+    physical = (grid.kind != 0).ravel().tolist()
+    eps = [number(e) if p else no_eps for p, e in zip(physical, grid.eps.ravel().tolist())]
+    pairs = (grid.kind * 3 + grid.activation).ravel().tolist()
+    return zip(((g, gp) for g in gs for gp in gps), pairs, eps)
 
 
-def _render_scan_csv(grid) -> str:
-    rows = []
-    for g, gp, cell in _scan_rows(grid):
-        rows.append([
-            fmt(g),
-            fmt(gp),
-            cell.env_class.kind.value,
-            cell.activation.value,
-            "" if cell.eps_value is None else fmt(cell.eps_value),
-        ])
-    return _rows_to_csv(["g", "gp", "env_class", "activation", "eps"], rows)
+_PAIRS = [(kind.value, act.value) for kind in EnvKind for act in Activation]
 
 
-def _render_scan_json(grid) -> str:
+def _render_scan_csv(grid: ScanGrid) -> str:
+    labels = [f"{kind},{act}" for kind, act in _PAIRS]
+    lines = ["g,gp,env_class,activation,eps"]
+    lines.extend(f"{g},{gp},{labels[pair]},{e}" for (g, gp), pair, e in _scan_cells(grid, fmt, ""))
+    return "\n".join(lines) + "\n"
+
+
+def _render_scan_json(grid: ScanGrid) -> str:
     spec = grid.spec
     counts = {f"{kind.value}/{act.value}": grid.summary.get((kind, act), 0)
               for kind in EnvKind for act in Activation}
-    fractions = {key: count / len(grid.cells) for key, count in counts.items()}
-    cells = [
-        {
-            "g": g,
-            "gp": gp,
-            "env_class": cell.env_class.kind.value,
-            "activation": cell.activation.value,
-            "eps": cell.eps_value,
-        }
-        for g, gp, cell in _scan_rows(grid)
-    ]
-    payload = {
+    fractions = {key: count / grid.kind.size for key, count in counts.items()}
+    payload = _json_ready({
         "spec": {
             "tau": spec.tau,
             "omega": spec.omega_value,
@@ -295,10 +293,14 @@ def _render_scan_json(grid) -> str:
             "gp_range": list(spec.gp_range),
             "resolution": spec.resolution,
         },
-        "summary": {"total": len(grid.cells), "counts": counts, "fractions": fractions},
-        "cells": cells,
-    }
-    return json.dumps(_json_ready(payload), indent=2) + "\n"
+        "summary": {"total": grid.kind.size, "counts": counts, "fractions": fractions},
+    })
+    # cell numbers are rounded here, once per center and per physical eps
+    payload["cells"] = [
+        {"g": g, "gp": gp, "env_class": _PAIRS[pair][0], "activation": _PAIRS[pair][1], "eps": e}
+        for (g, gp), pair, e in _scan_cells(grid, lambda x: float(fmt(x)), None)
+    ]
+    return json.dumps(payload, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -58,29 +58,34 @@ class BonaFideResult:
         return self.ok
 
 
-def _require_valid_omega(omega: float) -> None:
-    if omega < 1.0:
-        raise DomainError(f"thermal variance must be >= 1, got {omega}")
+def _uncertainty_sides(omega, g, gp):
+    return omega * omega + g * gp - 1.0, omega * abs(g + gp)
+
+
+def bona_fide_conditions(omega, g, gp):
+    """The three physicality conditions |g| < omega, |gp| < omega and
+    omega^2 + g*gp - 1 >= omega*|g + gp|, in that order; elementwise on arrays."""
+    lhs, rhs = _uncertainty_sides(omega, g, gp)
+    return abs(g) < omega, abs(gp) < omega, lhs >= rhs
 
 
 def bona_fide_check(omega: float, g: float, gp: float) -> BonaFideResult:
     """Check that (omega, g, gp) describes a valid quantum state.
 
-    The three conditions are |g| < omega, |gp| < omega and
-    omega^2 + g*gp - 1 >= omega*|g + gp|. Violated conditions are reported in
+    Violated conditions of :func:`bona_fide_conditions` are reported in
     ``failures`` so callers can surface which one failed.
     """
-    _require_valid_omega(omega)
+    if omega < 1.0:
+        raise DomainError(f"thermal variance must be >= 1, got {omega}")
+    marginal_g, marginal_gp, uncertainty = bona_fide_conditions(omega, g, gp)
     failures = []
-    if not abs(g) < omega:
+    if not marginal_g:
         failures.append(f"|g| < omega violated ({abs(g)} >= {omega})")
-    if not abs(gp) < omega:
+    if not marginal_gp:
         failures.append(f"|gp| < omega violated ({abs(gp)} >= {omega})")
-    if not omega * omega + g * gp - 1.0 >= omega * abs(g + gp):
-        failures.append(
-            "omega^2 + g*gp - 1 >= omega*|g + gp| violated "
-            f"({omega * omega + g * gp - 1.0} < {omega * abs(g + gp)})"
-        )
+    if not uncertainty:
+        lhs, rhs = _uncertainty_sides(omega, g, gp)
+        failures.append(f"omega^2 + g*gp - 1 >= omega*|g + gp| violated ({lhs} < {rhs})")
     return BonaFideResult(not failures, tuple(failures))
 
 
@@ -91,34 +96,37 @@ def require_bona_fide(omega: float, g: float, gp: float) -> None:
         raise DomainError("not a physical environment: " + "; ".join(check.failures))
 
 
+def env_pts_radicand(omega, g, gp):
+    """omega^2 - g*gp - omega*|g - gp|, the square of the environment's smallest
+    partially-transposed symplectic eigenvalue; elementwise on arrays."""
+    return omega * omega - g * gp - omega * abs(g - gp)
+
+
 def env_pts(omega: float, g: float, gp: float) -> float:
     """Smallest partially-transposed symplectic eigenvalue of the environment.
 
-    Closed form sqrt(omega^2 - g*gp - omega*|g - gp|); the generic matrix
-    path in :mod:`entdist.symplectic` must reproduce it.
+    Closed form sqrt(:func:`env_pts_radicand`); the generic matrix path in
+    :mod:`entdist.symplectic` must reproduce it.
     """
     require_bona_fide(omega, g, gp)
-    return math.sqrt(omega * omega - g * gp - omega * abs(g - gp))
+    return math.sqrt(env_pts_radicand(omega, g, gp))
 
 
-def is_separable(omega: float, g: float, gp: float) -> bool:
+def is_separable(omega, g, gp):
     """Separability in polynomial form: omega^2 - g*gp - 1 >= omega*|g - gp|.
 
     Equivalent to env_pts >= 1 but free of square-root rounding, so boundary
-    points classify exactly.
+    points classify exactly; elementwise on arrays.
     """
     return omega * omega - g * gp - 1.0 >= omega * abs(g - gp)
 
 
 def classify_environment(omega: float, g: float, gp: float) -> EnvClass:
     """Sort (omega, g, gp) into Forbidden / Separable / Entangled."""
-    check = bona_fide_check(omega, g, gp)
-    if not check:
+    if not bona_fide_check(omega, g, gp):
         return EnvClass(EnvKind.FORBIDDEN, None)
-    eps = math.sqrt(omega * omega - g * gp - omega * abs(g - gp))
-    if is_separable(omega, g, gp):
-        return EnvClass(EnvKind.SEPARABLE, eps)
-    return EnvClass(EnvKind.ENTANGLED, eps)
+    kind = EnvKind.SEPARABLE if is_separable(omega, g, gp) else EnvKind.ENTANGLED
+    return EnvClass(kind, math.sqrt(env_pts_radicand(omega, g, gp)))
 
 
 def eb_threshold(tau: float) -> float:

@@ -133,11 +133,17 @@ def one_mode_output_cm(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
     return closed
 
 
+def large_mu_eps(tau, omega, g, gp, swap: bool = False):
+    """Large-mu PTS eigenvalue (1 - tau) * sqrt((omega - g) * (omega + gp)) of the
+    direct output, divided by tau for the swapped state; unvalidated, elementwise."""
+    scale = (1.0 - tau) / tau if swap else 1.0 - tau
+    return scale * np.sqrt((omega - g) * (omega + gp))
+
+
 def direct_eps_asymptotic(env: EnvironmentParams) -> float:
-    """Large-mu PTS eigenvalue of the direct output:
-    (1 - tau) * sqrt((omega - g) * (omega + gp))."""
+    """Large-mu PTS eigenvalue of the direct output, :func:`large_mu_eps`."""
     _require_env(env)
-    return (1.0 - env.tau) * math.sqrt((env.omega - env.g) * (env.omega + env.gp))
+    return float(large_mu_eps(env.tau, env.omega, env.g, env.gp))
 
 
 def direct_spectrum_asymptotic(env: EnvironmentParams, mu: float) -> tuple[float, float]:
@@ -250,10 +256,9 @@ def swap_conditional_pipeline(mu: float, env: EnvironmentParams) -> CovarianceMa
 
 
 def swap_eps_asymptotic(env: EnvironmentParams) -> float:
-    """Large-mu PTS eigenvalue of the swapped state:
-    ((1 - tau)/tau) * sqrt((omega - g) * (omega + gp))."""
+    """Large-mu PTS eigenvalue of the swapped state, :func:`large_mu_eps` with ``swap``."""
     _require_env(env)
-    return (1.0 - env.tau) / env.tau * math.sqrt((env.omega - env.g) * (env.omega + env.gp))
+    return float(large_mu_eps(env.tau, env.omega, env.g, env.gp, swap=True))
 
 
 def swap_epr_variances_asymptotic(env: EnvironmentParams) -> EprVariances:

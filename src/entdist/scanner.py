@@ -1,23 +1,26 @@
 """Correlation-plane rasterization: classify (g, gp) cells and extract iso-contours.
 
-Every cell is evaluated at its center with the same scalar expressions used in
-:mod:`entdist.environment` and :mod:`entdist.protocols`, vectorized over the
-grid, so the scan and the point evaluators agree bit for bit.
+Every cell is evaluated at its center by the same formula functions that the
+point evaluators in :mod:`entdist.environment` and :mod:`entdist.protocols`
+call, here on arrays over the grid, so the scan and the point evaluators agree
+bit for bit by construction.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
-from concurrent.futures import ThreadPoolExecutor
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .environment import EnvClass, EnvKind, eb_threshold
+from .environment import (EnvClass, EnvKind, bona_fide_conditions, eb_threshold,
+                          env_pts_radicand, is_separable)
 from .errors import DomainError
+from .protocols import large_mu_eps
 
 DISTILLABLE_EPS = math.exp(-1.0)
 
@@ -89,134 +92,109 @@ class CellClass:
     eps_value: float | None
 
 
-@dataclass(frozen=True)
+# ScanGrid codes index these tuples
+_KINDS = tuple(EnvKind)
+_ACTIVATIONS = tuple(Activation)
+
+
+@dataclass(frozen=True, eq=False)
 class ScanGrid:
-    """Scan result; cells are row-major with index i_g * resolution + j_gp."""
+    """Scan result as read-only arrays indexed [i_g, j_gp]: int8 codes ``kind``
+    (0 Forbidden, 1 Separable, 2 Entangled) and ``activation`` (0 None,
+    1 Entangling, 2 Distillable), and ``env_pts``/``eps``, NaN on Forbidden cells."""
 
     spec: ScanSpec
-    cells: tuple[CellClass, ...]
-    summary: dict[tuple[EnvKind, Activation], int]
+    kind: np.ndarray
+    activation: np.ndarray
+    env_pts: np.ndarray
+    eps: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("kind", "activation", "env_pts", "eps"):
+            getattr(self, name).flags.writeable = False
+
+    @property
+    def summary(self) -> dict[tuple[EnvKind, Activation], int]:
+        """Cell count of every (EnvKind, Activation) pair that occurs."""
+        counts = np.bincount((self.kind * 3 + self.activation).ravel(), minlength=9)
+        return {(_KINDS[c // 3], _ACTIVATIONS[c % 3]): int(n) for c, n in enumerate(counts) if n}
+
+    @property
+    def cells(self) -> Sequence[CellClass]:
+        """Row-major cells, index i_g * resolution + j_gp, built on access."""
+        return _Cells(self)
 
     def cell(self, i_g: int, j_gp: int) -> CellClass:
-        return self.cells[i_g * self.spec.resolution + j_gp]
+        kind = _KINDS[self.kind[i_g, j_gp]]
+        if kind is EnvKind.FORBIDDEN:
+            return CellClass(EnvClass(kind, None), Activation.NONE, None)
+        env_pts, eps = float(self.env_pts[i_g, j_gp]), float(self.eps[i_g, j_gp])
+        return CellClass(EnvClass(kind, env_pts), _ACTIVATIONS[self.activation[i_g, j_gp]], eps)
 
     def summary_fractions(self) -> dict[tuple[EnvKind, Activation], float]:
-        total = len(self.cells)
+        total = self.kind.size
         return {pair: count / total for pair, count in self.summary.items()}
 
 
+class _Cells(Sequence):
+    def __init__(self, grid: ScanGrid) -> None:
+        self._grid = grid
+
+    def __len__(self) -> int:
+        return self._grid.kind.size
+
+    def __getitem__(self, index: int) -> CellClass:
+        # divmod maps negative indices onto numpy's; past the end numpy raises IndexError
+        return self._grid.cell(*divmod(index, self._grid.spec.resolution))
+
+
 # ---------------------------------------------------------------------------
-# vectorized field evaluation
+# field evaluation
 # ---------------------------------------------------------------------------
 
-def _bona_fide_mask(omega: float, g, gp):
-    return (
-        (np.abs(g) < omega)
-        & (np.abs(gp) < omega)
-        & (omega * omega + g * gp - 1.0 >= omega * np.abs(g + gp))
-    )
-
-
-def _separable_mask(omega: float, g, gp):
-    return omega * omega - g * gp - 1.0 >= omega * np.abs(g - gp)
-
-
-def _env_pts_values(omega: float, g, gp):
-    return np.sqrt(omega * omega - g * gp - omega * np.abs(g - gp))
-
-
-def _protocol_eps_values(spec: ScanSpec, g, gp):
-    """Protocol eps (or environment PTS eigenvalue) at the given points.
-
-    Only meaningful where the bona-fide mask holds; the radicand is clipped at
-    zero so forbidden points do not emit warnings before being masked out.
-    """
+def _eps(spec: ScanSpec, g, gp):
+    """Protocol eps (environment PTS eigenvalue for ENVIRONMENT_ONLY) at (g, gp);
+    meaningful only at physical points."""
     w = spec.omega_value
     if spec.protocol is Protocol.ENVIRONMENT_ONLY:
-        radicand = w * w - g * gp - w * np.abs(g - gp)
-    else:
-        radicand = (w - g) * (w + gp)
-    val = np.sqrt(np.maximum(radicand, 0.0))
-    if spec.protocol is Protocol.DIRECT:
-        val = (1.0 - spec.tau) * val
-    elif spec.protocol is Protocol.SWAP:
-        val = (1.0 - spec.tau) / spec.tau * val
-    return val
+        return np.sqrt(env_pts_radicand(w, g, gp))
+    return large_mu_eps(spec.tau, w, g, gp, swap=spec.protocol is Protocol.SWAP)
 
 
-def _field_block(spec: ScanSpec, g_mesh, gp_mesh):
-    """(bona, separable, env_pts, eps) arrays for a block of the mesh."""
+def _field_block(spec: ScanSpec):
+    """(bona, separable, env_pts, eps) arrays over the cell centers, indexed
+    [i_g, j_gp]; env_pts and eps are NaN outside the physical region."""
     w = spec.omega_value
-    bona = _bona_fide_mask(w, g_mesh, gp_mesh)
-    sep = _separable_mask(w, g_mesh, gp_mesh)
+    g, gp = np.meshgrid(spec.g_centers(), spec.gp_centers(), indexing="ij")
+    marginal_g, marginal_gp, uncertainty = bona_fide_conditions(w, g, gp)
+    bona = marginal_g & marginal_gp & uncertainty
+    # forbidden cells may have negative radicands; they are masked to NaN
     with np.errstate(invalid="ignore"):
-        env = np.where(bona, _env_pts_values(w, g_mesh, gp_mesh), np.nan)
-    eps = np.where(bona, _protocol_eps_values(spec, g_mesh, gp_mesh), np.nan)
-    return bona, sep, env, eps
+        env = np.where(bona, np.sqrt(env_pts_radicand(w, g, gp)), np.nan)
+        eps = np.where(bona, _eps(spec, g, gp), np.nan)
+    return bona, is_separable(w, g, gp), env, eps
 
 
 def eps_field(spec: ScanSpec) -> np.ndarray:
     """eps at every cell center, indexed [i_g, j_gp], NaN outside the physical
     region; the quantity contoured by :func:`boundary_curves`."""
-    g_mesh, gp_mesh = np.meshgrid(spec.g_centers(), spec.gp_centers(), indexing="ij")
-    _, _, _, eps = _field_block(spec, g_mesh, gp_mesh)
-    return eps
+    return _field_block(spec)[3]
 
 
 # ---------------------------------------------------------------------------
 # scanning
 # ---------------------------------------------------------------------------
 
-def scan(spec: ScanSpec, threads: int = 1) -> ScanGrid:
-    """Classify every cell of the grid; Forbidden cells are recorded, never raised.
-
-    With ``threads > 1`` row blocks are evaluated concurrently; blocks write to
-    disjoint slices, so the output is identical for every thread count.
-    """
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
-    res = spec.resolution
-    g_mesh, gp_mesh = np.meshgrid(spec.g_centers(), spec.gp_centers(), indexing="ij")
-    bona = np.empty((res, res), dtype=bool)
-    sep = np.empty((res, res), dtype=bool)
-    env = np.empty((res, res))
-    eps = np.empty((res, res))
-
-    def fill(lo: int, hi: int) -> None:
-        bona[lo:hi], sep[lo:hi], env[lo:hi], eps[lo:hi] = _field_block(
-            spec, g_mesh[lo:hi], gp_mesh[lo:hi]
-        )
-
-    if threads == 1:
-        fill(0, res)
+def scan(spec: ScanSpec) -> ScanGrid:
+    """Classify every cell of the grid; Forbidden cells are recorded, never raised."""
+    bona, sep, env, eps = _field_block(spec)
+    kind = np.where(bona, np.where(sep, 1, 2), 0).astype(np.int8)
+    if spec.protocol is Protocol.ENVIRONMENT_ONLY:
+        activation = np.zeros_like(kind)
     else:
-        step = -(-res // threads)
-        bounds = [(k, min(k + step, res)) for k in range(0, res, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
-
-    has_activation = spec.protocol is not Protocol.ENVIRONMENT_ONLY
-    cells = []
-    counter: Counter = Counter()
-    for i in range(res):
-        for j in range(res):
-            if not bona[i, j]:
-                cell = CellClass(EnvClass(EnvKind.FORBIDDEN, None), Activation.NONE, None)
-            else:
-                kind = EnvKind.SEPARABLE if sep[i, j] else EnvKind.ENTANGLED
-                e = float(eps[i, j])
-                if not has_activation:
-                    act = Activation.NONE
-                elif e < DISTILLABLE_EPS:
-                    act = Activation.DISTILLABLE
-                elif e < 1.0:
-                    act = Activation.ENTANGLING
-                else:
-                    act = Activation.NONE
-                cell = CellClass(EnvClass(kind, float(env[i, j])), act, e)
-            counter[(cell.env_class.kind, cell.activation)] += 1
-            cells.append(cell)
-    return ScanGrid(spec, tuple(cells), dict(counter))
+        # NaN compares false, so Forbidden cells get code 0 (None)
+        activation = (eps < 1.0).astype(np.int8) + (eps < DISTILLABLE_EPS)
+    return ScanGrid(spec, kind, activation, env, eps)
 
 
 def separable_activation_exists(
@@ -235,8 +213,7 @@ def separable_activation_exists(
         raise DomainError("activation search needs a distribution protocol")
     for res in (101, max_resolution):
         spec = ScanSpec(tau=tau, protocol=protocol, resolution=res, omega=omega)
-        g_mesh, gp_mesh = np.meshgrid(spec.g_centers(), spec.gp_centers(), indexing="ij")
-        bona, sep, _, eps = _field_block(spec, g_mesh, gp_mesh)
+        bona, sep, _, eps = _field_block(spec)
         activated = bona & sep & (eps < 1.0)
         if activated.any():
             masked = np.where(activated, eps, np.inf)
@@ -272,7 +249,7 @@ def boundary_curves(spec: ScanSpec, levels: tuple[float, ...] = (1.0, DISTILLABL
     field = eps_field(spec)
 
     def scalar_eps(g: float, gp: float) -> float:
-        return float(_protocol_eps_values(spec, np.float64(g), np.float64(gp)))
+        return float(_eps(spec, g, gp))
 
     contours = []
     for level in levels:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -114,15 +115,46 @@ class TestScanCommand:
         for cell in payload["cells"]:
             assert cell["activation"] == "None"
 
-    def test_byte_identical_across_runs_and_threads(self, capsys, tmp_path):
+    def test_byte_identical_across_runs(self, capsys, tmp_path):
         paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
-        for path, threads in zip(paths, ("1", "1", "7")):
+        for path in paths:
             code, _, _ = run_cli(capsys, "scan", "--tau", "0.9", "--at-eb",
                                  "--protocol", "direct", "--resolution", "101",
-                                 "--threads", threads, "-o", str(path))
+                                 "-o", str(path))
             assert code == EXIT_OK
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
+
+    # SHA-256 of known-good scan output: any byte change in classification,
+    # number formatting or layout fails
+    GOLDEN_WINDOWS = {
+        "eb": ("--tau", "0.75", "--at-eb"),
+        "window": ("--tau", "0.6", "--omega", "2.5", "--g-min", "-2", "--g-max", "3",
+                   "--gp-min", "-2.7", "--gp-max", "1.9"),
+    }
+    GOLDEN_SHA256 = {
+        ("direct", "csv", "eb"): "d6eb11122055152eadadc4cf776c5f23b8c258001c80ba0903d570d5f75dd9e5",
+        ("direct", "csv", "window"): "fad1dd3228eaae11f31c120c0ec369f311a70abd07fbdbc390b55c3d6fd1b4a5",
+        ("direct", "json", "eb"): "8c4efab06f7134bf6a091eb9834cc9ec052f8a07fd4f037e38f7ed0e3b8f794a",
+        ("direct", "json", "window"): "c2de810a7b38b1ce48e1f0e26d108f59879eade2b4151183c8067c3256886c50",
+        ("swap", "csv", "eb"): "fa7d9127eefe8b87a36caf8374d320d5f350d103d5558850810322bcb698792b",
+        ("swap", "csv", "window"): "88160ac7e37126f9d0270bc6fca3fe57babe8514c1872f44ec3458880936c20c",
+        ("swap", "json", "eb"): "20f45abebc5f2ba0a420f6ac1480257a641f44ec0b33f140b766b27c137312bc",
+        ("swap", "json", "window"): "11f7af9ec4eab5ad30ca93f6a2a742c52f68f599e37b084d0287aa14512712f9",
+        ("environment", "csv", "eb"): "9710db98ba9ac89f7a71325e7ebb36b22e6b720f1888209b8b9446f62c12cb09",
+        ("environment", "csv", "window"): "0d3c250f10a19248a4f14b1facb8fae303cf6997f2a560b435ed057b0ab0fdc5",
+        ("environment", "json", "eb"): "9c8b82810143e3ba6cb704b0d345a99e086c3362a74786589cf7cfa3b10f3318",
+        ("environment", "json", "window"): "8503490ac177649b8ba10cba78e7e1d3c72a2fab5eda5a4feff19adb4e52cafd",
+    }
+
+    @pytest.mark.parametrize("protocol, fmt_kind, window", sorted(GOLDEN_SHA256))
+    def test_output_matches_golden_digest(self, capsys, protocol, fmt_kind, window):
+        code, out, _ = run_cli(capsys, "scan", *self.GOLDEN_WINDOWS[window],
+                               "--protocol", protocol, "--resolution", "61",
+                               "--format", fmt_kind)
+        assert code == EXIT_OK
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.GOLDEN_SHA256[(protocol, fmt_kind, window)]
 
     def test_unwritable_output_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "scan", "--tau", "0.5", "--at-eb",
@@ -165,6 +197,41 @@ class TestScanCommand:
         assert code == EXIT_OK
         assert out == ""
         assert target.exists()
+
+
+class TestNonFiniteFlags:
+    @pytest.mark.parametrize("flag", ["--tau", "--omega", "--g-min", "--g-max",
+                                      "--gp-min", "--gp-max"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_scan(self, capsys, flag, value):
+        argv = {"--tau": "0.5", "--omega": "2", "--g-min": "-1", "--g-max": "1",
+                "--gp-min": "-1", "--gp-max": "1"}
+        argv[flag] = value
+        code, out, err = run_cli(capsys, "scan", "--protocol", "direct", "--resolution", "3",
+                                 *(f"{k}={v}" for k, v in argv.items()))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("flag", ["--tau", "--omega", "--g", "--gp", "--mu"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_point(self, capsys, flag, value):
+        argv = {"--tau": "0.75", "--omega": "7", "--g": "4", "--gp": "-4", "--mu": "100"}
+        argv[flag] = value
+        code, out, err = run_cli(capsys, "point", *(f"{k}={v}" for k, v in argv.items()))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("protocol", ["direct", "swap"])
+    @pytest.mark.parametrize("mu", ["nan", "inf"])
+    def test_converge(self, capsys, protocol, mu):
+        code, out, err = run_cli(capsys, "converge", "--tau", "0.75", "--at-eb",
+                                 "--g", "4", "--gp", "-4", "--protocol", protocol,
+                                 "--mu", "100", mu)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "finite" in err
 
 
 class TestConverge:

@@ -80,7 +80,18 @@ class TestScan:
                 assert cell.env_class.env_pts is None
 
     def test_matches_scalar_evaluators_cellwise(self):
-        spec = ScanSpec(tau=0.75, protocol=Protocol.SWAP, resolution=31)
+        self._assert_matches_scalar(Protocol.SWAP, swap_eps_asymptotic)
+
+    @pytest.mark.parametrize("protocol, scalar_eps", [
+        (Protocol.DIRECT, direct_eps_asymptotic),
+        (Protocol.ENVIRONMENT_ONLY, lambda env: env_pts(env.omega, env.g, env.gp)),
+    ], ids=["DIRECT", "ENVIRONMENT_ONLY"])
+    def test_matches_scalar_evaluators_cellwise_other_protocols(self, protocol, scalar_eps):
+        self._assert_matches_scalar(protocol, scalar_eps)
+
+    @staticmethod
+    def _assert_matches_scalar(protocol, scalar_eps):
+        spec = ScanSpec(tau=0.75, protocol=protocol, resolution=31)
         grid = scan(spec)
         gs, gps = spec.g_centers(), spec.gp_centers()
         for i, g in enumerate(gs):
@@ -91,7 +102,7 @@ class TestScan:
                 if expected.kind is not EnvKind.FORBIDDEN:
                     assert cell.env_class.env_pts == expected.env_pts
                     env = EnvironmentParams(spec.tau, spec.omega_value, float(g), float(gp))
-                    assert cell.eps_value == swap_eps_asymptotic(env)
+                    assert cell.eps_value == scalar_eps(env)
 
     def test_environment_only_reports_env_pts(self):
         spec = ScanSpec(tau=0.5, protocol=Protocol.ENVIRONMENT_ONLY, resolution=21,
@@ -135,9 +146,11 @@ class TestScan:
         grid = scan(ScanSpec(tau=0.9, protocol=Protocol.DIRECT, resolution=201))
         assert grid.summary.get((EnvKind.SEPARABLE, Activation.DISTILLABLE), 0) > 0
 
-    def test_threads_do_not_change_result(self):
-        spec = ScanSpec(tau=0.75, protocol=Protocol.DIRECT, resolution=83)
-        assert scan(spec, threads=1) == scan(spec, threads=4)
+    def test_result_arrays_are_read_only(self):
+        grid = scan(ScanSpec(tau=0.75, protocol=Protocol.DIRECT, resolution=11))
+        for arr in (grid.kind, grid.activation, grid.env_pts, grid.eps):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
 
     @pytest.mark.parametrize("tau", STANDARD_TAUS)
     @pytest.mark.parametrize("protocol", [Protocol.DIRECT, Protocol.SWAP])
