@@ -1,8 +1,14 @@
 """Command-line front end: point evaluations, plane scans, convergence tables.
 
 Exit codes: 0 success, 2 usage error, 3 non-physical point, 4 I/O failure.
-All floating-point output is fixed at 9 significant digits so files are
-byte-identical across runs and platforms.
+Numbers in flags must be finite, and omega, g, gp and the scan window bounds
+at most ``MAX_MAGNITUDE`` (1e150) in size. All floating-point output is fixed
+at 9 significant digits so files are byte-identical across runs and platforms.
+
+Output is produced as a sequence of text blocks that ``_write_output`` writes
+as they come. A scan yields one block per g row, each cell rendered from a
+fixed per-class template, so memory does not grow with the size of the output;
+the output file is opened only once the scan has been computed.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import os
 import sys
 
 from .environment import (
+    MAX_MAGNITUDE,
     EnvironmentParams,
     EnvKind,
     bona_fide_check,
@@ -125,6 +132,11 @@ def _validate_common(args) -> float:
     """Flag-level validation (exit 2 territory); returns the resolved omega."""
     if not 0.0 < args.tau < 1.0:
         raise UsageError(f"--tau must lie in (0, 1), got {args.tau}")
+    for dest in ("omega", "g", "gp", "g_min", "g_max", "gp_min", "gp_max"):
+        value = getattr(args, dest, None)
+        if value is not None and abs(value) > MAX_MAGNITUDE:
+            flag = "--" + dest.replace("_", "-")
+            raise UsageError(f"{flag} magnitude must be <= {MAX_MAGNITUDE:g}, got {value}")
     if args.at_eb:
         return eb_threshold(args.tau)
     if args.omega < 1.0:
@@ -138,13 +150,15 @@ def _resolve_output(args) -> str | None:
     return os.environ.get(OUTPUT_ENV_VAR)
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(blocks, path: str | None) -> None:
+    """Write the text blocks one by one as they are produced, to ``path`` or,
+    for None and '-', to stdout."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
         return
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
     except OSError as exc:
         raise IOError(str(exc)) from exc
 
@@ -175,7 +189,7 @@ def cmd_point(args) -> int:
     if not check:
         report["env_class"] = EnvKind.FORBIDDEN.value
         report["bona_fide_failures"] = "; ".join(check.failures)
-        _write_output(_render_point(report, args.format), _resolve_output(args))
+        _write_output([_render_point(report, args.format)], _resolve_output(args))
         return EXIT_DOMAIN
 
     env_class = classify_environment(omega, args.g, args.gp)
@@ -206,7 +220,7 @@ def cmd_point(args) -> int:
             "swap_eps_rel_error": abs(swap.report.pts_min - swap_eps) / swap_eps,
             "swap_coherent_info_finite": swap.report.coherent_info,
         })
-    _write_output(_render_point(report, args.format), _resolve_output(args))
+    _write_output([_render_point(report, args.format)], _resolve_output(args))
     return EXIT_OK
 
 
@@ -248,42 +262,53 @@ def cmd_scan(args) -> int:
         omega=None if args.at_eb else omega,
     )
     grid = scan(spec)
-    if args.format == "json":
-        text = _render_scan_json(grid)
-    else:
-        text = _render_scan_csv(grid)
-    _write_output(text, _resolve_output(args))
+    render = _render_scan_json if args.format == "json" else _render_scan_csv
+    _write_output(render(grid), _resolve_output(args))
     return EXIT_OK
 
 
-def _scan_cells(grid: ScanGrid, number, no_eps):
-    """Row-major ((g, gp), index into ``_PAIRS``, eps) of every cell; each center
-    and physical eps is rendered once by ``number``, Forbidden cells carry ``no_eps``."""
-    spec = grid.spec
-    gs = [number(g) for g in spec.g_centers()]
-    gps = [number(gp) for gp in spec.gp_centers()]
-    physical = (grid.kind != 0).ravel().tolist()
-    eps = [number(e) if p else no_eps for p, e in zip(physical, grid.eps.ravel().tolist())]
-    pairs = (grid.kind * 3 + grid.activation).ravel().tolist()
-    return zip(((g, gp) for g in gs for gp in gps), pairs, eps)
-
-
+# ScanGrid pair code kind * 3 + activation indexes this list; codes 0-2 are the
+# Forbidden cells, which carry no eps
 _PAIRS = [(kind.value, act.value) for kind in EnvKind for act in Activation]
 
 
-def _render_scan_csv(grid: ScanGrid) -> str:
-    labels = [f"{kind},{act}" for kind, act in _PAIRS]
-    lines = ["g,gp,env_class,activation,eps"]
-    lines.extend(f"{g},{gp},{labels[pair]},{e}" for (g, gp), pair, e in _scan_cells(grid, fmt, ""))
-    return "\n".join(lines) + "\n"
+def _scan_rows(grid: ScanGrid, number):
+    """Per g row: the center, and the row's cells as (gp, pair code, eps) triples;
+    centers are rendered by ``number``, each gp center once per scan."""
+    gps = [number(gp) for gp in grid.spec.gp_centers().tolist()]
+    pairs = grid.kind * 3 + grid.activation
+    for g, pair_row, eps_row in zip(grid.spec.g_centers().tolist(), pairs, grid.eps):
+        yield number(g), zip(gps, pair_row.tolist(), eps_row.tolist())
 
 
-def _render_scan_json(grid: ScanGrid) -> str:
+def _render_scan_csv(grid: ScanGrid):
+    """CSV text in blocks: the header, then one block per g row."""
+    # "%.9g" % x is fmt(x)
+    templates = [f"%s,%s,{kind},{act},{'' if code < 3 else '%.9g'}\n"
+                 for code, (kind, act) in enumerate(_PAIRS)]
+    yield "g,gp,env_class,activation,eps\n"
+    for g, cells in _scan_rows(grid, fmt):
+        yield "".join([templates[p] % (g, gp, e) if p > 2 else templates[p] % (g, gp)
+                       for gp, p, e in cells])
+
+
+def _json_number(x: float) -> str:
+    """``repr(float(fmt(x)))``, which is what ``json.dumps`` prints for finite
+    ``x`` rounded to the 9-digit contract."""
+    text = fmt(x)
+    # a plain decimal fraction (".9g" strips trailing zeros) is its own repr;
+    # integers and exponent forms are spelled differently by repr
+    return text if "." in text and "e" not in text else repr(float(text))
+
+
+def _render_scan_json(grid: ScanGrid):
+    """JSON text in the layout of ``json.dumps(..., indent=2)``, in blocks: the
+    spec and summary, then one block per g row of cells, then the closing brackets."""
     spec = grid.spec
     counts = {f"{kind.value}/{act.value}": grid.summary.get((kind, act), 0)
               for kind in EnvKind for act in Activation}
     fractions = {key: count / grid.kind.size for key, count in counts.items()}
-    payload = _json_ready({
+    head = json.dumps(_json_ready({
         "spec": {
             "tau": spec.tau,
             "omega": spec.omega_value,
@@ -294,13 +319,22 @@ def _render_scan_json(grid: ScanGrid) -> str:
             "resolution": spec.resolution,
         },
         "summary": {"total": grid.kind.size, "counts": counts, "fractions": fractions},
-    })
-    # cell numbers are rounded here, once per center and per physical eps
-    payload["cells"] = [
-        {"g": g, "gp": gp, "env_class": _PAIRS[pair][0], "activation": _PAIRS[pair][1], "eps": e}
-        for (g, gp), pair, e in _scan_cells(grid, lambda x: float(fmt(x)), None)
+    }), indent=2)
+    # the cells list goes in as the last key, before the closing "\n}" of the head
+    yield head[:-2] + ',\n  "cells": [\n'
+    templates = [
+        '    {\n      "g": %s,\n      "gp": %s,\n'
+        f'      "env_class": "{kind}",\n      "activation": "{act}",\n'
+        f'      "eps": {"null" if code < 3 else "%s"}\n    }}'
+        for code, (kind, act) in enumerate(_PAIRS)
     ]
-    return json.dumps(payload, indent=2) + "\n"
+    separator = ""
+    for g, cells in _scan_rows(grid, _json_number):
+        yield separator + ",\n".join([
+            templates[p] % (g, gp, _json_number(e)) if p > 2 else templates[p] % (g, gp)
+            for gp, p, e in cells])
+        separator = ",\n"
+    yield "\n  ]\n}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +367,7 @@ def cmd_converge(args) -> int:
             [[fmt(r["mu"]), fmt(r["eps_finite"]), fmt(r["eps_asymptotic"]), fmt(r["rel_error"])]
              for r in rows],
         )
-    _write_output(text, _resolve_output(args))
+    _write_output([text], _resolve_output(args))
     return EXIT_OK
 
 

@@ -14,7 +14,19 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DomainError
+
+# Largest accepted |omega|, |g| and |gp|: every product the plane formulas form
+# (omega^2, g*gp, (omega - g)*(omega + gp), ...) then stays below 1e301, so finite.
+MAX_MAGNITUDE = 1e150
+
+
+def require_magnitude(name: str, value: float) -> None:
+    """Raise DomainError unless |value| <= :data:`MAX_MAGNITUDE` (nan fails too)."""
+    if not abs(value) <= MAX_MAGNITUDE:
+        raise DomainError(f"{name} magnitude must be <= {MAX_MAGNITUDE:g}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -31,6 +43,8 @@ class EnvironmentParams:
             raise DomainError(f"transmissivity must lie in (0, 1), got {self.tau}")
         if self.omega < 1.0:
             raise DomainError(f"thermal variance must be >= 1, got {self.omega}")
+        for name in ("omega", "g", "gp"):
+            require_magnitude(name, getattr(self, name))
 
 
 class EnvKind(Enum):
@@ -98,8 +112,14 @@ def require_bona_fide(omega: float, g: float, gp: float) -> None:
 
 def env_pts_radicand(omega, g, gp):
     """omega^2 - g*gp - omega*|g - gp|, the square of the environment's smallest
-    partially-transposed symplectic eigenvalue; elementwise on arrays."""
-    return omega * omega - g * gp - omega * abs(g - gp)
+    partially-transposed symplectic eigenvalue; elementwise on arrays.
+
+    Evaluated in the equal factored form min((omega - g)(omega + gp),
+    (omega + g)(omega - gp)), which keeps its relative precision where the
+    expanded one cancels (g -> omega, gp -> -omega at large omega) and is
+    positive wherever |g|, |gp| < omega.
+    """
+    return np.minimum((omega - g) * (omega + gp), (omega + g) * (omega - gp))
 
 
 def env_pts(omega: float, g: float, gp: float) -> float:

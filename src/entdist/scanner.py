@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .environment import (EnvClass, EnvKind, bona_fide_conditions, eb_threshold,
-                          env_pts_radicand, is_separable)
+                          env_pts_radicand, is_separable, require_magnitude)
 from .errors import DomainError
 from .protocols import large_mu_eps
 
@@ -58,6 +58,8 @@ class ScanSpec:
             raise DomainError(f"transmissivity must lie in (0, 1), got {self.tau}")
         if self.omega is not None and self.omega < 1.0:
             raise DomainError(f"thermal variance must be >= 1, got {self.omega}")
+        if self.omega is not None:
+            require_magnitude("omega", self.omega)
         if self.resolution < 2:
             raise DomainError(f"resolution must be >= 2, got {self.resolution}")
         w = self.omega_value
@@ -68,6 +70,8 @@ class ScanSpec:
                 lo, hi = float(rng[0]), float(rng[1])
                 if not lo < hi:
                     raise DomainError(f"{name} must be a nonempty interval, got {rng}")
+                require_magnitude(f"{name} bound", lo)
+                require_magnitude(f"{name} bound", hi)
                 object.__setattr__(self, name, (lo, hi))
 
     @property

@@ -3,11 +3,17 @@ import hashlib
 import io
 import json
 import math
+import re
+import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from entdist.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, OUTPUT_ENV_VAR, main
+from entdist import Activation, EnvKind, Protocol, ScanSpec, scan
+from entdist.cli import (EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, OUTPUT_ENV_VAR, _json_number,
+                         _json_ready, fmt, main)
 
 
 def run_cli(capsys, *argv):
@@ -197,6 +203,147 @@ class TestScanCommand:
         assert code == EXIT_OK
         assert out == ""
         assert target.exists()
+
+
+def reference_scan_output(spec, fmt_kind):
+    """Scan output rendered whole, by ``json.dumps(indent=2)`` over cell dicts for
+    JSON and by joining rows with newlines for CSV."""
+    grid = scan(spec)
+    cells = []
+    for i, g in enumerate(spec.g_centers()):
+        for j, gp in enumerate(spec.gp_centers()):
+            cell = grid.cell(i, j)
+            cells.append({"g": float(g), "gp": float(gp), "env_class": cell.env_class.kind.value,
+                          "activation": cell.activation.value, "eps": cell.eps_value})
+    if fmt_kind == "csv":
+        lines = ["g,gp,env_class,activation,eps"]
+        lines.extend(f"{fmt(c['g'])},{fmt(c['gp'])},{c['env_class']},{c['activation']},"
+                     f"{'' if c['eps'] is None else fmt(c['eps'])}" for c in cells)
+        return "\n".join(lines) + "\n"
+    counts = {f"{kind.value}/{act.value}": grid.summary.get((kind, act), 0)
+              for kind in EnvKind for act in Activation}
+    payload = {
+        "spec": {
+            "tau": spec.tau,
+            "omega": spec.omega_value,
+            "at_eb": spec.omega is None,
+            "protocol": spec.protocol.value,
+            "g_range": list(spec.g_range),
+            "gp_range": list(spec.gp_range),
+            "resolution": spec.resolution,
+        },
+        "summary": {"total": len(cells), "counts": counts,
+                    "fractions": {key: n / len(cells) for key, n in counts.items()}},
+        "cells": cells,
+    }
+    return json.dumps(_json_ready(payload), indent=2) + "\n"
+
+
+def refuse_constant(name):
+    raise AssertionError(f"scan JSON holds {name}")
+
+
+class TestStreamedScanOutput:
+    # window name -> (flags, matching ScanSpec keywords)
+    WINDOWS = {
+        "eb": (("--tau", "0.75", "--at-eb"), {"tau": 0.75}),
+        # centers -2, 0, 2 at resolution 3: JSON prints -2.0, CSV prints -2
+        "integer_centers": (("--tau", "0.6", "--omega", "4", "--g-min", "-3", "--g-max", "3",
+                             "--gp-min", "-3", "--gp-max", "3"),
+                            {"tau": 0.6, "omega": 4.0, "g_range": (-3.0, 3.0),
+                             "gp_range": (-3.0, 3.0)}),
+        # hugs g -> omega, gp -> -omega: eps below 1e-4 (exponent form) next to
+        # Forbidden cells; the expanded env PTS radicand cancels to nan or 0 here
+        "corner": (("--tau", "0.9", "--omega", "1e4", "--g-min", "9999.9997", "--g-max", "1e4",
+                    "--gp-min=-1e4", "--gp-max=-9999.9997"),
+                   {"tau": 0.9, "omega": 1e4, "g_range": (9999.9997, 1e4),
+                    "gp_range": (-1e4, -9999.9997)}),
+    }
+    PROTOCOLS = {"direct": Protocol.DIRECT, "swap": Protocol.SWAP,
+                 "environment": Protocol.ENVIRONMENT_ONLY}
+
+    @pytest.mark.parametrize("resolution", [2, 3, 61])
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    @pytest.mark.parametrize("fmt_kind", ["csv", "json"])
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_matches_whole_rendering(self, capsys, protocol, fmt_kind, window, resolution):
+        flags, spec_kwargs = self.WINDOWS[window]
+        code, out, _ = run_cli(capsys, "scan", *flags, "--protocol", protocol,
+                               "--resolution", str(resolution), "--format", fmt_kind)
+        assert code == EXIT_OK
+        spec = ScanSpec(protocol=self.PROTOCOLS[protocol], resolution=resolution, **spec_kwargs)
+        assert out == reference_scan_output(spec, fmt_kind)
+        if fmt_kind == "json":
+            json.loads(out, parse_constant=refuse_constant)
+        if window == "corner" and protocol != "environment":
+            assert re.search(r"\d+e-0\d", out)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_cell_numbers_are_json_dumps_of_rounded_values(self, x):
+        assert _json_number(x) == json.dumps(float(fmt(x))) == repr(float(fmt(x)))
+        assert "%.9g" % x == fmt(x)  # the CSV templates' eps slot
+
+
+class TestScanMemory:
+    """Scan output is streamed: the traced peak stays below the size of the file
+    written, which the whole-string rendering held several times over."""
+
+    @pytest.mark.parametrize("protocol, fmt_kind, max_ratio", [("swap", "json", 1.0),
+                                                               ("direct", "csv", 2.0)])
+    def test_traced_peak_below_output_size(self, tmp_path, protocol, fmt_kind, max_ratio):
+        path = tmp_path / f"grid.{fmt_kind}"
+        argv = ["scan", "--tau", "0.8", "--at-eb", "--protocol", protocol, "--resolution", "301",
+                "--format", fmt_kind, "-o", str(path)]
+        assert main(argv) == EXIT_OK  # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < max_ratio * path.stat().st_size
+
+
+class TestInputMagnitude:
+    """Numbers above 1e150 in size would overflow the plane formulas' products."""
+
+    @pytest.mark.parametrize("flag", ["--omega", "--g-min", "--g-max", "--gp-min", "--gp-max"])
+    def test_scan(self, capsys, flag):
+        argv = {"--tau": "0.5", "--omega": "2", "--g-min": "-1", "--g-max": "1",
+                "--gp-min": "-1", "--gp-max": "1"}
+        argv[flag] = "1e151" if flag.endswith("max") else "-1e200"
+        code, out, err = run_cli(capsys, "scan", "--protocol", "direct", "--resolution", "2",
+                                 *(f"{k}={v}" for k, v in argv.items()))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert flag in err and "magnitude" in err
+
+    def test_scan_at_the_limit_is_finite(self, capsys):
+        code, out, _ = run_cli(capsys, "scan", "--tau", "0.5", "--omega", "1e150",
+                               "--protocol", "swap", "--resolution", "3", "--format", "json")
+        assert code == EXIT_OK
+        cells = json.loads(out, parse_constant=refuse_constant)["cells"]
+        assert any(cell["eps"] is not None for cell in cells)
+
+    @pytest.mark.parametrize("flag", ["--omega", "--g", "--gp"])
+    def test_point(self, capsys, flag):
+        argv = {"--tau": "0.75", "--omega": "7", "--g": "4", "--gp": "-4"}
+        argv[flag] = "1e200"
+        code, out, err = run_cli(capsys, "point", *(f"{k}={v}" for k, v in argv.items()))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert flag in err and "magnitude" in err
+
+    @pytest.mark.parametrize("flag", ["--omega", "--g", "--gp"])
+    def test_converge(self, capsys, flag):
+        argv = {"--tau": "0.75", "--omega": "7", "--g": "4", "--gp": "-4"}
+        argv[flag] = "-1e151"
+        code, out, err = run_cli(capsys, "converge", "--protocol", "swap",
+                                 *(f"{k}={v}" for k, v in argv.items()))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert flag in err and "magnitude" in err
 
 
 class TestNonFiniteFlags:

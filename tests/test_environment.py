@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -36,6 +38,15 @@ class TestEnvironmentParams:
     def test_rejects_omega(self):
         with pytest.raises(DomainError):
             EnvironmentParams(0.5, 0.99, 0.0, 0.0)
+
+    @pytest.mark.parametrize("omega, g, gp", [(1e151, 0.0, 0.0), (2.0, -1e151, 0.0),
+                                              (2.0, 0.0, 1e200), (2.0, float("nan"), 0.0)])
+    def test_rejects_magnitudes_whose_products_overflow(self, omega, g, gp):
+        with pytest.raises(DomainError, match="magnitude"):
+            EnvironmentParams(0.5, omega, g, gp)
+
+    def test_accepts_magnitude_limit(self):
+        EnvironmentParams(0.5, 1e150, -1e150, 1e150)
 
 
 class TestBonaFideCheck:
@@ -78,6 +89,17 @@ class TestEnvPts:
     def test_rejects_non_bona_fide(self):
         with pytest.raises(DomainError):
             env_pts(2.0, 1.9, 1.9)
+
+    @pytest.mark.parametrize("a, b", [(5e-5, 5e-5), (1e-4, 2.5e-4), (2.5e-4, 1e-4)])
+    def test_no_cancellation_near_corners_at_large_omega(self, a, b):
+        # the radicand is (omega - g)(omega + gp) for g >= gp and
+        # (omega + g)(omega - gp) otherwise; near the corners the differences are exact
+        omega = 1e4
+        g, gp = omega - a, -omega + b
+        assert env_pts(omega, g, gp) == pytest.approx(math.sqrt((omega - g) * (omega + gp)),
+                                                      rel=1e-14)
+        assert env_pts(omega, -g, -gp) == pytest.approx(math.sqrt((omega - g) * (omega + gp)),
+                                                        rel=1e-14)
 
     def test_matches_matrix_path(self):
         rng = np.random.default_rng(23)

@@ -50,6 +50,12 @@ class TestScanSpec:
         with pytest.raises(DomainError):
             ScanSpec(tau=0.5, protocol=Protocol.DIRECT, resolution=5, omega=0.5)
 
+    @pytest.mark.parametrize("window", [{"omega": 1e151}, {"g_range": (-1e200, 0.0)},
+                                        {"gp_range": (0.0, 1e151)}, {"g_range": (-np.inf, 0.0)}])
+    def test_rejects_magnitudes_whose_products_overflow(self, window):
+        with pytest.raises(DomainError, match="magnitude"):
+            ScanSpec(tau=0.5, protocol=Protocol.DIRECT, resolution=5, **window)
+
     def test_cell_centers(self):
         spec = ScanSpec(tau=0.75, protocol=Protocol.SWAP, resolution=7,
                         g_range=(-7.0, 7.0), gp_range=(-7.0, 7.0))
