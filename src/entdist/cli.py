@@ -1,9 +1,10 @@
 """Command-line front end: point evaluations, plane scans, convergence tables.
 
 Exit codes: 0 success, 2 usage error, 3 non-physical point, 4 I/O failure.
-Numbers in flags must be finite, and omega, g, gp and the scan window bounds
-at most ``MAX_MAGNITUDE`` (1e150) in size. All floating-point output is fixed
-at 9 significant digits so files are byte-identical across runs and platforms.
+Numbers in flags must be finite, and omega, g, gp, mu and the scan window
+bounds at most ``MAX_MAGNITUDE`` (1e150) in size. All floating-point output is
+fixed at 9 significant digits so files are byte-identical across runs and
+platforms.
 
 Output is produced as a sequence of text blocks that ``_write_output`` writes
 as they come. A scan yields one block per g row, each cell rendered from a
@@ -144,6 +145,13 @@ def _validate_common(args) -> float:
     return args.omega
 
 
+def _validate_mu(mu: float, what: str) -> None:
+    if mu < 1.0:
+        raise UsageError(f"{what} must be >= 1, got {mu}")
+    if mu > MAX_MAGNITUDE:
+        raise UsageError(f"--mu magnitude must be <= {MAX_MAGNITUDE:g}, got {mu}")
+
+
 def _resolve_output(args) -> str | None:
     if args.output is not None:
         return args.output
@@ -175,8 +183,8 @@ def _rows_to_csv(header: list[str], rows: list[list[str]]) -> str:
 
 def cmd_point(args) -> int:
     omega = _validate_common(args)
-    if args.mu is not None and args.mu < 1.0:
-        raise UsageError(f"--mu must be >= 1, got {args.mu}")
+    if args.mu is not None:
+        _validate_mu(args.mu, "--mu")
 
     check = bona_fide_check(omega, args.g, args.gp)
     report: dict[str, object] = {
@@ -344,8 +352,7 @@ def _render_scan_json(grid: ScanGrid):
 def cmd_converge(args) -> int:
     omega = _validate_common(args)
     for mu in args.mu:
-        if mu < 1.0:
-            raise UsageError(f"--mu entries must be >= 1, got {mu}")
+        _validate_mu(mu, "--mu entries")
 
     env = EnvironmentParams(args.tau, omega, args.g, args.gp)  # may raise DomainError
     runner = run_direct if args.protocol == "direct" else run_swap

@@ -72,15 +72,17 @@ class BonaFideResult:
         return self.ok
 
 
-def _uncertainty_sides(omega, g, gp):
-    return omega * omega + g * gp - 1.0, omega * abs(g + gp)
-
-
 def bona_fide_conditions(omega, g, gp):
     """The three physicality conditions |g| < omega, |gp| < omega and
-    omega^2 + g*gp - 1 >= omega*|g + gp|, in that order; elementwise on arrays."""
-    lhs, rhs = _uncertainty_sides(omega, g, gp)
-    return abs(g) < omega, abs(gp) < omega, lhs >= rhs
+    omega^2 + g*gp - 1 >= omega*|g + gp|, in that order; elementwise on arrays.
+
+    The last is evaluated in the equal factored form
+    min((omega - g)(omega - gp), (omega + g)(omega + gp)) >= 1, whose ``- 1``
+    does not drop below the rounding of omega^2 at large omega. It is written
+    as both products >= 1, which keeps scalar calls free of numpy.
+    """
+    uncertainty = ((omega - g) * (omega - gp) >= 1.0) & ((omega + g) * (omega + gp) >= 1.0)
+    return abs(g) < omega, abs(gp) < omega, uncertainty
 
 
 def bona_fide_check(omega: float, g: float, gp: float) -> BonaFideResult:
@@ -98,7 +100,7 @@ def bona_fide_check(omega: float, g: float, gp: float) -> BonaFideResult:
     if not marginal_gp:
         failures.append(f"|gp| < omega violated ({abs(gp)} >= {omega})")
     if not uncertainty:
-        lhs, rhs = _uncertainty_sides(omega, g, gp)
+        lhs, rhs = omega * omega + g * gp - 1.0, omega * abs(g + gp)
         failures.append(f"omega^2 + g*gp - 1 >= omega*|g + gp| violated ({lhs} < {rhs})")
     return BonaFideResult(not failures, tuple(failures))
 
@@ -133,12 +135,12 @@ def env_pts(omega: float, g: float, gp: float) -> float:
 
 
 def is_separable(omega, g, gp):
-    """Separability in polynomial form: omega^2 - g*gp - 1 >= omega*|g - gp|.
+    """Separability, env_pts >= 1, as :func:`env_pts_radicand` >= 1.
 
-    Equivalent to env_pts >= 1 but free of square-root rounding, so boundary
-    points classify exactly; elementwise on arrays.
+    Free of square-root rounding, and of the cancellation of the expanded
+    omega^2 - g*gp - 1 >= omega*|g - gp| at large omega; elementwise on arrays.
     """
-    return omega * omega - g * gp - 1.0 >= omega * abs(g - gp)
+    return env_pts_radicand(omega, g, gp) >= 1.0
 
 
 def classify_environment(omega: float, g: float, gp: float) -> EnvClass:

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
-from .environment import EnvironmentParams, require_bona_fide
+from .environment import EnvironmentParams, require_bona_fide, require_magnitude
 from .errors import DomainError
 from .symplectic import (
     CovarianceMatrix,
@@ -65,6 +64,17 @@ def _require_env(env: EnvironmentParams) -> None:
 def _require_mu(mu: float) -> None:
     if mu < 1.0:
         raise DomainError(f"input EPR variance must be >= 1, got {mu}")
+    require_magnitude("input EPR variance", mu)
+
+
+def _block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """Square blocks placed along the diagonal of a zero matrix."""
+    out = np.zeros((sum(len(b) for b in blocks),) * 2)
+    start = 0
+    for b in blocks:
+        out[start:start + len(b), start:start + len(b)] = b
+        start += len(b)
+    return out
 
 
 def _check_oracle(closed: CovarianceMatrix, piped: CovarianceMatrix, label: str) -> None:
@@ -82,7 +92,7 @@ def _check_oracle(closed: CovarianceMatrix, piped: CovarianceMatrix, label: str)
 def direct_output_pipeline(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
     """Finite-mu route: EPR x environment, one beam splitter per arm, trace ancillas."""
     _require_mu(mu)
-    joint = CovarianceMatrix(block_diag(
+    joint = CovarianceMatrix(_block_diag(
         make_epr_cm(mu).data,
         make_env_cm(env.omega, env.g, env.gp).data,
     ))
@@ -111,7 +121,7 @@ def direct_output_cm(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
 def one_mode_output_pipeline(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
     """Keep mode A, send mode B through a single lossy arm (thermal ancilla only)."""
     _require_mu(mu)
-    joint = CovarianceMatrix(block_diag(make_epr_cm(mu).data, env.omega * _I2))
+    joint = CovarianceMatrix(_block_diag(make_epr_cm(mu).data, env.omega * _I2))
     out = apply_symplectic(joint, beam_splitter(env.tau), (1, 2))
     return partial_trace(out, drop=(2,))
 
@@ -133,11 +143,15 @@ def one_mode_output_cm(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
     return closed
 
 
+def large_mu_eps_scale(tau, swap: bool = False):
+    """The factor 1 - tau of :func:`large_mu_eps`, (1 - tau)/tau for the swapped state."""
+    return (1.0 - tau) / tau if swap else 1.0 - tau
+
+
 def large_mu_eps(tau, omega, g, gp, swap: bool = False):
     """Large-mu PTS eigenvalue (1 - tau) * sqrt((omega - g) * (omega + gp)) of the
     direct output, divided by tau for the swapped state; unvalidated, elementwise."""
-    scale = (1.0 - tau) / tau if swap else 1.0 - tau
-    return scale * np.sqrt((omega - g) * (omega + gp))
+    return large_mu_eps_scale(tau, swap) * np.sqrt((omega - g) * (omega + gp))
 
 
 def direct_eps_asymptotic(env: EnvironmentParams) -> float:
@@ -203,7 +217,7 @@ def swap_noiseless_pipeline(mu: float) -> CovarianceMatrix:
     travelling modes (modes a=0, A=1, B=2, b=3)."""
     _require_mu(mu)
     epr = make_epr_cm(mu).data
-    joint = CovarianceMatrix(block_diag(epr, epr))
+    joint = CovarianceMatrix(_block_diag(epr, epr))
     return _bell_measure(joint, (1, 2))
 
 
@@ -243,7 +257,7 @@ def swap_conditional_pipeline(mu: float, env: EnvironmentParams) -> CovarianceMa
     travelling modes with the correlated ancillas, then the Bell measurement."""
     _require_mu(mu)
     epr = make_epr_cm(mu).data
-    joint = CovarianceMatrix(block_diag(
+    joint = CovarianceMatrix(_block_diag(
         epr,                                          # a = 0, A = 1
         epr,                                          # B = 2, b = 3
         make_env_cm(env.omega, env.g, env.gp).data,   # E1 = 4, E2 = 5

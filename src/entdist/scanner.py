@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .environment import (EnvClass, EnvKind, bona_fide_conditions, eb_threshold,
-                          env_pts_radicand, is_separable, require_magnitude)
+                          env_pts_radicand, require_magnitude)
 from .errors import DomainError
-from .protocols import large_mu_eps
+from .protocols import large_mu_eps, large_mu_eps_scale
 
 DISTILLABLE_EPS = math.exp(-1.0)
 
@@ -156,27 +155,25 @@ class _Cells(Sequence):
 # field evaluation
 # ---------------------------------------------------------------------------
 
-def _eps(spec: ScanSpec, g, gp):
-    """Protocol eps (environment PTS eigenvalue for ENVIRONMENT_ONLY) at (g, gp);
-    meaningful only at physical points."""
-    w = spec.omega_value
-    if spec.protocol is Protocol.ENVIRONMENT_ONLY:
-        return np.sqrt(env_pts_radicand(w, g, gp))
-    return large_mu_eps(spec.tau, w, g, gp, swap=spec.protocol is Protocol.SWAP)
-
-
 def _field_block(spec: ScanSpec):
     """(bona, separable, env_pts, eps) arrays over the cell centers, indexed
-    [i_g, j_gp]; env_pts and eps are NaN outside the physical region."""
+    [i_g, j_gp]; env_pts and eps are NaN outside the physical region, and eps
+    is the environment PTS eigenvalue itself for ENVIRONMENT_ONLY."""
     w = spec.omega_value
     g, gp = np.meshgrid(spec.g_centers(), spec.gp_centers(), indexing="ij")
     marginal_g, marginal_gp, uncertainty = bona_fide_conditions(w, g, gp)
     bona = marginal_g & marginal_gp & uncertainty
+    radicand = env_pts_radicand(w, g, gp)
     # forbidden cells may have negative radicands; they are masked to NaN
     with np.errstate(invalid="ignore"):
-        env = np.where(bona, np.sqrt(env_pts_radicand(w, g, gp)), np.nan)
-        eps = np.where(bona, _eps(spec, g, gp), np.nan)
-    return bona, is_separable(w, g, gp), env, eps
+        env = np.where(bona, np.sqrt(radicand), np.nan)
+        if spec.protocol is Protocol.ENVIRONMENT_ONLY:
+            eps = env
+        else:
+            eps = np.where(bona, large_mu_eps(spec.tau, w, g, gp,
+                                              swap=spec.protocol is Protocol.SWAP), np.nan)
+    # environment.is_separable, on the radicand computed once here
+    return bona, radicand >= 1.0, env, eps
 
 
 def eps_field(spec: ScanSpec) -> np.ndarray:
@@ -242,30 +239,32 @@ class Contour:
 def boundary_curves(spec: ScanSpec, levels: tuple[float, ...] = (1.0, DISTILLABLE_EPS)) -> list[Contour]:
     """Iso-contours of the eps field over the bona-fide cells.
 
-    Marching squares on the cell-center grid provides the topology; each edge
-    crossing bracketed by linear interpolation is then polished against the
-    analytic field, so returned vertices satisfy eps = level to root-finder
-    precision. Squares touching non-physical cells are skipped, which
-    truncates contours at the border of the physical region.
+    Marching squares on the cell-center grid provides the topology. Each
+    crossing is then solved exactly on its edge, where one coordinate is fixed
+    and eps = level has a closed-form solution in the other, so returned
+    vertices satisfy eps = level up to floating-point rounding. Squares
+    touching non-physical cells are skipped, which truncates contours at the
+    border of the physical region.
     """
-    xs = spec.g_centers()
-    ys = spec.gp_centers()
+    xs = spec.g_centers().tolist()
+    ys = spec.gp_centers().tolist()
     field = eps_field(spec)
-
-    def scalar_eps(g: float, gp: float) -> float:
-        return float(_eps(spec, g, gp))
+    omega = spec.omega_value
+    env_only = spec.protocol is Protocol.ENVIRONMENT_ONLY
+    scale = 1.0 if env_only else large_mu_eps_scale(spec.tau, swap=spec.protocol is Protocol.SWAP)
 
     contours = []
     for level in levels:
-        segments = _marching_squares_segments(field, level)
+        radicand = (level / scale) ** 2
         point_of = {}
 
         def edge_point(edge):
             if edge not in point_of:
-                point_of[edge] = _refine_edge_point(edge, xs, ys, field, level, scalar_eps)
+                point_of[edge] = _edge_point(edge, xs, ys, field, level, omega, radicand,
+                                             env_only)
             return point_of[edge]
 
-        for chain, closed in _stitch_segments(segments):
+        for chain, closed in _stitch_segments(_marching_squares_segments(field, level)):
             pts = np.array([edge_point(e) for e in chain])
             contours.append(Contour(level=level, points=pts, closed=closed))
     return contours
@@ -273,44 +272,46 @@ def boundary_curves(spec: ScanSpec, levels: tuple[float, ...] = (1.0, DISTILLABL
 
 def _marching_squares_segments(field: np.ndarray, level: float):
     """Segments as pairs of edge ids: ('h', i, j) joins nodes (i, j)-(i+1, j),
-    ('v', i, j) joins (i, j)-(i, j+1). Corners with f < level count as inside."""
-    ni, nj = field.shape
+    ('v', i, j) joins (i, j)-(i, j+1). Corners with f < level count as inside.
+
+    Case codes are computed for every square at once; only the squares the
+    level crosses, in row-major order, are visited one by one.
+    """
+    below = (field < level).astype(np.uint8)
+    code = below[:-1, :-1] | below[1:, :-1] << 1 | below[1:, 1:] << 2 | below[:-1, 1:] << 3
+    known = ~np.isnan(field)
+    valid = known[:-1, :-1] & known[1:, :-1] & known[:-1, 1:] & known[1:, 1:]
+    crossed_i, crossed_j = np.nonzero(valid & (code != 0) & (code != 15))
     segments = []
-    for i in range(ni - 1):
-        for j in range(nj - 1):
+    for i, j, code_ij in zip(crossed_i.tolist(), crossed_j.tolist(),
+                             code[crossed_i, crossed_j].tolist()):
+        south = ("h", i, j)
+        north = ("h", i, j + 1)
+        west = ("v", i, j)
+        east = ("v", i + 1, j)
+        if code_ij in (5, 10):
             f00, f10 = field[i, j], field[i + 1, j]
             f01, f11 = field[i, j + 1], field[i + 1, j + 1]
-            if np.isnan(f00) or np.isnan(f10) or np.isnan(f01) or np.isnan(f11):
-                continue
-            b00, b10 = f00 < level, f10 < level
-            b01, b11 = f01 < level, f11 < level
-            code = b00 + 2 * b10 + 4 * b11 + 8 * b01
-            if code in (0, 15):
-                continue
-            south = ("h", i, j)
-            north = ("h", i, j + 1)
-            west = ("v", i, j)
-            east = ("v", i + 1, j)
-            if code in (5, 10):
-                center_inside = (f00 + f10 + f01 + f11) / 4.0 < level
-                if code == 5:  # inside corners on the main diagonal
-                    pairs = [(south, east), (north, west)] if center_inside \
-                        else [(south, west), (north, east)]
-                else:  # code 10, inside corners on the anti-diagonal
-                    pairs = [(south, west), (north, east)] if center_inside \
-                        else [(south, east), (north, west)]
-                segments.extend(pairs)
-                continue
-            crossing = []
-            if b00 != b10:
-                crossing.append(south)
-            if b10 != b11:
-                crossing.append(east)
-            if b01 != b11:
-                crossing.append(north)
-            if b00 != b01:
-                crossing.append(west)
-            segments.append((crossing[0], crossing[1]))
+            center_inside = (f00 + f10 + f01 + f11) / 4.0 < level
+            if code_ij == 5:  # inside corners on the main diagonal
+                pairs = [(south, east), (north, west)] if center_inside \
+                    else [(south, west), (north, east)]
+            else:  # code 10, inside corners on the anti-diagonal
+                pairs = [(south, west), (north, east)] if center_inside \
+                    else [(south, east), (north, west)]
+            segments.extend(pairs)
+            continue
+        b00, b10, b11, b01 = (bool(code_ij & bit) for bit in (1, 2, 4, 8))
+        crossing = []
+        if b00 != b10:
+            crossing.append(south)
+        if b10 != b11:
+            crossing.append(east)
+        if b01 != b11:
+            crossing.append(north)
+        if b00 != b01:
+            crossing.append(west)
+        segments.append((crossing[0], crossing[1]))
     return segments
 
 
@@ -353,22 +354,34 @@ def _stitch_segments(segments):
     return chains
 
 
-def _refine_edge_point(edge, xs, ys, field, level, scalar_eps):
+def _edge_point(edge, xs, ys, field, level, omega, radicand, env_only):
+    """The point of ``edge`` at which eps = level, with ``radicand`` the squared
+    level over the protocol's squared eps scale.
+
+    Along an edge one coordinate is fixed, and the squared eps over the squared
+    scale is (omega - fixed)(omega + free), which rises with the free
+    coordinate, or (omega + fixed)(omega - free), which falls. Direct and swap
+    give (omega - g)(omega + gp): it falls along g and rises along gp.
+    ENVIRONMENT_ONLY gives the smaller of the two, which rises, then falls, so
+    an edge crossed upward meets the rising factor. Either factor equals
+    ``radicand`` at one free coordinate, found without iteration.
+    """
     kind, i, j = edge
     if kind == "h":
-        (x0, y0), (x1, y1) = (xs[i], ys[j]), (xs[i + 1], ys[j])
+        lo, hi, fixed = xs[i], xs[i + 1], ys[j]
         f0, f1 = field[i, j], field[i + 1, j]
     else:
-        (x0, y0), (x1, y1) = (xs[i], ys[j]), (xs[i], ys[j + 1])
+        lo, hi, fixed = ys[j], ys[j + 1], xs[i]
         f0, f1 = field[i, j], field[i, j + 1]
     if f0 == level:
-        t = 0.0
+        free = lo
     elif f1 == level:
-        t = 1.0
+        free = hi
     else:
-        t = brentq(
-            lambda s: scalar_eps(x0 + s * (x1 - x0), y0 + s * (y1 - y0)) - level,
-            0.0,
-            1.0,
-        )
-    return (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
+        rising = f0 < level if env_only else kind == "v"
+        if rising:
+            free = radicand / (omega - fixed) - omega
+        else:
+            free = omega - radicand / (omega + fixed)
+        free = min(max(free, lo), hi)
+    return (free, fixed) if kind == "h" else (fixed, free)

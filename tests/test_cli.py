@@ -3,7 +3,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import entdist
 from entdist import Activation, EnvKind, Protocol, ScanSpec, scan
 from entdist.cli import (EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, OUTPUT_ENV_VAR, _json_number,
                          _json_ready, fmt, main)
@@ -204,6 +208,22 @@ class TestScanCommand:
         assert out == ""
         assert target.exists()
 
+    def test_environment_class_agrees_with_env_pts_at_large_omega(self, capsys):
+        # near the corners at omega = 1e8 the expanded separability and
+        # uncertainty forms lost their "- 1" to the rounding of omega^2 and
+        # labelled 884 of these 1681 cells against their own env PTS
+        code, out, _ = run_cli(capsys, "scan", "--tau", "0.9", "--omega", "1e8",
+                               "--g-min", "99999998", "--g-max", "1e8",
+                               "--gp-min=-1e8", "--gp-max=-99999998",
+                               "--protocol", "environment", "--resolution", "41")
+        assert code == EXIT_OK
+        rows = [row for row in csv.DictReader(io.StringIO(out))
+                if row["env_class"] != "Forbidden"]
+        assert len(rows) == 41 * 41
+        assert {row["env_class"] for row in rows} == {"Separable", "Entangled"}
+        for row in rows:
+            assert (row["env_class"] == "Separable") == (float(row["eps"]) >= 1.0), row
+
 
 def reference_scan_output(spec, fmt_kind):
     """Scan output rendered whole, by ``json.dumps(indent=2)`` over cell dicts for
@@ -326,7 +346,7 @@ class TestInputMagnitude:
         cells = json.loads(out, parse_constant=refuse_constant)["cells"]
         assert any(cell["eps"] is not None for cell in cells)
 
-    @pytest.mark.parametrize("flag", ["--omega", "--g", "--gp"])
+    @pytest.mark.parametrize("flag", ["--omega", "--g", "--gp", "--mu"])
     def test_point(self, capsys, flag):
         argv = {"--tau": "0.75", "--omega": "7", "--g": "4", "--gp": "-4"}
         argv[flag] = "1e200"
@@ -344,6 +364,16 @@ class TestInputMagnitude:
         assert code == EXIT_USAGE
         assert out == ""
         assert flag in err and "magnitude" in err
+
+    @pytest.mark.parametrize("protocol", ["direct", "swap"])
+    def test_converge_mu(self, capsys, protocol):
+        # before the limit, 1e200 died with an AssertionError (direct) or a
+        # LinAlgError (swap) traceback and exit 1
+        code, out, err = run_cli(capsys, "converge", "--protocol", protocol, "--tau", "0.5",
+                                 "--omega", "7", "--g", "4", "--gp=-4", "--mu", "10", "1e200")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--mu" in err and "magnitude" in err
 
 
 class TestNonFiniteFlags:
@@ -435,3 +465,17 @@ class TestFormatting:
                                "--g", "6", "--gp", "-6", "--format", "json")
         report = json.loads(out)
         assert report["direct_coherent_info"] == pytest.approx(math.log(4) - 1, abs=1e-8)
+
+
+class TestImports:
+    def test_cli_loads_no_scipy(self):
+        # scipy is a test dependency only: a fresh interpreter importing the CLI
+        # must not load it
+        src = os.path.dirname(os.path.dirname(entdist.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = ("import sys, entdist.cli; "
+                 "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                text=True, check=True, timeout=60)
+        assert result.stdout.strip() == "[]"

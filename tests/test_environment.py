@@ -72,6 +72,16 @@ class TestBonaFideCheck:
         assert not check
         assert any("|g| < omega" in f for f in check.failures)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_no_cancellation_near_corners_at_large_omega(self, sign):
+        # (omega - g)(omega - gp) = 0.25 < 1; the expanded form's "- 1" falls
+        # below the rounding of omega^2 = 1e16 and accepted the point
+        omega = 1e8
+        check = bona_fide_check(omega, sign * (omega - 0.5), sign * (omega - 0.5))
+        assert not check
+        assert any("omega^2 + g*gp" in f for f in check.failures)
+        assert bona_fide_check(omega, sign * (omega - 1.0), sign * (omega - 1.0))
+
 
 class TestEnvPts:
     @given(omegas)
@@ -153,6 +163,15 @@ class TestClassifyEnvironment:
     def test_is_separable_polynomial_form(self):
         assert is_separable(7.0, 6.0, -6.0)
         assert not is_separable(2.0, 1.5, -1.5)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_is_separable_near_corners_at_large_omega(self, sign):
+        # env_pts^2 = 0.25 here, but the expanded form called the point separable
+        omega = 1e8
+        g, gp = sign * (omega - 0.5), -sign * (omega - 0.5)
+        assert not is_separable(omega, g, gp)
+        assert classify_environment(omega, g, gp).kind is EnvKind.ENTANGLED
+        assert is_separable(omega, sign * (omega - 1.0), -sign * (omega - 1.0))
 
 
 class TestEbThreshold:

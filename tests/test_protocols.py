@@ -339,6 +339,14 @@ class TestProtocolRunners:
                       for mu in (1e2, 1e4, 1e6)]
             assert errors[0] >= errors[1] >= errors[2]
 
+    @pytest.mark.parametrize("runner", [run_direct, run_swap])
+    @pytest.mark.parametrize("mu", [1e151, 1e200, math.inf, math.nan])
+    def test_rejects_mu_beyond_magnitude_limit(self, runner, mu):
+        # mu^2 would overflow; the pipelines failed with an AssertionError or a
+        # LinAlgError instead of a DomainError
+        with pytest.raises(DomainError, match="magnitude"):
+            runner(mu, EnvironmentParams(0.5, 7.0, 4.0, -4.0))
+
     def test_report_sides(self):
         env = EnvironmentParams(0.75, 7.0, 6.0, -6.0)
         result = run_direct(LARGE_MU, env)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from entdist import (
     DISTILLABLE_EPS,
@@ -19,7 +22,9 @@ from entdist import (
     separable_activation_exists,
     swap_eps_asymptotic,
 )
-from entdist.environment import EnvironmentParams, bona_fide_check
+from entdist.environment import EnvironmentParams, bona_fide_check, env_pts_radicand
+from entdist.protocols import large_mu_eps
+from entdist.scanner import _stitch_segments
 
 STANDARD_TAUS = (0.3, 0.5, 0.75, 0.9)
 
@@ -282,6 +287,109 @@ class TestBoundaryCurves:
         spec = ScanSpec(tau=0.5, protocol=Protocol.SWAP, resolution=51,
                         g_range=(-0.5, 0.5), gp_range=(-0.5, 0.5))
         assert boundary_curves(spec) == []
+
+
+def reference_boundary_curves(spec, levels):
+    """Contours as extracted before the exact edge solve: a Python loop over
+    every square of the grid, and each edge crossing polished by ``brentq``
+    against the scalar eps."""
+    xs, ys = spec.g_centers(), spec.gp_centers()
+    w = spec.omega_value
+    field = eps_field(spec)
+
+    def scalar_eps(g, gp):
+        if spec.protocol is Protocol.ENVIRONMENT_ONLY:
+            return math.sqrt(env_pts_radicand(w, g, gp))
+        return float(large_mu_eps(spec.tau, w, g, gp, swap=spec.protocol is Protocol.SWAP))
+
+    def segments(level):
+        out = []
+        for i in range(len(xs) - 1):
+            for j in range(len(ys) - 1):
+                f00, f10 = field[i, j], field[i + 1, j]
+                f01, f11 = field[i, j + 1], field[i + 1, j + 1]
+                if np.isnan([f00, f10, f01, f11]).any():
+                    continue
+                b00, b10, b11, b01 = f00 < level, f10 < level, f11 < level, f01 < level
+                code = b00 + 2 * b10 + 4 * b11 + 8 * b01
+                if code in (0, 15):
+                    continue
+                south, north = ("h", i, j), ("h", i, j + 1)
+                west, east = ("v", i, j), ("v", i + 1, j)
+                if code in (5, 10):
+                    center_inside = (f00 + f10 + f01 + f11) / 4.0 < level
+                    if (code == 5) == center_inside:
+                        out.extend([(south, east), (north, west)])
+                    else:
+                        out.extend([(south, west), (north, east)])
+                    continue
+                crossing = [edge for edge, crossed in ((south, b00 != b10), (east, b10 != b11),
+                                                       (north, b01 != b11), (west, b00 != b01))
+                            if crossed]
+                out.append((crossing[0], crossing[1]))
+        return out
+
+    def polish(edge, level):
+        kind, i, j = edge
+        di, dj = (1, 0) if kind == "h" else (0, 1)
+        (x0, y0), (x1, y1) = (xs[i], ys[j]), (xs[i + di], ys[j + dj])
+        f0, f1 = field[i, j], field[i + di, j + dj]
+        if f0 == level:
+            t = 0.0
+        elif f1 == level:
+            t = 1.0
+        else:
+            t = brentq(lambda s: scalar_eps(x0 + s * (x1 - x0), y0 + s * (y1 - y0)) - level,
+                       0.0, 1.0)
+        return (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
+
+    return [(level, np.array([polish(edge, level) for edge in chain]), closed)
+            for level in levels for chain, closed in _stitch_segments(segments(level))]
+
+
+class TestExactContours:
+    """boundary_curves against the root-finder reference: same contours in the
+    same order, vertices within 1e-12 omega."""
+
+    @staticmethod
+    def _assert_matches_reference(spec, levels):
+        curves = boundary_curves(spec, levels)
+        reference = reference_boundary_curves(spec, levels)
+        assert [(c.level, len(c.points), c.closed) for c in curves] == \
+            [(level, len(points), closed) for level, points, closed in reference]
+        for curve, (_, points, _) in zip(curves, reference):
+            np.testing.assert_allclose(curve.points, points, rtol=0,
+                                       atol=1e-12 * spec.omega_value)
+        return curves
+
+    @pytest.mark.parametrize("protocol", [Protocol.DIRECT, Protocol.SWAP])
+    @pytest.mark.parametrize("tau", [0.3, 0.5, 0.75, 0.9])
+    @pytest.mark.parametrize("resolution", [2, 3, 61])
+    def test_distribution_protocols(self, protocol, tau, resolution):
+        spec = ScanSpec(tau=tau, protocol=protocol, resolution=resolution)
+        self._assert_matches_reference(spec, (1.0, DISTILLABLE_EPS))
+
+    @pytest.mark.parametrize("tau", [0.3, 0.75])
+    @pytest.mark.parametrize("resolution", [2, 3, 61])
+    def test_environment_only(self, tau, resolution):
+        spec = ScanSpec(tau=tau, protocol=Protocol.ENVIRONMENT_ONLY, resolution=resolution)
+        curves = self._assert_matches_reference(spec, (1.0, 1.3))
+        if resolution == 61:
+            # the field rises toward the diagonal g = gp and falls beyond it, so
+            # vertices on both sides use both branches of the edge solve
+            g, gp = np.concatenate([c.points for c in curves]).T
+            assert (g < gp).any() and (g > gp).any()
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_full_resolution(self, protocol):
+        spec = ScanSpec(tau=0.8, protocol=protocol, resolution=201)
+        levels = (1.0, 1.3) if protocol is Protocol.ENVIRONMENT_ONLY else (1.0, DISTILLABLE_EPS)
+        assert self._assert_matches_reference(spec, levels)
+
+    def test_off_threshold_window(self):
+        spec = ScanSpec(tau=0.7, protocol=Protocol.ENVIRONMENT_ONLY, resolution=61, omega=3.0,
+                        g_range=(-2.5, 1.0), gp_range=(-1.0, 2.9))
+        assert self._assert_matches_reference(spec, (0.5, 1.0, 1.3))
 
 
 class TestEpsField:
