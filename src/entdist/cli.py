@@ -7,8 +7,9 @@ fixed at 9 significant digits so files are byte-identical across runs and
 platforms.
 
 Output is produced as a sequence of text blocks that ``_write_output`` writes
-as they come. A scan yields one block per g row, each cell rendered from a
-fixed per-class template, so memory does not grow with the size of the output;
+as they come. A scan yields one block per g row, built by one ``%`` operation
+on the row's cell fragments, which are formatted once per scan for every gp
+column and cell class; memory does not grow with the size of the output, and
 the output file is opened only once the scan has been computed.
 """
 
@@ -19,6 +20,8 @@ import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from .environment import (
     MAX_MAGNITUDE,
@@ -280,26 +283,6 @@ def cmd_scan(args) -> int:
 _PAIRS = [(kind.value, act.value) for kind in EnvKind for act in Activation]
 
 
-def _scan_rows(grid: ScanGrid, number):
-    """Per g row: the center, and the row's cells as (gp, pair code, eps) triples;
-    centers are rendered by ``number``, each gp center once per scan."""
-    gps = [number(gp) for gp in grid.spec.gp_centers().tolist()]
-    pairs = grid.kind * 3 + grid.activation
-    for g, pair_row, eps_row in zip(grid.spec.g_centers().tolist(), pairs, grid.eps):
-        yield number(g), zip(gps, pair_row.tolist(), eps_row.tolist())
-
-
-def _render_scan_csv(grid: ScanGrid):
-    """CSV text in blocks: the header, then one block per g row."""
-    # "%.9g" % x is fmt(x)
-    templates = [f"%s,%s,{kind},{act},{'' if code < 3 else '%.9g'}\n"
-                 for code, (kind, act) in enumerate(_PAIRS)]
-    yield "g,gp,env_class,activation,eps\n"
-    for g, cells in _scan_rows(grid, fmt):
-        yield "".join([templates[p] % (g, gp, e) if p > 2 else templates[p] % (g, gp)
-                       for gp, p, e in cells])
-
-
 def _json_number(x: float) -> str:
     """``repr(float(fmt(x)))``, which is what ``json.dumps`` prints for finite
     ``x`` rounded to the 9-digit contract."""
@@ -309,11 +292,62 @@ def _json_number(x: float) -> str:
     return text if "." in text and "e" not in text else repr(float(text))
 
 
+def _needs_json_number(x):
+    """True (elementwise) where ``"%.9g" % x`` may differ from ``_json_number(x)``.
+
+    The two differ only where the 9-digit result is integral ("2" against
+    "2.0") or ``|x| >= 1e9`` ("1e+09" against "1000000000.0"). An integral
+    result lies within half a unit of the 9th digit of x, at most 5e-9*|x|, so
+    x is at least that close to an integer; and from ``|x| = 5e7`` on every x
+    is within 0.5 <= 1e-8*|x| of one. So this flags a superset of both cases.
+    NaN is never flagged.
+    """
+    return np.abs(x - np.rint(x)) <= 1e-8 * np.maximum(np.abs(x), 1.0)
+
+
+def _scan_rows(grid: ScanGrid, fragments, cell_head, json_numbers: bool):
+    """One block per g row, rendered with one ``%`` operation.
+
+    Every cell of row g is ``cell_head(g)`` followed by the fragment of its
+    pair code and gp column, ``fragments[code * resolution + j_gp]``, whose
+    ``%.9g`` slot takes the cell's eps. With ``json_numbers`` the cells that
+    ``_needs_json_number`` flags get ``_json_number(eps)`` in a ``%s`` slot.
+    """
+    res = grid.spec.resolution
+    columns = np.arange(res)
+    rows = zip(grid.spec.g_centers().tolist(), grid.kind * 3 + grid.activation, grid.eps)
+    for g, code_row, eps_row in rows:
+        index = code_row.astype(np.intp) * res + columns
+        cells = list(map(fragments.__getitem__, index.tolist()))
+        physical = code_row > 2
+        eps = eps_row[physical].tolist()
+        if json_numbers:
+            flagged = _needs_json_number(eps_row)
+            if flagged.any():
+                for j in np.flatnonzero(flagged).tolist():
+                    cells[j] = cells[j].replace("%.9g", "%s")
+                for k in np.flatnonzero(flagged[physical]).tolist():
+                    eps[k] = _json_number(eps[k])
+        head = cell_head(g)
+        yield (head + head.join(cells)) % tuple(eps)
+
+
+def _render_scan_csv(grid: ScanGrid):
+    """CSV text in blocks: the header, then one block per g row."""
+    # "%.9g" % x is fmt(x)
+    gps = [fmt(gp) for gp in grid.spec.gp_centers().tolist()]
+    fragments = [f"{gp},{kind},{act},{'' if code < 3 else '%.9g'}\n"
+                 for code, (kind, act) in enumerate(_PAIRS) for gp in gps]
+    yield "g,gp,env_class,activation,eps\n"
+    yield from _scan_rows(grid, fragments, lambda g: fmt(g) + ",", json_numbers=False)
+
+
 def _render_scan_json(grid: ScanGrid):
     """JSON text in the layout of ``json.dumps(..., indent=2)``, in blocks: the
     spec and summary, then one block per g row of cells, then the closing brackets."""
     spec = grid.spec
-    counts = {f"{kind.value}/{act.value}": grid.summary.get((kind, act), 0)
+    summary = grid.summary  # a bincount over the whole grid on every access
+    counts = {f"{kind.value}/{act.value}": summary.get((kind, act), 0)
               for kind in EnvKind for act in Activation}
     fractions = {key: count / grid.kind.size for key, count in counts.items()}
     head = json.dumps(_json_ready({
@@ -330,18 +364,17 @@ def _render_scan_json(grid: ScanGrid):
     }), indent=2)
     # the cells list goes in as the last key, before the closing "\n}" of the head
     yield head[:-2] + ',\n  "cells": [\n'
-    templates = [
-        '    {\n      "g": %s,\n      "gp": %s,\n'
-        f'      "env_class": "{kind}",\n      "activation": "{act}",\n'
-        f'      "eps": {"null" if code < 3 else "%s"}\n    }}'
-        for code, (kind, act) in enumerate(_PAIRS)
+    gps = [_json_number(gp) for gp in spec.gp_centers().tolist()]
+    # a cell from its "gp" key on
+    fragments = [
+        f'"gp": {gp},\n      "env_class": "{kind}",\n      "activation": "{act}",\n'
+        f'      "eps": {"null" if code < 3 else "%.9g"}\n    }}'
+        for code, (kind, act) in enumerate(_PAIRS) for gp in gps
     ]
-    separator = ""
-    for g, cells in _scan_rows(grid, _json_number):
-        yield separator + ",\n".join([
-            templates[p] % (g, gp, _json_number(e)) if p > 2 else templates[p] % (g, gp)
-            for gp, p, e in cells])
-        separator = ",\n"
+    rows = _scan_rows(grid, fragments, json_numbers=True,
+                      cell_head=lambda g: f',\n    {{\n      "g": {_json_number(g)},\n      ')
+    yield next(rows)[2:]  # no "," before the first cell
+    yield from rows
     yield "\n  ]\n}\n"
 
 
@@ -407,3 +440,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -100,8 +100,13 @@ def bona_fide_check(omega: float, g: float, gp: float) -> BonaFideResult:
     if not marginal_gp:
         failures.append(f"|gp| < omega violated ({abs(gp)} >= {omega})")
     if not uncertainty:
-        lhs, rhs = omega * omega + g * gp - 1.0, omega * abs(g + gp)
-        failures.append(f"omega^2 + g*gp - 1 >= omega*|g + gp| violated ({lhs} < {rhs})")
+        # the factored products that fall short of 1; the expanded sides can
+        # round to the same number at large omega
+        products = {"(omega-g)(omega-gp)": (omega - g) * (omega - gp),
+                    "(omega+g)(omega+gp)": (omega + g) * (omega + gp)}
+        short = ", ".join(f"{name} = {value} < 1"
+                          for name, value in products.items() if not value >= 1.0)
+        failures.append(f"omega^2 + g*gp - 1 >= omega*|g + gp| violated ({short})")
     return BonaFideResult(not failures, tuple(failures))
 
 

@@ -11,19 +11,28 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import entdist
 from entdist import Activation, EnvKind, Protocol, ScanSpec, scan
 from entdist.cli import (EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, OUTPUT_ENV_VAR, _json_number,
-                         _json_ready, fmt, main)
+                         _json_ready, _needs_json_number, fmt, main)
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def subprocess_env():
+    """The environment for a fresh interpreter that imports this checkout's entdist."""
+    src = os.path.dirname(os.path.dirname(entdist.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop(OUTPUT_ENV_VAR, None)
+    return env
 
 
 def parse_point_csv(text):
@@ -78,6 +87,17 @@ class TestPoint:
         report = parse_point_csv(out)
         assert report["env_class"] == "Forbidden"
         assert "omega^2 + g*gp" in report["bona_fide_failures"]
+
+    def test_forbidden_point_at_large_omega_prints_a_product_below_one(self, capsys):
+        # the expanded sides both round to 1.99999999e+16 here, which read
+        # "1.99999999e+16 < 1.99999999e+16"
+        code, out, _ = run_cli(capsys, "point", "--tau", "0.5", "--omega", "1e8",
+                               "--g", "99999999.5", "--gp", "99999999.5")
+        assert code == EXIT_DOMAIN
+        failures = parse_point_csv(out)["bona_fide_failures"]
+        assert "omega^2 + g*gp" in failures
+        printed = re.findall(r"= (\S+) < 1\b", failures)
+        assert printed == ["0.25"]
 
     def test_omega_and_at_eb_mutually_exclusive(self, capsys):
         code, _, _ = run_cli(capsys, "point", "--tau", "0.5", "--omega", "2",
@@ -278,6 +298,19 @@ class TestStreamedScanOutput:
                     "--gp-min=-1e4", "--gp-max=-9999.9997"),
                    {"tau": 0.9, "omega": 1e4, "g_range": (9999.9997, 1e4),
                     "gp_range": (-1e4, -9999.9997)}),
+        # eps above 1e9: "%.9g" prints 1.41421356e+12, JSON 1414213560000.0
+        "large_eps": (("--tau", "0.5", "--omega", "1e12"), {"tau": 0.5, "omega": 1e12}),
+        # eps 3 at the origin (2 at (1, -1)): "%.9g" prints 3, JSON 3.0
+        "integral_eps": (("--tau", "0.5", "--omega", "3", "--g-min=-2", "--g-max", "2",
+                          "--gp-min=-2", "--gp-max", "2"),
+                         {"tau": 0.5, "omega": 3.0, "g_range": (-2.0, 2.0),
+                          "gp_range": (-2.0, 2.0)}),
+    }
+    # JSON windows that reach the row renderer's _json_number path: the
+    # protocols where they do, and the eps text that shows it
+    JSON_NUMBER_PATHS = {
+        "large_eps": ({"direct", "swap", "environment"}, r'"eps": \d{10,}\.0\n'),
+        "integral_eps": ({"swap", "environment"}, r'"eps": \d+\.0\n'),
     }
     PROTOCOLS = {"direct": Protocol.DIRECT, "swap": Protocol.SWAP,
                  "environment": Protocol.ENVIRONMENT_ONLY}
@@ -297,11 +330,36 @@ class TestStreamedScanOutput:
             json.loads(out, parse_constant=refuse_constant)
         if window == "corner" and protocol != "environment":
             assert re.search(r"\d+e-0\d", out)
+        protocols, pattern = self.JSON_NUMBER_PATHS.get(window, ((), None))
+        if fmt_kind == "json" and protocol in protocols:
+            assert _needs_json_number(scan(spec).eps).any()
+            assert re.search(pattern, out)
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_cell_numbers_are_json_dumps_of_rounded_values(self, x):
         assert _json_number(x) == json.dumps(float(fmt(x))) == repr(float(fmt(x)))
-        assert "%.9g" % x == fmt(x)  # the CSV templates' eps slot
+        assert "%.9g" % x == fmt(x)  # the CSV fragments' eps slot
+
+    @given(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+    @example(999999999.5)
+    @example(99999999.99999)
+    @example(123456789.0)
+    @example(0.99999999996)
+    @example(1e16)
+    @example(1.5e-5)
+    def test_unflagged_numbers_print_the_same_with_percent_g(self, x):
+        # the JSON fragments' "%.9g" slot is exact wherever no fix-up is flagged
+        if not _needs_json_number(x):
+            assert "%.9g" % x == _json_number(x)
+
+    @pytest.mark.parametrize("x", [0.0, 2.0, 3.0000000001, 999999999.5, 1e9, 1.41421356e12])
+    def test_numbers_that_differ_are_flagged(self, x):
+        assert "%.9g" % x != _json_number(x)
+        assert _needs_json_number(x)
+
+    def test_nan_is_not_flagged(self):
+        # Forbidden cells carry NaN eps and render "null"
+        assert not _needs_json_number(math.nan)
 
 
 class TestScanMemory:
@@ -467,15 +525,32 @@ class TestFormatting:
         assert report["direct_coherent_info"] == pytest.approx(math.log(4) - 1, abs=1e-8)
 
 
+class TestModuleEntryPoint:
+    """``python -m entdist.cli`` runs the CLI, with its exit codes."""
+
+    @staticmethod
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "entdist.cli", *argv], env=subprocess_env(),
+                              capture_output=True, text=True, timeout=60)
+
+    def test_point(self):
+        result = self.run_module("point", "--tau", "0.75", "--at-eb", "--g", "6", "--gp", "-6")
+        assert result.returncode == EXIT_OK
+        assert parse_point_csv(result.stdout)["env_class"] == "Separable"
+
+    def test_non_finite_flag(self):
+        result = self.run_module("point", "--tau", "nan", "--at-eb", "--g", "6", "--gp", "-6")
+        assert result.returncode == EXIT_USAGE
+        assert result.stdout == ""
+        assert "finite" in result.stderr
+
+
 class TestImports:
     def test_cli_loads_no_scipy(self):
         # scipy is a test dependency only: a fresh interpreter importing the CLI
         # must not load it
-        src = os.path.dirname(os.path.dirname(entdist.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         probe = ("import sys, entdist.cli; "
                  "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
-        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                                text=True, check=True, timeout=60)
+        result = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
+                                capture_output=True, text=True, check=True, timeout=60)
         assert result.stdout.strip() == "[]"

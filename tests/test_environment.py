@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,16 @@ class TestBonaFideCheck:
         assert not check
         assert any("omega^2 + g*gp" in f for f in check.failures)
         assert bona_fide_check(omega, sign * (omega - 1.0), sign * (omega - 1.0))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_failure_message_reads_true_at_large_omega(self, sign):
+        # the expanded sides omega^2 + g*gp - 1 and omega*|g + gp| both round
+        # to 1.99999999e+16 here; the message prints the product that is short
+        omega = 1e8
+        (failure,) = bona_fide_check(omega, sign * (omega - 0.5), sign * (omega - 0.5)).failures
+        assert failure.startswith("omega^2 + g*gp")
+        (printed,) = re.findall(r"= (\S+) < 1\b", failure)
+        assert float(printed) < 1.0
 
 
 class TestEnvPts:
