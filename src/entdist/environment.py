@@ -31,7 +31,12 @@ def require_magnitude(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class EnvironmentParams:
-    """Beam-splitter transmissivity plus the environment normal form (omega, g, gp)."""
+    """Beam-splitter transmissivity plus the environment normal form (omega, g, gp).
+
+    Physical by construction: raises DomainError for tau outside (0, 1), for a
+    magnitude above :data:`MAX_MAGNITUDE`, and, naming the failed conditions,
+    for an (omega, g, gp) that is not a bona-fide environment.
+    """
 
     tau: float
     omega: float
@@ -41,10 +46,9 @@ class EnvironmentParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.tau < 1.0:
             raise DomainError(f"transmissivity must lie in (0, 1), got {self.tau}")
-        if self.omega < 1.0:
-            raise DomainError(f"thermal variance must be >= 1, got {self.omega}")
         for name in ("omega", "g", "gp"):
             require_magnitude(name, getattr(self, name))
+        require_bona_fide(self.omega, self.g, self.gp)
 
 
 class EnvKind(Enum):

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .environment import (EnvClass, EnvKind, bona_fide_conditions, eb_threshold,
-                          env_pts_radicand, require_magnitude)
+from .environment import (EnvKind, bona_fide_conditions, eb_threshold, env_pts_radicand,
+                          require_magnitude)
 from .errors import DomainError
 from .protocols import large_mu_eps, large_mu_eps_scale
 
@@ -86,15 +85,6 @@ class ScanSpec:
         return lo + (np.arange(self.resolution) + 0.5) * (hi - lo) / self.resolution
 
 
-@dataclass(frozen=True)
-class CellClass:
-    """Classification of one cell: environment class plus protocol activation."""
-
-    env_class: EnvClass
-    activation: Activation
-    eps_value: float | None
-
-
 # ScanGrid codes index these tuples
 _KINDS = tuple(EnvKind)
 _ACTIVATIONS = tuple(Activation)
@@ -122,33 +112,9 @@ class ScanGrid:
         counts = np.bincount((self.kind * 3 + self.activation).ravel(), minlength=9)
         return {(_KINDS[c // 3], _ACTIVATIONS[c % 3]): int(n) for c, n in enumerate(counts) if n}
 
-    @property
-    def cells(self) -> Sequence[CellClass]:
-        """Row-major cells, index i_g * resolution + j_gp, built on access."""
-        return _Cells(self)
-
-    def cell(self, i_g: int, j_gp: int) -> CellClass:
-        kind = _KINDS[self.kind[i_g, j_gp]]
-        if kind is EnvKind.FORBIDDEN:
-            return CellClass(EnvClass(kind, None), Activation.NONE, None)
-        env_pts, eps = float(self.env_pts[i_g, j_gp]), float(self.eps[i_g, j_gp])
-        return CellClass(EnvClass(kind, env_pts), _ACTIVATIONS[self.activation[i_g, j_gp]], eps)
-
     def summary_fractions(self) -> dict[tuple[EnvKind, Activation], float]:
         total = self.kind.size
         return {pair: count / total for pair, count in self.summary.items()}
-
-
-class _Cells(Sequence):
-    def __init__(self, grid: ScanGrid) -> None:
-        self._grid = grid
-
-    def __len__(self) -> int:
-        return self._grid.kind.size
-
-    def __getitem__(self, index: int) -> CellClass:
-        # divmod maps negative indices onto numpy's; past the end numpy raises IndexError
-        return self._grid.cell(*divmod(index, self._grid.spec.resolution))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +126,8 @@ def _field_block(spec: ScanSpec):
     [i_g, j_gp]; env_pts and eps are NaN outside the physical region, and eps
     is the environment PTS eigenvalue itself for ENVIRONMENT_ONLY."""
     w = spec.omega_value
-    g, gp = np.meshgrid(spec.g_centers(), spec.gp_centers(), indexing="ij")
+    # g is a column and gp a row; the formulas broadcast them to the full grid
+    g, gp = np.meshgrid(spec.g_centers(), spec.gp_centers(), indexing="ij", sparse=True)
     marginal_g, marginal_gp, uncertainty = bona_fide_conditions(w, g, gp)
     bona = marginal_g & marginal_gp & uncertainty
     radicand = env_pts_radicand(w, g, gp)

@@ -5,8 +5,10 @@ from hypothesis import settings
 from scipy.linalg import expm
 
 from entdist import (
+    Activation,
     CovarianceMatrix,
     EnvironmentParams,
+    EnvKind,
     SymplecticTransform,
     bona_fide_check,
     symplectic_form,
@@ -14,6 +16,10 @@ from entdist import (
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
+
+# the documented ScanGrid codes of its int8 ``kind`` and ``activation`` arrays
+KIND_CODE = {EnvKind.FORBIDDEN: 0, EnvKind.SEPARABLE: 1, EnvKind.ENTANGLED: 2}
+ACTIVATION_CODE = {Activation.NONE: 0, Activation.ENTANGLING: 1, Activation.DISTILLABLE: 2}
 
 
 def random_symplectic(rng, n_modes, strength=0.5):

@@ -39,7 +39,7 @@ from entdist import (
     swap_noiseless_pipeline,
 )
 
-from conftest import random_bona_fide_env
+from conftest import ACTIVATION_CODE, KIND_CODE, random_bona_fide_env
 
 STANDARD_TAUS = (0.3, 0.5, 0.75, 0.9)
 LARGE_MU = 1e6
@@ -240,16 +240,16 @@ def test_criterion_9_figure_scans():
             protocol: scan(ScanSpec(tau=tau, protocol=protocol, resolution=201))
             for protocol in (Protocol.DIRECT, Protocol.SWAP)
         }
+        none = ACTIVATION_CODE[Activation.NONE]
         for grid in grids.values():
-            assert len(grid.cells) == 201 * 201
-            assert sum(grid.summary.values()) == len(grid.cells)
-            for cell in grid.cells:
-                if cell.activation is not Activation.NONE:
-                    assert cell.env_class.kind is not EnvKind.FORBIDDEN
-                if cell.activation is Activation.DISTILLABLE:
-                    assert cell.eps_value < DISTILLABLE_EPS
-                elif cell.activation is Activation.ENTANGLING:
-                    assert DISTILLABLE_EPS <= cell.eps_value < 1.0
-        for sw, di in zip(grids[Protocol.SWAP].cells, grids[Protocol.DIRECT].cells):
-            if sw.activation is not Activation.NONE:
-                assert di.activation is not Activation.NONE
+            for arr in (grid.kind, grid.activation, grid.env_pts, grid.eps):
+                assert arr.shape == (201, 201)
+            assert sum(grid.summary.values()) == 201 * 201
+            activated = grid.activation != none
+            assert (grid.kind[activated] != KIND_CODE[EnvKind.FORBIDDEN]).all()
+            distillable = grid.eps[grid.activation == ACTIVATION_CODE[Activation.DISTILLABLE]]
+            assert (distillable < DISTILLABLE_EPS).all()
+            entangling = grid.eps[grid.activation == ACTIVATION_CODE[Activation.ENTANGLING]]
+            assert ((DISTILLABLE_EPS <= entangling) & (entangling < 1.0)).all()
+        swap_activated = grids[Protocol.SWAP].activation != none
+        assert (grids[Protocol.DIRECT].activation[swap_activated] != none).all()

@@ -19,6 +19,8 @@ from entdist import Activation, EnvKind, Protocol, ScanSpec, scan
 from entdist.cli import (EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, OUTPUT_ENV_VAR, _json_number,
                          _json_ready, _needs_json_number, fmt, main)
 
+from conftest import ACTIVATION_CODE, KIND_CODE
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -249,12 +251,15 @@ def reference_scan_output(spec, fmt_kind):
     """Scan output rendered whole, by ``json.dumps(indent=2)`` over cell dicts for
     JSON and by joining rows with newlines for CSV."""
     grid = scan(spec)
+    kinds = {code: kind for kind, code in KIND_CODE.items()}
+    activations = {code: act for act, code in ACTIVATION_CODE.items()}
     cells = []
     for i, g in enumerate(spec.g_centers()):
         for j, gp in enumerate(spec.gp_centers()):
-            cell = grid.cell(i, j)
-            cells.append({"g": float(g), "gp": float(gp), "env_class": cell.env_class.kind.value,
-                          "activation": cell.activation.value, "eps": cell.eps_value})
+            kind = kinds[grid.kind[i, j]]
+            eps = None if kind is EnvKind.FORBIDDEN else float(grid.eps[i, j])
+            cells.append({"g": float(g), "gp": float(gp), "env_class": kind.value,
+                          "activation": activations[grid.activation[i, j]].value, "eps": eps})
     if fmt_kind == "csv":
         lines = ["g,gp,env_class,activation,eps"]
         lines.extend(f"{fmt(c['g'])},{fmt(c['gp'])},{c['env_class']},{c['activation']},"
@@ -381,6 +386,20 @@ class TestScanMemory:
             tracemalloc.stop()
         assert code == EXIT_OK
         assert peak < max_ratio * path.stat().st_size
+
+    def test_scan_peak_near_result_size(self):
+        # the plane formulas broadcast a g column against a gp row, so no
+        # full-grid coordinate arrays are held next to the results
+        spec = ScanSpec(tau=0.8, protocol=Protocol.SWAP, resolution=301)
+        scan(spec)  # warm-up
+        tracemalloc.start()
+        try:
+            grid = scan(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = sum(arr.nbytes for arr in (grid.kind, grid.activation, grid.env_pts, grid.eps))
+        assert peak < 2.3 * result
 
 
 class TestInputMagnitude:

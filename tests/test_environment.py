@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -47,7 +48,24 @@ class TestEnvironmentParams:
             EnvironmentParams(0.5, omega, g, gp)
 
     def test_accepts_magnitude_limit(self):
-        EnvironmentParams(0.5, 1e150, -1e150, 1e150)
+        EnvironmentParams(0.5, 1e150, -5e149, 5e149)
+
+    @pytest.mark.parametrize("omega, g, gp, condition", [
+        (2.0, 2.5, 0.0, "|g| < omega"),
+        (2.0, 0.0, -2.5, "|gp| < omega"),
+        (2.0, 1.9, 1.9, "omega^2 + g*gp - 1 >= omega*|g + gp|"),
+    ], ids=["marginal_g", "marginal_gp", "uncertainty"])
+    def test_rejects_non_bona_fide(self, omega, g, gp, condition):
+        expected = "not a physical environment: " + "; ".join(
+            bona_fide_check(omega, g, gp).failures)
+        assert condition in expected
+        with pytest.raises(DomainError) as built:
+            EnvironmentParams(0.5, omega, g, gp)
+        assert str(built.value) == expected
+        env = EnvironmentParams(0.5, omega, 0.0, 0.0)
+        with pytest.raises(DomainError) as replaced:
+            dataclasses.replace(env, g=g, gp=gp)
+        assert str(replaced.value) == expected
 
 
 class TestBonaFideCheck:

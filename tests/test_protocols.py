@@ -11,14 +11,12 @@ from entdist import (
     coherent_info_asymptotic,
     coherent_information,
     direct_eps_asymptotic,
-    direct_output_closed,
     direct_output_cm,
     direct_output_pipeline,
     direct_spectrum_asymptotic,
     eb_threshold,
     epr_variances_from_cm,
     make_epr_cm,
-    one_mode_output_closed,
     one_mode_output_cm,
     one_mode_output_pipeline,
     pts_min_eigenvalue,
@@ -38,6 +36,15 @@ from entdist import (
 from conftest import random_bona_fide_env
 
 LARGE_MU = 1e6
+
+
+def oracle_draws(rng, n_uniform, n_log_uniform):
+    """(mu, env) pairs: mu uniform in [1, 1e3], then log-uniform in [1, 1e15],
+    the range that ``point --mu`` and ``converge`` reach."""
+    for _ in range(n_uniform):
+        yield float(rng.uniform(1.0, 1e3)), random_bona_fide_env(rng)
+    for _ in range(n_log_uniform):
+        yield float(10.0 ** rng.uniform(0.0, 15.0)), random_bona_fide_env(rng)
 
 
 def assert_cm_close(a, b, rtol):
@@ -66,12 +73,9 @@ class TestDirectOutput:
         assert eps == pytest.approx(0.75, rel=1e-3)
 
     def test_pipeline_matches_closed_form(self):
-        rng = np.random.default_rng(31)
-        for _ in range(100):
-            mu = float(rng.uniform(1.0, 1e3))
-            env = random_bona_fide_env(rng)
+        for mu, env in oracle_draws(np.random.default_rng(31), 100, 200):
             assert_cm_close(direct_output_pipeline(mu, env).data,
-                            direct_output_closed(mu, env).data, rtol=1e-10)
+                            direct_output_cm(mu, env).data, rtol=1e-10)
 
     def test_rejects_mu_below_one(self):
         with pytest.raises(DomainError):
@@ -85,12 +89,9 @@ class TestOneModeOutput:
                         rtol=1e-10)
 
     def test_pipeline_matches_closed_form(self):
-        rng = np.random.default_rng(37)
-        for _ in range(50):
-            mu = float(rng.uniform(1.0, 1e3))
-            env = random_bona_fide_env(rng)
+        for mu, env in oracle_draws(np.random.default_rng(37), 50, 250):
             assert_cm_close(one_mode_output_pipeline(mu, env).data,
-                            one_mode_output_closed(mu, env).data, rtol=1e-10)
+                            one_mode_output_cm(mu, env).data, rtol=1e-10)
 
     def test_eb_saturation(self):
         # (1 - tau) omega / (1 + tau) = 1 at tau = 0.5, omega = 3
@@ -142,13 +143,10 @@ class TestDirectEpsAsymptotic:
             done += 1
 
     def test_rejects_non_bona_fide(self):
-        # correlation validity is a classification outcome, not a construction
-        # invariant, so the params build fine and the evaluator rejects them
-        env = EnvironmentParams(0.5, 2.0, 1.9, 1.9)
-        with pytest.raises(DomainError):
-            direct_eps_asymptotic(env)
-        with pytest.raises(DomainError):
-            swap_eps_asymptotic(env)
+        # the params are physical by construction: a forbidden environment is
+        # refused when it is built, so no evaluator ever receives one
+        with pytest.raises(DomainError, match="not a physical environment"):
+            EnvironmentParams(0.5, 2.0, 1.9, 1.9)
 
 
 class TestDirectSpectrumAsymptotic:

@@ -26,7 +26,14 @@ from entdist.environment import EnvironmentParams, bona_fide_check, env_pts_radi
 from entdist.protocols import large_mu_eps
 from entdist.scanner import _stitch_segments
 
+from conftest import ACTIVATION_CODE, KIND_CODE
+
 STANDARD_TAUS = (0.3, 0.5, 0.75, 0.9)
+FORBIDDEN = KIND_CODE[EnvKind.FORBIDDEN]
+SEPARABLE = KIND_CODE[EnvKind.SEPARABLE]
+NONE = ACTIVATION_CODE[Activation.NONE]
+ENTANGLING = ACTIVATION_CODE[Activation.ENTANGLING]
+DISTILLABLE = ACTIVATION_CODE[Activation.DISTILLABLE]
 
 
 class TestScanSpec:
@@ -71,24 +78,22 @@ class TestScan:
     def test_shapes_and_summary_totals(self):
         spec = ScanSpec(tau=0.5, protocol=Protocol.DIRECT, resolution=41)
         grid = scan(spec)
-        assert len(grid.cells) == 41 * 41
-        assert sum(grid.summary.values()) == len(grid.cells)
+        for arr in (grid.kind, grid.activation, grid.env_pts, grid.eps):
+            assert arr.shape == (41, 41)
+        assert sum(grid.summary.values()) == 41 * 41
         fracs = grid.summary_fractions()
         assert sum(fracs.values()) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("protocol", [Protocol.DIRECT, Protocol.SWAP])
     def test_cell_invariants(self, protocol):
         grid = scan(ScanSpec(tau=0.75, protocol=protocol, resolution=61))
-        for cell in grid.cells:
-            if cell.activation is not Activation.NONE:
-                assert cell.env_class.kind is not EnvKind.FORBIDDEN
-            if cell.activation is Activation.DISTILLABLE:
-                assert cell.eps_value < DISTILLABLE_EPS
-            if cell.activation is Activation.ENTANGLING:
-                assert DISTILLABLE_EPS <= cell.eps_value < 1.0
-            if cell.env_class.kind is EnvKind.FORBIDDEN:
-                assert cell.eps_value is None
-                assert cell.env_class.env_pts is None
+        forbidden = grid.kind == FORBIDDEN
+        assert (grid.activation[forbidden] == NONE).all()
+        assert (grid.eps[grid.activation == DISTILLABLE] < DISTILLABLE_EPS).all()
+        entangling = grid.eps[grid.activation == ENTANGLING]
+        assert ((DISTILLABLE_EPS <= entangling) & (entangling < 1.0)).all()
+        assert np.isnan(grid.eps[forbidden]).all()
+        assert np.isnan(grid.env_pts[forbidden]).all()
 
     def test_matches_scalar_evaluators_cellwise(self):
         self._assert_matches_scalar(Protocol.SWAP, swap_eps_asymptotic)
@@ -107,30 +112,28 @@ class TestScan:
         gs, gps = spec.g_centers(), spec.gp_centers()
         for i, g in enumerate(gs):
             for j, gp in enumerate(gps):
-                cell = grid.cell(i, j)
                 expected = classify_environment(spec.omega_value, float(g), float(gp))
-                assert cell.env_class.kind is expected.kind
+                assert grid.kind[i, j] == KIND_CODE[expected.kind]
                 if expected.kind is not EnvKind.FORBIDDEN:
-                    assert cell.env_class.env_pts == expected.env_pts
+                    assert grid.env_pts[i, j] == expected.env_pts
                     env = EnvironmentParams(spec.tau, spec.omega_value, float(g), float(gp))
-                    assert cell.eps_value == scalar_eps(env)
+                    assert grid.eps[i, j] == scalar_eps(env)
 
     def test_environment_only_reports_env_pts(self):
         spec = ScanSpec(tau=0.5, protocol=Protocol.ENVIRONMENT_ONLY, resolution=21,
                         omega=2.0)
         grid = scan(spec)
-        for cell in grid.cells:
-            assert cell.activation is Activation.NONE
-            if cell.env_class.kind is not EnvKind.FORBIDDEN:
-                assert cell.eps_value == cell.env_class.env_pts
+        assert (grid.activation == NONE).all()
+        physical = grid.kind != FORBIDDEN
+        np.testing.assert_array_equal(grid.eps[physical], grid.env_pts[physical])
 
     def test_known_distillable_separable_cell(self):
         spec = ScanSpec(tau=0.75, protocol=Protocol.SWAP, resolution=7,
                         g_range=(-7.0, 7.0), gp_range=(-7.0, 7.0))
-        cell = scan(spec).cell(6, 0)  # center (6, -6)
-        assert cell.env_class.kind is EnvKind.SEPARABLE
-        assert cell.activation is Activation.DISTILLABLE
-        assert cell.eps_value == pytest.approx(1.0 / 3.0, abs=1e-12)
+        grid = scan(spec)  # cell (6, 0) has center (6, -6)
+        assert grid.kind[6, 0] == SEPARABLE
+        assert grid.activation[6, 0] == DISTILLABLE
+        assert grid.eps[6, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     @pytest.mark.parametrize("resolution", [51, 101, 333])
     @pytest.mark.parametrize("tau", [0.3, 0.45, 0.5])
@@ -140,11 +143,10 @@ class TestScan:
         # (Separable, activated) by one ulp. Anything farther from eps = 1 than
         # rounding noise would be a genuine theorem violation.
         grid = scan(ScanSpec(tau=tau, protocol=Protocol.SWAP, resolution=resolution))
-        for cell in grid.cells:
-            if cell.env_class.kind is EnvKind.SEPARABLE and \
-                    cell.activation is not Activation.NONE:
-                assert tau == 0.5
-                assert cell.eps_value == pytest.approx(1.0, abs=1e-12)
+        activated = grid.eps[(grid.kind == SEPARABLE) & (grid.activation != NONE)]
+        if activated.size:
+            assert tau == 0.5
+            np.testing.assert_allclose(activated, 1.0, rtol=0.0, atol=1e-12)
 
     def test_half_tau_swap_standard_window_is_clean(self):
         # the [-3, 3]^2 window at 201 cells: no separable-activated cell at all
@@ -177,9 +179,7 @@ class TestScan:
     def test_swap_activation_contained_in_direct(self, tau):
         swap_grid = scan(ScanSpec(tau=tau, protocol=Protocol.SWAP, resolution=101))
         direct_grid = scan(ScanSpec(tau=tau, protocol=Protocol.DIRECT, resolution=101))
-        for sw, di in zip(swap_grid.cells, direct_grid.cells):
-            if sw.activation is not Activation.NONE:
-                assert di.activation is not Activation.NONE
+        assert (direct_grid.activation[swap_grid.activation != NONE] != NONE).all()
 
 
 class TestSeparableActivationExists:
