@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .environment import (EnvKind, bona_fide_conditions, eb_threshold, env_pts_radicand,
-                          require_magnitude)
+                          is_separable, require_magnitude)
 from .errors import DomainError
 from .protocols import large_mu_eps, large_mu_eps_scale
 
@@ -109,8 +109,9 @@ class ScanGrid:
     @property
     def summary(self) -> dict[tuple[EnvKind, Activation], int]:
         """Cell count of every (EnvKind, Activation) pair that occurs."""
-        counts = np.bincount((self.kind * 3 + self.activation).ravel(), minlength=9)
-        return {(_KINDS[c // 3], _ACTIVATIONS[c % 3]): int(n) for c, n in enumerate(counts) if n}
+        codes = self.kind * 3 + self.activation  # int8: np.bincount would copy it to intp
+        counts = (int(np.count_nonzero(codes == c)) for c in range(9))
+        return {(_KINDS[c // 3], _ACTIVATIONS[c % 3]): n for c, n in enumerate(counts) if n}
 
     def summary_fractions(self) -> dict[tuple[EnvKind, Activation], float]:
         total = self.kind.size
@@ -169,25 +170,28 @@ def separable_activation_exists(
     tau: float,
     protocol: Protocol,
     omega: float | None = None,
-    max_resolution: int = 1001,
 ) -> tuple[bool, tuple[float, float] | None]:
-    """Search the physical region for a separable point that activates the protocol.
+    """Whether a separable environment activates the protocol, and a witness (g, gp).
 
-    Grids of increasing resolution (up to ``max_resolution``) over the bounding
-    box of the physical region; the witness is the separable activated cell
-    with the smallest eps found.
+    eps = scale * sqrt((omega - g)(omega + gp)), scale 1 - tau (direct) or (1 - tau)/tau (swap).
+    That product is >= the PTS radicand, which is >= 1 on separable environments, so eps >=
+    scale there; gp = -g, 1 <= omega - g <= omega is separable with eps = scale * (omega - g).
+    So activation exists iff scale < 1. Witness: omega - g halfway between 1 and min(omega,
+    1/scale), or 1 if rounding pushes that out; DomainError where float64 holds neither.
     """
     if protocol is Protocol.ENVIRONMENT_ONLY:
         raise DomainError("activation search needs a distribution protocol")
-    for res in (101, max_resolution):
-        spec = ScanSpec(tau=tau, protocol=protocol, resolution=res, omega=omega)
-        bona, sep, _, eps = _field_block(spec)
-        activated = bona & sep & (eps < 1.0)
-        if activated.any():
-            masked = np.where(activated, eps, np.inf)
-            i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
-            return True, (float(spec.g_centers()[i]), float(spec.gp_centers()[j]))
-    return False, None
+    w = ScanSpec(tau, protocol, resolution=2, omega=omega).omega_value  # checks tau, omega
+    swap = protocol is Protocol.SWAP
+    scale = large_mu_eps_scale(tau, swap)
+    if scale >= 1.0:
+        return False, None
+    for d in ((1.0 + min(w, 1.0 / scale)) / 2.0, 1.0):
+        g = float(w - d)
+        if all(bona_fide_conditions(w, g, -g)) and is_separable(w, g, -g) \
+                and large_mu_eps(tau, w, g, -g, swap=swap) < 1.0:
+            return True, (g, -g)
+    raise DomainError(f"float64 has no separable activating point at omega={w}, tau={tau}")
 
 
 # ---------------------------------------------------------------------------

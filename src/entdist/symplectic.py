@@ -65,10 +65,6 @@ class CovarianceMatrix:
         """Largest entry magnitude, floored at 1; the scale for tolerance tests."""
         return max(float(np.abs(self.data).max()), 1.0)
 
-    def is_physical(self, tol: float = PHYSICAL_NU_TOL) -> bool:
-        """True when every symplectic eigenvalue is >= 1 - tol * magnitude."""
-        return bool(symplectic_eigenvalues(self)[-1] >= 1.0 - tol * self.magnitude())
-
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Mode-major symplectic form: direct sum of n blocks [[0, 1], [-1, 0]]."""

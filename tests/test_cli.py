@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -400,6 +401,22 @@ class TestScanMemory:
             tracemalloc.stop()
         result = sum(arr.nbytes for arr in (grid.kind, grid.activation, grid.env_pts, grid.eps))
         assert peak < 2.3 * result
+
+    def test_summary_peak_near_code_size(self):
+        # the int8 class codes are counted as they are, with no intp copy
+        grid = scan(ScanSpec(tau=0.8, protocol=Protocol.SWAP, resolution=301))
+        counts = np.bincount((grid.kind * 3 + grid.activation).ravel(), minlength=9)
+        expected = {(kind, activation): int(counts[3 * k + a])
+                    for kind, k in KIND_CODE.items() for activation, a in ACTIVATION_CODE.items()
+                    if counts[3 * k + a]}
+        assert grid.summary == expected  # also the warm-up
+        tracemalloc.start()
+        try:
+            grid.summary
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * grid.kind.size
 
 
 class TestInputMagnitude:

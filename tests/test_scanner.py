@@ -1,7 +1,12 @@
+import hashlib
 import math
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from entdist import (
@@ -23,7 +28,7 @@ from entdist import (
     swap_eps_asymptotic,
 )
 from entdist.environment import EnvironmentParams, bona_fide_check, env_pts_radicand
-from entdist.protocols import large_mu_eps
+from entdist.protocols import large_mu_eps, large_mu_eps_scale
 from entdist.scanner import _stitch_segments
 
 from conftest import ACTIVATION_CODE, KIND_CODE
@@ -226,6 +231,88 @@ class TestSeparableActivationExists:
             separable_activation_exists(0.5, Protocol.ENVIRONMENT_ONLY)
 
 
+def reference_activation_search(tau, protocol, omega=None, max_resolution=1001):
+    """The grid search that answered the activation question before the closed
+    form: grids of 101 and then ``max_resolution`` cells a side over the
+    bounding box of the physical region; the witness is the separable
+    activated cell with the smallest eps found."""
+    for res in (101, max_resolution):
+        spec = ScanSpec(tau=tau, protocol=protocol, resolution=res, omega=omega)
+        grid = scan(spec)
+        activated = (grid.kind == SEPARABLE) & (grid.activation != NONE)
+        if activated.any():
+            masked = np.where(activated, grid.eps, np.inf)
+            i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
+            return True, (float(spec.g_centers()[i]), float(spec.gp_centers()[j]))
+    return False, None
+
+
+def assert_activating_witness(tau, protocol, omega, witness):
+    """The witness is bona fide, separable and activates, by the library's own
+    predicates and by the expanded forms of the bona-fide and separability
+    conditions, evaluated exactly in rational arithmetic."""
+    g, gp = witness
+    assert bona_fide_check(omega, g, gp) and is_separable(omega, g, gp)
+    assert large_mu_eps(tau, omega, g, gp, swap=protocol is Protocol.SWAP) < 1.0
+    w, g, gp = Fraction(omega), Fraction(g), Fraction(gp)
+    assert abs(g) < w and abs(gp) < w
+    assert w * w + g * gp - 1 >= w * abs(g + gp)
+    assert w * w - g * gp - 1 >= w * abs(g - gp)
+
+
+class TestClosedFormActivation:
+    """separable_activation_exists against the grid search it replaced, and on
+    the cases the grid got wrong."""
+
+    @pytest.mark.parametrize("omega", [None, 2.0, 10.0, 100.0], ids=["eb", "2", "10", "100"])
+    @pytest.mark.parametrize("protocol", [Protocol.DIRECT, Protocol.SWAP])
+    def test_agrees_with_grid_search(self, protocol, omega):
+        # The separable activated region holds the square 1 <= omega - g, omega + gp
+        # < min(omega, 1/scale), so where that side is wider than a cell of the
+        # finer grid, a cell center lies inside it and the grid must find it.
+        # Thinner slivers the grid may miss; the regression tests below hold those.
+        for tau in np.linspace(0.05, 0.95, 13):
+            tau = float(tau)
+            found, witness = separable_activation_exists(tau, protocol, omega=omega)
+            grid_found, _ = reference_activation_search(tau, protocol, omega=omega)
+            w = eb_threshold(tau) if omega is None else omega
+            assert found or not grid_found, tau
+            side = min(w, 1.0 / large_mu_eps_scale(tau, protocol is Protocol.SWAP)) - 1.0
+            if side > 2.0 * w / 1001:
+                assert found == grid_found, tau
+            if found:
+                assert_activating_witness(tau, protocol, w, witness)
+
+    @pytest.mark.parametrize("tau, protocol, omega", [
+        (0.2, Protocol.DIRECT, 1000.0),
+        (0.5 + 1e-9, Protocol.SWAP, None),
+        (1e-6, Protocol.DIRECT, None),
+        (0.75, Protocol.SWAP, 1e4),
+    ])
+    def test_thin_regions_the_grid_missed(self, tau, protocol, omega):
+        found, witness = separable_activation_exists(tau, protocol, omega=omega)
+        assert found
+        assert_activating_witness(tau, protocol, eb_threshold(tau) if omega is None else omega,
+                                  witness)
+
+    def test_rejects_omega_without_float64_witness(self):
+        # omega - g must lie in [1, 2); at omega = 1e150 no float64 g gives that
+        with pytest.raises(DomainError, match="omega"):
+            separable_activation_exists(0.5, Protocol.DIRECT, omega=1e150)
+
+    @given(tau=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           log_omega=st.floats(0.0, 6.0),
+           protocol=st.sampled_from([Protocol.DIRECT, Protocol.SWAP]))
+    def test_verdict_is_the_theorem(self, tau, log_omega, protocol):
+        omega = 10.0 ** log_omega
+        found, witness = separable_activation_exists(tau, protocol, omega=omega)
+        assert found == (large_mu_eps_scale(tau, protocol is Protocol.SWAP) < 1.0)
+        if found:
+            assert_activating_witness(tau, protocol, omega, witness)
+        else:
+            assert witness is None
+
+
 class TestBoundaryCurves:
     def test_memoryless_point_never_activated_at_eb(self):
         for tau in STANDARD_TAUS:
@@ -390,6 +477,31 @@ class TestExactContours:
         spec = ScanSpec(tau=0.7, protocol=Protocol.ENVIRONMENT_ONLY, resolution=61, omega=3.0,
                         g_range=(-2.5, 1.0), gp_range=(-1.0, 2.9))
         assert self._assert_matches_reference(spec, (0.5, 1.0, 1.3))
+
+    # SHA-256 over each contour's (level, closed) and vertex bytes, in order:
+    # pins chain order, closed flags and every vertex bit, independently of
+    # the stitching code that the reference above shares
+    GOLDEN = {
+        "direct": (dict(tau=0.75, protocol=Protocol.DIRECT, resolution=201),
+                   (1.0, DISTILLABLE_EPS),
+                   "2f9acb47e1c27a9075a6ee32ff9eb0b9d08aaaea1c50b095a19bd4aa3f88fe9c"),
+        "swap": (dict(tau=0.9, protocol=Protocol.SWAP, resolution=61),
+                 (1.0, DISTILLABLE_EPS),
+                 "336a01212c2327dbbdf20df72738846d51503e3c291098de9e4e211a16fe23f0"),
+        "environment": (dict(tau=0.7, protocol=Protocol.ENVIRONMENT_ONLY, resolution=61,
+                             omega=3.0, g_range=(-2.5, 1.0), gp_range=(-1.0, 2.9)),
+                        (0.5, 1.0, 1.3),
+                        "88433b1b98d69a28f2d2951c3006d588240d358b203f2b6cf1d8d27b2900c8f7"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_digest(self, name):
+        spec_args, levels, expected = self.GOLDEN[name]
+        digest = hashlib.sha256()
+        for curve in boundary_curves(ScanSpec(**spec_args), levels):
+            digest.update(struct.pack("<d?", curve.level, curve.closed))
+            digest.update(curve.points.tobytes())
+        assert digest.hexdigest() == expected
 
 
 class TestEpsField:
