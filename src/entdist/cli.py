@@ -28,8 +28,9 @@ from .environment import (
     EnvironmentParams,
     EnvKind,
     bona_fide_check,
-    classify_environment,
     eb_threshold,
+    env_pts_radicand,
+    is_separable,
 )
 from .errors import DomainError
 from .protocols import (
@@ -113,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_point = sub.add_parser("point", help="classify one environment and evaluate both protocols")
     add_common(p_point, needs_point=True)
     p_point.add_argument("--mu", type=_finite_float, default=None,
-                         help="also evaluate the finite-mu pipelines at this input variance")
+                         help="also evaluate both protocols at this finite input variance")
 
     p_scan = sub.add_parser("scan", help="rasterize the correlation plane")
     add_common(p_scan, needs_point=False)
@@ -189,7 +190,6 @@ def cmd_point(args) -> int:
     if args.mu is not None:
         _validate_mu(args.mu, "--mu")
 
-    check = bona_fide_check(omega, args.g, args.gp)
     report: dict[str, object] = {
         "tau": args.tau,
         "omega": omega,
@@ -197,19 +197,23 @@ def cmd_point(args) -> int:
         "g": args.g,
         "gp": args.gp,
     }
-    if not check:
+    try:
+        env = EnvironmentParams(args.tau, omega, args.g, args.gp)
+    except DomainError:
+        # the flags are validated, so only the bona-fide conditions can have
+        # failed; they are evaluated again for the failure list
+        check = bona_fide_check(omega, args.g, args.gp)
         report["env_class"] = EnvKind.FORBIDDEN.value
         report["bona_fide_failures"] = "; ".join(check.failures)
         _write_output([_render_point(report, args.format)], _resolve_output(args))
         return EXIT_DOMAIN
 
-    env_class = classify_environment(omega, args.g, args.gp)
-    env = EnvironmentParams(args.tau, omega, args.g, args.gp)
+    kind = EnvKind.SEPARABLE if is_separable(omega, args.g, args.gp) else EnvKind.ENTANGLED
     direct_eps = direct_eps_asymptotic(env)
     swap_eps = swap_eps_asymptotic(env)
     report.update({
-        "env_class": env_class.kind.value,
-        "env_pts": env_class.env_pts,
+        "env_class": kind.value,
+        "env_pts": math.sqrt(env_pts_radicand(omega, args.g, args.gp)),
         "direct_eps": direct_eps,
         "direct_coherent_info": coherent_info_asymptotic(direct_eps),
         "direct_entangling": direct_eps < 1.0,
@@ -346,7 +350,7 @@ def _render_scan_json(grid: ScanGrid):
     """JSON text in the layout of ``json.dumps(..., indent=2)``, in blocks: the
     spec and summary, then one block per g row of cells, then the closing brackets."""
     spec = grid.spec
-    summary = grid.summary  # a bincount over the whole grid on every access
+    summary = grid.summary  # counts every pair code over the whole grid on every access
     counts = {f"{kind.value}/{act.value}": summary.get((kind, act), 0)
               for kind in EnvKind for act in Activation}
     fractions = {key: count / grid.kind.size for key, count in counts.items()}

@@ -1,10 +1,9 @@
 """Direct and swap-based entanglement distribution through the correlated environment.
 
 The evaluators are closed forms: the finite-mu output covariance matrices and
-their large-mu asymptotics. Each finite-mu form also has a symplectic pipeline
-(beam splitters, partial traces, homodyne conditioning) built from the generic
-algebra of :mod:`entdist.symplectic`. The pipelines are independent references
-that the tests compare the closed forms against; no evaluator runs them.
+their large-mu asymptotics. The symplectic pipelines that build the same
+states from beam splitters, partial traces and homodyne conditioning live with
+the tests, in ``tests/gaussian_reference.py``, as independent references.
 
 Every evaluator takes an :class:`~entdist.environment.EnvironmentParams`, which
 is physical by construction, so none of them re-checks the environment.
@@ -19,17 +18,7 @@ import numpy as np
 
 from .environment import EnvironmentParams, require_magnitude
 from .errors import DomainError
-from .symplectic import (
-    CovarianceMatrix,
-    EntanglementReport,
-    apply_symplectic,
-    beam_splitter,
-    entanglement_report,
-    homodyne_condition,
-    make_env_cm,
-    make_epr_cm,
-    partial_trace,
-)
+from .symplectic import CovarianceMatrix, EntanglementReport, entanglement_report
 
 _I2 = np.eye(2)
 _Z = np.diag([1.0, -1.0])
@@ -64,47 +53,20 @@ def _require_mu(mu: float) -> None:
     require_magnitude("input EPR variance", mu)
 
 
-def _block_diag(*blocks: np.ndarray) -> np.ndarray:
-    """Square blocks placed along the diagonal of a zero matrix."""
-    out = np.zeros((sum(len(b) for b in blocks),) * 2)
-    start = 0
-    for b in blocks:
-        out[start:start + len(b), start:start + len(b)] = b
-        start += len(b)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # direct distribution
 # ---------------------------------------------------------------------------
 
-def direct_output_pipeline(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
-    """Finite-mu route: EPR x environment, one beam splitter per arm, trace ancillas."""
-    _require_mu(mu)
-    joint = CovarianceMatrix(_block_diag(
-        make_epr_cm(mu).data,
-        make_env_cm(env.omega, env.g, env.gp).data,
-    ))
-    bs = beam_splitter(env.tau)
-    out = apply_symplectic(joint, bs, (0, 2))
-    out = apply_symplectic(out, bs, (1, 3))
-    return partial_trace(out, drop=(2, 3))
-
-
 def direct_output_cm(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
-    """Two-mode output of the direct protocol, tau * V_in + (1 - tau) * V_env."""
+    """Two-mode output of the direct protocol, tau * V_in + (1 - tau) * V_env:
+    [[x I, C], [C, x I]] with x = tau*mu + (1 - tau)*omega and
+    C = tau*sqrt(mu^2 - 1)*Z + (1 - tau)*diag(g, gp)."""
     _require_mu(mu)
-    v_in = make_epr_cm(mu).data
-    v_env = make_env_cm(env.omega, env.g, env.gp).data
-    return CovarianceMatrix(env.tau * v_in + (1.0 - env.tau) * v_env)
-
-
-def one_mode_output_pipeline(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
-    """Keep mode A, send mode B through a single lossy arm (thermal ancilla only)."""
-    _require_mu(mu)
-    joint = CovarianceMatrix(_block_diag(make_epr_cm(mu).data, env.omega * _I2))
-    out = apply_symplectic(joint, beam_splitter(env.tau), (1, 2))
-    return partial_trace(out, drop=(2,))
+    t1 = 1.0 - env.tau
+    x = env.tau * mu + t1 * env.omega
+    c = env.tau * math.sqrt(mu * mu - 1.0)
+    corr = np.diag([c + t1 * env.g, -c + t1 * env.gp])
+    return CovarianceMatrix(np.block([[x * _I2, corr], [corr, x * _I2]]))
 
 
 def one_mode_output_cm(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
@@ -156,21 +118,6 @@ def coherent_info_asymptotic(eps: float) -> float:
 # entanglement swapping
 # ---------------------------------------------------------------------------
 
-def _bell_measure(cm: CovarianceMatrix, modes: tuple[int, int]) -> CovarianceMatrix:
-    """Balanced beam splitter on `modes`, then conjugate homodynes.
-
-    The first output port carries the sum quadratures and is measured in p,
-    the second carries the (sign-flipped) difference and is measured in q;
-    the sign does not matter because the conditional CM is outcome-independent.
-    """
-    i, j = modes
-    if not i < j:
-        raise DomainError("bell measurement modes must be given in increasing order")
-    mixed = apply_symplectic(cm, beam_splitter(0.5), (i, j))
-    conditioned = homodyne_condition(mixed, mode=j, quadrature="q")
-    return homodyne_condition(conditioned, mode=i, quadrature="p")
-
-
 def swap_noiseless_cm(mu: float) -> CovarianceMatrix:
     """Remote CM after an ideal Bell measurement on two EPR halves.
 
@@ -181,15 +128,6 @@ def swap_noiseless_cm(mu: float) -> CovarianceMatrix:
     a = (mu * mu + 1.0) / (2.0 * mu)
     c = (mu * mu - 1.0) / (2.0 * mu)
     return CovarianceMatrix(np.block([[a * _I2, c * _Z], [c * _Z, a * _I2]]))
-
-
-def swap_noiseless_pipeline(mu: float) -> CovarianceMatrix:
-    """Oracle route for the noiseless swap: EPR x EPR, Bell measurement on the
-    travelling modes (modes a=0, A=1, B=2, b=3)."""
-    _require_mu(mu)
-    epr = make_epr_cm(mu).data
-    joint = CovarianceMatrix(_block_diag(epr, epr))
-    return _bell_measure(joint, (1, 2))
 
 
 def bell_port_variances(mu: float, env: EnvironmentParams) -> tuple[float, float]:
@@ -220,23 +158,6 @@ def swap_conditional_cm(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
     k[1, 1] = k[3, 3] = 1.0 / var_p
     k[1, 3] = k[3, 1] = 1.0 / var_p
     return CovarianceMatrix(mu * np.eye(4) - ((mu * mu - 1.0) * env.tau / 2.0) * k)
-
-
-def swap_conditional_pipeline(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
-    """Oracle route: 6-mode state (a, A, B, b, E1, E2), lossy mixing of the
-    travelling modes with the correlated ancillas, then the Bell measurement."""
-    _require_mu(mu)
-    epr = make_epr_cm(mu).data
-    joint = CovarianceMatrix(_block_diag(
-        epr,                                          # a = 0, A = 1
-        epr,                                          # B = 2, b = 3
-        make_env_cm(env.omega, env.g, env.gp).data,   # E1 = 4, E2 = 5
-    ))
-    bs = beam_splitter(env.tau)
-    out = apply_symplectic(joint, bs, (1, 4))
-    out = apply_symplectic(out, bs, (2, 5))
-    out = partial_trace(out, drop=(4, 5))
-    return _bell_measure(out, (1, 2))
 
 
 def swap_eps_asymptotic(env: EnvironmentParams) -> float:
@@ -276,25 +197,22 @@ def swap_coherent_info_determinant(cm: CovarianceMatrix) -> float:
 # protocol runners
 # ---------------------------------------------------------------------------
 
-def run_direct(mu: float, env: EnvironmentParams) -> ProtocolResult:
-    """Direct protocol at finite mu; partition/coherent info toward mode B."""
-    cm = direct_output_cm(mu, env)
-    eps_inf = direct_eps_asymptotic(env)
+def _run(cm: CovarianceMatrix, eps_inf: float) -> ProtocolResult:
+    """Report on `cm` with partition/coherent info toward mode 1, plus the
+    large-mu reference values of PTS eigenvalue `eps_inf`."""
     return ProtocolResult(
         output_cm=cm,
         report=entanglement_report(cm, partition=(1,)),
         asymptotic_eps=eps_inf,
         asymptotic_coherent_info=coherent_info_asymptotic(eps_inf),
     )
+
+
+def run_direct(mu: float, env: EnvironmentParams) -> ProtocolResult:
+    """Direct protocol at finite mu; partition/coherent info toward mode B."""
+    return _run(direct_output_cm(mu, env), direct_eps_asymptotic(env))
 
 
 def run_swap(mu: float, env: EnvironmentParams) -> ProtocolResult:
     """Swapping protocol at finite mu; partition/coherent info toward mode b."""
-    cm = swap_conditional_cm(mu, env)
-    eps_inf = swap_eps_asymptotic(env)
-    return ProtocolResult(
-        output_cm=cm,
-        report=entanglement_report(cm, partition=(1,)),
-        asymptotic_eps=eps_inf,
-        asymptotic_coherent_info=coherent_info_asymptotic(eps_inf),
-    )
+    return _run(swap_conditional_cm(mu, env), swap_eps_asymptotic(env))

@@ -177,7 +177,8 @@ def separable_activation_exists(
     That product is >= the PTS radicand, which is >= 1 on separable environments, so eps >=
     scale there; gp = -g, 1 <= omega - g <= omega is separable with eps = scale * (omega - g).
     So activation exists iff scale < 1. Witness: omega - g halfway between 1 and min(omega,
-    1/scale), or 1 if rounding pushes that out; DomainError where float64 holds neither.
+    1/scale), or 1 if rounding pushes that out; DomainError where float64 holds neither, and
+    for the direct protocol where 1 - tau rounds to 1 (tau <= 2**-54), though such a tau activates.
     """
     if protocol is Protocol.ENVIRONMENT_ONLY:
         raise DomainError("activation search needs a distribution protocol")
@@ -185,6 +186,9 @@ def separable_activation_exists(
     swap = protocol is Protocol.SWAP
     scale = large_mu_eps_scale(tau, swap)
     if scale >= 1.0:
+        if not swap:
+            raise DomainError(f"1 - tau rounds to 1 in float64 at tau={tau}, so the activating "
+                              "direct channel has no float64 witness")
         return False, None
     for d in ((1.0 + min(w, 1.0 / scale)) / 2.0, 1.0):
         g = float(w - d)

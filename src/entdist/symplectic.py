@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -22,8 +22,6 @@ SYMMETRY_RTOL = 1e-12
 PHYSICAL_NU_TOL = 1e-9     # nu >= 1 - tol counts as physical
 NU_ONE_TOL = 1e-12         # nu <= 1 + tol is treated as exactly 1 in entropies
 ENTROPY_NU_ONE_TOL = 1e-11  # nu = 1 window per unit of matrix magnitude
-SYMPLECTIC_ATOL = 1e-10
-PINV_CUTOFF = 1e-12
 
 _I2 = np.eye(2)
 _Z = np.diag([1.0, -1.0])  # reflection matrix flipping the p quadrature
@@ -78,27 +76,6 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SymplecticTransform:
-    """Linear phase-space map S with S Omega S^T = Omega (checked on construction)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        s = np.array(self.matrix, dtype=float)
-        if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2 != 0:
-            raise DomainError(f"symplectic matrix must be square with even size, got {s.shape}")
-        omega = symplectic_form(s.shape[0] // 2)
-        if float(np.abs(s @ omega @ s.T - omega).max()) > SYMPLECTIC_ATOL:
-            raise DomainError("matrix does not preserve the symplectic form")
-        s.flags.writeable = False
-        object.__setattr__(self, "matrix", s)
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
-
-
-@dataclass(frozen=True)
 class EntanglementReport:
     """Entanglement figures of merit for one bipartition of a Gaussian state."""
 
@@ -144,29 +121,6 @@ def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
     return nus[::-1].copy()
 
 
-def symplectic_eigenvalues_two_mode(cm: CovarianceMatrix) -> np.ndarray:
-    """Closed-form spectrum of a two-mode CM; cross-check for the generic path.
-
-    With Delta = det A + det B + 2 det C the eigenvalues are
-    nu_-^2 = 2 det V / (Delta + sqrt(Delta^2 - 4 det V)) and
-    nu_+^2 = (Delta + sqrt(Delta^2 - 4 det V)) / 2; the first form avoids the
-    cancellation that would otherwise wipe out the small eigenvalue for
-    strongly squeezed states.
-    """
-    if cm.n_modes != 2:
-        raise DomainError(f"closed formula needs exactly 2 modes, got {cm.n_modes}")
-    det_a = float(np.linalg.det(cm.mode_block(0, 0)))
-    det_b = float(np.linalg.det(cm.mode_block(1, 1)))
-    det_c = float(np.linalg.det(cm.mode_block(0, 1)))
-    det_v = float(np.linalg.det(cm.data))
-    if det_v <= 0.0:
-        raise DomainError("covariance matrix is not positive-definite")
-    delta = det_a + det_b + 2.0 * det_c
-    disc = max(delta * delta - 4.0 * det_v, 0.0)
-    big = (delta + math.sqrt(disc)) / 2.0
-    return np.array([math.sqrt(big), math.sqrt(det_v / big)])
-
-
 def partial_transpose(cm: CovarianceMatrix, modes: Iterable[int]) -> CovarianceMatrix:
     """Flip p -> -p on the given modes (conjugation by the per-mode reflection)."""
     modes = _checked_modes(modes, cm.n_modes)
@@ -203,6 +157,15 @@ def h(nu: float, tol: float = PHYSICAL_NU_TOL, one_tol: float = NU_ONE_TOL) -> f
     return up * math.log(up) - dn * math.log(dn)
 
 
+def _entropy(nus, scale: float) -> float:
+    """Sum of :func:`h` over a spectrum, with windows scaled by the magnitude
+    `scale` of its matrix (see :func:`von_neumann_entropy`)."""
+    return float(sum(
+        h(float(nu), tol=PHYSICAL_NU_TOL * scale, one_tol=ENTROPY_NU_ONE_TOL * scale)
+        for nu in nus
+    ))
+
+
 def von_neumann_entropy(cm: CovarianceMatrix) -> float:
     """Entropy of a Gaussian state in nats; zero exactly for pure states.
 
@@ -211,11 +174,13 @@ def von_neumann_entropy(cm: CovarianceMatrix) -> float:
     errors of order M (and worse near degeneracies), so a fixed window would
     misclassify large pure states as unphysical.
     """
-    scale = cm.magnitude()
-    return float(sum(
-        h(float(nu), tol=PHYSICAL_NU_TOL * scale, one_tol=ENTROPY_NU_ONE_TOL * scale)
-        for nu in symplectic_eigenvalues(cm)
-    ))
+    return _entropy(symplectic_eigenvalues(cm), cm.magnitude())
+
+
+def _coherent_information(cm: CovarianceMatrix, keep_modes: list[int], spectrum) -> float:
+    """S(B) - S(AB) for the checked modes of B, given the symplectic spectrum of `cm`."""
+    reduced = partial_trace(cm, drop=[m for m in range(cm.n_modes) if m not in keep_modes])
+    return von_neumann_entropy(reduced) - _entropy(spectrum, cm.magnitude())
 
 
 def coherent_information(cm: CovarianceMatrix, keep: Iterable[int]) -> float:
@@ -227,8 +192,7 @@ def coherent_information(cm: CovarianceMatrix, keep: Iterable[int]) -> float:
     keep_modes = _checked_modes(keep, cm.n_modes)
     if len(keep_modes) == cm.n_modes:
         raise DomainError("keep must be a proper subset of the modes")
-    reduced = partial_trace(cm, drop=[m for m in range(cm.n_modes) if m not in keep_modes])
-    return von_neumann_entropy(reduced) - von_neumann_entropy(cm)
+    return _coherent_information(cm, keep_modes, symplectic_eigenvalues(cm))
 
 
 def log_negativity(pts_min: float) -> float:
@@ -242,51 +206,18 @@ def entanglement_report(cm: CovarianceMatrix, partition: Iterable[int]) -> Entan
     """Report for the bipartition (rest | partition).
 
     The coherent information is taken toward the partition side, i.e.
-    I(rest > partition).
+    I(rest > partition). The spectrum of `cm` is computed once, for both the
+    report and S(AB).
     """
     modes = _checked_modes(partition, cm.n_modes)
     eps = pts_min_eigenvalue(cm, modes)
+    spectrum = symplectic_eigenvalues(cm)
     return EntanglementReport(
         pts_min=eps,
         log_negativity=log_negativity(eps),
-        coherent_info=coherent_information(cm, keep=modes),
-        symplectic_spectrum=tuple(float(nu) for nu in symplectic_eigenvalues(cm)),
+        coherent_info=_coherent_information(cm, modes, spectrum),
+        symplectic_spectrum=tuple(float(nu) for nu in spectrum),
     )
-
-
-def beam_splitter(tau: float) -> SymplecticTransform:
-    """Two-mode beam splitter of transmissivity tau in (0, 1].
-
-    Mode 0 is the transmitted signal: S = [[sqrt(tau) I, sqrt(1-tau) I],
-    [-sqrt(1-tau) I, sqrt(tau) I]].
-    """
-    if not 0.0 < tau <= 1.0:
-        raise DomainError(f"transmissivity must lie in (0, 1], got {tau}")
-    t = math.sqrt(tau)
-    r = math.sqrt(1.0 - tau)
-    return SymplecticTransform(np.block([[t * _I2, r * _I2], [-r * _I2, t * _I2]]))
-
-
-def apply_symplectic(
-    cm: CovarianceMatrix, transform: SymplecticTransform, modes: Sequence[int]
-) -> CovarianceMatrix:
-    """Conjugate the CM by `transform` embedded on the listed modes: V -> S V S^T."""
-    modes = list(modes)
-    if len(set(modes)) != len(modes):
-        raise DomainError(f"modes must be distinct, got {modes}")
-    if len(modes) != transform.n_modes:
-        raise DomainError(
-            f"transform acts on {transform.n_modes} modes but {len(modes)} were given"
-        )
-    for m in modes:
-        if not 0 <= m < cm.n_modes:
-            raise DomainError(f"mode index {m} out of range for {cm.n_modes} modes")
-    full = np.eye(2 * cm.n_modes)
-    s = transform.matrix
-    for a, ma in enumerate(modes):
-        for b, mb in enumerate(modes):
-            full[2 * ma:2 * ma + 2, 2 * mb:2 * mb + 2] = s[2 * a:2 * a + 2, 2 * b:2 * b + 2]
-    return CovarianceMatrix(full @ cm.data @ full.T)
 
 
 def partial_trace(cm: CovarianceMatrix, drop: Iterable[int]) -> CovarianceMatrix:
@@ -297,30 +228,6 @@ def partial_trace(cm: CovarianceMatrix, drop: Iterable[int]) -> CovarianceMatrix
     idx = [i for m in drop_modes for i in (2 * m, 2 * m + 1)]
     v = np.delete(np.delete(cm.data, idx, axis=0), idx, axis=1)
     return CovarianceMatrix(v)
-
-
-def homodyne_condition(cm: CovarianceMatrix, mode: int, quadrature: str) -> CovarianceMatrix:
-    """Condition the remaining modes on an ideal homodyne detection of `mode`.
-
-    Gaussian conditioning is outcome-independent, so the result is just the
-    Schur complement A - C (Pi B Pi)^+ C^T with Pi projecting onto the
-    measured quadrature. The measured block is rank one, so its pseudo-inverse
-    reduces to 1/variance, guarded by an absolute 1e-12 cutoff.
-    """
-    if quadrature not in ("q", "p"):
-        raise DomainError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
-    if not 0 <= mode < cm.n_modes:
-        raise DomainError(f"mode index {mode} out of range for {cm.n_modes} modes")
-    if cm.n_modes < 2:
-        raise DomainError("conditioning needs at least one unmeasured mode")
-    i = 2 * mode + (0 if quadrature == "q" else 1)
-    var = float(cm.data[i, i])
-    if var <= PINV_CUTOFF:
-        raise DomainError("measured quadrature has (numerically) zero variance")
-    keep = [k for k in range(2 * cm.n_modes) if k not in (2 * mode, 2 * mode + 1)]
-    a = cm.data[np.ix_(keep, keep)]
-    c = cm.data[np.ix_(keep, [i])]
-    return CovarianceMatrix(a - (c @ c.T) / var)
 
 
 def _checked_modes(modes: Iterable[int], n_modes: int) -> list[int]:

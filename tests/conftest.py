@@ -9,10 +9,11 @@ from entdist import (
     CovarianceMatrix,
     EnvironmentParams,
     EnvKind,
-    SymplecticTransform,
     bona_fide_check,
     symplectic_form,
 )
+
+from gaussian_reference import SymplecticTransform
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")

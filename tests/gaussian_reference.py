@@ -1,0 +1,216 @@
+"""Generic symplectic algebra and the finite-mu symplectic pipelines.
+
+These are the independent references that the tests compare entdist's closed
+forms against: beam splitters, symplectic conjugation, homodyne conditioning
+and the two-mode closed-form spectrum, and the pipelines that build each
+protocol's output state from them (beam splitters, partial traces, homodyne
+conditioning). The package itself never runs them. The module's name keeps
+pytest from collecting it; tests import it as they import ``conftest``.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from entdist import (
+    CovarianceMatrix,
+    DomainError,
+    EnvironmentParams,
+    make_env_cm,
+    make_epr_cm,
+    partial_trace,
+    symplectic_form,
+)
+from entdist.protocols import _require_mu
+
+SYMPLECTIC_ATOL = 1e-10
+PINV_CUTOFF = 1e-12
+
+_I2 = np.eye(2)
+
+
+# ---------------------------------------------------------------------------
+# generic symplectic algebra
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SymplecticTransform:
+    """Linear phase-space map S with S Omega S^T = Omega (checked on construction)."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        s = np.array(self.matrix, dtype=float)
+        if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2 != 0:
+            raise DomainError(f"symplectic matrix must be square with even size, got {s.shape}")
+        omega = symplectic_form(s.shape[0] // 2)
+        if float(np.abs(s @ omega @ s.T - omega).max()) > SYMPLECTIC_ATOL:
+            raise DomainError("matrix does not preserve the symplectic form")
+        s.flags.writeable = False
+        object.__setattr__(self, "matrix", s)
+
+    @property
+    def n_modes(self) -> int:
+        return self.matrix.shape[0] // 2
+
+
+def symplectic_eigenvalues_two_mode(cm: CovarianceMatrix) -> np.ndarray:
+    """Closed-form spectrum of a two-mode CM; cross-check for the generic path.
+
+    With Delta = det A + det B + 2 det C the eigenvalues are
+    nu_-^2 = 2 det V / (Delta + sqrt(Delta^2 - 4 det V)) and
+    nu_+^2 = (Delta + sqrt(Delta^2 - 4 det V)) / 2; the first form avoids the
+    cancellation that would otherwise wipe out the small eigenvalue for
+    strongly squeezed states.
+    """
+    if cm.n_modes != 2:
+        raise DomainError(f"closed formula needs exactly 2 modes, got {cm.n_modes}")
+    det_a = float(np.linalg.det(cm.mode_block(0, 0)))
+    det_b = float(np.linalg.det(cm.mode_block(1, 1)))
+    det_c = float(np.linalg.det(cm.mode_block(0, 1)))
+    det_v = float(np.linalg.det(cm.data))
+    if det_v <= 0.0:
+        raise DomainError("covariance matrix is not positive-definite")
+    delta = det_a + det_b + 2.0 * det_c
+    disc = max(delta * delta - 4.0 * det_v, 0.0)
+    big = (delta + math.sqrt(disc)) / 2.0
+    return np.array([math.sqrt(big), math.sqrt(det_v / big)])
+
+
+def beam_splitter(tau: float) -> SymplecticTransform:
+    """Two-mode beam splitter of transmissivity tau in (0, 1].
+
+    Mode 0 is the transmitted signal: S = [[sqrt(tau) I, sqrt(1-tau) I],
+    [-sqrt(1-tau) I, sqrt(tau) I]].
+    """
+    if not 0.0 < tau <= 1.0:
+        raise DomainError(f"transmissivity must lie in (0, 1], got {tau}")
+    t = math.sqrt(tau)
+    r = math.sqrt(1.0 - tau)
+    return SymplecticTransform(np.block([[t * _I2, r * _I2], [-r * _I2, t * _I2]]))
+
+
+def apply_symplectic(
+    cm: CovarianceMatrix, transform: SymplecticTransform, modes: Sequence[int]
+) -> CovarianceMatrix:
+    """Conjugate the CM by `transform` embedded on the listed modes: V -> S V S^T."""
+    modes = list(modes)
+    if len(set(modes)) != len(modes):
+        raise DomainError(f"modes must be distinct, got {modes}")
+    if len(modes) != transform.n_modes:
+        raise DomainError(
+            f"transform acts on {transform.n_modes} modes but {len(modes)} were given"
+        )
+    for m in modes:
+        if not 0 <= m < cm.n_modes:
+            raise DomainError(f"mode index {m} out of range for {cm.n_modes} modes")
+    full = np.eye(2 * cm.n_modes)
+    s = transform.matrix
+    for a, ma in enumerate(modes):
+        for b, mb in enumerate(modes):
+            full[2 * ma:2 * ma + 2, 2 * mb:2 * mb + 2] = s[2 * a:2 * a + 2, 2 * b:2 * b + 2]
+    return CovarianceMatrix(full @ cm.data @ full.T)
+
+
+def homodyne_condition(cm: CovarianceMatrix, mode: int, quadrature: str) -> CovarianceMatrix:
+    """Condition the remaining modes on an ideal homodyne detection of `mode`.
+
+    Gaussian conditioning is outcome-independent, so the result is just the
+    Schur complement A - C (Pi B Pi)^+ C^T with Pi projecting onto the
+    measured quadrature. The measured block is rank one, so its pseudo-inverse
+    reduces to 1/variance, guarded by an absolute 1e-12 cutoff.
+    """
+    if quadrature not in ("q", "p"):
+        raise DomainError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
+    if not 0 <= mode < cm.n_modes:
+        raise DomainError(f"mode index {mode} out of range for {cm.n_modes} modes")
+    if cm.n_modes < 2:
+        raise DomainError("conditioning needs at least one unmeasured mode")
+    i = 2 * mode + (0 if quadrature == "q" else 1)
+    var = float(cm.data[i, i])
+    if var <= PINV_CUTOFF:
+        raise DomainError("measured quadrature has (numerically) zero variance")
+    keep = [k for k in range(2 * cm.n_modes) if k not in (2 * mode, 2 * mode + 1)]
+    a = cm.data[np.ix_(keep, keep)]
+    c = cm.data[np.ix_(keep, [i])]
+    return CovarianceMatrix(a - (c @ c.T) / var)
+
+
+# ---------------------------------------------------------------------------
+# protocol pipelines
+# ---------------------------------------------------------------------------
+
+def _block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """Square blocks placed along the diagonal of a zero matrix."""
+    out = np.zeros((sum(len(b) for b in blocks),) * 2)
+    start = 0
+    for b in blocks:
+        out[start:start + len(b), start:start + len(b)] = b
+        start += len(b)
+    return out
+
+
+def direct_output_pipeline(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
+    """Finite-mu route: EPR x environment, one beam splitter per arm, trace ancillas."""
+    _require_mu(mu)
+    joint = CovarianceMatrix(_block_diag(
+        make_epr_cm(mu).data,
+        make_env_cm(env.omega, env.g, env.gp).data,
+    ))
+    bs = beam_splitter(env.tau)
+    out = apply_symplectic(joint, bs, (0, 2))
+    out = apply_symplectic(out, bs, (1, 3))
+    return partial_trace(out, drop=(2, 3))
+
+
+def one_mode_output_pipeline(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
+    """Keep mode A, send mode B through a single lossy arm (thermal ancilla only)."""
+    _require_mu(mu)
+    joint = CovarianceMatrix(_block_diag(make_epr_cm(mu).data, env.omega * _I2))
+    out = apply_symplectic(joint, beam_splitter(env.tau), (1, 2))
+    return partial_trace(out, drop=(2,))
+
+
+def _bell_measure(cm: CovarianceMatrix, modes: tuple[int, int]) -> CovarianceMatrix:
+    """Balanced beam splitter on `modes`, then conjugate homodynes.
+
+    The first output port carries the sum quadratures and is measured in p,
+    the second carries the (sign-flipped) difference and is measured in q;
+    the sign does not matter because the conditional CM is outcome-independent.
+    """
+    i, j = modes
+    if not i < j:
+        raise DomainError("bell measurement modes must be given in increasing order")
+    mixed = apply_symplectic(cm, beam_splitter(0.5), (i, j))
+    conditioned = homodyne_condition(mixed, mode=j, quadrature="q")
+    return homodyne_condition(conditioned, mode=i, quadrature="p")
+
+
+def swap_noiseless_pipeline(mu: float) -> CovarianceMatrix:
+    """Oracle route for the noiseless swap: EPR x EPR, Bell measurement on the
+    travelling modes (modes a=0, A=1, B=2, b=3)."""
+    _require_mu(mu)
+    epr = make_epr_cm(mu).data
+    joint = CovarianceMatrix(_block_diag(epr, epr))
+    return _bell_measure(joint, (1, 2))
+
+
+def swap_conditional_pipeline(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
+    """Oracle route: 6-mode state (a, A, B, b, E1, E2), lossy mixing of the
+    travelling modes with the correlated ancillas, then the Bell measurement."""
+    _require_mu(mu)
+    epr = make_epr_cm(mu).data
+    joint = CovarianceMatrix(_block_diag(
+        epr,                                          # a = 0, A = 1
+        epr,                                          # B = 2, b = 3
+        make_env_cm(env.omega, env.g, env.gp).data,   # E1 = 4, E2 = 5
+    ))
+    bs = beam_splitter(env.tau)
+    out = apply_symplectic(joint, bs, (1, 4))
+    out = apply_symplectic(out, bs, (2, 5))
+    out = partial_trace(out, drop=(4, 5))
+    return _bell_measure(out, (1, 2))

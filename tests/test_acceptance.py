@@ -23,23 +23,25 @@ from entdist import (
     classify_environment,
     coherent_information,
     direct_eps_asymptotic,
-    direct_output_pipeline,
     eb_threshold,
     epr_variances_from_cm,
     make_env_cm,
     make_epr_cm,
-    one_mode_output_pipeline,
     pts_min_eigenvalue,
     scan,
     swap_coherent_info_determinant,
     swap_conditional_cm,
-    swap_conditional_pipeline,
     swap_epr_variances_asymptotic,
     swap_eps_asymptotic,
-    swap_noiseless_pipeline,
 )
 
 from conftest import ACTIVATION_CODE, KIND_CODE, random_bona_fide_env
+from gaussian_reference import (
+    direct_output_pipeline,
+    one_mode_output_pipeline,
+    swap_conditional_pipeline,
+    swap_noiseless_pipeline,
+)
 
 STANDARD_TAUS = (0.3, 0.5, 0.75, 0.9)
 LARGE_MU = 1e6

@@ -110,6 +110,20 @@ class TestPoint:
     def test_missing_subcommand(self, capsys):
         assert run_cli(capsys)[0] == EXIT_USAGE
 
+    def test_physical_point_checks_its_environment_once(self, capsys, monkeypatch):
+        calls = []
+        conditions = entdist.environment.bona_fide_conditions
+
+        def counted(*args):
+            calls.append(args)
+            return conditions(*args)
+
+        monkeypatch.setattr(entdist.environment, "bona_fide_conditions", counted)
+        code, _, _ = run_cli(capsys, "point", "--tau", "0.75", "--at-eb",
+                             "--g", "5", "--gp=-5", "--mu", "1e3")
+        assert code == EXIT_OK
+        assert len(calls) == 1
+
 
 class TestScanCommand:
     def test_minimal_grid(self, capsys):
@@ -535,6 +549,32 @@ class TestConverge:
                                "--g", "1.9", "--gp", "1.9", "--protocol", "direct")
         assert code == EXIT_DOMAIN
         assert "omega^2 + g*gp" in err
+
+
+class TestPointAndConvergeGolden:
+    # SHA-256 of known-good stdout: any byte change in the evaluated values,
+    # number formatting or layout fails
+    POINT = ("--tau", "0.75", "--at-eb", "--g", "5", "--gp=-5")
+    GOLDEN = {
+        "point-csv": (("point", *POINT, "--mu", "1e3"), EXIT_OK,
+                      "af5e211fce320442d6ef6a61d6999a5daa0235fb8de71519ae7d57fdec3610d8"),
+        "point-json": (("point", *POINT, "--mu", "1e3", "--format", "json"), EXIT_OK,
+                       "6b845c6bbd4261101a05d5ec2fd58a034473ca232baf1773eee895b697a9e63c"),
+        "point-forbidden": (("point", "--tau", "0.5", "--omega", "2", "--g", "3", "--gp", "0"),
+                            EXIT_DOMAIN,
+                            "be988fce3f95aa92d3218ed6e9f8e41dd844c10071d3c3e13ecadbcbbf5f762a"),
+        "converge-direct": (("converge", *POINT, "--protocol", "direct"), EXIT_OK,
+                            "24e196beeb822ab60e355c24e226b816f3dc9ee32691885776a7d02e35398938"),
+        "converge-swap": (("converge", *POINT, "--protocol", "swap"), EXIT_OK,
+                          "a6432886ff5f8a64ffb5e892e328cdf15b9d9770d14746c3da0cda7aacaa0f0c"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_output_matches_golden_digest(self, capsys, case):
+        argv, exit_code, digest = self.GOLDEN[case]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestFormatting:

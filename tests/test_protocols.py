@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import entdist
 from entdist import (
     DomainError,
     EnvironmentParams,
@@ -12,28 +13,31 @@ from entdist import (
     coherent_information,
     direct_eps_asymptotic,
     direct_output_cm,
-    direct_output_pipeline,
     direct_spectrum_asymptotic,
     eb_threshold,
     epr_variances_from_cm,
+    make_env_cm,
     make_epr_cm,
     one_mode_output_cm,
-    one_mode_output_pipeline,
     pts_min_eigenvalue,
     run_direct,
     run_swap,
     swap_coherent_info_determinant,
     swap_conditional_cm,
-    swap_conditional_pipeline,
     swap_epr_variances_asymptotic,
     swap_eps_asymptotic,
     swap_noiseless_cm,
-    swap_noiseless_pipeline,
     bell_port_variances,
     symplectic_eigenvalues,
 )
 
 from conftest import random_bona_fide_env
+from gaussian_reference import (
+    direct_output_pipeline,
+    one_mode_output_pipeline,
+    swap_conditional_pipeline,
+    swap_noiseless_pipeline,
+)
 
 LARGE_MU = 1e6
 
@@ -76,6 +80,12 @@ class TestDirectOutput:
         for mu, env in oracle_draws(np.random.default_rng(31), 100, 200):
             assert_cm_close(direct_output_pipeline(mu, env).data,
                             direct_output_cm(mu, env).data, rtol=1e-10)
+
+    def test_equals_mixture_of_input_and_environment(self):
+        for mu, env in oracle_draws(np.random.default_rng(43), 100, 100):
+            mixture = (env.tau * make_epr_cm(mu).data
+                       + (1.0 - env.tau) * make_env_cm(env.omega, env.g, env.gp).data)
+            np.testing.assert_array_equal(direct_output_cm(mu, env).data, mixture)
 
     def test_rejects_mu_below_one(self):
         with pytest.raises(DomainError):
@@ -344,6 +354,27 @@ class TestProtocolRunners:
         # LinAlgError instead of a DomainError
         with pytest.raises(DomainError, match="magnitude"):
             runner(mu, EnvironmentParams(0.5, 7.0, 4.0, -4.0))
+
+    @pytest.mark.parametrize("runner", [run_direct, run_swap])
+    def test_runner_rechecks_nothing_and_diagonalizes_three_times(self, runner, monkeypatch):
+        # the PT spectrum, the reduced spectrum and the full spectrum, which
+        # serves both the report and S(AB)
+        env = EnvironmentParams(0.75, 7.0, 4.0, -4.0)
+        calls = []
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls.append(name)
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(entdist.symplectic, "symplectic_eigenvalues",
+                            counted("eig", entdist.symplectic.symplectic_eigenvalues))
+        for module in (entdist.environment, entdist.symplectic):
+            monkeypatch.setattr(module, "require_bona_fide",
+                                counted("check", module.require_bona_fide))
+        runner(1e3, env)
+        assert calls == ["eig"] * 3
 
     def test_report_sides(self):
         env = EnvironmentParams(0.75, 7.0, 6.0, -6.0)

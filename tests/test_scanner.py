@@ -295,6 +295,17 @@ class TestClosedFormActivation:
         assert_activating_witness(tau, protocol, eb_threshold(tau) if omega is None else omega,
                                   witness)
 
+    def test_rejects_direct_tau_where_one_minus_tau_rounds_to_one(self):
+        # 1 - 1e-17 is 1.0 in float64, which would read as "no activation"
+        with pytest.raises(DomainError, match="tau=1e-17"):
+            separable_activation_exists(1e-17, Protocol.DIRECT)
+
+    def test_smallest_direct_taus_still_activate(self):
+        for tau in (2.0 ** -52, 2.0 ** -53):
+            found, witness = separable_activation_exists(tau, Protocol.DIRECT)
+            assert found
+            assert_activating_witness(tau, Protocol.DIRECT, eb_threshold(tau), witness)
+
     def test_rejects_omega_without_float64_witness(self):
         # omega - g must lie in [1, 2); at omega = 1e150 no float64 g gives that
         with pytest.raises(DomainError, match="omega"):
@@ -305,8 +316,15 @@ class TestClosedFormActivation:
            protocol=st.sampled_from([Protocol.DIRECT, Protocol.SWAP]))
     def test_verdict_is_the_theorem(self, tau, log_omega, protocol):
         omega = 10.0 ** log_omega
+        scale = large_mu_eps_scale(tau, protocol is Protocol.SWAP)
+        if protocol is Protocol.DIRECT and scale == 1.0:
+            # every tau activates the direct channel, but where 1 - tau rounds
+            # to 1 float64 cannot show it, and the verdict is refused
+            with pytest.raises(DomainError, match="tau"):
+                separable_activation_exists(tau, protocol, omega=omega)
+            return
         found, witness = separable_activation_exists(tau, protocol, omega=omega)
-        assert found == (large_mu_eps_scale(tau, protocol is Protocol.SWAP) < 1.0)
+        assert found == (scale < 1.0)
         if found:
             assert_activating_witness(tau, protocol, omega, witness)
         else:

@@ -17,3 +17,35 @@ def test_package_has_no_assert_statements():
         found.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                      if isinstance(node, ast.Assert))
     assert not found, f"assert statements in the package: {', '.join(found)}"
+
+
+def test_public_names_resolve_once_and_in_order():
+    names = entdist.__all__
+    assert len(set(names)) == len(names)
+    assert names == sorted(names)
+    missing = [name for name in names if not hasattr(entdist, name)]
+    assert not missing, f"unresolved public names: {', '.join(missing)}"
+
+
+def test_no_pipeline_is_public():
+    # the symplectic pipelines are test-side references (tests/gaussian_reference.py)
+    assert not [name for name in entdist.__all__ if name.endswith("_pipeline")]
+
+
+def test_package_neither_defines_nor_imports_the_references():
+    # generic symplectic operations and pipelines that only the references use
+    moved = {"SymplecticTransform", "beam_splitter", "apply_symplectic", "homodyne_condition",
+             "symplectic_eigenvalues_two_mode", "_bell_measure"}
+    found = []
+    for path in sorted(Path(entdist.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found.extend(f"{path.name}:{name}" for name in names
+                         if name in moved or name.endswith("_pipeline"))
+    assert not found, f"reference-only names in the package: {', '.join(found)}"

@@ -8,13 +8,9 @@ from hypothesis import strategies as st
 from entdist import (
     CovarianceMatrix,
     DomainError,
-    SymplecticTransform,
-    apply_symplectic,
-    beam_splitter,
     coherent_information,
     entanglement_report,
     h,
-    homodyne_condition,
     log_negativity,
     make_env_cm,
     make_epr_cm,
@@ -22,12 +18,18 @@ from entdist import (
     partial_transpose,
     pts_min_eigenvalue,
     symplectic_eigenvalues,
-    symplectic_eigenvalues_two_mode,
     symplectic_form,
     von_neumann_entropy,
 )
 
 from conftest import random_physical_cm, random_symplectic
+from gaussian_reference import (
+    SymplecticTransform,
+    apply_symplectic,
+    beam_splitter,
+    homodyne_condition,
+    symplectic_eigenvalues_two_mode,
+)
 
 
 class TestCovarianceMatrix:
@@ -227,6 +229,16 @@ class TestLogNegativity:
         report = entanglement_report(make_epr_cm(2.0), partition=(1,))
         assert report.log_negativity == pytest.approx(-math.log(report.pts_min))
         assert min(report.symplectic_spectrum) >= 1.0 - 1e-9
+
+    def test_report_fields_equal_the_separate_evaluators(self):
+        rng = np.random.default_rng(47)
+        for n in (2, 3):
+            for _ in range(20):
+                cm = random_physical_cm(rng, n)
+                report = entanglement_report(cm, partition=(1,))
+                assert report.pts_min == pts_min_eigenvalue(cm, (1,))
+                assert report.coherent_info == coherent_information(cm, keep=(1,))
+                assert report.symplectic_spectrum == tuple(symplectic_eigenvalues(cm).tolist())
 
 
 class TestBeamSplitter:
