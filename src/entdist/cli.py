@@ -1,8 +1,10 @@
 """Command-line front end: point evaluations, plane scans, convergence tables.
 
 Exit codes: 0 success, 2 usage error, 3 non-physical point, 4 I/O failure.
-Numbers in flags must be finite, and omega, g, gp, mu and the scan window
-bounds at most ``MAX_MAGNITUDE`` (1e150) in size. All floating-point output is
+Every float flag must be a finite number that passes the library check of the
+parameter it sets (``require_transmissivity``, ``require_variance`` or
+``require_magnitude`` in :mod:`entdist.environment`); argparse reports a
+refused number as a usage error naming the flag. All floating-point output is
 fixed at 9 significant digits so files are byte-identical across runs and
 platforms.
 
@@ -20,17 +22,20 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
 from .environment import (
-    MAX_MAGNITUDE,
     EnvironmentParams,
     EnvKind,
     bona_fide_check,
     eb_threshold,
     env_pts_radicand,
     is_separable,
+    require_magnitude,
+    require_transmissivity,
+    require_variance,
 )
 from .errors import DomainError
 from .protocols import (
@@ -80,15 +85,22 @@ def _json_ready(value):
     return value
 
 
-def _finite_float(text: str) -> float:
-    """argparse type of every float flag: nan, inf and non-numbers are usage errors."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _finite_float(check):
+    """argparse type of a float flag: nan, inf and non-numbers are usage errors,
+    and so is a number that the flag's library check ``check`` refuses."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+        try:
+            check(value)
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,63 +109,47 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entanglement distribution through correlated lossy Gaussian environments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    mu_type = _finite_float(partial(require_variance, "mu"))
 
     def add_common(p, needs_point: bool) -> None:
-        p.add_argument("--tau", type=_finite_float, required=True, help="beam-splitter transmissivity in (0, 1)")
+        p.add_argument("--tau", type=_finite_float(require_transmissivity), required=True,
+                       help="beam-splitter transmissivity in (0, 1)")
         group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--omega", type=_finite_float, help="thermal variance (>= 1)")
+        group.add_argument("--omega", type=_finite_float(partial(require_variance, "omega")),
+                           help="thermal variance (>= 1)")
         group.add_argument("--at-eb", action="store_true",
                            help="place the channels exactly at the entanglement-breaking threshold")
         if needs_point:
-            p.add_argument("--g", type=_finite_float, required=True, help="q-quadrature correlation")
-            p.add_argument("--gp", type=_finite_float, required=True, help="p-quadrature correlation")
+            p.add_argument("--g", type=_finite_float(partial(require_magnitude, "g")),
+                           required=True, help="q-quadrature correlation")
+            p.add_argument("--gp", type=_finite_float(partial(require_magnitude, "gp")),
+                           required=True, help="p-quadrature correlation")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--output", "-o", default=None,
                        help=f"output path ('-' for stdout; default ${OUTPUT_ENV_VAR} or stdout)")
 
     p_point = sub.add_parser("point", help="classify one environment and evaluate both protocols")
     add_common(p_point, needs_point=True)
-    p_point.add_argument("--mu", type=_finite_float, default=None,
+    p_point.add_argument("--mu", type=mu_type, default=None,
                          help="also evaluate both protocols at this finite input variance")
 
     p_scan = sub.add_parser("scan", help="rasterize the correlation plane")
     add_common(p_scan, needs_point=False)
     p_scan.add_argument("--protocol", choices=sorted(_PROTOCOLS), required=True)
     p_scan.add_argument("--resolution", type=int, default=201)
-    p_scan.add_argument("--g-min", type=_finite_float, default=None)
-    p_scan.add_argument("--g-max", type=_finite_float, default=None)
-    p_scan.add_argument("--gp-min", type=_finite_float, default=None)
-    p_scan.add_argument("--gp-max", type=_finite_float, default=None)
+    g_bound = _finite_float(partial(require_magnitude, "g_range bound"))
+    gp_bound = _finite_float(partial(require_magnitude, "gp_range bound"))
+    p_scan.add_argument("--g-min", type=g_bound, default=None)
+    p_scan.add_argument("--g-max", type=g_bound, default=None)
+    p_scan.add_argument("--gp-min", type=gp_bound, default=None)
+    p_scan.add_argument("--gp-max", type=gp_bound, default=None)
 
     p_conv = sub.add_parser("converge", help="finite-mu convergence toward the asymptotic eps")
     add_common(p_conv, needs_point=True)
     p_conv.add_argument("--protocol", choices=["direct", "swap"], required=True)
-    p_conv.add_argument("--mu", type=_finite_float, nargs="+", default=list(DEFAULT_CONVERGE_MUS))
+    p_conv.add_argument("--mu", type=mu_type, nargs="+", default=list(DEFAULT_CONVERGE_MUS))
 
     return parser
-
-
-def _validate_common(args) -> float:
-    """Flag-level validation (exit 2 territory); returns the resolved omega."""
-    if not 0.0 < args.tau < 1.0:
-        raise UsageError(f"--tau must lie in (0, 1), got {args.tau}")
-    for dest in ("omega", "g", "gp", "g_min", "g_max", "gp_min", "gp_max"):
-        value = getattr(args, dest, None)
-        if value is not None and abs(value) > MAX_MAGNITUDE:
-            flag = "--" + dest.replace("_", "-")
-            raise UsageError(f"{flag} magnitude must be <= {MAX_MAGNITUDE:g}, got {value}")
-    if args.at_eb:
-        return eb_threshold(args.tau)
-    if args.omega < 1.0:
-        raise UsageError(f"--omega must be >= 1, got {args.omega}")
-    return args.omega
-
-
-def _validate_mu(mu: float, what: str) -> None:
-    if mu < 1.0:
-        raise UsageError(f"{what} must be >= 1, got {mu}")
-    if mu > MAX_MAGNITUDE:
-        raise UsageError(f"--mu magnitude must be <= {MAX_MAGNITUDE:g}, got {mu}")
 
 
 def _resolve_output(args) -> str | None:
@@ -186,9 +182,7 @@ def _rows_to_csv(header: list[str], rows: list[list[str]]) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_point(args) -> int:
-    omega = _validate_common(args)
-    if args.mu is not None:
-        _validate_mu(args.mu, "--mu")
+    omega = eb_threshold(args.tau) if args.at_eb else args.omega
 
     report: dict[str, object] = {
         "tau": args.tau,
@@ -258,24 +252,21 @@ def _render_point(report: dict, fmt_kind: str) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_scan(args) -> int:
-    omega = _validate_common(args)
-    if args.resolution < 2:
-        raise UsageError(f"--resolution must be >= 2, got {args.resolution}")
     for lo, hi, name in ((args.g_min, args.g_max, "--g-min/--g-max"),
                          (args.gp_min, args.gp_max, "--gp-min/--gp-max")):
         if (lo is None) != (hi is None):
             raise UsageError(f"{name} must be given together")
-        if lo is not None and not lo < hi:
-            raise UsageError(f"{name} must describe a nonempty interval")
-
-    spec = ScanSpec(
-        tau=args.tau,
-        protocol=_PROTOCOLS[args.protocol],
-        resolution=args.resolution,
-        g_range=None if args.g_min is None else (args.g_min, args.g_max),
-        gp_range=None if args.gp_min is None else (args.gp_min, args.gp_max),
-        omega=None if args.at_eb else omega,
-    )
+    try:
+        spec = ScanSpec(
+            tau=args.tau,
+            protocol=_PROTOCOLS[args.protocol],
+            resolution=args.resolution,
+            g_range=None if args.g_min is None else (args.g_min, args.g_max),
+            gp_range=None if args.gp_min is None else (args.gp_min, args.gp_max),
+            omega=args.omega,
+        )
+    except DomainError as exc:  # the resolution or an empty window; the flags check the rest
+        raise UsageError(str(exc)) from None
     grid = scan(spec)
     render = _render_scan_json if args.format == "json" else _render_scan_csv
     _write_output(render(grid), _resolve_output(args))
@@ -387,9 +378,7 @@ def _render_scan_json(grid: ScanGrid):
 # ---------------------------------------------------------------------------
 
 def cmd_converge(args) -> int:
-    omega = _validate_common(args)
-    for mu in args.mu:
-        _validate_mu(mu, "--mu entries")
+    omega = eb_threshold(args.tau) if args.at_eb else args.omega
 
     env = EnvironmentParams(args.tau, omega, args.g, args.gp)  # may raise DomainError
     runner = run_direct if args.protocol == "direct" else run_swap

@@ -29,13 +29,26 @@ def require_magnitude(name: str, value: float) -> None:
         raise DomainError(f"{name} magnitude must be <= {MAX_MAGNITUDE:g}, got {value}")
 
 
+def require_transmissivity(tau: float) -> None:
+    """Raise DomainError unless 0 < tau < 1 (nan fails too)."""
+    if not 0.0 < tau < 1.0:
+        raise DomainError(f"transmissivity must lie in (0, 1), got {tau}")
+
+
+def require_variance(name: str, value: float) -> None:
+    """Raise DomainError unless 1 <= value <= :data:`MAX_MAGNITUDE` (nan fails too)."""
+    require_magnitude(name, value)
+    if not value >= 1.0:
+        raise DomainError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class EnvironmentParams:
     """Beam-splitter transmissivity plus the environment normal form (omega, g, gp).
 
     Physical by construction: raises DomainError for tau outside (0, 1), for a
-    magnitude above :data:`MAX_MAGNITUDE`, and, naming the failed conditions,
-    for an (omega, g, gp) that is not a bona-fide environment.
+    magnitude above :data:`MAX_MAGNITUDE`, for omega below 1, and, naming the
+    failed conditions, for an (omega, g, gp) that is not a bona-fide environment.
     """
 
     tau: float
@@ -44,9 +57,8 @@ class EnvironmentParams:
     gp: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tau < 1.0:
-            raise DomainError(f"transmissivity must lie in (0, 1), got {self.tau}")
-        for name in ("omega", "g", "gp"):
+        require_transmissivity(self.tau)
+        for name in ("g", "gp"):
             require_magnitude(name, getattr(self, name))
         require_bona_fide(self.omega, self.g, self.gp)
 
@@ -93,10 +105,10 @@ def bona_fide_check(omega: float, g: float, gp: float) -> BonaFideResult:
     """Check that (omega, g, gp) describes a valid quantum state.
 
     Violated conditions of :func:`bona_fide_conditions` are reported in
-    ``failures`` so callers can surface which one failed.
+    ``failures`` so callers can surface which one failed. An omega outside
+    [1, :data:`MAX_MAGNITUDE`] raises DomainError (see :func:`require_variance`).
     """
-    if omega < 1.0:
-        raise DomainError(f"thermal variance must be >= 1, got {omega}")
+    require_variance("omega", omega)
     marginal_g, marginal_gp, uncertainty = bona_fide_conditions(omega, g, gp)
     failures = []
     if not marginal_g:
@@ -163,13 +175,11 @@ def classify_environment(omega: float, g: float, gp: float) -> EnvClass:
 def eb_threshold(tau: float) -> float:
     """Thermal variance (1 + tau)/(1 - tau) above which a lossy channel of
     transmissivity tau breaks all input entanglement."""
-    if not 0.0 < tau < 1.0:
-        raise DomainError(f"transmissivity must lie in (0, 1), got {tau}")
+    require_transmissivity(tau)
     return (1.0 + tau) / (1.0 - tau)
 
 
 def eb_threshold_nbar(tau: float) -> float:
     """Same threshold expressed as a mean thermal photon number, tau/(1 - tau)."""
-    if not 0.0 < tau < 1.0:
-        raise DomainError(f"transmissivity must lie in (0, 1), got {tau}")
+    require_transmissivity(tau)
     return tau / (1.0 - tau)

@@ -16,12 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import EnvironmentParams, require_magnitude
+from .environment import EnvironmentParams, require_variance
 from .errors import DomainError
-from .symplectic import CovarianceMatrix, EntanglementReport, entanglement_report
-
-_I2 = np.eye(2)
-_Z = np.diag([1.0, -1.0])
+from .symplectic import CovarianceMatrix, EntanglementReport, _qp_cm, entanglement_report
 
 
 @dataclass(frozen=True)
@@ -47,12 +44,6 @@ class EprVariances:
         return self.v_qminus < 1.0 and self.v_pplus < 1.0
 
 
-def _require_mu(mu: float) -> None:
-    if mu < 1.0:
-        raise DomainError(f"input EPR variance must be >= 1, got {mu}")
-    require_magnitude("input EPR variance", mu)
-
-
 # ---------------------------------------------------------------------------
 # direct distribution
 # ---------------------------------------------------------------------------
@@ -60,22 +51,21 @@ def _require_mu(mu: float) -> None:
 def direct_output_cm(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
     """Two-mode output of the direct protocol, tau * V_in + (1 - tau) * V_env:
     [[x I, C], [C, x I]] with x = tau*mu + (1 - tau)*omega and
-    C = tau*sqrt(mu^2 - 1)*Z + (1 - tau)*diag(g, gp)."""
-    _require_mu(mu)
+    C = tau*sqrt(mu^2 - 1)*Z + (1 - tau)*diag(g, gp), Z = diag(1, -1)."""
+    require_variance("mu", mu)
     t1 = 1.0 - env.tau
     x = env.tau * mu + t1 * env.omega
     c = env.tau * math.sqrt(mu * mu - 1.0)
-    corr = np.diag([c + t1 * env.g, -c + t1 * env.gp])
-    return CovarianceMatrix(np.block([[x * _I2, corr], [corr, x * _I2]]))
+    return _qp_cm((x, x), (x, x), (c + t1 * env.g, -c + t1 * env.gp))
 
 
 def one_mode_output_cm(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
     """Output when only mode B is transmitted, [[mu I, mu' sqrt(tau) Z],
     [mu' sqrt(tau) Z, x I]] with mu' = sqrt(mu^2 - 1) and x = tau*mu + (1 - tau)*omega."""
-    _require_mu(mu)
+    require_variance("mu", mu)
     x = env.tau * mu + (1.0 - env.tau) * env.omega
     c = math.sqrt(mu * mu - 1.0) * math.sqrt(env.tau)
-    return CovarianceMatrix(np.block([[mu * _I2, c * _Z], [c * _Z, x * _I2]]))
+    return _qp_cm((mu, mu), (x, x), (c, -c))
 
 
 def large_mu_eps_scale(tau, swap: bool = False):
@@ -100,7 +90,7 @@ def direct_spectrum_asymptotic(env: EnvironmentParams, mu: float) -> tuple[float
     nu_+- = sqrt((2*omega + gp - g +- |g + gp|) * (1 - tau) * tau * mu); their
     product equals 2*tau*mu times the asymptotic PTS eigenvalue.
     """
-    _require_mu(mu)
+    require_variance("mu", mu)
     base = (1.0 - env.tau) * env.tau * mu
     shift = abs(env.g + env.gp)
     mid = 2.0 * env.omega + env.gp - env.g
@@ -109,7 +99,7 @@ def direct_spectrum_asymptotic(env: EnvironmentParams, mu: float) -> tuple[float
 
 def coherent_info_asymptotic(eps: float) -> float:
     """ln(1/(e * eps)); positive exactly when eps < 1/e."""
-    if eps <= 0.0:
+    if not eps > 0.0:  # nan fails too
         raise DomainError(f"PTS eigenvalue must be positive, got {eps}")
     return -1.0 - math.log(eps)
 
@@ -124,10 +114,10 @@ def swap_noiseless_cm(mu: float) -> CovarianceMatrix:
     (1/2mu) * [[(mu^2+1) I, (mu^2-1) Z], [(mu^2-1) Z, (mu^2+1) I]]; its PTS
     eigenvalue is 1/mu and both remote EPR variances equal 1/mu.
     """
-    _require_mu(mu)
+    require_variance("mu", mu)
     a = (mu * mu + 1.0) / (2.0 * mu)
     c = (mu * mu - 1.0) / (2.0 * mu)
-    return CovarianceMatrix(np.block([[a * _I2, c * _Z], [c * _Z, a * _I2]]))
+    return _qp_cm((a, a), (a, a), (c, -c))
 
 
 def bell_port_variances(mu: float, env: EnvironmentParams) -> tuple[float, float]:
@@ -150,14 +140,12 @@ def swap_conditional_cm(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
     Bell-port variances; q entries anticorrelate the remote modes, p entries
     correlate them.
     """
-    _require_mu(mu)
+    require_variance("mu", mu)
     var_q, var_p = bell_port_variances(mu, env)
-    k = np.zeros((4, 4))
-    k[0, 0] = k[2, 2] = 1.0 / var_q
-    k[0, 2] = k[2, 0] = -1.0 / var_q
-    k[1, 1] = k[3, 3] = 1.0 / var_p
-    k[1, 3] = k[3, 1] = 1.0 / var_p
-    return CovarianceMatrix(mu * np.eye(4) - ((mu * mu - 1.0) * env.tau / 2.0) * k)
+    s = (mu * mu - 1.0) * env.tau / 2.0
+    a = (mu - s * (1.0 / var_q), mu - s * (1.0 / var_p))
+    # 0.0 - x, as in mu*I - s*K: +0.0, not -0.0, at mu = 1
+    return _qp_cm(a, a, (s * (1.0 / var_q), 0.0 - s * (1.0 / var_p)))
 
 
 def swap_eps_asymptotic(env: EnvironmentParams) -> float:

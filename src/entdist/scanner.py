@@ -16,7 +16,8 @@ from enum import Enum
 import numpy as np
 
 from .environment import (EnvKind, bona_fide_conditions, eb_threshold, env_pts_radicand,
-                          is_separable, require_magnitude)
+                          is_separable, require_magnitude, require_transmissivity,
+                          require_variance)
 from .errors import DomainError
 from .protocols import large_mu_eps, large_mu_eps_scale
 
@@ -52,12 +53,9 @@ class ScanSpec:
     omega: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tau < 1.0:
-            raise DomainError(f"transmissivity must lie in (0, 1), got {self.tau}")
-        if self.omega is not None and self.omega < 1.0:
-            raise DomainError(f"thermal variance must be >= 1, got {self.omega}")
+        require_transmissivity(self.tau)
         if self.omega is not None:
-            require_magnitude("omega", self.omega)
+            require_variance("omega", self.omega)
         if self.resolution < 2:
             raise DomainError(f"resolution must be >= 2, got {self.resolution}")
         w = self.omega_value

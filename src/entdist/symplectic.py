@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .environment import require_bona_fide
+from .environment import require_bona_fide, require_variance
 from .errors import DomainError
 
 SYMMETRY_RTOL = 1e-12
@@ -23,19 +23,16 @@ PHYSICAL_NU_TOL = 1e-9     # nu >= 1 - tol counts as physical
 NU_ONE_TOL = 1e-12         # nu <= 1 + tol is treated as exactly 1 in entropies
 ENTROPY_NU_ONE_TOL = 1e-11  # nu = 1 window per unit of matrix magnitude
 
-_I2 = np.eye(2)
-_Z = np.diag([1.0, -1.0])  # reflection matrix flipping the p quadrature
-
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
     """Real symmetric 2n x 2n matrix of quadrature second moments.
 
-    The matrix is symmetrized and frozen on construction; asymmetry beyond
-    1e-12 (relative to the largest entry) is rejected. Positive-definiteness
-    and the uncertainty principle are checked by the operations that rely on
-    them, not here, so partially transposed and other intermediate matrices
-    can be represented too.
+    The matrix is symmetrized and frozen on construction; non-finite entries
+    and asymmetry beyond 1e-12 (relative to the largest entry) are rejected.
+    Positive-definiteness and the uncertainty principle are checked by the
+    operations that rely on them, not here, so partially transposed and other
+    intermediate matrices can be represented too.
     """
 
     data: np.ndarray
@@ -44,8 +41,10 @@ class CovarianceMatrix:
         arr = np.array(self.data, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2 != 0:
             raise DomainError(f"covariance matrix must be square with even size, got {arr.shape}")
-        scale = max(float(np.abs(arr).max()), 1.0)
-        if float(np.abs(arr - arr.T).max()) > SYMMETRY_RTOL * scale:
+        peak = float(np.abs(arr).max())
+        if not peak < math.inf:  # nan fails too
+            raise DomainError("covariance matrix entries must be finite")
+        if float(np.abs(arr - arr.T).max()) > SYMMETRY_RTOL * max(peak, 1.0):
             raise DomainError("covariance matrix is not symmetric")
         arr = (arr + arr.T) / 2.0
         arr.flags.writeable = False
@@ -85,16 +84,25 @@ class EntanglementReport:
     symplectic_spectrum: tuple[float, ...]
 
 
+def _qp_cm(a, b, c) -> CovarianceMatrix:
+    """Two-mode CM with no q-p correlations, [[diag(a), diag(c)], [diag(c), diag(b)]],
+    from the (q, p) pairs a and b of the two modes and c between them."""
+    (a_q, a_p), (b_q, b_p), (c_q, c_p) = a, b, c
+    return CovarianceMatrix(np.array([[a_q, 0.0, c_q, 0.0],
+                                      [0.0, a_p, 0.0, c_p],
+                                      [c_q, 0.0, b_q, 0.0],
+                                      [0.0, c_p, 0.0, b_p]]))
+
+
 def make_epr_cm(mu: float) -> CovarianceMatrix:
     """CM of a two-mode squeezed vacuum with quadrature variance mu >= 1.
 
-    Diagonal blocks mu*I, off-diagonal blocks sqrt(mu^2 - 1)*Z; pure for
-    every mu, maximally correlated as mu grows.
+    Diagonal blocks mu*I, off-diagonal blocks sqrt(mu^2 - 1)*Z with
+    Z = diag(1, -1); pure for every mu, maximally correlated as mu grows.
     """
-    if mu < 1.0:
-        raise DomainError(f"EPR variance must be >= 1, got {mu}")
+    require_variance("mu", mu)
     c = math.sqrt(mu * mu - 1.0)
-    return CovarianceMatrix(np.block([[mu * _I2, c * _Z], [c * _Z, mu * _I2]]))
+    return _qp_cm((mu, mu), (mu, mu), (c, -c))
 
 
 def make_env_cm(omega: float, g: float, gp: float) -> CovarianceMatrix:
@@ -102,8 +110,7 @@ def make_env_cm(omega: float, g: float, gp: float) -> CovarianceMatrix:
     with G = diag(g, gp). Raises DomainError naming the violated bona-fide
     condition for unphysical parameters."""
     require_bona_fide(omega, g, gp)
-    corr = np.diag([g, gp])
-    return CovarianceMatrix(np.block([[omega * _I2, corr], [corr, omega * _I2]]))
+    return _qp_cm((omega, omega), (omega, omega), (g, gp))
 
 
 def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
@@ -148,7 +155,7 @@ def h(nu: float, tol: float = PHYSICAL_NU_TOL, one_tol: float = NU_ONE_TOL) -> f
     Values in [1 - tol, 1 + one_tol] count as the nu = 1 limit and give 0
     exactly; anything below 1 - tol is rejected as unphysical.
     """
-    if nu < 1.0 - tol:
+    if not nu >= 1.0 - tol:  # nan fails too
         raise DomainError(f"symplectic eigenvalue {nu} below 1: state is unphysical")
     if nu <= 1.0 + one_tol:
         return 0.0
@@ -197,7 +204,7 @@ def coherent_information(cm: CovarianceMatrix, keep: Iterable[int]) -> float:
 
 def log_negativity(pts_min: float) -> float:
     """max{0, -ln(pts_min)}: zero exactly when the PTS eigenvalue is >= 1."""
-    if pts_min <= 0.0:
+    if not pts_min > 0.0:  # nan fails too
         raise DomainError(f"PTS eigenvalue must be positive, got {pts_min}")
     return max(0.0, -math.log(pts_min))
 

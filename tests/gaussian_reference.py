@@ -25,7 +25,7 @@ from entdist import (
     partial_trace,
     symplectic_form,
 )
-from entdist.protocols import _require_mu
+from entdist.environment import require_variance
 
 SYMPLECTIC_ATOL = 1e-10
 PINV_CUTOFF = 1e-12
@@ -156,7 +156,7 @@ def _block_diag(*blocks: np.ndarray) -> np.ndarray:
 
 def direct_output_pipeline(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
     """Finite-mu route: EPR x environment, one beam splitter per arm, trace ancillas."""
-    _require_mu(mu)
+    require_variance("mu", mu)
     joint = CovarianceMatrix(_block_diag(
         make_epr_cm(mu).data,
         make_env_cm(env.omega, env.g, env.gp).data,
@@ -169,7 +169,7 @@ def direct_output_pipeline(mu: float, env: EnvironmentParams) -> CovarianceMatri
 
 def one_mode_output_pipeline(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
     """Keep mode A, send mode B through a single lossy arm (thermal ancilla only)."""
-    _require_mu(mu)
+    require_variance("mu", mu)
     joint = CovarianceMatrix(_block_diag(make_epr_cm(mu).data, env.omega * _I2))
     out = apply_symplectic(joint, beam_splitter(env.tau), (1, 2))
     return partial_trace(out, drop=(2,))
@@ -193,7 +193,7 @@ def _bell_measure(cm: CovarianceMatrix, modes: tuple[int, int]) -> CovarianceMat
 def swap_noiseless_pipeline(mu: float) -> CovarianceMatrix:
     """Oracle route for the noiseless swap: EPR x EPR, Bell measurement on the
     travelling modes (modes a=0, A=1, B=2, b=3)."""
-    _require_mu(mu)
+    require_variance("mu", mu)
     epr = make_epr_cm(mu).data
     joint = CovarianceMatrix(_block_diag(epr, epr))
     return _bell_measure(joint, (1, 2))
@@ -202,7 +202,7 @@ def swap_noiseless_pipeline(mu: float) -> CovarianceMatrix:
 def swap_conditional_pipeline(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
     """Oracle route: 6-mode state (a, A, B, b, E1, E2), lossy mixing of the
     travelling modes with the correlated ancillas, then the Bell measurement."""
-    _require_mu(mu)
+    require_variance("mu", mu)
     epr = make_epr_cm(mu).data
     joint = CovarianceMatrix(_block_diag(
         epr,                                          # a = 0, A = 1

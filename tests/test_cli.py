@@ -577,6 +577,129 @@ class TestPointAndConvergeGolden:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestArgvMatrix:
+    """Flag edits of one valid command line per command: range, magnitude,
+    non-finite, window, resolution, format and Forbidden cases.
+
+    Exit 0 and 3 pin the SHA-256 of stdout. Exit 2 prints nothing to stdout,
+    and stderr names the refused flag, or the ScanSpec field that it sets.
+    """
+
+    BASE = {
+        "point": {"--tau": "0.75", "--omega": "7", "--g": "4", "--gp": "-4", "--mu": "1e3"},
+        "converge": {"--protocol": "swap", "--tau": "0.75", "--omega": "7", "--g": "4",
+                     "--gp": "-4", "--mu": ("100", "1e4")},
+        "scan": {"--protocol": "direct", "--tau": "0.5", "--omega": "2", "--resolution": "5",
+                 "--g-min": "-1", "--g-max": "1", "--gp-min": "-1", "--gp-max": "1"},
+    }
+    AT_EB = {"--omega": None, "--at-eb": True}
+    NO_WINDOW = {"--g-min": None, "--g-max": None, "--gp-min": None, "--gp-max": None}
+    EMPTY = hashlib.sha256(b"").hexdigest()
+    # (command, flag edits: None drops a flag and True sets a bare one, exit code,
+    # stdout digest or, for exit 2, the name that stderr must print)
+    CASES = [
+        ("point", {}, EXIT_OK,
+         "cbfd4587460da476cfae867cce94180f3291dd68168064086d24c136dd6248e2"),
+        ("point", {"--tau": "0"}, EXIT_USAGE, "--tau"),
+        ("point", {"--tau": "1"}, EXIT_USAGE, "--tau"),
+        ("point", {"--tau": "1.5"}, EXIT_USAGE, "--tau"),
+        ("point", {"--tau": "nan"}, EXIT_USAGE, "--tau"),
+        ("point", {"--omega": "0.5"}, EXIT_USAGE, "--omega"),
+        ("point", {"--omega": "1e151"}, EXIT_USAGE, "--omega"),
+        ("point", {"--omega": "inf"}, EXIT_USAGE, "--omega"),
+        ("point", {"--g": "1e200"}, EXIT_USAGE, "--g"),
+        ("point", {"--gp": "-inf"}, EXIT_USAGE, "--gp"),
+        ("point", {"--g": "nan"}, EXIT_USAGE, "--g"),
+        ("point", {"--mu": "0.5"}, EXIT_USAGE, "--mu"),
+        ("point", {"--mu": "1e151"}, EXIT_USAGE, "--mu"),
+        ("point", {"--mu": "nan"}, EXIT_USAGE, "--mu"),
+        ("point", {"--mu": "x"}, EXIT_USAGE, "--mu"),
+        ("point", {"--format": "xml"}, EXIT_USAGE, "--format"),
+        ("point", {"--at-eb": True}, EXIT_USAGE, "--at-eb"),
+        ("point", {"--g": "8"}, EXIT_DOMAIN,
+         "9b4090b997d186a5a980acc69d8c2bcf7cdebde07c8fb5fe6bf704192c4af0b0"),
+        ("point", {"--format": "json"}, EXIT_OK,
+         "284a692fe711b800efc94fba1caefc4fb63c04a9afade3b9ed606228e1db5cba"),
+        ("point", AT_EB, EXIT_OK,
+         "cbfd4587460da476cfae867cce94180f3291dd68168064086d24c136dd6248e2"),
+        ("point", {"--omega": "1e150", "--g": "0", "--gp": "0", "--mu": None}, EXIT_OK,
+         "7520fe96638cb7ed5bd427d4027387802aa5bec16194990272b0a05c7a826ee3"),
+        ("converge", {}, EXIT_OK,
+         "86b65bc75c079cce792e9a10ca090ba8bbd4acdc246edbc42c8f362dfe2fb015"),
+        ("converge", {"--tau": "0"}, EXIT_USAGE, "--tau"),
+        ("converge", {"--tau": "-0.5"}, EXIT_USAGE, "--tau"),
+        ("converge", {"--tau": "inf"}, EXIT_USAGE, "--tau"),
+        ("converge", {"--omega": "0.99"}, EXIT_USAGE, "--omega"),
+        ("converge", {"--omega": "-1e151"}, EXIT_USAGE, "--omega"),
+        ("converge", {"--omega": "nan"}, EXIT_USAGE, "--omega"),
+        ("converge", {"--g": "-1e151"}, EXIT_USAGE, "--g"),
+        ("converge", {"--gp": "1e151"}, EXIT_USAGE, "--gp"),
+        ("converge", {"--gp": "inf"}, EXIT_USAGE, "--gp"),
+        ("converge", {"--mu": ("100", "0.5")}, EXIT_USAGE, "--mu"),
+        ("converge", {"--mu": ("100", "1e200")}, EXIT_USAGE, "--mu"),
+        ("converge", {"--mu": ("100", "inf")}, EXIT_USAGE, "--mu"),
+        ("converge", {"--mu": ("100", "nan")}, EXIT_USAGE, "--mu"),
+        ("converge", {"--protocol": "bogus"}, EXIT_USAGE, "--protocol"),
+        ("converge", {"--format": "yaml"}, EXIT_USAGE, "--format"),
+        ("converge", {"--g": None}, EXIT_USAGE, "--g"),
+        ("converge", {"--omega": "2", "--g": "1.9", "--gp": "1.9"}, EXIT_DOMAIN, EMPTY),
+        ("converge", {"--protocol": "direct"}, EXIT_OK,
+         "cc7b6e0f93023496303af9e4e5618bd9f18a6e0aa5fbe8a21223cb816ee24ca8"),
+        ("converge", {"--format": "json"}, EXIT_OK,
+         "0733f2eeb7d5574522459e1b681eac7b78411c8e7a0b41ba3b66c6d747d6dd52"),
+        ("converge", AT_EB, EXIT_OK,
+         "86b65bc75c079cce792e9a10ca090ba8bbd4acdc246edbc42c8f362dfe2fb015"),
+        ("scan", {}, EXIT_OK,
+         "2a06b7b84cc45a7f6ece1ef17e742a6a9f428980d47a86cd0065a27f7a1e1b1e"),
+        ("scan", {"--tau": "1"}, EXIT_USAGE, "--tau"),
+        ("scan", {"--tau": "0"}, EXIT_USAGE, "--tau"),
+        ("scan", {"--tau": "nan"}, EXIT_USAGE, "--tau"),
+        ("scan", {"--omega": "0.5"}, EXIT_USAGE, "--omega"),
+        ("scan", {"--omega": "1e151"}, EXIT_USAGE, "--omega"),
+        ("scan", {"--omega": "-inf"}, EXIT_USAGE, "--omega"),
+        ("scan", {"--g-min": "-1e200"}, EXIT_USAGE, "--g-min"),
+        ("scan", {"--g-max": "inf"}, EXIT_USAGE, "--g-max"),
+        ("scan", {"--gp-max": "nan"}, EXIT_USAGE, "--gp-max"),
+        ("scan", {"--gp-min": "-inf"}, EXIT_USAGE, "--gp-min"),
+        ("scan", {"--g-min": "1"}, EXIT_USAGE, "g_range"),
+        ("scan", {"--gp-min": "2"}, EXIT_USAGE, "gp_range"),
+        ("scan", {"--g-max": None}, EXIT_USAGE, "--g-max"),
+        ("scan", {"--resolution": "1"}, EXIT_USAGE, "resolution"),
+        ("scan", {"--resolution": "0"}, EXIT_USAGE, "resolution"),
+        ("scan", {"--resolution": "2.5"}, EXIT_USAGE, "--resolution"),
+        ("scan", {"--format": "xml"}, EXIT_USAGE, "--format"),
+        ("scan", {"--protocol": "environment", "--format": "json"}, EXIT_OK,
+         "3e520d57c6b4d80a05f805ae5a764d6cd1bcb46a94d9ea34469eaa738b75c87c"),
+        ("scan", {**AT_EB, **NO_WINDOW, "--protocol": "swap"}, EXIT_OK,
+         "6aea6c10e362580cc0f003b7f522d46a037638e462af6eead76f7aa5691ed0ae"),
+        ("scan", {**NO_WINDOW, "--omega": "1e150", "--resolution": "3"}, EXIT_OK,
+         "ff45fee08effeab212a4869c48eb28a834d64cecf514cdf1af431449e0d03538"),
+    ]
+
+    @classmethod
+    def argv(cls, command, edits):
+        argv = [command]
+        for flag, value in {**cls.BASE[command], **edits}.items():
+            if value is True:
+                argv.append(flag)
+            elif isinstance(value, tuple):
+                argv += [flag, *value]
+            elif value is not None:
+                argv.append(f"{flag}={value}")
+        return argv
+
+    @pytest.mark.parametrize("command, edits, exit_code, expected", CASES,
+                             ids=[f"{case[0]}-{case[1]}" for case in CASES])
+    def test_exit_code_and_output(self, capsys, command, edits, exit_code, expected):
+        code, out, err = run_cli(capsys, *self.argv(command, edits))
+        assert code == exit_code
+        if exit_code == EXIT_USAGE:
+            assert out == ""
+            assert expected in err
+        else:
+            assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 class TestFormatting:
     def test_nine_significant_digits(self, capsys):
         code, out, _ = run_cli(capsys, "point", "--tau", "0.3", "--at-eb",

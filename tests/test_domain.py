@@ -1,0 +1,83 @@
+"""Every public entry point refuses an out-of-domain number with DomainError.
+
+The domains are stated once, in ``entdist.environment`` (``require_transmissivity``,
+``require_variance``, ``require_magnitude``); these tests feed nan, +-inf and
+magnitudes above 1e150 into each raw-float entry point, where a number that
+slips past a check would come back as a wrong result (``inf``, ``nan``, a
+matrix of nans) or as an untyped numpy error.
+"""
+
+import math
+
+import pytest
+
+from entdist import (
+    DomainError,
+    EnvironmentParams,
+    Protocol,
+    ScanSpec,
+    bona_fide_check,
+    classify_environment,
+    coherent_info_asymptotic,
+    direct_output_cm,
+    direct_spectrum_asymptotic,
+    eb_threshold,
+    eb_threshold_nbar,
+    env_pts,
+    h,
+    log_negativity,
+    make_env_cm,
+    make_epr_cm,
+    one_mode_output_cm,
+    run_direct,
+    run_swap,
+    separable_activation_exists,
+    swap_conditional_cm,
+    swap_noiseless_cm,
+)
+from entdist.environment import require_bona_fide
+
+ENV = EnvironmentParams(0.5, 7.0, 4.0, -4.0)
+
+ENTRY_POINTS = {
+    "EnvironmentParams.tau": lambda x: EnvironmentParams(x, 7.0, 4.0, -4.0),
+    "EnvironmentParams.omega": lambda x: EnvironmentParams(0.5, x, 4.0, -4.0),
+    "EnvironmentParams.g": lambda x: EnvironmentParams(0.5, 7.0, x, -4.0),
+    "EnvironmentParams.gp": lambda x: EnvironmentParams(0.5, 7.0, 4.0, x),
+    "ScanSpec.tau": lambda x: ScanSpec(x, Protocol.DIRECT, 5),
+    "ScanSpec.omega": lambda x: ScanSpec(0.5, Protocol.DIRECT, 5, omega=x),
+    "ScanSpec.g_range": lambda x: ScanSpec(0.5, Protocol.DIRECT, 5, g_range=(-1.0, x)),
+    "ScanSpec.gp_range": lambda x: ScanSpec(0.5, Protocol.DIRECT, 5, gp_range=(-1.0, x)),
+    "eb_threshold": eb_threshold,
+    "eb_threshold_nbar": eb_threshold_nbar,
+    "bona_fide_check": lambda x: bona_fide_check(x, 0.0, 0.0),
+    "require_bona_fide": lambda x: require_bona_fide(x, 0.0, 0.0),
+    "classify_environment": lambda x: classify_environment(x, 0.0, 0.0),
+    "env_pts": lambda x: env_pts(x, 0.0, 0.0),
+    "make_env_cm": lambda x: make_env_cm(x, 0.0, 0.0),
+    "make_epr_cm": make_epr_cm,
+    "direct_output_cm": lambda x: direct_output_cm(x, ENV),
+    "one_mode_output_cm": lambda x: one_mode_output_cm(x, ENV),
+    "direct_spectrum_asymptotic": lambda x: direct_spectrum_asymptotic(ENV, x),
+    "swap_noiseless_cm": swap_noiseless_cm,
+    "swap_conditional_cm": lambda x: swap_conditional_cm(x, ENV),
+    "run_direct": lambda x: run_direct(x, ENV),
+    "run_swap": lambda x: run_swap(x, ENV),
+    "separable_activation_exists.tau": lambda x: separable_activation_exists(x, Protocol.SWAP),
+    "separable_activation_exists.omega":
+        lambda x: separable_activation_exists(0.75, Protocol.SWAP, omega=x),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e151, -1e151])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_point_refuses_out_of_domain_number(entry, value):
+    with pytest.raises(DomainError):
+        ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("evaluator", [log_negativity, h, coherent_info_asymptotic])
+def test_result_side_evaluator_refuses_nan(evaluator):
+    # log_negativity(nan) read 0.0; h and coherent_info_asymptotic passed nan on
+    with pytest.raises(DomainError):
+        evaluator(math.nan)

@@ -43,6 +43,14 @@ class TestCovarianceMatrix:
         with pytest.raises(DomainError):
             CovarianceMatrix(v)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # accepted before; symplectic_eigenvalues then raised numpy's LinAlgError
+        v = np.eye(4)
+        v[0, 2] = v[2, 0] = bad
+        with pytest.raises(DomainError, match="finite"):
+            CovarianceMatrix(v)
+
     def test_data_is_frozen(self):
         cm = make_epr_cm(2.0)
         with pytest.raises(ValueError):
