@@ -99,8 +99,8 @@ def direct_spectrum_asymptotic(env: EnvironmentParams, mu: float) -> tuple[float
 
 def coherent_info_asymptotic(eps: float) -> float:
     """ln(1/(e * eps)); positive exactly when eps < 1/e."""
-    if not eps > 0.0:  # nan fails too
-        raise DomainError(f"PTS eigenvalue must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:  # nan fails too
+        raise DomainError(f"PTS eigenvalue must be positive and finite, got {eps}")
     return -1.0 - math.log(eps)
 
 

@@ -56,8 +56,9 @@ class ScanSpec:
         require_transmissivity(self.tau)
         if self.omega is not None:
             require_variance("omega", self.omega)
-        if self.resolution < 2:
-            raise DomainError(f"resolution must be >= 2, got {self.resolution}")
+        # concrete types: isinstance against the numbers.Integral ABC is slow
+        if not (isinstance(self.resolution, (int, np.integer)) and self.resolution >= 2):
+            raise DomainError(f"resolution must be an integer >= 2, got {self.resolution!r}")
         w = self.omega_value
         for name, rng in (("g_range", self.g_range), ("gp_range", self.gp_range)):
             if rng is None:
@@ -212,33 +213,26 @@ class Contour:
 def boundary_curves(spec: ScanSpec, levels: tuple[float, ...] = (1.0, DISTILLABLE_EPS)) -> list[Contour]:
     """Iso-contours of the eps field over the bona-fide cells.
 
-    Marching squares on the cell-center grid provides the topology. Each
-    crossing is then solved exactly on its edge, where one coordinate is fixed
-    and eps = level has a closed-form solution in the other, so returned
-    vertices satisfy eps = level up to floating-point rounding. Squares
-    touching non-physical cells are skipped, which truncates contours at the
-    border of the physical region.
+    Marching squares on the cell-center grid gives segments between crossed
+    edges, and segments sharing an edge are joined into chains: open paths
+    first, then closed loops. Each crossing is then solved exactly on its
+    edge, where one coordinate is fixed and eps = level has a closed-form
+    solution in the other, so returned vertices satisfy eps = level up to
+    floating-point rounding. Squares touching non-physical cells are skipped,
+    which truncates contours at the border of the physical region.
     """
     xs = spec.g_centers().tolist()
     ys = spec.gp_centers().tolist()
     field = eps_field(spec)
     omega = spec.omega_value
-    env_only = spec.protocol is Protocol.ENVIRONMENT_ONLY
-    scale = 1.0 if env_only else large_mu_eps_scale(spec.tau, swap=spec.protocol is Protocol.SWAP)
+    scale = 1.0 if spec.protocol is Protocol.ENVIRONMENT_ONLY \
+        else large_mu_eps_scale(spec.tau, swap=spec.protocol is Protocol.SWAP)
 
     contours = []
     for level in levels:
         radicand = (level / scale) ** 2
-        point_of = {}
-
-        def edge_point(edge):
-            if edge not in point_of:
-                point_of[edge] = _edge_point(edge, xs, ys, field, level, omega, radicand,
-                                             env_only)
-            return point_of[edge]
-
         for chain, closed in _stitch_segments(_marching_squares_segments(field, level)):
-            pts = np.array([edge_point(e) for e in chain])
+            pts = np.array([_edge_point(e, xs, ys, field, level, omega, radicand) for e in chain])
             contours.append(Contour(level=level, points=pts, closed=closed))
     return contours
 
@@ -266,13 +260,12 @@ def _marching_squares_segments(field: np.ndarray, level: float):
             f00, f10 = field[i, j], field[i + 1, j]
             f01, f11 = field[i, j + 1], field[i + 1, j + 1]
             center_inside = (f00 + f10 + f01 + f11) / 4.0 < level
-            if code_ij == 5:  # inside corners on the main diagonal
-                pairs = [(south, east), (north, west)] if center_inside \
-                    else [(south, west), (north, east)]
-            else:  # code 10, inside corners on the anti-diagonal
-                pairs = [(south, west), (north, east)] if center_inside \
-                    else [(south, east), (north, west)]
-            segments.extend(pairs)
+            # code 5 has its inside corners on the main diagonal, 10 on the
+            # anti-diagonal; an inside center joins the inside corners
+            if (code_ij == 5) == center_inside:
+                segments.extend([(south, east), (north, west)])
+            else:
+                segments.extend([(south, west), (north, east)])
             continue
         b00, b10, b11, b01 = (bool(code_ij & bit) for bit in (1, 2, 4, 8))
         crossing = []
@@ -289,55 +282,46 @@ def _marching_squares_segments(field: np.ndarray, level: float):
 
 
 def _stitch_segments(segments):
-    """Join segments sharing an edge into ordered chains; every edge borders at
-    most two squares, so the adjacency degree never exceeds two."""
+    """Join segments sharing an edge into ordered chains.
+
+    Every edge borders at most two squares, so each component of the edge
+    graph is a path or a loop and is walked once, leaving each edge for its
+    first unvisited neighbor. Paths come first, each from its smaller end;
+    the loops left follow, each from its smallest edge, which it repeats at
+    the end. Starts are taken in sorted order.
+    """
     adjacency = defaultdict(list)
     for a, b in segments:
         adjacency[a].append(b)
         adjacency[b].append(a)
-    used = set()
-
-    def walk(start):
-        path = [start]
-        current = start
-        while True:
-            step = None
-            for neighbor in adjacency[current]:
-                key = (min(current, neighbor), max(current, neighbor))
-                if key not in used:
-                    step = neighbor
-                    used.add(key)
-                    break
-            if step is None:
-                break
-            path.append(step)
-            current = step
-        return path
-
+    starts = sorted(adjacency)
+    visited = set()
     chains = []
-    for edge in sorted(adjacency):
-        if len(adjacency[edge]) == 1 and not all(
-            (min(edge, nb), max(edge, nb)) in used for nb in adjacency[edge]
-        ):
-            chains.append((walk(edge), False))
-    for edge in sorted(adjacency):
-        if any((min(edge, nb), max(edge, nb)) not in used for nb in adjacency[edge]):
-            path = walk(edge)
-            chains.append((path, path[0] == path[-1]))
+    for closed in (False, True):
+        for start in starts:
+            if start in visited or not (closed or len(adjacency[start]) == 1):
+                continue
+            chain = []
+            edge = start
+            while edge is not None:
+                chain.append(edge)
+                visited.add(edge)
+                edge = next((nb for nb in adjacency[edge] if nb not in visited), None)
+            chains.append((chain + [start] if closed else chain, closed))
     return chains
 
 
-def _edge_point(edge, xs, ys, field, level, omega, radicand, env_only):
+def _edge_point(edge, xs, ys, field, level, omega, radicand):
     """The point of ``edge`` at which eps = level, with ``radicand`` the squared
     level over the protocol's squared eps scale.
 
     Along an edge one coordinate is fixed, and the squared eps over the squared
     scale is (omega - fixed)(omega + free), which rises with the free
-    coordinate, or (omega + fixed)(omega - free), which falls. Direct and swap
-    give (omega - g)(omega + gp): it falls along g and rises along gp.
-    ENVIRONMENT_ONLY gives the smaller of the two, which rises, then falls, so
-    an edge crossed upward meets the rising factor. Either factor equals
-    ``radicand`` at one free coordinate, found without iteration.
+    coordinate, (omega + fixed)(omega - free), which falls, or the smaller of
+    the two, which rises, then falls. So an edge whose first corner lies below
+    the level is crossed where the rising factor equals ``radicand``, and any
+    other crossed edge where the falling one does, each at a free coordinate
+    found without iteration.
     """
     kind, i, j = edge
     if kind == "h":
@@ -351,8 +335,7 @@ def _edge_point(edge, xs, ys, field, level, omega, radicand, env_only):
     elif f1 == level:
         free = hi
     else:
-        rising = f0 < level if env_only else kind == "v"
-        if rising:
+        if f0 < level:
             free = radicand / (omega - fixed) - omega
         else:
             free = omega - radicand / (omega + fixed)

@@ -153,10 +153,11 @@ def h(nu: float, tol: float = PHYSICAL_NU_TOL, one_tol: float = NU_ONE_TOL) -> f
     """Entropy contribution of one symplectic eigenvalue, in nats.
 
     Values in [1 - tol, 1 + one_tol] count as the nu = 1 limit and give 0
-    exactly; anything below 1 - tol is rejected as unphysical.
+    exactly; anything below 1 - tol is rejected as unphysical, and so is a
+    non-finite value.
     """
-    if not nu >= 1.0 - tol:  # nan fails too
-        raise DomainError(f"symplectic eigenvalue {nu} below 1: state is unphysical")
+    if not 1.0 - tol <= nu < math.inf:  # nan fails too
+        raise DomainError(f"symplectic eigenvalue must be finite and >= 1, got {nu}")
     if nu <= 1.0 + one_tol:
         return 0.0
     up = (nu + 1.0) / 2.0

@@ -81,3 +81,10 @@ def test_result_side_evaluator_refuses_nan(evaluator):
     # log_negativity(nan) read 0.0; h and coherent_info_asymptotic passed nan on
     with pytest.raises(DomainError):
         evaluator(math.nan)
+
+
+@pytest.mark.parametrize("evaluator", [h, coherent_info_asymptotic])
+def test_result_side_evaluator_refuses_inf(evaluator):
+    # h(inf) read nan and coherent_info_asymptotic(inf) read -inf
+    with pytest.raises(DomainError, match="finite"):
+        evaluator(math.inf)

@@ -29,7 +29,7 @@ from entdist import (
 )
 from entdist.environment import EnvironmentParams, bona_fide_check, env_pts_radicand
 from entdist.protocols import large_mu_eps, large_mu_eps_scale
-from entdist.scanner import _stitch_segments
+from entdist.scanner import _marching_squares_segments, _stitch_segments
 
 from conftest import ACTIVATION_CODE, KIND_CODE
 
@@ -39,6 +39,11 @@ SEPARABLE = KIND_CODE[EnvKind.SEPARABLE]
 NONE = ACTIVATION_CODE[Activation.NONE]
 ENTANGLING = ACTIVATION_CODE[Activation.ENTANGLING]
 DISTILLABLE = ACTIVATION_CODE[Activation.DISTILLABLE]
+# env_pts peaks at omega at g = gp = 0, so levels just below omega give
+# closed loops around the origin: 181 and 133 vertices
+LOOP_SPEC = dict(tau=0.5, protocol=Protocol.ENVIRONMENT_ONLY, resolution=61, omega=5.0,
+                 g_range=(-4.0, 4.0), gp_range=(-4.0, 4.0))
+LOOP_LEVELS = (4.0, 4.5)
 
 
 class TestScanSpec:
@@ -56,6 +61,16 @@ class TestScanSpec:
     def test_rejects_bad_resolution(self):
         with pytest.raises(DomainError):
             ScanSpec(tau=0.5, protocol=Protocol.DIRECT, resolution=1)
+
+    @pytest.mark.parametrize("resolution", [2.5, 3.0, math.nan, math.inf])
+    def test_rejects_non_integer_resolution(self, resolution):
+        # 2.5 built a 3x3 grid spaced by (hi - lo)/2.5; nan failed later in numpy
+        with pytest.raises(DomainError, match="resolution"):
+            ScanSpec(tau=0.5, protocol=Protocol.DIRECT, resolution=resolution)
+
+    def test_accepts_numpy_integer_resolution(self):
+        spec = ScanSpec(tau=0.5, protocol=Protocol.DIRECT, resolution=np.int64(5))
+        assert len(spec.g_centers()) == 5
 
     def test_rejects_empty_range(self):
         with pytest.raises(DomainError):
@@ -378,20 +393,86 @@ class TestBoundaryCurves:
                 margin = omega * omega - g * gp - 1.0 - omega * abs(g - gp)
                 assert margin <= 1e-9
 
-    def test_polylines_are_connected(self):
-        spec = ScanSpec(tau=0.75, protocol=Protocol.DIRECT, resolution=101)
-        cell = 2.0 * spec.omega_value / spec.resolution
-        for curve in boundary_curves(spec):
+    @staticmethod
+    def _assert_connected(curves, cell):
+        for curve in curves:
             steps = np.linalg.norm(np.diff(curve.points, axis=0), axis=1)
             assert steps.max() <= 2.0 * cell
             if curve.closed:
                 np.testing.assert_array_equal(curve.points[0], curve.points[-1])
+
+    def test_polylines_are_connected(self):
+        spec = ScanSpec(tau=0.75, protocol=Protocol.DIRECT, resolution=101)
+        cell = 2.0 * spec.omega_value / spec.resolution
+        self._assert_connected(boundary_curves(spec), cell)
+
+    def test_closed_loops_are_connected(self):
+        spec = ScanSpec(**LOOP_SPEC)
+        cell = max(hi - lo for lo, hi in (spec.g_range, spec.gp_range)) / spec.resolution
+        curves = boundary_curves(spec, LOOP_LEVELS)
+        assert curves and all(c.closed for c in curves)
+        self._assert_connected(curves, cell)
 
     def test_empty_when_no_contour(self):
         # deep in the separable quiet zone every eps is far above both levels
         spec = ScanSpec(tau=0.5, protocol=Protocol.SWAP, resolution=51,
                         g_range=(-0.5, 0.5), gp_range=(-0.5, 0.5))
         assert boundary_curves(spec) == []
+
+
+SOUTH, EAST, NORTH, WEST = ("h", 0, 0), ("v", 1, 0), ("h", 0, 1), ("v", 0, 0)
+
+
+class TestStitchSegments:
+    """Chains built from hand-made segment lists, most with integer edge ids."""
+
+    @staticmethod
+    def _assert_each_segment_used_once(segments, chains):
+        links = [frozenset(pair) for chain, _ in chains for pair in zip(chain, chain[1:])]
+        assert sorted(links, key=sorted) == sorted(map(frozenset, segments), key=sorted)
+
+    def test_path_given_out_of_order_starts_at_its_smaller_end(self):
+        segments = [(7, 5), (9, 2), (5, 9)]
+        chains = _stitch_segments(segments)
+        assert chains == [([2, 9, 5, 7], False)]
+        self._assert_each_segment_used_once(segments, chains)
+
+    def test_loop_repeats_its_smallest_edge(self):
+        # the walk leaves the start toward its first-listed neighbor
+        segments = [(3, 2), (1, 3), (2, 4), (4, 1)]
+        chains = _stitch_segments(segments)
+        assert chains == [([1, 3, 2, 4, 1], True)]
+        self._assert_each_segment_used_once(segments, chains)
+
+    def test_paths_come_before_loops(self):
+        segments = [(0, 1), (1, 2), (2, 0), (10, 11), (11, 12)]
+        chains = _stitch_segments(segments)
+        assert chains == [([10, 11, 12], False), ([0, 1, 2, 0], True)]
+        self._assert_each_segment_used_once(segments, chains)
+
+    def test_two_paths_in_order_of_their_smaller_ends(self):
+        segments = [(8, 6), (3, 4), (6, 7), (4, 9)]
+        chains = _stitch_segments(segments)
+        assert chains == [([3, 4, 9], False), ([7, 6, 8], False)]
+        self._assert_each_segment_used_once(segments, chains)
+
+    def test_grid_edge_ids(self):
+        # four segments around one inside node: a closed loop over all four of its edges
+        segments = [(SOUTH, EAST), (EAST, NORTH), (NORTH, WEST), (WEST, SOUTH)]
+        assert _stitch_segments(segments) == [([SOUTH, EAST, NORTH, WEST, SOUTH], True)]
+
+
+# field[i_g, j_gp] of one square at level 1: code 5 has its below-level
+# corners on the main diagonal, code 10 on the anti-diagonal; a center below
+# the level joins those corners, and the segments cut off the other two
+@pytest.mark.parametrize("field, segments", [
+    ([[0.0, 1.5], [1.5, 0.0]], [(SOUTH, EAST), (NORTH, WEST)]),  # code 5, center inside
+    ([[0.9, 3.0], [3.0, 0.9]], [(SOUTH, WEST), (NORTH, EAST)]),  # code 5, center outside
+    ([[1.5, 0.0], [0.0, 1.5]], [(SOUTH, WEST), (NORTH, EAST)]),  # code 10, center inside
+    ([[3.0, 0.9], [0.9, 3.0]], [(SOUTH, EAST), (NORTH, WEST)]),  # code 10, center outside
+])
+def test_saddle_square_segments(field, segments):
+    assert _marching_squares_segments(np.array(field), 1.0) == segments
 
 
 def reference_boundary_curves(spec, levels):
@@ -496,6 +577,10 @@ class TestExactContours:
                         g_range=(-2.5, 1.0), gp_range=(-1.0, 2.9))
         assert self._assert_matches_reference(spec, (0.5, 1.0, 1.3))
 
+    def test_closed_loops(self):
+        curves = self._assert_matches_reference(ScanSpec(**LOOP_SPEC), LOOP_LEVELS)
+        assert [(c.closed, len(c.points)) for c in curves] == [(True, 181), (True, 133)]
+
     # SHA-256 over each contour's (level, closed) and vertex bytes, in order:
     # pins chain order, closed flags and every vertex bit, independently of
     # the stitching code that the reference above shares
@@ -510,6 +595,8 @@ class TestExactContours:
                              omega=3.0, g_range=(-2.5, 1.0), gp_range=(-1.0, 2.9)),
                         (0.5, 1.0, 1.3),
                         "88433b1b98d69a28f2d2951c3006d588240d358b203f2b6cf1d8d27b2900c8f7"),
+        "environment-loops": (LOOP_SPEC, LOOP_LEVELS,
+                              "9e08e78ab2d7fa74395d47bd8d8d1b054bc2be119612a8d1c73104a43f0188e1"),
     }
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
