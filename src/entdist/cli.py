@@ -38,14 +38,8 @@ from .environment import (
     require_variance,
 )
 from .errors import DomainError
-from .protocols import (
-    coherent_info_asymptotic,
-    direct_eps_asymptotic,
-    run_direct,
-    run_swap,
-    swap_eps_asymptotic,
-)
-from .scanner import DISTILLABLE_EPS, Activation, Protocol, ScanGrid, ScanSpec, scan
+from .protocols import Protocol, coherent_info_asymptotic, large_mu_eps, run_direct, run_swap
+from .scanner import DISTILLABLE_EPS, Activation, ScanGrid, ScanSpec, scan
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -61,6 +55,9 @@ _PROTOCOLS = {
     "swap": Protocol.SWAP,
     "environment": Protocol.ENVIRONMENT_ONLY,
 }
+
+# finite-mu runners of the distribution protocols, for `point` and `converge`
+_RUNNERS = {"direct": run_direct, "swap": run_swap}
 
 
 class UsageError(Exception):
@@ -146,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("converge", help="finite-mu convergence toward the asymptotic eps")
     add_common(p_conv, needs_point=True)
-    p_conv.add_argument("--protocol", choices=["direct", "swap"], required=True)
+    p_conv.add_argument("--protocol", choices=sorted(_RUNNERS), required=True)
     p_conv.add_argument("--mu", type=mu_type, nargs="+", default=list(DEFAULT_CONVERGE_MUS))
 
     return parser
@@ -203,32 +200,26 @@ def cmd_point(args) -> int:
         return EXIT_DOMAIN
 
     kind = EnvKind.SEPARABLE if is_separable(omega, args.g, args.gp) else EnvKind.ENTANGLED
-    direct_eps = direct_eps_asymptotic(env)
-    swap_eps = swap_eps_asymptotic(env)
-    report.update({
-        "env_class": kind.value,
-        "env_pts": math.sqrt(env_pts_radicand(omega, args.g, args.gp)),
-        "direct_eps": direct_eps,
-        "direct_coherent_info": coherent_info_asymptotic(direct_eps),
-        "direct_entangling": direct_eps < 1.0,
-        "direct_distillable": direct_eps < DISTILLABLE_EPS,
-        "swap_eps": swap_eps,
-        "swap_coherent_info": coherent_info_asymptotic(swap_eps),
-        "swap_entangling": swap_eps < 1.0,
-        "swap_distillable": swap_eps < DISTILLABLE_EPS,
-    })
-    if args.mu is not None:
-        direct = run_direct(args.mu, env)
-        swap = run_swap(args.mu, env)
+    report["env_class"] = kind.value
+    report["env_pts"] = math.sqrt(env_pts_radicand(omega, args.g, args.gp))
+    finite = {} if args.mu is None else {"mu": args.mu}  # keys after every large-mu key
+    for name, runner in _RUNNERS.items():
+        eps = float(large_mu_eps(env.tau, env.omega, env.g, env.gp, _PROTOCOLS[name]))
         report.update({
-            "mu": args.mu,
-            "direct_eps_finite": direct.report.pts_min,
-            "direct_eps_rel_error": abs(direct.report.pts_min - direct_eps) / direct_eps,
-            "direct_coherent_info_finite": direct.report.coherent_info,
-            "swap_eps_finite": swap.report.pts_min,
-            "swap_eps_rel_error": abs(swap.report.pts_min - swap_eps) / swap_eps,
-            "swap_coherent_info_finite": swap.report.coherent_info,
+            f"{name}_eps": eps,
+            f"{name}_coherent_info": coherent_info_asymptotic(eps),
+            f"{name}_entangling": eps < 1.0,
+            f"{name}_distillable": eps < DISTILLABLE_EPS,
         })
+        if args.mu is not None:
+            result = runner(args.mu, env)
+            eps_finite, eps_inf = result.report.pts_min, result.asymptotic_eps
+            finite.update({
+                f"{name}_eps_finite": eps_finite,
+                f"{name}_eps_rel_error": abs(eps_finite - eps_inf) / eps_inf,
+                f"{name}_coherent_info_finite": result.report.coherent_info,
+            })
+    report.update(finite)
     _write_output([_render_point(report, args.format)], _resolve_output(args))
     return EXIT_OK
 
@@ -265,9 +256,11 @@ def cmd_scan(args) -> int:
             gp_range=None if args.gp_min is None else (args.gp_min, args.gp_max),
             omega=args.omega,
         )
+        grid = scan(spec)
     except DomainError as exc:  # the resolution or an empty window; the flags check the rest
         raise UsageError(str(exc)) from None
-    grid = scan(spec)
+    except MemoryError:  # numpy could not allocate the grid
+        raise UsageError(f"resolution {args.resolution} is too large to fit in memory") from None
     render = _render_scan_json if args.format == "json" else _render_scan_csv
     _write_output(render(grid), _resolve_output(args))
     return EXIT_OK
@@ -381,7 +374,7 @@ def cmd_converge(args) -> int:
     omega = eb_threshold(args.tau) if args.at_eb else args.omega
 
     env = EnvironmentParams(args.tau, omega, args.g, args.gp)  # may raise DomainError
-    runner = run_direct if args.protocol == "direct" else run_swap
+    runner = _RUNNERS[args.protocol]
     rows = []
     for mu in args.mu:
         result = runner(mu, env)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -21,14 +22,20 @@ from .errors import DomainError
 from .symplectic import CovarianceMatrix, EntanglementReport, _qp_cm, entanglement_report
 
 
+class Protocol(Enum):
+    DIRECT = "Direct"
+    SWAP = "Swap"
+    ENVIRONMENT_ONLY = "EnvironmentOnly"
+
+
 @dataclass(frozen=True)
 class ProtocolResult:
     """Finite-mu output state and report, with large-mu reference values attached."""
 
     output_cm: CovarianceMatrix
     report: EntanglementReport
-    asymptotic_eps: float | None = None
-    asymptotic_coherent_info: float | None = None
+    asymptotic_eps: float
+    asymptotic_coherent_info: float
 
 
 @dataclass(frozen=True)
@@ -68,20 +75,23 @@ def one_mode_output_cm(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
     return _qp_cm((mu, mu), (x, x), (c, -c))
 
 
-def large_mu_eps_scale(tau, swap: bool = False):
-    """The factor 1 - tau of :func:`large_mu_eps`, (1 - tau)/tau for the swapped state."""
-    return (1.0 - tau) / tau if swap else 1.0 - tau
+def large_mu_eps_scale(tau, protocol: Protocol):
+    """The factor of :func:`large_mu_eps`: 1 - tau for DIRECT, (1 - tau)/tau for SWAP;
+    DomainError for any other value, ENVIRONMENT_ONLY included."""
+    if protocol is not Protocol.DIRECT and protocol is not Protocol.SWAP:
+        raise DomainError(f"large-mu eps needs the DIRECT or SWAP protocol, got {protocol!r}")
+    return (1.0 - tau) / tau if protocol is Protocol.SWAP else 1.0 - tau
 
 
-def large_mu_eps(tau, omega, g, gp, swap: bool = False):
+def large_mu_eps(tau, omega, g, gp, protocol: Protocol):
     """Large-mu PTS eigenvalue (1 - tau) * sqrt((omega - g) * (omega + gp)) of the
     direct output, divided by tau for the swapped state; unvalidated, elementwise."""
-    return large_mu_eps_scale(tau, swap) * np.sqrt((omega - g) * (omega + gp))
+    return large_mu_eps_scale(tau, protocol) * np.sqrt((omega - g) * (omega + gp))
 
 
 def direct_eps_asymptotic(env: EnvironmentParams) -> float:
     """Large-mu PTS eigenvalue of the direct output, :func:`large_mu_eps`."""
-    return float(large_mu_eps(env.tau, env.omega, env.g, env.gp))
+    return float(large_mu_eps(env.tau, env.omega, env.g, env.gp, Protocol.DIRECT))
 
 
 def direct_spectrum_asymptotic(env: EnvironmentParams, mu: float) -> tuple[float, float]:
@@ -149,13 +159,13 @@ def swap_conditional_cm(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
 
 
 def swap_eps_asymptotic(env: EnvironmentParams) -> float:
-    """Large-mu PTS eigenvalue of the swapped state, :func:`large_mu_eps` with ``swap``."""
-    return float(large_mu_eps(env.tau, env.omega, env.g, env.gp, swap=True))
+    """Large-mu PTS eigenvalue of the swapped state, :func:`large_mu_eps`."""
+    return float(large_mu_eps(env.tau, env.omega, env.g, env.gp, Protocol.SWAP))
 
 
 def swap_epr_variances_asymptotic(env: EnvironmentParams) -> EprVariances:
     """Large-mu remote EPR variances ((1 - tau)/tau) * (omega - g, omega + gp)."""
-    f = (1.0 - env.tau) / env.tau
+    f = large_mu_eps_scale(env.tau, Protocol.SWAP)
     return EprVariances(f * (env.omega - env.g), f * (env.omega + env.gp))
 
 

@@ -19,15 +19,9 @@ from .environment import (EnvKind, bona_fide_conditions, eb_threshold, env_pts_r
                           is_separable, require_magnitude, require_transmissivity,
                           require_variance)
 from .errors import DomainError
-from .protocols import large_mu_eps, large_mu_eps_scale
+from .protocols import Protocol, large_mu_eps, large_mu_eps_scale
 
 DISTILLABLE_EPS = math.exp(-1.0)
-
-
-class Protocol(Enum):
-    DIRECT = "Direct"
-    SWAP = "Swap"
-    ENVIRONMENT_ONLY = "EnvironmentOnly"
 
 
 class Activation(Enum):
@@ -54,6 +48,8 @@ class ScanSpec:
 
     def __post_init__(self) -> None:
         require_transmissivity(self.tau)
+        if not isinstance(self.protocol, Protocol):
+            raise DomainError(f"protocol must be a Protocol member, got {self.protocol!r}")
         if self.omega is not None:
             require_variance("omega", self.omega)
         # concrete types: isinstance against the numbers.Integral ABC is slow
@@ -137,8 +133,7 @@ def _field_block(spec: ScanSpec):
         if spec.protocol is Protocol.ENVIRONMENT_ONLY:
             eps = env
         else:
-            eps = np.where(bona, large_mu_eps(spec.tau, w, g, gp,
-                                              swap=spec.protocol is Protocol.SWAP), np.nan)
+            eps = np.where(bona, large_mu_eps(spec.tau, w, g, gp, spec.protocol), np.nan)
     # environment.is_separable, on the radicand computed once here
     return bona, radicand >= 1.0, env, eps
 
@@ -179,20 +174,19 @@ def separable_activation_exists(
     1/scale), or 1 if rounding pushes that out; DomainError where float64 holds neither, and
     for the direct protocol where 1 - tau rounds to 1 (tau <= 2**-54), though such a tau activates.
     """
-    if protocol is Protocol.ENVIRONMENT_ONLY:
-        raise DomainError("activation search needs a distribution protocol")
-    w = ScanSpec(tau, protocol, resolution=2, omega=omega).omega_value  # checks tau, omega
-    swap = protocol is Protocol.SWAP
-    scale = large_mu_eps_scale(tau, swap)
+    require_transmissivity(tau)
+    scale = large_mu_eps_scale(tau, protocol)  # refuses all but DIRECT and SWAP
+    w = eb_threshold(tau) if omega is None else omega
+    require_variance("omega", w)
     if scale >= 1.0:
-        if not swap:
+        if protocol is Protocol.DIRECT:
             raise DomainError(f"1 - tau rounds to 1 in float64 at tau={tau}, so the activating "
                               "direct channel has no float64 witness")
         return False, None
     for d in ((1.0 + min(w, 1.0 / scale)) / 2.0, 1.0):
         g = float(w - d)
         if all(bona_fide_conditions(w, g, -g)) and is_separable(w, g, -g) \
-                and large_mu_eps(tau, w, g, -g, swap=swap) < 1.0:
+                and large_mu_eps(tau, w, g, -g, protocol) < 1.0:
             return True, (g, -g)
     raise DomainError(f"float64 has no separable activating point at omega={w}, tau={tau}")
 
@@ -226,7 +220,7 @@ def boundary_curves(spec: ScanSpec, levels: tuple[float, ...] = (1.0, DISTILLABL
     field = eps_field(spec)
     omega = spec.omega_value
     scale = 1.0 if spec.protocol is Protocol.ENVIRONMENT_ONLY \
-        else large_mu_eps_scale(spec.tau, swap=spec.protocol is Protocol.SWAP)
+        else large_mu_eps_scale(spec.tau, spec.protocol)
 
     contours = []
     for level in levels:

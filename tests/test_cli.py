@@ -215,6 +215,21 @@ class TestScanCommand:
                              "--protocol", "direct", "--resolution", "1")
         assert code == EXIT_USAGE
 
+    def test_resolution_too_large_for_memory_is_usage_error(self, capsys, tmp_path,
+                                                             monkeypatch):
+        # numpy raised _ArrayMemoryError ("Unable to allocate 71.1 PiB") at 1e8,
+        # a traceback and exit 1; the stub raises it without allocating the grid
+        def scan_out_of_memory(spec):
+            raise MemoryError
+        monkeypatch.setattr("entdist.cli.scan", scan_out_of_memory)
+        target = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, "scan", "--tau", "0.5", "--at-eb", "--protocol",
+                                 "direct", "--resolution", "100000000", "-o", str(target))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "resolution 100000000" in err and "Traceback" not in err
+        assert not target.exists()
+
     def test_partial_range_flags(self, capsys):
         code, _, _ = run_cli(capsys, "scan", "--tau", "0.5", "--at-eb",
                              "--protocol", "direct", "--g-min", "-1")

@@ -1,10 +1,12 @@
-"""Every public entry point refuses an out-of-domain number with DomainError.
+"""Every public entry point refuses an out-of-domain input with DomainError.
 
 The domains are stated once, in ``entdist.environment`` (``require_transmissivity``,
 ``require_variance``, ``require_magnitude``); these tests feed nan, +-inf and
 magnitudes above 1e150 into each raw-float entry point, where a number that
 slips past a check would come back as a wrong result (``inf``, ``nan``, a
-matrix of nans) or as an untyped numpy error.
+matrix of nans) or as an untyped numpy error. A protocol argument is checked
+against the ``Protocol`` type itself; a string or ``None`` in its place once
+read as the direct protocol.
 """
 
 import math
@@ -36,6 +38,7 @@ from entdist import (
     swap_noiseless_cm,
 )
 from entdist.environment import require_bona_fide
+from entdist.protocols import large_mu_eps, large_mu_eps_scale
 
 ENV = EnvironmentParams(0.5, 7.0, 4.0, -4.0)
 
@@ -88,3 +91,25 @@ def test_result_side_evaluator_refuses_inf(evaluator):
     # h(inf) read nan and coherent_info_asymptotic(inf) read -inf
     with pytest.raises(DomainError, match="finite"):
         evaluator(math.inf)
+
+
+PROTOCOL_ENTRY_POINTS = {
+    "ScanSpec": lambda p: ScanSpec(0.4, p, 3),
+    "separable_activation_exists": lambda p: separable_activation_exists(0.4, p),
+    "large_mu_eps_scale": lambda p: large_mu_eps_scale(0.4, p),
+    "large_mu_eps": lambda p: large_mu_eps(0.4, 7.0, 4.0, -4.0, p),
+}
+
+
+@pytest.mark.parametrize("value", ["swap", "Swap", None])
+@pytest.mark.parametrize("entry", sorted(PROTOCOL_ENTRY_POINTS))
+def test_entry_point_refuses_a_value_that_is_not_a_protocol(entry, value):
+    with pytest.raises(DomainError, match="protocol"):
+        PROTOCOL_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("entry", ["large_mu_eps_scale", "large_mu_eps"])
+def test_large_mu_formula_refuses_environment_only(entry):
+    # the environment has no large-mu eps scale; ScanSpec accepts it for its env_pts map
+    with pytest.raises(DomainError, match="DIRECT or SWAP"):
+        PROTOCOL_ENTRY_POINTS[entry](Protocol.ENVIRONMENT_ONLY)

@@ -268,7 +268,7 @@ def assert_activating_witness(tau, protocol, omega, witness):
     conditions, evaluated exactly in rational arithmetic."""
     g, gp = witness
     assert bona_fide_check(omega, g, gp) and is_separable(omega, g, gp)
-    assert large_mu_eps(tau, omega, g, gp, swap=protocol is Protocol.SWAP) < 1.0
+    assert large_mu_eps(tau, omega, g, gp, protocol) < 1.0
     w, g, gp = Fraction(omega), Fraction(g), Fraction(gp)
     assert abs(g) < w and abs(gp) < w
     assert w * w + g * gp - 1 >= w * abs(g + gp)
@@ -292,7 +292,7 @@ class TestClosedFormActivation:
             grid_found, _ = reference_activation_search(tau, protocol, omega=omega)
             w = eb_threshold(tau) if omega is None else omega
             assert found or not grid_found, tau
-            side = min(w, 1.0 / large_mu_eps_scale(tau, protocol is Protocol.SWAP)) - 1.0
+            side = min(w, 1.0 / large_mu_eps_scale(tau, protocol)) - 1.0
             if side > 2.0 * w / 1001:
                 assert found == grid_found, tau
             if found:
@@ -331,7 +331,7 @@ class TestClosedFormActivation:
            protocol=st.sampled_from([Protocol.DIRECT, Protocol.SWAP]))
     def test_verdict_is_the_theorem(self, tau, log_omega, protocol):
         omega = 10.0 ** log_omega
-        scale = large_mu_eps_scale(tau, protocol is Protocol.SWAP)
+        scale = large_mu_eps_scale(tau, protocol)
         if protocol is Protocol.DIRECT and scale == 1.0:
             # every tau activates the direct channel, but where 1 - tau rounds
             # to 1 float64 cannot show it, and the verdict is refused
@@ -486,7 +486,7 @@ def reference_boundary_curves(spec, levels):
     def scalar_eps(g, gp):
         if spec.protocol is Protocol.ENVIRONMENT_ONLY:
             return math.sqrt(env_pts_radicand(w, g, gp))
-        return float(large_mu_eps(spec.tau, w, g, gp, swap=spec.protocol is Protocol.SWAP))
+        return float(large_mu_eps(spec.tau, w, g, gp, spec.protocol))
 
     def segments(level):
         out = []

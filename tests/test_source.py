@@ -4,6 +4,8 @@ import ast
 from pathlib import Path
 
 import entdist
+import entdist.protocols
+import entdist.scanner
 
 
 def test_package_has_no_assert_statements():
@@ -49,3 +51,27 @@ def test_package_neither_defines_nor_imports_the_references():
             found.extend(f"{path.name}:{name}" for name in names
                          if name in moved or name.endswith("_pipeline"))
     assert not found, f"reference-only names in the package: {', '.join(found)}"
+
+
+def test_protocol_is_one_enum_and_no_function_takes_a_swap_flag():
+    # a ``swap`` flag beside the enum let a value that is not Protocol.SWAP read
+    # as direct; every protocol choice is a Protocol member, defined once
+    defining = []
+    flags = []
+    for path in sorted(Path(entdist.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "Protocol":
+                defining.append(path.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs + \
+                    [a for a in (args.vararg, args.kwarg) if a is not None]
+                flags.extend(f"{path.name}:{node.lineno}" for a in params if a.arg == "swap")
+    assert defining == ["protocols.py"]
+    assert not flags, f"swap parameters in the package: {', '.join(flags)}"
+
+
+def test_protocol_resolves_to_one_object():
+    # perfbench imports it from entdist.scanner
+    assert entdist.scanner.Protocol is entdist.protocols.Protocol is entdist.Protocol
