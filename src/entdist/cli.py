@@ -9,10 +9,11 @@ fixed at 9 significant digits so files are byte-identical across runs and
 platforms.
 
 Output is produced as a sequence of text blocks that ``_write_output`` writes
-as they come. A scan yields one block per g row, built by one ``%`` operation
-on the row's cell fragments, which are formatted once per scan for every gp
-column and cell class; memory does not grow with the size of the output, and
-the output file is opened only once the scan has been computed.
+as they come. ``_render_table`` renders the ``point`` and ``converge`` tables,
+CSV or JSON, as one block. A scan streams one block per g row, built by one
+``%`` operation on the row's cell fragments, which are formatted once per scan
+for every gp column and cell class; memory does not grow with the size of the
+output, and the output file is opened only once the scan has been computed.
 """
 
 from __future__ import annotations
@@ -71,8 +72,6 @@ def fmt(x: float) -> str:
 
 def _json_ready(value):
     """Round floats to the 9-digit output contract before serialization."""
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
     if isinstance(value, float):
         return float(fmt(value))
     if isinstance(value, dict):
@@ -161,17 +160,33 @@ def _write_output(blocks, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.writelines(blocks)
         return
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(blocks)
-    except OSError as exc:
-        raise IOError(str(exc)) from exc
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(blocks)
 
 
-def _rows_to_csv(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+def _csv_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return fmt(value)
+    return str(value)
+
+
+def _render_table(table, fmt_kind: str) -> str:
+    """JSON or CSV text of the `point` report (a dict, written in CSV as
+    ``key,value`` rows) or of the `converge` rows (a list of dicts)."""
+    if fmt_kind == "json":
+        return json.dumps(_json_ready(table), indent=2) + "\n"
+    if isinstance(table, dict):
+        table = [{"key": key, "value": value} for key, value in table.items()]
+    lines = [",".join(table[0])]  # the header: the keys of a row
+    lines.extend(",".join(map(_csv_value, row.values())) for row in table)
     return "\n".join(lines) + "\n"
+
+
+def _rel_error(result) -> float:
+    """Relative distance of a finite-mu eps from its large-mu value."""
+    return abs(result.report.pts_min - result.asymptotic_eps) / result.asymptotic_eps
 
 
 # ---------------------------------------------------------------------------
@@ -196,46 +211,31 @@ def cmd_point(args) -> int:
         check = bona_fide_check(omega, args.g, args.gp)
         report["env_class"] = EnvKind.FORBIDDEN.value
         report["bona_fide_failures"] = "; ".join(check.failures)
-        _write_output([_render_point(report, args.format)], _resolve_output(args))
-        return EXIT_DOMAIN
-
-    kind = EnvKind.SEPARABLE if is_separable(omega, args.g, args.gp) else EnvKind.ENTANGLED
-    report["env_class"] = kind.value
-    report["env_pts"] = math.sqrt(env_pts_radicand(omega, args.g, args.gp))
-    finite = {} if args.mu is None else {"mu": args.mu}  # keys after every large-mu key
-    for name, runner in _RUNNERS.items():
-        eps = float(large_mu_eps(env.tau, env.omega, env.g, env.gp, _PROTOCOLS[name]))
-        report.update({
-            f"{name}_eps": eps,
-            f"{name}_coherent_info": coherent_info_asymptotic(eps),
-            f"{name}_entangling": eps < 1.0,
-            f"{name}_distillable": eps < DISTILLABLE_EPS,
-        })
-        if args.mu is not None:
-            result = runner(args.mu, env)
-            eps_finite, eps_inf = result.report.pts_min, result.asymptotic_eps
-            finite.update({
-                f"{name}_eps_finite": eps_finite,
-                f"{name}_eps_rel_error": abs(eps_finite - eps_inf) / eps_inf,
-                f"{name}_coherent_info_finite": result.report.coherent_info,
+        code = EXIT_DOMAIN
+    else:
+        kind = EnvKind.SEPARABLE if is_separable(omega, args.g, args.gp) else EnvKind.ENTANGLED
+        report["env_class"] = kind.value
+        report["env_pts"] = math.sqrt(env_pts_radicand(omega, args.g, args.gp))
+        finite = {} if args.mu is None else {"mu": args.mu}  # keys after every large-mu key
+        for name, runner in _RUNNERS.items():
+            eps = float(large_mu_eps(env.tau, env.omega, env.g, env.gp, _PROTOCOLS[name]))
+            report.update({
+                f"{name}_eps": eps,
+                f"{name}_coherent_info": coherent_info_asymptotic(eps),
+                f"{name}_entangling": eps < 1.0,
+                f"{name}_distillable": eps < DISTILLABLE_EPS,
             })
-    report.update(finite)
-    _write_output([_render_point(report, args.format)], _resolve_output(args))
-    return EXIT_OK
-
-
-def _render_point(report: dict, fmt_kind: str) -> str:
-    if fmt_kind == "json":
-        return json.dumps(_json_ready(report), indent=2) + "\n"
-    rows = []
-    for key, value in report.items():
-        if isinstance(value, bool):
-            rows.append([key, "true" if value else "false"])
-        elif isinstance(value, float):
-            rows.append([key, fmt(value)])
-        else:
-            rows.append([key, str(value)])
-    return _rows_to_csv(["key", "value"], rows)
+            if args.mu is not None:
+                result = runner(args.mu, env)
+                finite.update({
+                    f"{name}_eps_finite": result.report.pts_min,
+                    f"{name}_eps_rel_error": _rel_error(result),
+                    f"{name}_coherent_info_finite": result.report.coherent_info,
+                })
+        report.update(finite)
+        code = EXIT_OK
+    _write_output([_render_table(report, args.format)], _resolve_output(args))
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -378,22 +378,13 @@ def cmd_converge(args) -> int:
     rows = []
     for mu in args.mu:
         result = runner(mu, env)
-        eps_inf = result.asymptotic_eps
         rows.append({
             "mu": mu,
             "eps_finite": result.report.pts_min,
-            "eps_asymptotic": eps_inf,
-            "rel_error": abs(result.report.pts_min - eps_inf) / eps_inf,
+            "eps_asymptotic": result.asymptotic_eps,
+            "rel_error": _rel_error(result),
         })
-    if args.format == "json":
-        text = json.dumps(_json_ready(rows), indent=2) + "\n"
-    else:
-        text = _rows_to_csv(
-            ["mu", "eps_finite", "eps_asymptotic", "rel_error"],
-            [[fmt(r["mu"]), fmt(r["eps_finite"]), fmt(r["eps_asymptotic"]), fmt(r["rel_error"])]
-             for r in rows],
-        )
-    _write_output([text], _resolve_output(args))
+    _write_output([_render_table(rows, args.format)], _resolve_output(args))
     return EXIT_OK
 
 
@@ -419,7 +410,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except IOError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

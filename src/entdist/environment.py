@@ -81,11 +81,12 @@ class EnvClass:
 class BonaFideResult:
     """Outcome of the three physicality conditions; truthy when all hold."""
 
-    ok: bool
     failures: tuple[str, ...]
 
     def __bool__(self) -> bool:
-        return self.ok
+        return not self.failures
+
+    ok = property(__bool__)
 
 
 def bona_fide_conditions(omega, g, gp):
@@ -123,7 +124,7 @@ def bona_fide_check(omega: float, g: float, gp: float) -> BonaFideResult:
         short = ", ".join(f"{name} = {value} < 1"
                           for name, value in products.items() if not value >= 1.0)
         failures.append(f"omega^2 + g*gp - 1 >= omega*|g + gp| violated ({short})")
-    return BonaFideResult(not failures, tuple(failures))
+    return BonaFideResult(tuple(failures))
 
 
 def require_bona_fide(omega: float, g: float, gp: float) -> None:

@@ -60,7 +60,10 @@ class ScanSpec:
             if rng is None:
                 object.__setattr__(self, name, (-w, w))
             else:
-                lo, hi = float(rng[0]), float(rng[1])
+                try:
+                    lo, hi = map(float, rng)
+                except (TypeError, ValueError):  # not iterable, not two items, not numbers
+                    raise DomainError(f"{name} must be two numbers, got {rng!r}") from None
                 if not lo < hi:
                     raise DomainError(f"{name} must be a nonempty interval, got {rng}")
                 require_magnitude(f"{name} bound", lo)

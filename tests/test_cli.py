@@ -635,6 +635,10 @@ class TestArgvMatrix:
          "9b4090b997d186a5a980acc69d8c2bcf7cdebde07c8fb5fe6bf704192c4af0b0"),
         ("point", {"--format": "json"}, EXIT_OK,
          "284a692fe711b800efc94fba1caefc4fb63c04a9afade3b9ed606228e1db5cba"),
+        ("point", {"--g": "8", "--format": "json"}, EXIT_DOMAIN,
+         "aca78e7a50ff0c62e9ef8676833186852f1142b397af05591f38f16fcf9ca571"),
+        ("point", {"--mu": None, "--format": "json"}, EXIT_OK,
+         "02be2d68c713da131fd277400878a8489227330c0ed55f2c72c89724160b2783"),
         ("point", AT_EB, EXIT_OK,
          "cbfd4587460da476cfae867cce94180f3291dd68168064086d24c136dd6248e2"),
         ("point", {"--omega": "1e150", "--g": "0", "--gp": "0", "--mu": None}, EXIT_OK,

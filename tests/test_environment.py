@@ -8,6 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from entdist import (
+    BonaFideResult,
     DomainError,
     EnvironmentParams,
     EnvKind,
@@ -90,6 +91,13 @@ class TestBonaFideCheck:
         check = bona_fide_check(2.0, 2.5, 0.0)
         assert not check
         assert any("|g| < omega" in f for f in check.failures)
+
+    def test_verdict_is_read_from_the_failures(self):
+        assert [f.name for f in dataclasses.fields(BonaFideResult)] == ["failures"]
+        failed, passed = BonaFideResult(("x",)), BonaFideResult(())
+        assert not failed and failed.ok is False
+        assert passed and passed.ok is True
+        assert bona_fide_check(2.0, 2.5, 0.0).ok is False
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_no_cancellation_near_corners_at_large_omega(self, sign):

@@ -88,6 +88,12 @@ class TestScanSpec:
         with pytest.raises(DomainError, match="magnitude"):
             ScanSpec(tau=0.5, protocol=Protocol.DIRECT, resolution=5, **window)
 
+    @pytest.mark.parametrize("field", ["g_range", "gp_range"])
+    @pytest.mark.parametrize("window", [(1,), 5, ("a", "b"), (0, 1, 5)])
+    def test_rejects_a_window_that_is_not_two_numbers(self, field, window):
+        with pytest.raises(DomainError, match=f"^{field} must be two numbers"):
+            ScanSpec(tau=0.5, protocol=Protocol.DIRECT, resolution=5, **{field: window})
+
     def test_cell_centers(self):
         spec = ScanSpec(tau=0.75, protocol=Protocol.SWAP, resolution=7,
                         g_range=(-7.0, 7.0), gp_range=(-7.0, 7.0))
