@@ -3,7 +3,9 @@
 Every cell is evaluated at its center by the same formula functions that the
 point evaluators in :mod:`entdist.environment` and :mod:`entdist.protocols`
 call, here on arrays over the grid, so the scan and the point evaluators agree
-bit for bit by construction.
+bit for bit by construction. :func:`scan` allocates its result arrays once and
+fills them one tile of g rows at a time, so it holds its result plus one tile
+of temporaries, never full-grid ones.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from .errors import DomainError
 from .protocols import Protocol, large_mu_eps, large_mu_eps_scale
 
 DISTILLABLE_EPS = math.exp(-1.0)
+
+# float() parses strings and takes bools, and bytes iterate as their byte values,
+# so none of these is accepted as a window or a window bound
+_NOT_NUMBERS = (str, bytes, bytearray, bool, np.bool_)
 
 
 class Activation(Enum):
@@ -61,7 +67,11 @@ class ScanSpec:
                 object.__setattr__(self, name, (-w, w))
             else:
                 try:
-                    lo, hi = map(float, rng)
+                    bounds = tuple(rng)
+                    if isinstance(rng, _NOT_NUMBERS) or any(isinstance(b, _NOT_NUMBERS)
+                                                            for b in bounds):
+                        raise TypeError
+                    lo, hi = map(float, bounds)
                 except (TypeError, ValueError):  # not iterable, not two items, not numbers
                     raise DomainError(f"{name} must be two numbers, got {rng!r}") from None
                 if not lo < hi:
@@ -120,31 +130,46 @@ class ScanGrid:
 # field evaluation
 # ---------------------------------------------------------------------------
 
-def _field_block(spec: ScanSpec):
-    """(bona, separable, env_pts, eps) arrays over the cell centers, indexed
-    [i_g, j_gp]; env_pts and eps are NaN outside the physical region, and eps
-    is the environment PTS eigenvalue itself for ENVIRONMENT_ONLY."""
-    w = spec.omega_value
-    # g is a column and gp a row; the formulas broadcast them to the full grid
-    g, gp = np.meshgrid(spec.g_centers(), spec.gp_centers(), indexing="ij", sparse=True)
-    marginal_g, marginal_gp, uncertainty = bona_fide_conditions(w, g, gp)
-    bona = marginal_g & marginal_gp & uncertainty
-    radicand = env_pts_radicand(w, g, gp)
+# cells per tile of :func:`scan`: a float64 temporary of 2**15 cells is 256 KiB,
+# so a tile's temporaries stay in cache
+_TILE_CELLS = 2 ** 15
+
+
+def _bona_fide(omega, g, gp):
+    marginal_g, marginal_gp, uncertainty = bona_fide_conditions(omega, g, gp)
+    return marginal_g & marginal_gp & uncertainty
+
+
+def _masked_env_pts(bona, radicand):
+    """sqrt(radicand) on the bona-fide cells, NaN elsewhere."""
     # forbidden cells may have negative radicands; they are masked to NaN
     with np.errstate(invalid="ignore"):
-        env = np.where(bona, np.sqrt(radicand), np.nan)
-        if spec.protocol is Protocol.ENVIRONMENT_ONLY:
-            eps = env
-        else:
-            eps = np.where(bona, large_mu_eps(spec.tau, w, g, gp, spec.protocol), np.nan)
-    # environment.is_separable, on the radicand computed once here
-    return bona, radicand >= 1.0, env, eps
+        return np.where(bona, np.sqrt(radicand), np.nan)
+
+
+def _masked_eps(spec: ScanSpec, g, gp, bona):
+    """Large-mu eps of the DIRECT or SWAP protocol on the bona-fide cells, NaN elsewhere."""
+    with np.errstate(invalid="ignore"):
+        return np.where(bona, large_mu_eps(spec.tau, spec.omega_value, g, gp, spec.protocol),
+                        np.nan)
+
+
+def _axes(spec: ScanSpec):
+    """The cell centers as a g column and a gp row; the formulas broadcast them
+    to [i_g, j_gp] blocks, so no full-grid coordinate arrays are held."""
+    return spec.g_centers()[:, np.newaxis], spec.gp_centers()
 
 
 def eps_field(spec: ScanSpec) -> np.ndarray:
     """eps at every cell center, indexed [i_g, j_gp], NaN outside the physical
-    region; the quantity contoured by :func:`boundary_curves`."""
-    return _field_block(spec)[3]
+    region; the quantity contoured by :func:`boundary_curves`. For
+    ENVIRONMENT_ONLY it is the environment PTS eigenvalue itself."""
+    g, gp = _axes(spec)
+    w = spec.omega_value
+    bona = _bona_fide(w, g, gp)
+    if spec.protocol is Protocol.ENVIRONMENT_ONLY:
+        return _masked_env_pts(bona, env_pts_radicand(w, g, gp))
+    return _masked_eps(spec, g, gp, bona)
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +177,35 @@ def eps_field(spec: ScanSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def scan(spec: ScanSpec) -> ScanGrid:
-    """Classify every cell of the grid; Forbidden cells are recorded, never raised."""
-    bona, sep, env, eps = _field_block(spec)
-    kind = np.where(bona, np.where(sep, 1, 2), 0).astype(np.int8)
-    if spec.protocol is Protocol.ENVIRONMENT_ONLY:
-        activation = np.zeros_like(kind)
-    else:
+    """Classify every cell of the grid; Forbidden cells are recorded, never raised.
+
+    The result arrays are allocated once and filled one tile of g rows at a
+    time, so the scan holds its result plus one tile of temporaries.
+    """
+    g_column, gp = _axes(spec)
+    w = spec.omega_value
+    shape = (spec.resolution, spec.resolution)
+    kind = np.empty(shape, np.int8)
+    activation = np.empty(shape, np.int8)
+    env = np.empty(shape)
+    environment_only = spec.protocol is Protocol.ENVIRONMENT_ONLY
+    eps = env if environment_only else np.empty(shape)
+    rows = max(1, _TILE_CELLS // spec.resolution)
+    for start in range(0, spec.resolution, rows):
+        tile = slice(start, start + rows)
+        g = g_column[tile]
+        bona = _bona_fide(w, g, gp)
+        radicand = env_pts_radicand(w, g, gp)
+        # 0 Forbidden, 1 Separable, 2 Entangled: a bona-fide cell fails
+        # environment.is_separable, radicand >= 1, where its finite radicand is < 1
+        np.add(bona, bona & (radicand < 1.0), out=kind[tile], dtype=np.int8)
+        env[tile] = _masked_env_pts(bona, radicand)
+        if environment_only:
+            activation[tile] = 0
+            continue
+        eps[tile] = eps_tile = _masked_eps(spec, g, gp, bona)
         # NaN compares false, so Forbidden cells get code 0 (None)
-        activation = (eps < 1.0).astype(np.int8) + (eps < DISTILLABLE_EPS)
+        np.add(eps_tile < 1.0, eps_tile < DISTILLABLE_EPS, out=activation[tile], dtype=np.int8)
     return ScanGrid(spec, kind, activation, env, eps)
 
 

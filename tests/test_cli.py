@@ -431,6 +431,24 @@ class TestScanMemory:
         result = sum(arr.nbytes for arr in (grid.kind, grid.activation, grid.env_pts, grid.eps))
         assert peak < 2.3 * result
 
+    @pytest.mark.parametrize("protocol", [Protocol.SWAP, Protocol.ENVIRONMENT_ONLY],
+                             ids=lambda p: p.name)
+    def test_tiled_scan_peak_near_result_size(self, protocol):
+        # the result arrays are filled one tile of g rows at a time, so at
+        # 1001^2 the temporaries are a few tiles beside an 18 MB result; the
+        # full-grid masks and np.where copies they replace peaked at 1.89x
+        spec = ScanSpec(tau=0.8, protocol=protocol, resolution=1001)
+        scan(spec)  # warm-up
+        tracemalloc.start()
+        try:
+            grid = scan(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # ENVIRONMENT_ONLY reports env_pts as eps: one array, counted once
+        arrays = {id(arr): arr for arr in (grid.kind, grid.activation, grid.env_pts, grid.eps)}
+        assert peak < 1.15 * sum(arr.nbytes for arr in arrays.values())
+
     def test_summary_peak_near_code_size(self):
         # the int8 class codes are counted as they are, with no intp copy
         grid = scan(ScanSpec(tau=0.8, protocol=Protocol.SWAP, resolution=301))

@@ -27,7 +27,9 @@ from entdist import (
     separable_activation_exists,
     swap_eps_asymptotic,
 )
-from entdist.environment import EnvironmentParams, bona_fide_check, env_pts_radicand
+from entdist import scanner
+from entdist.environment import (EnvironmentParams, bona_fide_check, bona_fide_conditions,
+                                 env_pts_radicand)
 from entdist.protocols import large_mu_eps, large_mu_eps_scale
 from entdist.scanner import _marching_squares_segments, _stitch_segments
 
@@ -36,6 +38,7 @@ from conftest import ACTIVATION_CODE, KIND_CODE
 STANDARD_TAUS = (0.3, 0.5, 0.75, 0.9)
 FORBIDDEN = KIND_CODE[EnvKind.FORBIDDEN]
 SEPARABLE = KIND_CODE[EnvKind.SEPARABLE]
+ENTANGLED = KIND_CODE[EnvKind.ENTANGLED]
 NONE = ACTIVATION_CODE[Activation.NONE]
 ENTANGLING = ACTIVATION_CODE[Activation.ENTANGLING]
 DISTILLABLE = ACTIVATION_CODE[Activation.DISTILLABLE]
@@ -89,7 +92,8 @@ class TestScanSpec:
             ScanSpec(tau=0.5, protocol=Protocol.DIRECT, resolution=5, **window)
 
     @pytest.mark.parametrize("field", ["g_range", "gp_range"])
-    @pytest.mark.parametrize("window", [(1,), 5, ("a", "b"), (0, 1, 5)])
+    @pytest.mark.parametrize("window", [(1,), 5, ("a", "b"), (0, 1, 5), "12", ("1", "2"),
+                                        (b"1", b"2"), b"12", (True, 2), (0, np.True_)])
     def test_rejects_a_window_that_is_not_two_numbers(self, field, window):
         with pytest.raises(DomainError, match=f"^{field} must be two numbers"):
             ScanSpec(tau=0.5, protocol=Protocol.DIRECT, resolution=5, **{field: window})
@@ -206,6 +210,54 @@ class TestScan:
         swap_grid = scan(ScanSpec(tau=tau, protocol=Protocol.SWAP, resolution=101))
         direct_grid = scan(ScanSpec(tau=tau, protocol=Protocol.DIRECT, resolution=101))
         assert (direct_grid.activation[swap_grid.activation != NONE] != NONE).all()
+
+
+def _whole_grid(spec):
+    """kind, activation, env_pts and eps by one evaluation of the formula
+    functions over the full (g, gp) mesh, with no tiling."""
+    w = spec.omega_value
+    g, gp = np.meshgrid(spec.g_centers(), spec.gp_centers(), indexing="ij")
+    bona = np.logical_and.reduce(bona_fide_conditions(w, g, gp))
+    with np.errstate(invalid="ignore"):
+        env = np.where(bona, np.sqrt(env_pts_radicand(w, g, gp)), np.nan)
+        if spec.protocol is Protocol.ENVIRONMENT_ONLY:
+            eps = env
+        else:
+            eps = np.where(bona, large_mu_eps(spec.tau, w, g, gp, spec.protocol), np.nan)
+    kind = np.where(bona, np.where(is_separable(w, g, gp), SEPARABLE, ENTANGLED), FORBIDDEN)
+    activation = np.where(eps < DISTILLABLE_EPS, DISTILLABLE,
+                          np.where(eps < 1.0, ENTANGLING, NONE))
+    if spec.protocol is Protocol.ENVIRONMENT_ONLY:
+        activation[:] = NONE
+    return kind, activation, env, eps
+
+
+class TestScanTiles:
+    """scan fills its result one tile of g rows at a time; with the tile shrunk
+    to a few cells, small grids split into many tiles, which must join with no
+    seam."""
+
+    # (resolution, tile cells): one tile, 12 rows as 4 tiles of 3, 12 rows as
+    # 5 + 5 + 2, and a tile smaller than one row, which still takes a whole row
+    @pytest.mark.parametrize("resolution, tile_cells", [(12, 144), (12, 36), (12, 60), (13, 5)],
+                             ids=["one-tile", "even-tiles", "remainder-tile", "row-tiles"])
+    @pytest.mark.parametrize("window", [
+        {},
+        dict(omega=3.0, g_range=(-2.9, 0.7), gp_range=(-0.4, 2.95)),
+    ], ids=["default-window", "off-centre-window"])
+    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.name)
+    def test_tiles_join_seamlessly(self, monkeypatch, protocol, window, resolution, tile_cells):
+        monkeypatch.setattr(scanner, "_TILE_CELLS", tile_cells)
+        spec = ScanSpec(tau=0.75, protocol=protocol, resolution=resolution, **window)
+        grid = scan(spec)
+        expected = _whole_grid(spec)
+        for name, arr, want in zip(("kind", "activation", "env_pts", "eps"),
+                                   (grid.kind, grid.activation, grid.env_pts, grid.eps),
+                                   expected):
+            np.testing.assert_array_equal(arr, want, err_msg=name)
+        assert grid.kind.dtype == grid.activation.dtype == np.int8
+        # the grid holds every kind code, so none goes unchecked
+        assert set(np.unique(grid.kind)) == {FORBIDDEN, SEPARABLE, ENTANGLED}
 
 
 class TestSeparableActivationExists:
