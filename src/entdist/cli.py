@@ -8,12 +8,17 @@ refused number as a usage error naming the flag. All floating-point output is
 fixed at 9 significant digits so files are byte-identical across runs and
 platforms.
 
-Output is produced as a sequence of text blocks that ``_write_output`` writes
-as they come. ``_render_table`` renders the ``point`` and ``converge`` tables,
-CSV or JSON, as one block. A scan streams one block per g row, built by one
-``%`` operation on the row's cell fragments, which are formatted once per scan
-for every gp column and cell class; memory does not grow with the size of the
-output, and the output file is opened only once the scan has been computed.
+Output is produced as a sequence of blocks of ASCII bytes that
+``_write_output`` writes as they come, through a binary file or the bytes
+buffer under stdout. ``_render_table`` renders the ``point`` and ``converge``
+tables, CSV or JSON, as one block. A scan streams one block per g row, joined
+at once from a separator per row and, per cell, a fragment formatted once per
+scan for every gp column and cell class, followed by the cell's eps text.
+``_g9_text`` writes that text for a tile of cells at a time with numpy
+operations, exactly as ``"%.9g"`` does: a cell whose 9-digit rounding float64
+cannot settle, or which needs the exponent notation, goes through ``"%.9g"``
+itself. Memory does not grow with the size of the output, and the output file
+is opened only once the scan has been computed.
 """
 
 from __future__ import annotations
@@ -151,17 +156,31 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_output(args) -> str | None:
     if args.output is not None:
         return args.output
-    return os.environ.get(OUTPUT_ENV_VAR)
+    return os.environ.get(OUTPUT_ENV_VAR) or None  # set but empty counts as unset
 
 
 def _write_output(blocks, path: str | None) -> None:
-    """Write the text blocks one by one as they are produced, to ``path`` or,
-    for None and '-', to stdout."""
-    if path is None or path == "-":
-        sys.stdout.writelines(blocks)
+    """Write the blocks of bytes one by one as they are produced, to ``path``
+    or, for None and '-', to the binary buffer under stdout."""
+    if path is not None and path != "-":
+        with open(path, "wb") as fh:
+            fh.writelines(blocks)
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(blocks)
+    stdout = sys.stdout
+    if not hasattr(stdout, "buffer"):  # a text stream such as io.StringIO
+        stdout.writelines(block.decode() for block in blocks)
+        return
+    try:
+        stdout.flush()
+        stdout.buffer.writelines(blocks)
+        stdout.buffer.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so that flushing what
+        # is still buffered at interpreter exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stdout.fileno())
+        os.close(devnull)
+        raise
 
 
 def _csv_value(value) -> str:
@@ -234,7 +253,7 @@ def cmd_point(args) -> int:
                 })
         report.update(finite)
         code = EXIT_OK
-    _write_output([_render_table(report, args.format)], _resolve_output(args))
+    _write_output([_render_table(report, args.format).encode()], _resolve_output(args))
     return code
 
 
@@ -293,46 +312,145 @@ def _needs_json_number(x):
     return np.abs(x - np.rint(x)) <= 1e-8 * np.maximum(np.abs(x), 1.0)
 
 
-def _scan_rows(grid: ScanGrid, fragments, cell_head, json_numbers: bool):
-    """One block per g row, rendered with one ``%`` operation.
+# cells per render tile, whose eps are formatted at once: 16 g rows at 1001^2
+_RENDER_TILE_CELLS = 2**14
 
-    Every cell of row g is ``cell_head(g)`` followed by the fragment of its
-    pair code and gp column, ``fragments[code * resolution + j_gp]``, whose
-    ``%.9g`` slot takes the cell's eps. With ``json_numbers`` the cells that
-    ``_needs_json_number`` flags get ``_json_number(eps)`` in a ``%s`` slot.
+# "%.9g" text is at most 16 bytes long ("-1.23456789e-100"); the fast path
+# writes at most 14 ("0.000123456789")
+_TEXT_WIDTH = 16
+_POW10 = np.array([float(10**k) for k in range(15)])  # all exact in float64
+_ASCII_0, _ASCII_DOT = ord("0"), ord(".")
+_ZERO_POINT = np.frombuffer(b"0.000", np.uint8)  # the head of the fixed notation below 1
+
+
+def _digit_words():
+    """Entry k < 1000 holds the three ASCII digits of k ("007"), entry 1000 + k
+    the same with trailing zeros as NUL ("7", "0" -> ""), each in the first
+    three bytes of a uint32."""
+    k = np.arange(1000)
+    digits = np.stack([k // 100, k // 10 % 10, k % 10], axis=1)
+    # kept: a nonzero digit here or further right
+    kept = np.maximum.accumulate(digits[:, ::-1], axis=1)[:, ::-1] > 0
+    table = np.zeros((2, 1000, 4), np.uint8)
+    table[:, :, :3] = digits + _ASCII_0
+    table[1, :, :3] *= kept
+    return table.view(np.uint32).ravel()
+
+
+_DIGIT_WORDS = _digit_words()
+
+
+def _g9_text(x, cells):
+    """``"%.9g" % v`` for each value v of the float64 array x where ``cells`` is
+    True and empty text elsewhere, as an ``S16`` array of x's shape.
+
+    A value 5e-5 <= v < 1e9 has the exponent e = floor(log10(v)) and the
+    9-digit mantissa n = rint(m), m = v * 10**(8 - e). The power of ten is
+    exact, so m carries a single rounding, under 6e-8; as n + 0.5 is a float64,
+    that rounding can land m on a half-way point but never carry it across one.
+    A cell takes ``"%.9g" % v`` instead where m lies within 1e-6 of a half-way
+    point (only m = n + 0.5 is undecided; the rest of the margin is headroom),
+    where m < 1e8 or n = 1e9 (log10 one off next to a power of ten, or a
+    rounding up to the next one), where e is outside -4..8 (the exponent
+    notation), and for zero, negative and non-finite values. The others are
+    written in the fixed notation of their e by numpy operations on all cells
+    of one e at a time, the trailing zeros of the fraction as NUL bytes, which
+    ``tolist()`` strips.
+    """
+    shape, x, cells = x.shape, x.ravel(), cells.ravel()
+    in_range = cells & (x >= 5e-5) & (x < 1e9)
+    v = np.where(in_range, x, 1.0)
+    e = np.clip(np.floor(np.log10(v)), -5, 8).astype(np.int8)
+    m = v * _POW10.take(8 - e)
+    n = np.rint(m)
+    fast = in_range & (e >= -4) & (m >= 1e8) & (n < 1e9) & (np.abs(m - n) < 0.5 - 1e-6)
+    # sorted by exponent, the fast cells of one e are a contiguous run; the
+    # other cells follow, 9 those to format by "%.9g", 10 those to leave empty
+    key = np.where(fast, e, np.int8(10) - cells)
+    order = np.argsort(key, kind="stable")
+    bounds = np.searchsorted(key[order], np.arange(-4, 11, dtype=np.int8))
+    fast_cells, slow_cells = order[:bounds[13]], order[bounds[13]:bounds[14]]
+    n = n[fast_cells].astype(np.uint32)
+
+    # the 9 digits of n in ASCII, three at a time from the table, with the
+    # trailing zeros as NUL
+    high = n // 1000000
+    low = n - high * 1000000
+    mid = low // 1000
+    last = low - mid * 1000
+    words = np.empty((n.size, 3), np.uint32)
+    words[:, 0] = _DIGIT_WORDS[high + 1000 * (low == 0)]
+    words[:, 1] = _DIGIT_WORDS[mid + 1000 * (last == 0)]
+    words[:, 2] = _DIGIT_WORDS[last + 1000]
+    digits = words.view(np.uint8)[:, [0, 1, 2, 4, 5, 6, 8, 9, 10]]
+
+    chars = np.zeros((n.size, _TEXT_WIDTH), np.uint8)
+    for exp, lo, hi in zip(range(-4, 9), bounds[:-2], bounds[1:-1]):
+        if lo == hi:
+            continue
+        block, digs = chars[lo:hi], digits[lo:hi]
+        if exp < 0:  # 0.000ddddddddd
+            block[:, :1 - exp] = _ZERO_POINT[:1 - exp]
+            block[:, 1 - exp:10 - exp] = digs
+        else:  # the integer digits keep their zeros; no fraction, no point
+            block[:, :exp + 1] = np.maximum(digs[:, :exp + 1], _ASCII_0)
+            if exp < 8:
+                block[:, exp + 1] = np.where(digs[:, exp + 1] == 0, 0, _ASCII_DOT)
+                block[:, exp + 2:10] = digs[:, exp + 1:]
+    text = np.zeros(x.size, f"S{_TEXT_WIDTH}")
+    text[fast_cells] = chars.view(text.dtype)[:, 0]
+    text[slow_cells] = ["%.9g" % value for value in x[slow_cells].tolist()]
+    return text.reshape(shape)
+
+
+def _scan_rows(grid: ScanGrid, fragments, separator, json_numbers: bool):
+    """One block of bytes per g row, the row's cells joined at once.
+
+    Row g's cell at gp column j is ``separator(g)``, then the fragment of the
+    cell's pair code, ``fragments[code * resolution + j]``, then the cell's eps
+    text: ``_g9_text`` of the physical cells' eps, formatted a tile of
+    ``_RENDER_TILE_CELLS`` cells at a time, and empty for Forbidden cells. With
+    ``json_numbers`` the cells that ``_needs_json_number`` flags take
+    ``_json_number(eps)`` instead.
     """
     res = grid.spec.resolution
     columns = np.arange(res)
-    rows = zip(grid.spec.g_centers().tolist(), grid.kind * 3 + grid.activation, grid.eps)
-    for g, code_row, eps_row in rows:
-        index = code_row.astype(np.intp) * res + columns
-        cells = list(map(fragments.__getitem__, index.tolist()))
-        physical = code_row > 2
-        eps = eps_row[physical].tolist()
+    fragments = np.array(fragments, dtype=object)
+    g_seps = [separator(g) for g in grid.spec.g_centers().tolist()]
+    rows_per_tile = max(1, _RENDER_TILE_CELLS // res)
+    parts = [b""] * (3 * res)
+    for start in range(0, res, rows_per_tile):
+        tile = slice(start, start + rows_per_tile)
+        codes = grid.kind[tile] * 3 + grid.activation[tile]
+        eps = grid.eps[tile]
+        physical = codes > 2
+        texts = _g9_text(eps, physical).tolist()
         if json_numbers:
-            flagged = _needs_json_number(eps_row)
-            if flagged.any():
-                for j in np.flatnonzero(flagged).tolist():
-                    cells[j] = cells[j].replace("%.9g", "%s")
-                for k in np.flatnonzero(flagged[physical]).tolist():
-                    eps[k] = _json_number(eps[k])
-        head = cell_head(g)
-        yield (head + head.join(cells)) % tuple(eps)
+            for i, j in np.argwhere(physical & _needs_json_number(eps)).tolist():
+                texts[i][j] = _json_number(eps[i, j]).encode()
+        cells = fragments[codes.astype(np.intp) * res + columns].tolist()
+        for sep, cell_row, text_row in zip(g_seps[tile], cells, texts):
+            parts[0::3] = [sep] * res
+            parts[1::3] = cell_row
+            parts[2::3] = text_row
+            yield b"".join(parts)
 
 
 def _render_scan_csv(grid: ScanGrid):
-    """CSV text in blocks: the header, then one block per g row."""
-    # "%.9g" % x is fmt(x)
+    """CSV bytes in blocks: the header, then one block per g row. Each row
+    starts with the newline that ends the line before it."""
     gps = [fmt(gp) for gp in grid.spec.gp_centers().tolist()]
-    fragments = [f"{gp},{kind},{act},{'' if code < 3 else '%.9g'}\n"
-                 for code, (kind, act) in enumerate(_PAIRS) for gp in gps]
-    yield "g,gp,env_class,activation,eps\n"
-    yield from _scan_rows(grid, fragments, lambda g: fmt(g) + ",", json_numbers=False)
+    fragments = [f"{gp},{kind},{act},".encode() for kind, act in _PAIRS for gp in gps]
+    yield b"g,gp,env_class,activation,eps"
+    yield from _scan_rows(grid, fragments, lambda g: f"\n{fmt(g)},".encode(),
+                          json_numbers=False)
+    yield b"\n"
 
 
 def _render_scan_json(grid: ScanGrid):
-    """JSON text in the layout of ``json.dumps(..., indent=2)``, in blocks: the
-    spec and summary, then one block per g row of cells, then the closing brackets."""
+    """JSON bytes in the layout of ``json.dumps(..., indent=2)``, in blocks:
+    the spec and summary, then one block per g row of cells, then the closing
+    brackets. Each cell starts with the close of the cell before it."""
     spec = grid.spec
     summary = grid.summary  # counts every pair code over the whole grid on every access
     counts = {f"{kind.value}/{act.value}": summary.get((kind, act), 0)
@@ -351,19 +469,22 @@ def _render_scan_json(grid: ScanGrid):
         "summary": {"total": grid.kind.size, "counts": counts, "fractions": fractions},
     }), indent=2)
     # the cells list goes in as the last key, before the closing "\n}" of the head
-    yield head[:-2] + ',\n  "cells": [\n'
+    yield (head[:-2] + ',\n  "cells": [').encode()
     gps = [_json_number(gp) for gp in spec.gp_centers().tolist()]
-    # a cell from its "gp" key on
+    # a cell from its "gp" key to its eps value
     fragments = [
         f'"gp": {gp},\n      "env_class": "{kind}",\n      "activation": "{act}",\n'
-        f'      "eps": {"null" if code < 3 else "%.9g"}\n    }}'
+        f'      "eps": {"null" if code < 3 else ""}'.encode()
         for code, (kind, act) in enumerate(_PAIRS) for gp in gps
     ]
-    rows = _scan_rows(grid, fragments, json_numbers=True,
-                      cell_head=lambda g: f',\n    {{\n      "g": {_json_number(g)},\n      ')
-    yield next(rows)[2:]  # no "," before the first cell
+
+    def separator(g):  # closes the cell before, opens this one
+        return f'\n    }},\n    {{\n      "g": {_json_number(g)},\n      '.encode()
+
+    rows = _scan_rows(grid, fragments, separator, json_numbers=True)
+    yield next(rows)[len(b"\n    },"):]  # no cell closes before the first
     yield from rows
-    yield "\n  ]\n}\n"
+    yield b"\n    }\n  ]\n}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +505,7 @@ def cmd_converge(args) -> int:
             "eps_asymptotic": result.asymptotic_eps,
             "rel_error": _rel_error(result),
         })
-    _write_output([_render_table(rows, args.format)], _resolve_output(args))
+    _write_output([_render_table(rows, args.format).encode()], _resolve_output(args))
     return EXIT_OK
 
 

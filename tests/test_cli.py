@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 
 import entdist
 from entdist import Activation, EnvKind, Protocol, ScanSpec, scan
-from entdist.cli import (EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, OUTPUT_ENV_VAR, _json_number,
-                         _json_ready, _needs_json_number, fmt, main)
+from entdist.cli import (EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, OUTPUT_ENV_VAR, _g9_text,
+                         _json_number, _json_ready, _needs_json_number, _render_scan_csv,
+                         _render_scan_json, fmt, main)
+from entdist.scanner import ScanGrid
 
 from conftest import ACTIVATION_CODE, KIND_CODE
 
@@ -260,6 +262,23 @@ class TestScanCommand:
         assert out == ""
         assert target.exists()
 
+    def test_empty_output_env_var_means_stdout(self, capsys, monkeypatch):
+        monkeypatch.setenv(OUTPUT_ENV_VAR, "")
+        code, out, err = run_cli(capsys, "scan", "--tau", "0.8", "--at-eb",
+                                 "--protocol", "direct", "--resolution", "3")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("g,gp,env_class,activation,eps\n")
+        assert len(out.splitlines()) == 1 + 3 * 3
+
+    def test_stdout_without_a_binary_buffer(self, monkeypatch):
+        # a text stream such as io.StringIO has no bytes layer under it
+        stream = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stream)
+        code = main(["scan", "--tau", "0.8", "--at-eb", "--protocol", "swap", "--resolution", "3",
+                     "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(stream.getvalue())["summary"]["total"] == 9
+
     def test_environment_class_agrees_with_env_pts_at_large_omega(self, capsys):
         # near the corners at omega = 1e8 the expanded separability and
         # uncertainty forms lost their "- 1" to the rounding of omega^2 and
@@ -340,7 +359,16 @@ class TestStreamedScanOutput:
                           "--gp-min=-2", "--gp-max", "2"),
                          {"tau": 0.5, "omega": 3.0, "g_range": (-2.0, 2.0),
                           "gp_range": (-2.0, 2.0)}),
+        # eps on both sides of 1e-4, where "%.9g" turns from 0.0001... to 9.99...e-05
+        "eps_near_1e-4": (("--tau", "0.9", "--omega", "1e4", "--g-min", "9999.997",
+                           "--g-max", "1e4", "--gp-min=-1e4", "--gp-max=-9999.997"),
+                          {"tau": 0.9, "omega": 1e4, "g_range": (9999.997, 1e4),
+                           "gp_range": (-1e4, -9999.997)}),
+        # eps on both sides of 1e9, where "%.9g" turns from 999999999 to 1e+09
+        "eps_near_1e9": (("--tau", "0.5", "--omega", "1.5e9"), {"tau": 0.5, "omega": 1.5e9}),
     }
+    # the windows whose eps straddle a change of notation, with the value where it changes
+    NOTATION_BOUNDARIES = {"eps_near_1e-4": 1e-4, "eps_near_1e9": 1e9}
     # JSON windows that reach the row renderer's _json_number path: the
     # protocols where they do, and the eps text that shows it
     JSON_NUMBER_PATHS = {
@@ -370,6 +398,14 @@ class TestStreamedScanOutput:
             assert _needs_json_number(scan(spec).eps).any()
             assert re.search(pattern, out)
 
+    @pytest.mark.parametrize("window", sorted(NOTATION_BOUNDARIES))
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_boundary_windows_straddle_the_boundary(self, protocol, window):
+        spec = ScanSpec(protocol=self.PROTOCOLS[protocol], resolution=61, **self.WINDOWS[window][1])
+        eps = scan(spec).eps
+        eps = eps[np.isfinite(eps)]
+        assert eps.min() < self.NOTATION_BOUNDARIES[window] < eps.max()
+
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_cell_numbers_are_json_dumps_of_rounded_values(self, x):
         assert _json_number(x) == json.dumps(float(fmt(x))) == repr(float(fmt(x)))
@@ -395,6 +431,112 @@ class TestStreamedScanOutput:
     def test_nan_is_not_flagged(self):
         # Forbidden cells carry NaN eps and render "null"
         assert not _needs_json_number(math.nan)
+
+
+def percent_g(values):
+    return [b"%.9g" % value for value in values]
+
+
+def eps_text(values):
+    """``_g9_text`` of every value."""
+    x = np.array(values, dtype=float)
+    return _g9_text(x, np.ones(x.shape, dtype=bool)).tolist()
+
+
+class TestEpsText:
+    """``_g9_text`` formats a tile of eps at once, exactly as ``"%.9g"`` does."""
+
+    finite = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+    @given(st.lists(finite, max_size=40))
+    def test_equals_percent_g(self, values):
+        assert eps_text(values) == percent_g(values)
+
+    @given(st.integers(10**9, 10**10 - 1), st.integers(-14, 0))
+    def test_equals_percent_g_next_to_half_way_points(self, digits, exponent):
+        # a 10-digit decimal ending in 5 lies half way between two 9-digit ones
+        values = [float(f"{digits}e{exponent}"), float(f"{digits // 10}5e{exponent}")]
+        values += [np.nextafter(v, to) for v in values for to in (0.0, math.inf)]
+        assert eps_text(values) == percent_g(values)
+
+    EDGES = [
+        0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300, 1.7976931348623157e308,
+        *(np.nextafter(10.0**k, to) for k in range(-6, 11) for to in (0.0, 10.0**k, math.inf)),
+        # 9-digit half-way points
+        1.0000000005, 9.9999999995e-05, 999999999.5, 1.000000005, 1.000000015, 0.1000000005,
+        0.0001000000005, 123456789.5, 100000000.5, 99999999.5, 5e-05,
+        # round up to the next power of ten
+        9.9999999996, 0.99999999996, 99999999.999, 999999999.9, 9.99999999999e-05,
+        0.000999999999996, 99999.99999999,
+        # integral, trailing zeros, and zeros inside the integer part
+        1.0, 3.0, 100.0, 120000000.0, 100000000.0, 10.5, 0.5, 0.25, 1.2e-4, 0.00012,
+    ]
+
+    def test_edges(self):
+        assert eps_text(self.EDGES) == percent_g(self.EDGES)
+
+    def test_non_finite_and_negative_values(self):
+        values = [math.nan, math.inf, -math.inf, -1.5, -0.0, -1e-300]
+        assert eps_text(values) == percent_g(values)
+
+    def test_cells_outside_the_mask_are_empty(self):
+        x = np.array([[1.5, math.nan], [2e-5, 3.0]])
+        cells = np.array([[True, False], [True, False]])
+        assert _g9_text(x, cells).tolist() == [[b"1.5", b""], [b"2e-05", b""]]
+
+    @staticmethod
+    def assert_scan_eps(values):
+        # JSON cells that _needs_json_number flags take _json_number; every
+        # other cell's "%.9g" text is the same, so the JSON eps of every cell
+        # is _json_number(eps), and the CSV eps fmt(eps). The grid is 4x4
+        # Separable cells with the values, repeated, as eps.
+        eps = np.resize(np.array(values, dtype=float), (4, 4))
+        codes = np.full(eps.shape, KIND_CODE[EnvKind.SEPARABLE], dtype=np.int8)
+        spec = ScanSpec(tau=0.5, protocol=Protocol.DIRECT, resolution=4)
+        grid = ScanGrid(spec, codes, np.zeros_like(codes), eps, eps)
+        expected = grid.eps.ravel().tolist()
+        cells = json.loads(b"".join(_render_scan_json(grid)), parse_float=str)["cells"]
+        assert [cell["eps"] for cell in cells] == [_json_number(x) for x in expected]
+        rows = csv.DictReader(io.StringIO(b"".join(_render_scan_csv(grid)).decode()))
+        assert [row["eps"] for row in rows] == [fmt(x) for x in expected]
+
+    @given(st.lists(finite, min_size=1, max_size=16))
+    def test_scan_output_of_every_cell(self, values):
+        self.assert_scan_eps(values)
+
+    def test_scan_output_of_flagged_cells(self):
+        values = [0.0, 2.0, 3.0000000001, 999999999.5, 1e9, 1.41421356e12, 1e16, 123456789.0]
+        assert _needs_json_number(np.array(values)).all()
+        self.assert_scan_eps(values)
+
+
+class TestBrokenPipe:
+    """A reader that goes away ends the command with exit code 4 and one line
+    on stderr, whether or not stdout is buffered."""
+
+    @staticmethod
+    def run_into_closed_pipe(argv, read, unbuffered):
+        env = subprocess_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with subprocess.Popen([sys.executable, "-m", "entdist.cli", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            proc.stdout.read(read)  # like `| head -c 100`, or `| true` for 0
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            return proc.wait(timeout=60), err
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv, read", [
+        (["scan", "--tau", "0.8", "--at-eb", "--protocol", "direct", "--resolution", "1001"], 100),
+        (["converge", "--tau", "0.75", "--at-eb", "--g", "6", "--gp", "-6",
+          "--protocol", "direct"], 0),
+    ], ids=["scan_head", "converge_true"])
+    def test_exit_code_and_one_line(self, argv, read, unbuffered):
+        code, err = self.run_into_closed_pipe(argv, read, unbuffered)
+        assert code == EXIT_IO
+        assert err == "error: [Errno 32] Broken pipe\n"
 
 
 class TestScanMemory:
