@@ -18,7 +18,10 @@ scan for every gp column and cell class, followed by the cell's eps text.
 operations, exactly as ``"%.9g"`` does: a cell whose 9-digit rounding float64
 cannot settle, or which needs the exponent notation, goes through ``"%.9g"``
 itself. Memory does not grow with the size of the output, and the output file
-is opened only once the scan has been computed.
+is opened only once the scan has been computed. An existing output file is
+written over in place and then cut at the end of the new bytes, on success
+and on any error the command sees, so a rerun does not free and reallocate
+every block of the old file first.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 from functools import partial
 
@@ -161,10 +165,28 @@ def _resolve_output(args) -> str | None:
 
 def _write_output(blocks, path: str | None) -> None:
     """Write the blocks of bytes one by one as they are produced, to ``path``
-    or, for None and '-', to the binary buffer under stdout."""
+    or, for None and '-', to the binary buffer under stdout.
+
+    ``path`` is opened without ``O_TRUNC`` and written over in place, which
+    spares a rerun the freeing and reallocating of every block of the old
+    file. A regular file is then cut at the end of the bytes written, on every
+    exit path: after the last block, an exception from the renderer, a
+    ``KeyboardInterrupt`` or a failed write. Where the final flush fails it is
+    cut at the bytes that reached it. So no byte of the old content is left
+    after the new ones, as with ``O_TRUNC``. Other files, such as ``/dev/null``
+    or a FIFO, are only written.
+    """
     if path is not None and path != "-":
-        with open(path, "wb") as fh:
-            fh.writelines(blocks)
+        # created with mode 0o666 & ~umask, as by open(path, "wb")
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            try:
+                fh.writelines(blocks)
+            finally:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    try:
+                        fh.flush()
+                    finally:  # the raw position: the bytes the file received
+                        os.ftruncate(fh.fileno(), fh.raw.tell())
         return
     stdout = sys.stdout
     if not hasattr(stdout, "buffer"):  # a text stream such as io.StringIO

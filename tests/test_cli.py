@@ -1,12 +1,15 @@
 import csv
+import errno
 import hashlib
 import io
 import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -537,6 +540,135 @@ class TestBrokenPipe:
         code, err = self.run_into_closed_pipe(argv, read, unbuffered)
         assert code == EXIT_IO
         assert err == "error: [Errno 32] Broken pipe\n"
+
+
+class TestOutputFile:
+    """An output file is written over in place and cut at the end of the new
+    bytes: whatever it held before, it ends up holding exactly what a fresh
+    write gives, or on an error exactly the bytes written before it."""
+
+    ARGV = {
+        "scan": ["scan", "--tau", "0.8", "--at-eb", "--protocol", "swap", "--resolution", "41"],
+        "point": ["point", "--tau", "0.75", "--at-eb", "--g", "6", "--gp", "-6", "--mu", "100"],
+        "converge": ["converge", "--tau", "0.75", "--at-eb", "--g", "6", "--gp", "-6",
+                     "--protocol", "direct"],
+    }
+
+    @classmethod
+    def fresh(cls, tmp_path, command, fmt_kind="csv"):
+        path = tmp_path / f"fresh.{fmt_kind}"
+        assert main([*cls.ARGV[command], "--format", fmt_kind, "-o", str(path)]) == EXIT_OK
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("old_size", [lambda n: 3 * n + 4097, lambda n: n // 2],
+                             ids=["longer", "shorter"])
+    @pytest.mark.parametrize("fmt_kind", ["csv", "json"])
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_rewrite_matches_a_fresh_write(self, tmp_path, command, fmt_kind, old_size):
+        expected = self.fresh(tmp_path, command, fmt_kind)
+        path = tmp_path / f"rerun.{fmt_kind}"
+        path.write_bytes(b"\xff" * old_size(len(expected)))
+        assert main([*self.ARGV[command], "--format", fmt_kind, "-o", str(path)]) == EXIT_OK
+        assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("exc", [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+                                     KeyboardInterrupt(), RuntimeError("renderer failed")],
+                             ids=["os_error", "keyboard_interrupt", "runtime_error"])
+    def test_failing_renderer_leaves_the_blocks_before_it(self, capsys, tmp_path, monkeypatch,
+                                                           exc):
+        blocks = [b"g,gp,env_class,activation,eps", b"\n0,0,Separable,None,1"]
+
+        def render(grid):
+            yield from blocks
+            raise exc
+        monkeypatch.setattr("entdist.cli._render_scan_csv", render)
+        path = tmp_path / "grid.csv"
+        path.write_bytes(b"\xff" * 100000)
+        argv = [*self.ARGV["scan"], "-o", str(path)]
+        if isinstance(exc, OSError):
+            assert run_cli(capsys, *argv) == (EXIT_IO, "", f"error: {exc}\n")
+        else:  # not an error of the command: it propagates, as from open(path, "wb")
+            with pytest.raises(type(exc)):
+                main(argv)
+        assert path.read_bytes() == b"".join(blocks)
+
+    @pytest.mark.parametrize("command", ["point", "scan"])
+    def test_full_disk_cuts_at_the_last_byte_written(self, capsys, tmp_path, monkeypatch,
+                                                     command):
+        """The file takes 300 bytes, then every write fails with ENOSPC: in the
+        final flush for the short `point` table, while the blocks are written
+        for the scan."""
+        limit = 300
+
+        class FullAfterLimit(io.FileIO):
+            def write(self, data):
+                room = limit - self.tell()
+                if room <= 0:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(memoryview(data)[:room])
+        expected = self.fresh(tmp_path, command)
+        assert len(expected) > limit
+        monkeypatch.setattr(entdist.cli, "open", raising=False,
+                            value=lambda fd, mode: io.BufferedWriter(FullAfterLimit(fd, mode)))
+        path = tmp_path / "grid.csv"
+        path.write_bytes(b"\xff" * (3 * len(expected)))
+        code, out, err = run_cli(capsys, *self.ARGV[command], "-o", str(path))
+        assert (code, out, err) == (EXIT_IO, "", "error: [Errno 28] No space left on device\n")
+        assert path.read_bytes() == expected[:limit]
+
+    @pytest.mark.parametrize("device, exit_code, err", [
+        ("/dev/null", EXIT_OK, ""),
+        ("/dev/full", EXIT_IO, "error: [Errno 28] No space left on device\n"),
+    ])
+    def test_device(self, capsys, device, exit_code, err):
+        assert run_cli(capsys, *self.ARGV["scan"], "-o", device) == (exit_code, "", err)
+
+    def test_fifo_receives_every_byte(self, tmp_path):
+        expected = self.fresh(tmp_path, "scan")
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code = main([*self.ARGV["scan"], "-o", str(fifo)])
+        reader.join(timeout=60)
+        assert code == EXIT_OK
+        assert received == [expected]
+        assert len(expected) > 65536  # more than a pipe buffer holds
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_bytes(b"\xff" * 100000)
+        path.chmod(0o640)
+        assert main([*self.ARGV["scan"], "-o", str(path)]) == EXIT_OK
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert path.read_bytes() == self.fresh(tmp_path, "scan")
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        umask = os.umask(0o027)
+        try:
+            code = main([*self.ARGV["scan"], "-o", str(path)])
+        finally:
+            os.umask(umask)
+        assert code == EXIT_OK
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_symlink_is_followed(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"\xff" * 100000)
+        link.symlink_to(target)
+        assert main([*self.ARGV["scan"], "-o", str(link)]) == EXIT_OK
+        assert link.is_symlink()
+        assert target.read_bytes() == self.fresh(tmp_path, "scan")
+
+    def test_failing_scan_leaves_the_file_unchanged(self, capsys, tmp_path):
+        path = tmp_path / "grid.csv"
+        old = self.fresh(tmp_path, "scan")
+        path.write_bytes(old)
+        code, _, _ = run_cli(capsys, *self.ARGV["scan"], "--resolution", "1", "-o", str(path))
+        assert code == EXIT_USAGE
+        assert path.read_bytes() == old
 
 
 class TestScanMemory:
