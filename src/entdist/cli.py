@@ -14,6 +14,8 @@ buffer under stdout. ``_render_table`` renders the ``point`` and ``converge``
 tables, CSV or JSON, as one block. A scan streams one block per g row, joined
 at once from a separator per row and, per cell, a fragment formatted once per
 scan for every gp column and cell class, followed by the cell's eps text.
+The scan keeps only class codes; the eps of each render tile are evaluated
+for that tile by ``ScanGrid.eps_rows``, so no whole eps field is held.
 ``_g9_text`` writes that text for a tile of cells at a time with numpy
 operations, exactly as ``"%.9g"`` does: a cell whose 9-digit rounding float64
 cannot settle, or which needs the exponent notation, goes through ``"%.9g"``
@@ -431,9 +433,10 @@ def _scan_rows(grid: ScanGrid, fragments, separator, json_numbers: bool):
     Row g's cell at gp column j is ``separator(g)``, then the fragment of the
     cell's pair code, ``fragments[code * resolution + j]``, then the cell's eps
     text: ``_g9_text`` of the physical cells' eps, formatted a tile of
-    ``_RENDER_TILE_CELLS`` cells at a time, and empty for Forbidden cells. With
-    ``json_numbers`` the cells that ``_needs_json_number`` flags take
-    ``_json_number(eps)`` instead.
+    ``_RENDER_TILE_CELLS`` cells at a time, and empty for Forbidden cells. The
+    eps of a tile are evaluated for it by ``grid.eps_rows``, so the whole eps
+    field is never held. With ``json_numbers`` the cells that
+    ``_needs_json_number`` flags take ``_json_number(eps)`` instead.
     """
     res = grid.spec.resolution
     columns = np.arange(res)
@@ -444,7 +447,7 @@ def _scan_rows(grid: ScanGrid, fragments, separator, json_numbers: bool):
     for start in range(0, res, rows_per_tile):
         tile = slice(start, start + rows_per_tile)
         codes = grid.kind[tile] * 3 + grid.activation[tile]
-        eps = grid.eps[tile]
+        eps = grid.eps_rows(tile)
         physical = codes > 2
         texts = _g9_text(eps, physical).tolist()
         if json_numbers:
@@ -474,7 +477,7 @@ def _render_scan_json(grid: ScanGrid):
     the spec and summary, then one block per g row of cells, then the closing
     brackets. Each cell starts with the close of the cell before it."""
     spec = grid.spec
-    summary = grid.summary  # counts every pair code over the whole grid on every access
+    summary = grid.summary  # counted by scan: nothing grid-sized is allocated here
     counts = {f"{kind.value}/{act.value}": summary.get((kind, act), 0)
               for kind in EnvKind for act in Activation}
     fractions = {key: count / grid.kind.size for key, count in counts.items()}

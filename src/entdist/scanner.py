@@ -3,9 +3,13 @@
 Every cell is evaluated at its center by the same formula functions that the
 point evaluators in :mod:`entdist.environment` and :mod:`entdist.protocols`
 call, here on arrays over the grid, so the scan and the point evaluators agree
-bit for bit by construction. :func:`scan` allocates its result arrays once and
-fills them one tile of g rows at a time, so it holds its result plus one tile
-of temporaries, never full-grid ones.
+bit for bit by construction. One evaluator, ``_evaluate_rows``, gives eps
+and the environment's PTS eigenvalue over a slice of g rows; :func:`scan`,
+:func:`eps_field`, the lazy ``ScanGrid.eps``/``ScanGrid.env_pts`` fields and
+``ScanGrid.eps_rows`` all call it. :func:`scan` keeps only the int8 class
+codes of each cell and the count of each code pair. It fills them one tile of
+g rows at a time, so it holds 2 bytes per cell plus one tile of temporaries,
+never full-grid float arrays.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -100,30 +105,55 @@ _ACTIVATIONS = tuple(Activation)
 
 @dataclass(frozen=True, eq=False)
 class ScanGrid:
-    """Scan result as read-only arrays indexed [i_g, j_gp]: int8 codes ``kind``
+    """Scan result indexed [i_g, j_gp]: read-only int8 codes ``kind``
     (0 Forbidden, 1 Separable, 2 Entangled) and ``activation`` (0 None,
-    1 Entangling, 2 Distillable), and ``env_pts``/``eps``, NaN on Forbidden cells."""
+    1 Entangling, 2 Distillable), and ``counts``, the number of cells of each
+    pair code ``kind * 3 + activation``.
+
+    The float fields are not stored with the codes. ``eps`` and ``env_pts``,
+    NaN on Forbidden cells, are read-only arrays evaluated one tile of g rows
+    at a time on first access and cached (one array for both under
+    ENVIRONMENT_ONLY); ``eps_rows`` evaluates eps on a slice of g rows only.
+    """
 
     spec: ScanSpec
     kind: np.ndarray
     activation: np.ndarray
-    env_pts: np.ndarray
-    eps: np.ndarray
+    counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for name in ("kind", "activation", "env_pts", "eps"):
-            getattr(self, name).flags.writeable = False
+        self.kind.flags.writeable = False
+        self.activation.flags.writeable = False
 
     @property
     def summary(self) -> dict[tuple[EnvKind, Activation], int]:
         """Cell count of every (EnvKind, Activation) pair that occurs."""
-        codes = self.kind * 3 + self.activation  # int8: np.bincount would copy it to intp
-        counts = (int(np.count_nonzero(codes == c)) for c in range(9))
-        return {(_KINDS[c // 3], _ACTIVATIONS[c % 3]): n for c, n in enumerate(counts) if n}
+        return {(_KINDS[c // 3], _ACTIVATIONS[c % 3]): n for c, n in enumerate(self.counts) if n}
 
     def summary_fractions(self) -> dict[tuple[EnvKind, Activation], float]:
         total = self.kind.size
         return {pair: count / total for pair, count in self.summary.items()}
+
+    def eps_rows(self, rows: slice) -> np.ndarray:
+        """eps on the g rows ``rows``, NaN on Forbidden cells."""
+        return _evaluate_rows(self.spec, rows, physical=self.kind[rows] != 0)
+
+    @cached_property
+    def eps(self) -> np.ndarray:
+        return self._whole_field(env_pts=False)
+
+    @cached_property
+    def env_pts(self) -> np.ndarray:
+        if self.spec.protocol is Protocol.ENVIRONMENT_ONLY:
+            return self.eps
+        return self._whole_field(env_pts=True)
+
+    def _whole_field(self, env_pts: bool) -> np.ndarray:
+        field = np.empty(self.kind.shape)
+        for tile in _tiles(self.spec.resolution):
+            field[tile] = _evaluate_rows(self.spec, tile, env_pts, physical=self.kind[tile] != 0)
+        field.flags.writeable = False
+        return field
 
 
 # ---------------------------------------------------------------------------
@@ -135,41 +165,51 @@ class ScanGrid:
 _TILE_CELLS = 2 ** 15
 
 
-def _bona_fide(omega, g, gp):
-    marginal_g, marginal_gp, uncertainty = bona_fide_conditions(omega, g, gp)
-    return marginal_g & marginal_gp & uncertainty
+def _tiles(resolution: int):
+    """Slices of g rows of about ``_TILE_CELLS`` cells, at least one row each."""
+    rows = max(1, _TILE_CELLS // resolution)
+    return (slice(start, start + rows) for start in range(0, resolution, rows))
 
 
-def _masked_env_pts(bona, radicand):
-    """sqrt(radicand) on the bona-fide cells, NaN elsewhere."""
-    # forbidden cells may have negative radicands; they are masked to NaN
+def _evaluate_rows(spec: ScanSpec, rows: slice, env_pts: bool = False, physical=None,
+                   kind=None):
+    """eps on the g rows ``rows`` of the grid, or with ``env_pts`` the
+    environment's PTS eigenvalue, NaN on the cells that are not bona fide.
+    Under ENVIRONMENT_ONLY eps is that eigenvalue.
+
+    The bona-fide mask is ``physical`` where it is given (the nonzero kind
+    codes of a scan of ``spec``), else it is evaluated. With ``kind``, an int8
+    array of the rows' shape, the kind codes are also written there. The g
+    rows form a column that the formulas broadcast against the gp row, so no
+    full-grid coordinate arrays are built; every formula is elementwise, so
+    the values do not depend on how the rows are sliced.
+    """
+    g, gp = spec.g_centers()[rows, np.newaxis], spec.gp_centers()
+    w = spec.omega_value
+    if physical is None:
+        marginal_g, marginal_gp, uncertainty = bona_fide_conditions(w, g, gp)
+        physical = marginal_g & marginal_gp & uncertainty
+    env_pts = env_pts or spec.protocol is Protocol.ENVIRONMENT_ONLY
+    if env_pts or kind is not None:
+        radicand = env_pts_radicand(w, g, gp)
+    if kind is not None:
+        # 0 Forbidden, 1 Separable, 2 Entangled: a bona-fide cell fails
+        # environment.is_separable, radicand >= 1, where its finite radicand is < 1
+        np.add(physical, physical & (radicand < 1.0), out=kind, dtype=np.int8)
+    # forbidden cells may have negative radicands; they are masked to NaN in
+    # place, in about half the time of an np.where copy
     with np.errstate(invalid="ignore"):
-        return np.where(bona, np.sqrt(radicand), np.nan)
-
-
-def _masked_eps(spec: ScanSpec, g, gp, bona):
-    """Large-mu eps of the DIRECT or SWAP protocol on the bona-fide cells, NaN elsewhere."""
-    with np.errstate(invalid="ignore"):
-        return np.where(bona, large_mu_eps(spec.tau, spec.omega_value, g, gp, spec.protocol),
-                        np.nan)
-
-
-def _axes(spec: ScanSpec):
-    """The cell centers as a g column and a gp row; the formulas broadcast them
-    to [i_g, j_gp] blocks, so no full-grid coordinate arrays are held."""
-    return spec.g_centers()[:, np.newaxis], spec.gp_centers()
+        field = np.sqrt(radicand) if env_pts else large_mu_eps(spec.tau, w, g, gp,
+                                                               spec.protocol)
+    field[~physical] = np.nan
+    return field
 
 
 def eps_field(spec: ScanSpec) -> np.ndarray:
     """eps at every cell center, indexed [i_g, j_gp], NaN outside the physical
     region; the quantity contoured by :func:`boundary_curves`. For
     ENVIRONMENT_ONLY it is the environment PTS eigenvalue itself."""
-    g, gp = _axes(spec)
-    w = spec.omega_value
-    bona = _bona_fide(w, g, gp)
-    if spec.protocol is Protocol.ENVIRONMENT_ONLY:
-        return _masked_env_pts(bona, env_pts_radicand(w, g, gp))
-    return _masked_eps(spec, g, gp, bona)
+    return _evaluate_rows(spec, slice(None))
 
 
 # ---------------------------------------------------------------------------
@@ -179,34 +219,24 @@ def eps_field(spec: ScanSpec) -> np.ndarray:
 def scan(spec: ScanSpec) -> ScanGrid:
     """Classify every cell of the grid; Forbidden cells are recorded, never raised.
 
-    The result arrays are allocated once and filled one tile of g rows at a
-    time, so the scan holds its result plus one tile of temporaries.
+    The int8 code arrays are allocated once and filled one tile of g rows at a
+    time, and the cells of each pair code are counted tile by tile, so the
+    scan holds 2 bytes per cell plus one tile of temporaries. eps is evaluated
+    per tile for the activation codes and then dropped.
     """
-    g_column, gp = _axes(spec)
-    w = spec.omega_value
     shape = (spec.resolution, spec.resolution)
     kind = np.empty(shape, np.int8)
     activation = np.empty(shape, np.int8)
-    env = np.empty(shape)
-    environment_only = spec.protocol is Protocol.ENVIRONMENT_ONLY
-    eps = env if environment_only else np.empty(shape)
-    rows = max(1, _TILE_CELLS // spec.resolution)
-    for start in range(0, spec.resolution, rows):
-        tile = slice(start, start + rows)
-        g = g_column[tile]
-        bona = _bona_fide(w, g, gp)
-        radicand = env_pts_radicand(w, g, gp)
-        # 0 Forbidden, 1 Separable, 2 Entangled: a bona-fide cell fails
-        # environment.is_separable, radicand >= 1, where its finite radicand is < 1
-        np.add(bona, bona & (radicand < 1.0), out=kind[tile], dtype=np.int8)
-        env[tile] = _masked_env_pts(bona, radicand)
-        if environment_only:
+    counts = np.zeros(9, np.intp)
+    for tile in _tiles(spec.resolution):
+        eps = _evaluate_rows(spec, tile, kind=kind[tile])
+        if spec.protocol is Protocol.ENVIRONMENT_ONLY:
             activation[tile] = 0
-            continue
-        eps[tile] = eps_tile = _masked_eps(spec, g, gp, bona)
-        # NaN compares false, so Forbidden cells get code 0 (None)
-        np.add(eps_tile < 1.0, eps_tile < DISTILLABLE_EPS, out=activation[tile], dtype=np.int8)
-    return ScanGrid(spec, kind, activation, env, eps)
+        else:
+            # NaN compares false, so Forbidden cells get code 0 (None)
+            np.add(eps < 1.0, eps < DISTILLABLE_EPS, out=activation[tile], dtype=np.int8)
+        counts += np.bincount((kind[tile] * 3 + activation[tile]).ravel(), minlength=9)
+    return ScanGrid(spec, kind, activation, tuple(counts.tolist()))
 
 
 def separable_activation_exists(

@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 
 import entdist
 from entdist import Activation, EnvKind, Protocol, ScanSpec, scan
-from entdist.cli import (EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, OUTPUT_ENV_VAR, _g9_text,
-                         _json_number, _json_ready, _needs_json_number, _render_scan_csv,
-                         _render_scan_json, fmt, main)
+from entdist import scanner
+from entdist.cli import (EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, OUTPUT_ENV_VAR,
+                         _RENDER_TILE_CELLS, _g9_text, _json_number, _json_ready,
+                         _needs_json_number, _render_scan_csv, _render_scan_json, fmt, main)
 from entdist.scanner import ScanGrid
 
 from conftest import ACTIVATION_CODE, KIND_CODE
@@ -201,6 +202,21 @@ class TestScanCommand:
 
     @pytest.mark.parametrize("protocol, fmt_kind, window", sorted(GOLDEN_SHA256))
     def test_output_matches_golden_digest(self, capsys, protocol, fmt_kind, window):
+        code, out, _ = run_cli(capsys, "scan", *self.GOLDEN_WINDOWS[window],
+                               "--protocol", protocol, "--resolution", "61",
+                               "--format", fmt_kind)
+        assert code == EXIT_OK
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.GOLDEN_SHA256[(protocol, fmt_kind, window)]
+
+    @pytest.mark.parametrize("protocol, fmt_kind, window", sorted(GOLDEN_SHA256))
+    def test_golden_digest_across_tile_seams(self, capsys, monkeypatch, protocol, fmt_kind,
+                                             window):
+        # at 61^2 each golden case is one scan tile and one render tile; here
+        # the 61 rows are scanned 7 at a time (8 tiles and 5 rows) and rendered
+        # 3 at a time (20 tiles and 1 row), so the two tilings' seams differ
+        monkeypatch.setattr(scanner, "_TILE_CELLS", 7 * 61 + 3)
+        monkeypatch.setattr(entdist.cli, "_RENDER_TILE_CELLS", 3 * 61 + 5)
         code, out, _ = run_cli(capsys, "scan", *self.GOLDEN_WINDOWS[window],
                                "--protocol", protocol, "--resolution", "61",
                                "--format", fmt_kind)
@@ -446,6 +462,18 @@ def eps_text(values):
     return _g9_text(x, np.ones(x.shape, dtype=bool)).tolist()
 
 
+class InjectedEpsGrid(ScanGrid):
+    """A ScanGrid whose eps rows are the given array ``eps``, not the eps of its spec."""
+
+    def __init__(self, spec, kind, activation, eps):
+        counts = np.bincount((kind * 3 + activation).ravel(), minlength=9)
+        super().__init__(spec, kind, activation, tuple(counts.tolist()))
+        object.__setattr__(self, "injected", eps)
+
+    def eps_rows(self, rows):
+        return self.injected[rows]
+
+
 class TestEpsText:
     """``_g9_text`` formats a tile of eps at once, exactly as ``"%.9g"`` does."""
 
@@ -496,8 +524,8 @@ class TestEpsText:
         eps = np.resize(np.array(values, dtype=float), (4, 4))
         codes = np.full(eps.shape, KIND_CODE[EnvKind.SEPARABLE], dtype=np.int8)
         spec = ScanSpec(tau=0.5, protocol=Protocol.DIRECT, resolution=4)
-        grid = ScanGrid(spec, codes, np.zeros_like(codes), eps, eps)
-        expected = grid.eps.ravel().tolist()
+        grid = InjectedEpsGrid(spec, codes, np.zeros_like(codes), eps)
+        expected = eps.ravel().tolist()
         cells = json.loads(b"".join(_render_scan_json(grid)), parse_float=str)["cells"]
         assert [cell["eps"] for cell in cells] == [_json_number(x) for x in expected]
         rows = csv.DictReader(io.StringIO(b"".join(_render_scan_csv(grid)).decode()))
@@ -691,6 +719,11 @@ class TestScanMemory:
         assert code == EXIT_OK
         assert peak < max_ratio * path.stat().st_size
 
+    @staticmethod
+    def tile_bytes(resolution):
+        """Bytes of one float64 temporary of a scan tile at ``resolution``."""
+        return 8 * resolution * max(1, scanner._TILE_CELLS // resolution)
+
     def test_scan_peak_near_result_size(self):
         # the plane formulas broadcast a g column against a gp row, so no
         # full-grid coordinate arrays are held next to the results
@@ -702,15 +735,15 @@ class TestScanMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        result = sum(arr.nbytes for arr in (grid.kind, grid.activation, grid.env_pts, grid.eps))
-        assert peak < 2.3 * result
+        result = grid.kind.nbytes + grid.activation.nbytes
+        assert peak < result + 6 * self.tile_bytes(301)
 
     @pytest.mark.parametrize("protocol", [Protocol.SWAP, Protocol.ENVIRONMENT_ONLY],
                              ids=lambda p: p.name)
     def test_tiled_scan_peak_near_result_size(self, protocol):
-        # the result arrays are filled one tile of g rows at a time, so at
-        # 1001^2 the temporaries are a few tiles beside an 18 MB result; the
-        # full-grid masks and np.where copies they replace peaked at 1.89x
+        # the scan keeps the two int8 code arrays, 2 MB at 1001^2, and fills
+        # them one tile of g rows at a time: its temporaries are a few tiles
+        # of 256 KB, and no float64 field of the grid (8 MB) is kept
         spec = ScanSpec(tau=0.8, protocol=protocol, resolution=1001)
         scan(spec)  # warm-up
         tracemalloc.start()
@@ -719,12 +752,12 @@ class TestScanMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # ENVIRONMENT_ONLY reports env_pts as eps: one array, counted once
-        arrays = {id(arr): arr for arr in (grid.kind, grid.activation, grid.env_pts, grid.eps)}
-        assert peak < 1.15 * sum(arr.nbytes for arr in arrays.values())
+        result = grid.kind.nbytes + grid.activation.nbytes
+        assert peak < result + 6 * self.tile_bytes(1001)
 
     def test_summary_peak_near_code_size(self):
-        # the int8 class codes are counted as they are, with no intp copy
+        # scan counts the pair codes as it fills them, so the summary is read,
+        # not counted again over the grid
         grid = scan(ScanSpec(tau=0.8, protocol=Protocol.SWAP, resolution=301))
         counts = np.bincount((grid.kind * 3 + grid.activation).ravel(), minlength=9)
         expected = {(kind, activation): int(counts[3 * k + a])
@@ -738,6 +771,25 @@ class TestScanMemory:
         finally:
             tracemalloc.stop()
         assert peak < 3 * grid.kind.size
+
+    def test_json_head_and_first_tile_allocate_nothing_grid_sized(self):
+        # the blocks are rendered while the output file is open, so an
+        # allocation that fails there leaves a cut file behind: the head, with
+        # its summary, allocates less than the eps of one render tile, and the
+        # first row block, which renders the first tile, less than an int8
+        # code array of the grid
+        grid = scan(ScanSpec(tau=0.8, protocol=Protocol.SWAP, resolution=3001))
+        blocks = _render_scan_json(grid)
+        tracemalloc.start()
+        try:
+            next(blocks)
+            head_peak = tracemalloc.get_traced_memory()[1]
+            next(blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert head_peak < 8 * _RENDER_TILE_CELLS
+        assert peak < grid.kind.nbytes
 
 
 class TestInputMagnitude:

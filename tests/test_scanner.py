@@ -258,6 +258,38 @@ class TestScanTiles:
         assert grid.kind.dtype == grid.activation.dtype == np.int8
         # the grid holds every kind code, so none goes unchecked
         assert set(np.unique(grid.kind)) == {FORBIDDEN, SEPARABLE, ENTANGLED}
+        counts = np.bincount((expected[0] * 3 + expected[1]).ravel(), minlength=9)
+        assert grid.counts == tuple(counts.tolist())
+
+
+class TestLazyFields:
+    """scan keeps the class codes only; eps and env_pts are evaluated tile by
+    tile on first access and cached, and eps_rows evaluates a slice of rows."""
+
+    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.name)
+    def test_read_only_cached_and_equal_to_the_whole_grid(self, monkeypatch, protocol):
+        monkeypatch.setattr(scanner, "_TILE_CELLS", 40)  # 3 rows a tile at 13^2
+        spec = ScanSpec(tau=0.75, protocol=protocol, resolution=13)
+        grid = scan(spec)
+        _, _, env, eps = _whole_grid(spec)
+        for name, want in (("eps", eps), ("env_pts", env)):
+            field = getattr(grid, name)
+            np.testing.assert_array_equal(field, want, err_msg=name)
+            assert getattr(grid, name) is field
+            assert not field.flags.writeable
+            with pytest.raises(ValueError):
+                field[0, 0] = 0.0
+        # ENVIRONMENT_ONLY reports env_pts as eps: one array for both
+        assert (grid.env_pts is grid.eps) == (protocol is Protocol.ENVIRONMENT_ONLY)
+
+    @pytest.mark.parametrize("rows", [slice(0, 1), slice(4, 9), slice(11, 13), slice(None)],
+                             ids=["first", "middle", "last", "all"])
+    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.name)
+    def test_eps_rows_are_rows_of_the_whole_grid(self, protocol, rows):
+        spec = ScanSpec(tau=0.75, protocol=protocol, resolution=13)
+        grid = scan(spec)
+        np.testing.assert_array_equal(grid.eps_rows(rows), _whole_grid(spec)[3][rows])
+        assert "eps" not in vars(grid)  # the rows do not evaluate the whole field
 
 
 class TestSeparableActivationExists:

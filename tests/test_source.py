@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import entdist
+import entdist.cli
 import entdist.protocols
 import entdist.scanner
 
@@ -75,3 +76,14 @@ def test_protocol_is_one_enum_and_no_function_takes_a_swap_flag():
 def test_protocol_resolves_to_one_object():
     # perfbench imports it from entdist.scanner
     assert entdist.scanner.Protocol is entdist.protocols.Protocol is entdist.Protocol
+
+
+def test_cli_reads_no_whole_grid_float_field():
+    # a scan keeps 2 bytes per cell; ScanGrid.eps and ScanGrid.env_pts build a
+    # float64 array of the whole grid, so the renderer asks for the eps rows
+    # of each tile (ScanGrid.eps_rows) and reads neither
+    path = Path(entdist.cli.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("eps", "env_pts")]
+    assert not found, f"whole-grid float fields read in the CLI: {', '.join(found)}"
