@@ -14,8 +14,11 @@ buffer under stdout. ``_render_table`` renders the ``point`` and ``converge``
 tables, CSV or JSON, as one block. A scan streams one block per g row, joined
 at once from a separator per row and, per cell, a fragment formatted once per
 scan for every gp column and cell class, followed by the cell's eps text.
-The scan keeps only class codes; the eps of each render tile are evaluated
-for that tile by ``ScanGrid.eps_rows``, so no whole eps field is held.
+The scan keeps each g row as a few runs of one class pair, and a row's
+fragments are copied in by one list slice per run; the eps of each render
+tile are evaluated for that tile by ``ScanGrid.eps_rows``, and its physical
+mask taken from the runs by ``ScanGrid.physical_rows``, so neither per-cell
+class codes nor a whole eps field is held.
 ``_g9_text`` writes that text for a tile of cells at a time with numpy
 operations, exactly as ``"%.9g"`` does: a cell whose 9-digit rounding float64
 cannot settle, or which needs the exponent notation, goes through ``"%.9g"``
@@ -434,29 +437,33 @@ def _scan_rows(grid: ScanGrid, fragments, separator, json_numbers: bool):
     cell's pair code, ``fragments[code * resolution + j]``, then the cell's eps
     text: ``_g9_text`` of the physical cells' eps, formatted a tile of
     ``_RENDER_TILE_CELLS`` cells at a time, and empty for Forbidden cells. The
-    eps of a tile are evaluated for it by ``grid.eps_rows``, so the whole eps
-    field is never held. With ``json_numbers`` the cells that
-    ``_needs_json_number`` flags take ``_json_number(eps)`` instead.
+    fragments of a row are copied in by one slice of the fragment list per run
+    of the row, so no per-cell code is built. The eps of a tile are evaluated
+    for it by ``grid.eps_rows`` and its mask taken from the runs by
+    ``grid.physical_rows``, so the whole eps field is never held. With
+    ``json_numbers`` the cells that ``_needs_json_number`` flags take
+    ``_json_number(eps)`` instead.
     """
     res = grid.spec.resolution
-    columns = np.arange(res)
-    fragments = np.array(fragments, dtype=object)
+    by_code = [fragments[code * res:(code + 1) * res] for code in range(len(_PAIRS))]
     g_seps = [separator(g) for g in grid.spec.g_centers().tolist()]
+    run_bounds, run_codes = grid.run_bounds.tolist(), grid.run_codes.tolist()
     rows_per_tile = max(1, _RENDER_TILE_CELLS // res)
     parts = [b""] * (3 * res)
     for start in range(0, res, rows_per_tile):
         tile = slice(start, start + rows_per_tile)
-        codes = grid.kind[tile] * 3 + grid.activation[tile]
         eps = grid.eps_rows(tile)
-        physical = codes > 2
+        physical = grid.physical_rows(tile)
         texts = _g9_text(eps, physical).tolist()
         if json_numbers:
             for i, j in np.argwhere(physical & _needs_json_number(eps)).tolist():
                 texts[i][j] = _json_number(eps[i, j]).encode()
-        cells = fragments[codes.astype(np.intp) * res + columns].tolist()
-        for sep, cell_row, text_row in zip(g_seps[tile], cells, texts):
+        for sep, bounds, codes, text_row in zip(g_seps[tile], run_bounds[tile],
+                                                run_codes[tile], texts):
             parts[0::3] = [sep] * res
-            parts[1::3] = cell_row
+            for a, b, code in zip(bounds, bounds[1:], codes):
+                if a < b:
+                    parts[3 * a + 1:3 * b + 1:3] = by_code[code][a:b]
             parts[2::3] = text_row
             yield b"".join(parts)
 
@@ -477,10 +484,11 @@ def _render_scan_json(grid: ScanGrid):
     the spec and summary, then one block per g row of cells, then the closing
     brackets. Each cell starts with the close of the cell before it."""
     spec = grid.spec
-    summary = grid.summary  # counted by scan: nothing grid-sized is allocated here
+    summary = grid.summary  # counted from the runs: nothing grid-sized is allocated here
     counts = {f"{kind.value}/{act.value}": summary.get((kind, act), 0)
               for kind in EnvKind for act in Activation}
-    fractions = {key: count / grid.kind.size for key, count in counts.items()}
+    total = spec.resolution ** 2
+    fractions = {key: count / total for key, count in counts.items()}
     head = json.dumps(_json_ready({
         "spec": {
             "tau": spec.tau,
@@ -491,7 +499,7 @@ def _render_scan_json(grid: ScanGrid):
             "gp_range": list(spec.gp_range),
             "resolution": spec.resolution,
         },
-        "summary": {"total": grid.kind.size, "counts": counts, "fractions": fractions},
+        "summary": {"total": total, "counts": counts, "fractions": fractions},
     }), indent=2)
     # the cells list goes in as the last key, before the closing "\n}" of the head
     yield (head[:-2] + ',\n  "cells": [').encode()

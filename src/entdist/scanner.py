@@ -3,22 +3,18 @@
 Every cell is evaluated at its center by the same formula functions that the
 point evaluators in :mod:`entdist.environment` and :mod:`entdist.protocols`
 call, here on arrays over the grid, so the scan and the point evaluators agree
-bit for bit by construction. One evaluator, ``_evaluate_rows``, gives eps
-and the environment's PTS eigenvalue over a slice of g rows; :func:`scan`,
-:func:`eps_field`, the lazy ``ScanGrid.eps``/``ScanGrid.env_pts`` fields and
-``ScanGrid.eps_rows`` all call it. :func:`scan` keeps only the int8 class
-codes of each cell and the count of each code pair. It fills them one tile of
-g rows at a time, so it holds 2 bytes per cell plus one tile of temporaries,
-never full-grid float arrays.
+bit for bit by construction. :func:`scan` keeps each g row as at most 7 runs
+of one class pair and evaluates no eps; ``_evaluate_rows`` gives eps on g rows.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -85,45 +81,49 @@ class ScanSpec:
                 require_magnitude(f"{name} bound", hi)
                 object.__setattr__(self, name, (lo, hi))
 
-    @property
+    @cached_property
     def omega_value(self) -> float:
         return self.omega if self.omega is not None else eb_threshold(self.tau)
 
     def g_centers(self) -> np.ndarray:
-        lo, hi = self.g_range
-        return lo + (np.arange(self.resolution) + 0.5) * (hi - lo) / self.resolution
+        """Cell centers along g: one read-only array per spec, made on first use."""
+        return self._centers[0]
 
     def gp_centers(self) -> np.ndarray:
-        lo, hi = self.gp_range
-        return lo + (np.arange(self.resolution) + 0.5) * (hi - lo) / self.resolution
+        return self._centers[1]
+
+    @cached_property
+    def _centers(self) -> tuple[np.ndarray, np.ndarray]:
+        steps = np.arange(self.resolution) + 0.5
+        return tuple(_read_only(lo + steps * (hi - lo) / self.resolution)
+                     for lo, hi in (self.g_range, self.gp_range))
 
 
-# ScanGrid codes index these tuples
+# pair codes kind * 3 + activation index these tuples as code // 3 and code % 3
 _KINDS = tuple(EnvKind)
 _ACTIVATIONS = tuple(Activation)
 
 
 @dataclass(frozen=True, eq=False)
 class ScanGrid:
-    """Scan result indexed [i_g, j_gp]: read-only int8 codes ``kind``
-    (0 Forbidden, 1 Separable, 2 Entangled) and ``activation`` (0 None,
-    1 Entangling, 2 Distillable), and ``counts``, the number of cells of each
-    pair code ``kind * 3 + activation``.
-
-    The float fields are not stored with the codes. ``eps`` and ``env_pts``,
-    NaN on Forbidden cells, are read-only arrays evaluated one tile of g rows
-    at a time on first access and cached (one array for both under
-    ENVIRONMENT_ONLY); ``eps_rows`` evaluates eps on a slice of g rows only.
+    """Scan result as runs along gp: the cells [run_bounds[i, k], run_bounds[i,
+    k + 1]) of g row i have the pair code run_codes[i, k] = kind * 3 + activation
+    (kind 0 Forbidden, 1 Separable, 2 Entangled; activation 0 None, 1 Entangling,
+    2 Distillable), and ``counts`` is the number of cells of each pair code. The
+    per-cell arrays ``kind``, ``activation`` (int8), ``eps`` and ``env_pts`` (NaN
+    on Forbidden cells; one array under ENVIRONMENT_ONLY) are read-only, built on
+    first access and cached; ``physical_rows`` and ``eps_rows`` cover g rows only.
     """
 
     spec: ScanSpec
-    kind: np.ndarray
-    activation: np.ndarray
-    counts: tuple[int, ...]
+    run_bounds: np.ndarray
+    run_codes: np.ndarray
+    counts: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        self.kind.flags.writeable = False
-        self.activation.flags.writeable = False
+        lengths = np.diff(_read_only(self.run_bounds)).ravel()
+        counts = np.bincount(_read_only(self.run_codes).ravel(), lengths, minlength=9)
+        object.__setattr__(self, "counts", tuple(int(n) for n in counts))
 
     @property
     def summary(self) -> dict[tuple[EnvKind, Activation], int]:
@@ -131,12 +131,23 @@ class ScanGrid:
         return {(_KINDS[c // 3], _ACTIVATIONS[c % 3]): n for c, n in enumerate(self.counts) if n}
 
     def summary_fractions(self) -> dict[tuple[EnvKind, Activation], float]:
-        total = self.kind.size
-        return {pair: count / total for pair, count in self.summary.items()}
+        return {pair: count / self.spec.resolution ** 2 for pair, count in self.summary.items()}
+
+    def _cells(self, run_values: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """Each run's entry of ``run_values`` spread over its cells, on the g rows ``rows``."""
+        lengths = np.diff(self.run_bounds[rows]).ravel()
+        return np.repeat(run_values[rows], lengths).reshape(-1, self.spec.resolution)
+
+    kind = cached_property(lambda self: _read_only(self._cells(self.run_codes // 3)))
+    activation = cached_property(lambda self: _read_only(self._cells(self.run_codes % 3)))
+
+    def physical_rows(self, rows: slice) -> np.ndarray:
+        """True on the bona-fide cells of the g rows ``rows``."""
+        return self._cells(self.run_codes > 2, rows)
 
     def eps_rows(self, rows: slice) -> np.ndarray:
         """eps on the g rows ``rows``, NaN on Forbidden cells."""
-        return _evaluate_rows(self.spec, rows, physical=self.kind[rows] != 0)
+        return _evaluate_rows(self.spec, rows, physical=self.physical_rows(rows))
 
     @cached_property
     def eps(self) -> np.ndarray:
@@ -149,58 +160,51 @@ class ScanGrid:
         return self._whole_field(env_pts=True)
 
     def _whole_field(self, env_pts: bool) -> np.ndarray:
-        field = np.empty(self.kind.shape)
-        for tile in _tiles(self.spec.resolution):
-            field[tile] = _evaluate_rows(self.spec, tile, env_pts, physical=self.kind[tile] != 0)
-        field.flags.writeable = False
-        return field
+        """The field filled one tile of about ``_TILE_CELLS`` cells, at least a g row, at a time."""
+        res = self.spec.resolution
+        field, step = np.empty((res, res)), max(1, _TILE_CELLS // res)
+        for tile in (slice(start, start + step) for start in range(0, res, step)):
+            field[tile] = _evaluate_rows(self.spec, tile, env_pts, self.physical_rows(tile))
+        return _read_only(field)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 # ---------------------------------------------------------------------------
 # field evaluation
 # ---------------------------------------------------------------------------
 
-# cells per tile of :func:`scan`: a float64 temporary of 2**15 cells is 256 KiB,
-# so a tile's temporaries stay in cache
+# bytes of physical memory, where the platform reports them
+_MEMORY = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+           if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", ()) else math.inf)
+
+# cells per tile of the whole float fields: a float64 temporary of 2**15 cells
+# is 256 KiB, so a tile's temporaries stay in cache
 _TILE_CELLS = 2 ** 15
 
 
-def _tiles(resolution: int):
-    """Slices of g rows of about ``_TILE_CELLS`` cells, at least one row each."""
-    rows = max(1, _TILE_CELLS // resolution)
-    return (slice(start, start + rows) for start in range(0, resolution, rows))
-
-
-def _evaluate_rows(spec: ScanSpec, rows: slice, env_pts: bool = False, physical=None,
-                   kind=None):
+def _evaluate_rows(spec: ScanSpec, rows: slice, env_pts: bool = False, physical=None):
     """eps on the g rows ``rows`` of the grid, or with ``env_pts`` the
-    environment's PTS eigenvalue, NaN on the cells that are not bona fide.
-    Under ENVIRONMENT_ONLY eps is that eigenvalue.
-
-    The bona-fide mask is ``physical`` where it is given (the nonzero kind
-    codes of a scan of ``spec``), else it is evaluated. With ``kind``, an int8
-    array of the rows' shape, the kind codes are also written there. The g
-    rows form a column that the formulas broadcast against the gp row, so no
-    full-grid coordinate arrays are built; every formula is elementwise, so
-    the values do not depend on how the rows are sliced.
+    environment's PTS eigenvalue (eps under ENVIRONMENT_ONLY), NaN off the
+    bona-fide mask ``physical``, which is evaluated where it is not given. The
+    g rows form a column that the formulas broadcast against the gp row; every
+    formula is elementwise, so the values do not depend on how rows are sliced.
     """
     g, gp = spec.g_centers()[rows, np.newaxis], spec.gp_centers()
     w = spec.omega_value
     if physical is None:
         marginal_g, marginal_gp, uncertainty = bona_fide_conditions(w, g, gp)
         physical = marginal_g & marginal_gp & uncertainty
-    env_pts = env_pts or spec.protocol is Protocol.ENVIRONMENT_ONLY
-    if env_pts or kind is not None:
-        radicand = env_pts_radicand(w, g, gp)
-    if kind is not None:
-        # 0 Forbidden, 1 Separable, 2 Entangled: a bona-fide cell fails
-        # environment.is_separable, radicand >= 1, where its finite radicand is < 1
-        np.add(physical, physical & (radicand < 1.0), out=kind, dtype=np.int8)
     # forbidden cells may have negative radicands; they are masked to NaN in
     # place, in about half the time of an np.where copy
     with np.errstate(invalid="ignore"):
-        field = np.sqrt(radicand) if env_pts else large_mu_eps(spec.tau, w, g, gp,
-                                                               spec.protocol)
+        if env_pts or spec.protocol is Protocol.ENVIRONMENT_ONLY:
+            field = np.sqrt(env_pts_radicand(w, g, gp))
+        else:
+            field = large_mu_eps(spec.tau, w, g, gp, spec.protocol)
     field[~physical] = np.nan
     return field
 
@@ -216,27 +220,64 @@ def eps_field(spec: ScanSpec) -> np.ndarray:
 # scanning
 # ---------------------------------------------------------------------------
 
+def _pair_codes(spec: ScanSpec, g, gp):
+    """kind * 3 + activation of the cells (g, gp), elementwise: the bona-fide
+    conditions, environment.is_separable, and eps < 1 and eps < 1/e."""
+    w = spec.omega_value
+    marginal_g, marginal_gp, uncertainty = bona_fide_conditions(w, g, gp)
+    physical = marginal_g & marginal_gp & uncertainty
+    codes = 3 * (physical.astype(np.int8) + (physical & (env_pts_radicand(w, g, gp) < 1.0)))
+    if spec.protocol is not Protocol.ENVIRONMENT_ONLY:
+        with np.errstate(invalid="ignore"):  # NaN off the bona-fide cells
+            eps = large_mu_eps(spec.tau, w, g, gp, spec.protocol)
+        codes += physical & (eps < 1.0)
+        codes += physical & (eps < DISTILLABLE_EPS)
+    return codes
+
+
+def _first_true(holds, g, gp, lo, hi):
+    """Per g row, the first gp index in [lo, hi) at which ``holds(g, gp)`` is
+    true, or hi where there is none; ``holds`` must be false, then true along
+    the row. One bisection of all rows with lo < hi, evaluating in [lo, hi) only."""
+    first, rows = lo.copy(), np.flatnonzero(lo < hi)
+    g, lo, hi = g[rows], lo[rows], hi[rows]
+    last = hi - 1  # mid reaches hi only once lo = hi, and stays >= the first lo
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) >> 1
+        yes = holds(g, gp[np.minimum(mid, last)])
+        lo, hi = np.where(yes, lo, np.minimum(mid + 1, hi)), np.where(yes, mid, hi)
+    first[rows] = lo
+    return first
+
+
 def scan(spec: ScanSpec) -> ScanGrid:
     """Classify every cell of the grid; Forbidden cells are recorded, never raised.
 
-    The int8 code arrays are allocated once and filled one tile of g rows at a
-    time, and the cells of each pair code are counted tile by tile, so the
-    scan holds 2 bytes per cell plus one tile of temporaries. eps is evaluated
-    per tile for the activation codes and then dropped.
+    On a g row with a bona-fide cell w -+ g > 0, so each predicate below is,
+    like the gp centers, monotone in gp in float64: the uncertainty products
+    (w + g)(w + gp), (w - g)(w - gp) >= 1, which imply |gp| < w, the
+    separability factors (w - g)(w + gp), (w + g)(w - gp) < 1 and, on the
+    bona-fide run only (no NaN there), eps < 1 and eps < 1/e. Their ends cut
+    the row into at most 7 runs, each coded by :func:`_pair_codes` of its
+    first cell. A grid whose one-byte cell codes exceed the physical memory
+    raises MemoryError first.
     """
-    shape = (spec.resolution, spec.resolution)
-    kind = np.empty(shape, np.int8)
-    activation = np.empty(shape, np.int8)
-    counts = np.zeros(9, np.intp)
-    for tile in _tiles(spec.resolution):
-        eps = _evaluate_rows(spec, tile, kind=kind[tile])
-        if spec.protocol is Protocol.ENVIRONMENT_ONLY:
-            activation[tile] = 0
-        else:
-            # NaN compares false, so Forbidden cells get code 0 (None)
-            np.add(eps < 1.0, eps < DISTILLABLE_EPS, out=activation[tile], dtype=np.int8)
-        counts += np.bincount((kind[tile] * 3 + activation[tile]).ravel(), minlength=9)
-    return ScanGrid(spec, kind, activation, tuple(counts.tolist()))
+    res, w = spec.resolution, spec.omega_value
+    if res * res > _MEMORY:
+        raise MemoryError(f"a {res}x{res} grid of one-byte codes exceeds the physical memory")
+    g, gp = spec.g_centers(), spec.gp_centers()
+    lo, hi = np.zeros(res, np.intp), np.where(np.abs(g) < w, res, 0)
+    begin = _first_true(lambda g, x: (w + g) * (w + x) >= 1.0, g, gp, lo, hi)
+    end = np.maximum(begin, _first_true(lambda g, x: (w - g) * (w - x) < 1.0, g, gp, lo, hi))
+    flips = [lambda g, x: (w - g) * (w + x) >= 1.0, lambda g, x: (w + g) * (w - x) < 1.0]
+    if spec.protocol is not Protocol.ENVIRONMENT_ONLY:
+        eps = partial(large_mu_eps, spec.tau, w, protocol=spec.protocol)
+        flips += [lambda g, x: eps(g, x) >= 1.0, lambda g, x: eps(g, x) >= DISTILLABLE_EPS]
+    cuts = np.sort([begin, end, *(_first_true(f, g, gp, begin, end) for f in flips)], axis=0)
+    bounds = np.column_stack([np.zeros(res, np.intp), cuts.T, np.full(res, res)])
+    del lo, hi, begin, end, cuts  # the peak is in _pair_codes: hold only what it needs
+    starts = gp[np.minimum(bounds[:, :-1], res - 1)]
+    return ScanGrid(spec, bounds, _pair_codes(spec, g[:, np.newaxis], starts))
 
 
 def separable_activation_exists(

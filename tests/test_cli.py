@@ -10,6 +10,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
 
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 
 import entdist
 from entdist import Activation, EnvKind, Protocol, ScanSpec, scan
-from entdist import scanner
 from entdist.cli import (EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, OUTPUT_ENV_VAR,
                          _RENDER_TILE_CELLS, _g9_text, _json_number, _json_ready,
                          _needs_json_number, _render_scan_csv, _render_scan_json, fmt, main)
@@ -212,10 +212,9 @@ class TestScanCommand:
     @pytest.mark.parametrize("protocol, fmt_kind, window", sorted(GOLDEN_SHA256))
     def test_golden_digest_across_tile_seams(self, capsys, monkeypatch, protocol, fmt_kind,
                                              window):
-        # at 61^2 each golden case is one scan tile and one render tile; here
-        # the 61 rows are scanned 7 at a time (8 tiles and 5 rows) and rendered
-        # 3 at a time (20 tiles and 1 row), so the two tilings' seams differ
-        monkeypatch.setattr(scanner, "_TILE_CELLS", 7 * 61 + 3)
+        # at 61^2 each golden case is one render tile; here the 61 rows are
+        # rendered 3 at a time (20 tiles and 1 row), each tile's eps and
+        # physical mask taken from the scan's runs on its own rows
         monkeypatch.setattr(entdist.cli, "_RENDER_TILE_CELLS", 3 * 61 + 5)
         code, out, _ = run_cli(capsys, "scan", *self.GOLDEN_WINDOWS[window],
                                "--protocol", protocol, "--resolution", "61",
@@ -250,6 +249,27 @@ class TestScanCommand:
         assert out == ""
         assert "resolution 100000000" in err and "Traceback" not in err
         assert not target.exists()
+
+    def test_resolution_too_large_for_memory_is_refused_up_front(self, capsys, tmp_path):
+        # the real path: the scan holds O(resolution) runs, so no grid-sized
+        # allocation fails at 1e8 any more; the scan refuses a grid whose
+        # one-byte cell codes exceed the physical memory, before anything of
+        # its size is built and before the output opens
+        target = tmp_path / "out.csv"
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "scan", "--tau", "0.5", "--at-eb", "--protocol",
+                                     "direct", "--resolution", "100000000", "-o", str(target))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: resolution 100000000 is too large to fit in memory\n"
+        assert not target.exists()
+        assert peak < 2**20
 
     def test_partial_range_flags(self, capsys):
         code, _, _ = run_cli(capsys, "scan", "--tau", "0.5", "--at-eb",
@@ -466,8 +486,9 @@ class InjectedEpsGrid(ScanGrid):
     """A ScanGrid whose eps rows are the given array ``eps``, not the eps of its spec."""
 
     def __init__(self, spec, kind, activation, eps):
-        counts = np.bincount((kind * 3 + activation).ravel(), minlength=9)
-        super().__init__(spec, kind, activation, tuple(counts.tolist()))
+        # every cell a run of its own
+        bounds = np.tile(np.arange(spec.resolution + 1), (spec.resolution, 1))
+        super().__init__(spec, bounds, kind * 3 + activation)
         object.__setattr__(self, "injected", eps)
 
     def eps_rows(self, rows):
@@ -719,45 +740,38 @@ class TestScanMemory:
         assert code == EXIT_OK
         assert peak < max_ratio * path.stat().st_size
 
-    @staticmethod
-    def tile_bytes(resolution):
-        """Bytes of one float64 temporary of a scan tile at ``resolution``."""
-        return 8 * resolution * max(1, scanner._TILE_CELLS // resolution)
-
     def test_scan_peak_near_result_size(self):
-        # the plane formulas broadcast a g column against a gp row, so no
-        # full-grid coordinate arrays are held next to the results
+        # the scan keeps a few ints per g row, the ends and pair codes of the
+        # row's runs, and its temporaries are vectors over the rows or a few
+        # per row: its peak is O(resolution), under 512 bytes a row
         spec = ScanSpec(tau=0.8, protocol=Protocol.SWAP, resolution=301)
         scan(spec)  # warm-up
         tracemalloc.start()
         try:
-            grid = scan(spec)
+            scan(ScanSpec(tau=0.8, protocol=Protocol.SWAP, resolution=301))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        result = grid.kind.nbytes + grid.activation.nbytes
-        assert peak < result + 6 * self.tile_bytes(301)
+        assert peak < 512 * 301
 
     @pytest.mark.parametrize("protocol", [Protocol.SWAP, Protocol.ENVIRONMENT_ONLY],
                              ids=lambda p: p.name)
     def test_tiled_scan_peak_near_result_size(self, protocol):
-        # the scan keeps the two int8 code arrays, 2 MB at 1001^2, and fills
-        # them one tile of g rows at a time: its temporaries are a few tiles
-        # of 256 KB, and no float64 field of the grid (8 MB) is kept
+        # under 512 KiB at 1001^2, where int8 kind and activation arrays of
+        # the grid alone took 2 MB; the spec is new, so its cell centers count
         spec = ScanSpec(tau=0.8, protocol=protocol, resolution=1001)
         scan(spec)  # warm-up
         tracemalloc.start()
         try:
-            grid = scan(spec)
+            scan(ScanSpec(tau=0.8, protocol=protocol, resolution=1001))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        result = grid.kind.nbytes + grid.activation.nbytes
-        assert peak < result + 6 * self.tile_bytes(1001)
+        assert peak < 512 * 1001
 
     def test_summary_peak_near_code_size(self):
-        # scan counts the pair codes as it fills them, so the summary is read,
-        # not counted again over the grid
+        # the grid counts the pair codes from its run lengths once, so the
+        # summary is read, not counted again over the cells
         grid = scan(ScanSpec(tau=0.8, protocol=Protocol.SWAP, resolution=301))
         counts = np.bincount((grid.kind * 3 + grid.activation).ravel(), minlength=9)
         expected = {(kind, activation): int(counts[3 * k + a])
@@ -776,8 +790,8 @@ class TestScanMemory:
         # the blocks are rendered while the output file is open, so an
         # allocation that fails there leaves a cut file behind: the head, with
         # its summary, allocates less than the eps of one render tile, and the
-        # first row block, which renders the first tile, less than an int8
-        # code array of the grid
+        # first row block, which renders the first tile, less than one byte
+        # per cell of the grid
         grid = scan(ScanSpec(tau=0.8, protocol=Protocol.SWAP, resolution=3001))
         blocks = _render_scan_json(grid)
         tracemalloc.start()
@@ -789,7 +803,7 @@ class TestScanMemory:
         finally:
             tracemalloc.stop()
         assert head_peak < 8 * _RENDER_TILE_CELLS
-        assert peak < grid.kind.nbytes
+        assert peak < grid.spec.resolution ** 2
 
 
 class TestInputMagnitude:

@@ -1,11 +1,12 @@
 import hashlib
 import math
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -102,6 +103,15 @@ class TestScanSpec:
         spec = ScanSpec(tau=0.75, protocol=Protocol.SWAP, resolution=7,
                         g_range=(-7.0, 7.0), gp_range=(-7.0, 7.0))
         np.testing.assert_array_equal(spec.g_centers(), [-6, -4, -2, 0, 2, 4, 6])
+
+    def test_cell_centers_are_made_once_and_read_only(self):
+        # the scan's bisection and every row evaluation index the same vectors
+        spec = ScanSpec(tau=0.75, protocol=Protocol.SWAP, resolution=7, gp_range=(-1.0, 3.0))
+        for centers in (spec.g_centers, spec.gp_centers):
+            assert centers() is centers()
+            with pytest.raises(ValueError):
+                centers()[0] = 0.0
+        np.testing.assert_array_equal(spec.gp_centers(), -1.0 + (np.arange(7) + 0.5) * 4.0 / 7)
 
 
 class TestScan:
@@ -233,9 +243,9 @@ def _whole_grid(spec):
 
 
 class TestScanTiles:
-    """scan fills its result one tile of g rows at a time; with the tile shrunk
-    to a few cells, small grids split into many tiles, which must join with no
-    seam."""
+    """The lazy eps and env_pts fields are filled one tile of g rows at a time,
+    and kind and activation from the scan's runs; with the tile shrunk to a few
+    cells, small grids split into many tiles, which must join with no seam."""
 
     # (resolution, tile cells): one tile, 12 rows as 4 tiles of 3, 12 rows as
     # 5 + 5 + 2, and a tile smaller than one row, which still takes a whole row
@@ -262,9 +272,116 @@ class TestScanTiles:
         assert grid.counts == tuple(counts.tolist())
 
 
+def _float_flip(holds, lo, hi):
+    """Adjacent floats x < y in [lo, hi] with holds(x) != holds(y), where
+    ``holds`` changes once between lo and hi."""
+    first = holds(lo)
+    while np.nextafter(lo, hi) < hi:
+        mid = lo + (hi - lo) / 2.0
+        mid = mid if lo < mid < hi else np.nextafter(lo, hi)
+        lo, hi = (mid, hi) if holds(mid) == first else (lo, mid)
+    assert holds(lo) != holds(hi)
+    return lo, hi
+
+
+def _ulps_around(x, n):
+    """The floats n ulps below and n ulps above x."""
+    lo = hi = x
+    for _ in range(n):
+        lo, hi = np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)
+    return float(lo), float(hi)
+
+
+class TestRuns:
+    """scan keeps each g row as at most 7 runs of one pair code, whose ends it
+    finds by bisection on predicates monotone in gp; the cells they cover must
+    carry the codes of an elementwise evaluation of every cell."""
+
+    @staticmethod
+    def assert_matches_the_whole_grid(spec):
+        grid = scan(spec)
+        kind, activation, _, _ = _whole_grid(spec)
+        np.testing.assert_array_equal(grid.kind, kind)
+        np.testing.assert_array_equal(grid.activation, activation)
+        assert grid.kind.dtype == grid.activation.dtype == np.int8
+        pairs = (kind * 3 + activation).ravel()
+        assert grid.counts == tuple(np.bincount(pairs, minlength=9).tolist())
+        assert grid.run_codes.shape[1] <= 7
+        return pairs
+
+    @settings(max_examples=150, deadline=None)
+    @given(protocol=st.sampled_from(list(Protocol)), resolution=st.integers(2, 399),
+           tau=st.floats(0.01, 0.99), log_omega=st.one_of(st.none(), st.floats(0.0, 4.0)),
+           g_window=st.one_of(st.none(), st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))),
+           gp_window=st.one_of(st.none(), st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))))
+    def test_matches_the_whole_grid(self, protocol, resolution, tau, log_omega, g_window,
+                                    gp_window):
+        # windows are fractions of omega, so they reach 1.5 omega beyond the
+        # physical box on either side
+        omega = None if log_omega is None else 10.0 ** log_omega
+        w = eb_threshold(tau) if omega is None else omega
+        ranges = {}
+        for name, window in (("g_range", g_window), ("gp_range", gp_window)):
+            if window is not None and window[0] != window[1]:
+                ranges[name] = (min(window) * w, max(window) * w)
+        self.assert_matches_the_whole_grid(ScanSpec(tau=tau, protocol=protocol,
+                                                    resolution=resolution, omega=omega, **ranges))
+
+    # (name, g as a fraction of omega, the predicate along gp at that g,
+    # whether the pair code must change where it flips): the bona-fide and
+    # separability factors, eps = 1 and eps = 1/e, each where the row is bona
+    # fide on at least one side of the flip. At |gp| = omega no cell is bona
+    # fide, save where a product's boundary lies within the window too.
+    BOUNDARIES = {
+        "gp>-omega": (0.0, lambda w, g, gp, eps: gp > -w, False),
+        "gp<omega": (0.0, lambda w, g, gp, eps: gp < w, False),
+        "(w+g)(w+gp)>=1": (0.0, lambda w, g, gp, eps: (w + g) * (w + gp) >= 1.0, True),
+        "(w-g)(w-gp)>=1": (0.0, lambda w, g, gp, eps: (w - g) * (w - gp) >= 1.0, True),
+        "(w-g)(w+gp)>=1": (0.5, lambda w, g, gp, eps: (w - g) * (w + gp) >= 1.0, True),
+        "(w+g)(w-gp)>=1": (-0.5, lambda w, g, gp, eps: (w + g) * (w - gp) >= 1.0, True),
+        "eps<1": (0.0, lambda w, g, gp, eps: eps(g, gp) < 1.0, True),
+        "eps<1/e": (2.0 / 3.0, lambda w, g, gp, eps: eps(g, gp) < DISTILLABLE_EPS, True),
+    }
+
+    @pytest.mark.parametrize("omega", [3.0, 1e4, 1e8])
+    @pytest.mark.parametrize("boundary, protocol", [
+        (boundary, protocol) for boundary in sorted(BOUNDARIES) for protocol in Protocol
+        if not (boundary.startswith("eps") and protocol is Protocol.ENVIRONMENT_ONLY)
+    ], ids=str)
+    def test_windows_straddling_a_boundary_by_a_few_ulps(self, boundary, protocol, omega):
+        # at tau = 0.6 each boundary lies inside the physical box at these g
+        fraction, predicate, code_changes = self.BOUNDARIES[boundary]
+        tau, g = 0.6, fraction * omega
+        eps = lambda g, gp: float(large_mu_eps(tau, omega, g, gp, protocol))  # noqa: E731
+        # eps is NaN, so below both levels, off the physical box
+        reach = omega if boundary.startswith("eps") else 1.5 * omega
+        below, _ = _float_flip(lambda gp: predicate(omega, g, gp, eps), -reach, reach)
+        spec = ScanSpec(tau=tau, protocol=protocol, resolution=13, omega=omega,
+                        g_range=_ulps_around(g, 4),
+                        gp_range=_ulps_around(below, 6))
+        pairs = self.assert_matches_the_whole_grid(spec)
+        if code_changes:
+            assert len(set(pairs.tolist())) > 1
+
+    def test_grid_beyond_the_physical_memory_is_refused_up_front(self):
+        # the runs are O(resolution), so no grid-sized allocation fails at 1e8
+        # any more: the scan compares the grid's one-byte cell codes with the
+        # physical memory first
+        spec = ScanSpec(tau=0.5, protocol=Protocol.DIRECT, resolution=10**8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="100000000x100000000"):
+                scan(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+
 class TestLazyFields:
-    """scan keeps the class codes only; eps and env_pts are evaluated tile by
-    tile on first access and cached, and eps_rows evaluates a slice of rows."""
+    """scan keeps the runs of class codes only; eps and env_pts are evaluated
+    tile by tile on first access and cached, and eps_rows evaluates a slice of
+    rows."""
 
     @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.name)
     def test_read_only_cached_and_equal_to_the_whole_grid(self, monkeypatch, protocol):

@@ -79,7 +79,7 @@ def test_protocol_resolves_to_one_object():
 
 
 def test_cli_reads_no_whole_grid_float_field():
-    # a scan keeps 2 bytes per cell; ScanGrid.eps and ScanGrid.env_pts build a
+    # a scan keeps runs of cells; ScanGrid.eps and ScanGrid.env_pts build a
     # float64 array of the whole grid, so the renderer asks for the eps rows
     # of each tile (ScanGrid.eps_rows) and reads neither
     path = Path(entdist.cli.__file__)
@@ -87,3 +87,15 @@ def test_cli_reads_no_whole_grid_float_field():
     found = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in ("eps", "env_pts")]
     assert not found, f"whole-grid float fields read in the CLI: {', '.join(found)}"
+
+
+def test_cli_reads_no_whole_grid_code_array():
+    # a scan keeps runs of cells, a few ints per g row; ScanGrid.kind and
+    # ScanGrid.activation build an int8 array of the whole grid from them, so
+    # the renderer copies each run's fragments by slice and takes each render
+    # tile's mask from ScanGrid.physical_rows, and reads neither
+    path = Path(entdist.cli.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("kind", "activation")]
+    assert not found, f"whole-grid code arrays read in the CLI: {', '.join(found)}"
