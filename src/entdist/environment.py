@@ -141,9 +141,13 @@ def env_pts_radicand(omega, g, gp):
     Evaluated in the equal factored form min((omega - g)(omega + gp),
     (omega + g)(omega - gp)), which keeps its relative precision where the
     expanded one cancels (g -> omega, gp -> -omega at large omega) and is
-    positive wherever |g|, |gp| < omega.
+    positive wherever |g|, |gp| < omega. Float scalars skip numpy, keeping
+    np.minimum's rule: NaN if either is, else the second on ties (+-0.0).
     """
-    return np.minimum((omega - g) * (omega + gp), (omega + g) * (omega - gp))
+    a, b = (omega - g) * (omega + gp), (omega + g) * (omega - gp)
+    if isinstance(a, float):
+        return a if a < b or a != a else b
+    return np.minimum(a, b)
 
 
 def env_pts(omega: float, g: float, gp: float) -> float:

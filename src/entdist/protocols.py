@@ -75,18 +75,28 @@ def one_mode_output_cm(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
     return _qp_cm((mu, mu), (x, x), (c, -c))
 
 
+_DIRECT, _SWAP = Protocol.DIRECT, Protocol.SWAP
+
+
 def large_mu_eps_scale(tau, protocol: Protocol):
     """The factor of :func:`large_mu_eps`: 1 - tau for DIRECT, (1 - tau)/tau for SWAP;
     DomainError for any other value, ENVIRONMENT_ONLY included."""
-    if protocol is not Protocol.DIRECT and protocol is not Protocol.SWAP:
-        raise DomainError(f"large-mu eps needs the DIRECT or SWAP protocol, got {protocol!r}")
-    return (1.0 - tau) / tau if protocol is Protocol.SWAP else 1.0 - tau
+    if protocol is _DIRECT:
+        return 1.0 - tau
+    if protocol is _SWAP:
+        return (1.0 - tau) / tau
+    raise DomainError(f"large-mu eps needs the DIRECT or SWAP protocol, got {protocol!r}")
 
 
 def large_mu_eps(tau, omega, g, gp, protocol: Protocol):
     """Large-mu PTS eigenvalue (1 - tau) * sqrt((omega - g) * (omega + gp)) of the
-    direct output, divided by tau for the swapped state; unvalidated, elementwise."""
-    return large_mu_eps_scale(tau, protocol) * np.sqrt((omega - g) * (omega + gp))
+    direct output, divided by tau for the swapped state; unvalidated, elementwise.
+    NaN where the product is negative: float scalars take math.sqrt, with no
+    warning; arrays take np.sqrt, which warns there unless np.errstate hides it."""
+    scale, radicand = large_mu_eps_scale(tau, protocol), (omega - g) * (omega + gp)
+    if isinstance(radicand, float):
+        return scale * (math.sqrt(radicand) if not radicand < 0.0 else math.nan)
+    return scale * np.sqrt(radicand)
 
 
 def direct_eps_asymptotic(env: EnvironmentParams) -> float:

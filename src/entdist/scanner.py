@@ -294,9 +294,9 @@ def separable_activation_exists(
     1/scale), or 1 if rounding pushes that out; DomainError where float64 holds neither, and
     for the direct protocol where 1 - tau rounds to 1 (tau <= 2**-54), though such a tau activates.
     """
-    require_transmissivity(tau)
+    omega_eb = eb_threshold(tau)  # refuses tau outside (0, 1)
     scale = large_mu_eps_scale(tau, protocol)  # refuses all but DIRECT and SWAP
-    w = eb_threshold(tau) if omega is None else omega
+    w = omega_eb if omega is None else omega
     require_variance("omega", w)
     if scale >= 1.0:
         if protocol is Protocol.DIRECT:

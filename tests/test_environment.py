@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from entdist import (
     DomainError,
     EnvironmentParams,
     EnvKind,
+    Protocol,
     bona_fide_check,
     classify_environment,
     eb_threshold,
@@ -21,6 +24,8 @@ from entdist import (
     make_env_cm,
     pts_min_eigenvalue,
 )
+from entdist.environment import MAX_MAGNITUDE, bona_fide_conditions, env_pts_radicand
+from entdist.protocols import large_mu_eps
 
 from conftest import random_bona_fide_env
 
@@ -233,3 +238,83 @@ class TestEbThreshold:
             eb_threshold(tau)
         with pytest.raises(DomainError):
             eb_threshold_nbar(tau)
+
+
+# the signed zeros and NaN that numpy's minimum and sqrt treat in their own way
+_special = st.sampled_from([0.0, -0.0, math.nan, 1.0, -1.0])
+_scalars = st.floats(min_value=-MAX_MAGNITUDE, max_value=MAX_MAGNITUDE) | _special
+# points at random magnitudes, nearly all forbidden, and points whose
+# correlations are fractions of omega, many of them bona fide
+_random_points = st.tuples(_scalars, _scalars, _scalars)
+_physical_points = st.tuples(
+    st.floats(min_value=1.0, max_value=MAX_MAGNITUDE),
+    st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=-1.0, max_value=1.0),
+).map(lambda p: (p[0], p[0] * p[1], p[0] * p[2]))
+
+
+def _same_float(scalar, element):
+    """Equal values, NaN at the same inputs, and the same sign of zero."""
+    if math.isnan(element):
+        return math.isnan(scalar)
+    return scalar == element and math.copysign(1.0, scalar) == math.copysign(1.0, element)
+
+
+class TestScalarPathMatchesArrayPath:
+    """Each formula dispatches once: float scalars take math and plain
+    comparisons, arrays take numpy. A scalar call must return a Python float
+    or bool equal to the same element of an array call: the same value, the
+    same sign of zero, and NaN at the same inputs."""
+
+    @staticmethod
+    def _columns(points):
+        return tuple(np.array(column) for column in zip(*points))
+
+    @given(st.lists(_random_points | _physical_points, min_size=1, max_size=40))
+    def test_environment_formulas(self, points):
+        omega, g, gp = self._columns(points)
+        radicand = env_pts_radicand(omega, g, gp)
+        separable = is_separable(omega, g, gp)
+        conditions = bona_fide_conditions(omega, g, gp)
+        for i, point in enumerate(points):
+            value = env_pts_radicand(*point)
+            assert type(value) is float
+            assert _same_float(value, radicand[i])
+            verdict = is_separable(*point)
+            assert type(verdict) is bool and verdict == separable[i]
+            for scalar, array in zip(bona_fide_conditions(*point), conditions, strict=True):
+                assert type(scalar) is bool and scalar == array[i]
+
+    @given(st.lists(_random_points | _physical_points, min_size=1, max_size=40),
+           st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+           st.sampled_from([Protocol.DIRECT, Protocol.SWAP]))
+    def test_large_mu_eps(self, points, tau, protocol):
+        omega, g, gp = self._columns(points)
+        with np.errstate(invalid="ignore"):  # negative radicands of forbidden points
+            eps = large_mu_eps(tau, omega, g, gp, protocol)
+        for i, point in enumerate(points):
+            value = large_mu_eps(tau, *point, protocol)
+            assert type(value) is float
+            assert _same_float(value, eps[i])
+
+    def test_special_values(self):
+        # among these, (0, 1, -0) makes the two radicand factors -0.0 and +0.0
+        for point in itertools.product([0.0, -0.0, 1.0, -1.0, math.nan], repeat=3):
+            arrays = [np.array([x]) for x in point]
+            assert _same_float(env_pts_radicand(*point), env_pts_radicand(*arrays)[0]), point
+            for protocol in (Protocol.DIRECT, Protocol.SWAP):
+                with np.errstate(invalid="ignore"):
+                    expected = large_mu_eps(0.5, *arrays, protocol)[0]
+                assert _same_float(large_mu_eps(0.5, *point, protocol), expected), point
+
+    @pytest.mark.parametrize("protocol", [Protocol.DIRECT, Protocol.SWAP])
+    def test_large_mu_eps_on_a_forbidden_point_is_nan_without_a_warning(self, protocol):
+        # (omega - g)(omega + gp) = (2 - 3)(2 + 0) < 0: the scalar call gives
+        # NaN itself; np.sqrt's "invalid value" RuntimeWarning, which the test
+        # settings turn into an error, is left to the array call
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            eps = large_mu_eps(0.5, 2.0, 3.0, 0.0, protocol)
+        assert type(eps) is float and math.isnan(eps)
+        assert caught == []
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            assert np.isnan(large_mu_eps(0.5, 2.0, np.array([3.0]), 0.0, protocol)).all()

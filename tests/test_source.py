@@ -3,10 +3,14 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import entdist
 import entdist.cli
+import entdist.environment
 import entdist.protocols
 import entdist.scanner
+from entdist import Protocol
 
 
 def test_package_has_no_assert_statements():
@@ -99,3 +103,41 @@ def test_cli_reads_no_whole_grid_code_array():
     found = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in ("kind", "activation")]
     assert not found, f"whole-grid code arrays read in the CLI: {', '.join(found)}"
+
+
+class _NoNumpy:
+    """Stands in for numpy in a module whose scalar path must not use it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy used on the scalar path: np.{name}")
+
+
+@pytest.fixture
+def no_numpy(monkeypatch):
+    for module in (entdist.environment, entdist.protocols, entdist.scanner):
+        monkeypatch.setattr(module, "np", _NoNumpy())
+
+
+def test_scalar_formulas_use_no_numpy(no_numpy):
+    env = entdist.environment
+    assert env.bona_fide_conditions(7.0, 5.0, -5.0) == (True, True, True)
+    assert env.env_pts_radicand(7.0, 5.0, -5.0) == 4.0
+    assert env.is_separable(7.0, 5.0, -5.0) is True
+    assert env.env_pts(7.0, 5.0, -5.0) == 2.0
+    assert env.classify_environment(7.0, 5.0, -5.0).kind is env.EnvKind.SEPARABLE
+    for protocol, eps in ((Protocol.DIRECT, 0.5), (Protocol.SWAP, 2.0 / 3.0)):
+        assert entdist.protocols.large_mu_eps(0.75, 7.0, 5.0, -5.0, protocol) == eps
+
+
+@pytest.mark.parametrize("protocol", [Protocol.DIRECT, Protocol.SWAP])
+@pytest.mark.parametrize("tau", [0.3, 0.8])
+def test_activation_search_uses_no_numpy(no_numpy, protocol, tau):
+    found, witness = entdist.scanner.separable_activation_exists(tau, protocol)
+    assert found is (protocol is Protocol.DIRECT or tau > 0.5)
+    assert (witness is None) is not found
+
+
+def test_point_without_mu_uses_no_numpy(no_numpy, capsys):
+    argv = ["point", "--tau", "0.75", "--at-eb", "--g", "5", "--gp=-5", "--output", "-"]
+    assert entdist.cli.main(argv) == 0
+    assert "direct_eps,0.5\n" in capsys.readouterr().out
