@@ -305,7 +305,7 @@ def cmd_scan(args) -> int:
         grid = scan(spec)
     except DomainError as exc:  # the resolution or an empty window; the flags check the rest
         raise UsageError(str(exc)) from None
-    except MemoryError:  # numpy could not allocate the grid
+    except MemoryError:  # scan's up-front physical-memory check, or numpy could not allocate
         raise UsageError(f"resolution {args.resolution} is too large to fit in memory") from None
     render = _render_scan_json if args.format == "json" else _render_scan_csv
     _write_output(render(grid), _resolve_output(args))

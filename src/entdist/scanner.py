@@ -4,14 +4,15 @@ Every cell is evaluated at its center by the same formula functions that the
 point evaluators in :mod:`entdist.environment` and :mod:`entdist.protocols`
 call, here on arrays over the grid, so the scan and the point evaluators agree
 bit for bit by construction. :func:`scan` keeps each g row as at most 7 runs
-of one class pair and evaluates no eps; ``_evaluate_rows`` gives eps on g rows.
+of one class pair and evaluates no eps field; ``_evaluate_rows`` gives eps on g
+rows. Each spec's ``_eps_map`` alone decides which eps field a protocol has.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
@@ -35,6 +36,14 @@ class Activation(Enum):
     NONE = "None"
     ENTANGLING = "Entangling"
     DISTILLABLE = "Distillable"
+
+
+# eps(g, gp), elementwise; its large-mu scale; the levels below which a cell activates
+_EpsMap = namedtuple("_EpsMap", "eps scale levels")
+
+
+def _env_pts_field(omega, g, gp):
+    return np.sqrt(env_pts_radicand(omega, g, gp))  # the environment's PTS eigenvalue
 
 
 @dataclass(frozen=True)
@@ -93,6 +102,15 @@ class ScanSpec:
         return self._centers[1]
 
     @cached_property
+    def _eps_map(self) -> _EpsMap:
+        """Large-mu eps; for ENVIRONMENT_ONLY the environment's PTS eigenvalue, no levels."""
+        w = self.omega_value
+        if self.protocol is Protocol.ENVIRONMENT_ONLY:
+            return _EpsMap(partial(_env_pts_field, w), 1.0, ())
+        return _EpsMap(partial(large_mu_eps, self.tau, w, protocol=self.protocol),
+                       large_mu_eps_scale(self.tau, self.protocol), (1.0, DISTILLABLE_EPS))
+
+    @cached_property
     def _centers(self) -> tuple[np.ndarray, np.ndarray]:
         steps = np.arange(self.resolution) + 0.5
         return tuple(_read_only(lo + steps * (hi - lo) / self.resolution)
@@ -110,10 +128,10 @@ class ScanGrid:
     k + 1]) of g row i have the pair code run_codes[i, k] = kind * 3 + activation
     (kind 0 Forbidden, 1 Separable, 2 Entangled; activation 0 None, 1 Entangling,
     2 Distillable), and ``counts`` is the number of cells of each pair code. The
-    per-cell arrays ``kind``, ``activation`` (int8), ``eps`` and ``env_pts`` (NaN
-    on Forbidden cells; one array under ENVIRONMENT_ONLY) are read-only, built on
-    first access and cached; ``physical_rows`` and ``eps_rows`` cover g rows only.
-    """
+    run arrays are read-only copies of those passed in; the per-cell ``kind``,
+    ``activation`` (int8), ``eps`` and ``env_pts`` (NaN on Forbidden cells, one
+    array under ENVIRONMENT_ONLY) are read-only, built on first access and
+    cached; ``physical_rows`` and ``eps_rows`` cover g rows only."""
 
     spec: ScanSpec
     run_bounds: np.ndarray
@@ -121,8 +139,9 @@ class ScanGrid:
     counts: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        lengths = np.diff(_read_only(self.run_bounds)).ravel()
-        counts = np.bincount(_read_only(self.run_codes).ravel(), lengths, minlength=9)
+        for name in ("run_bounds", "run_codes"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
+        counts = np.bincount(self.run_codes.ravel(), np.diff(self.run_bounds).ravel(), minlength=9)
         object.__setattr__(self, "counts", tuple(int(n) for n in counts))
 
     @property
@@ -147,25 +166,18 @@ class ScanGrid:
 
     def eps_rows(self, rows: slice) -> np.ndarray:
         """eps on the g rows ``rows``, NaN on Forbidden cells."""
-        return _evaluate_rows(self.spec, rows, physical=self.physical_rows(rows))
+        return _evaluate_rows(self.spec, rows, self.spec._eps_map.eps, self.physical_rows(rows))
 
     @cached_property
     def eps(self) -> np.ndarray:
-        return self._whole_field(env_pts=False)
+        return _read_only(_tiled_field(self.spec, self.spec._eps_map.eps, self.physical_rows))
 
     @cached_property
     def env_pts(self) -> np.ndarray:
-        if self.spec.protocol is Protocol.ENVIRONMENT_ONLY:
+        if not self.spec._eps_map.levels:  # eps is the environment's PTS eigenvalue
             return self.eps
-        return self._whole_field(env_pts=True)
-
-    def _whole_field(self, env_pts: bool) -> np.ndarray:
-        """The field filled one tile of about ``_TILE_CELLS`` cells, at least a g row, at a time."""
-        res = self.spec.resolution
-        field, step = np.empty((res, res)), max(1, _TILE_CELLS // res)
-        for tile in (slice(start, start + step) for start in range(0, res, step)):
-            field[tile] = _evaluate_rows(self.spec, tile, env_pts, self.physical_rows(tile))
-        return _read_only(field)
+        env_pts = partial(_env_pts_field, self.spec.omega_value)
+        return _read_only(_tiled_field(self.spec, env_pts, self.physical_rows))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -181,31 +193,36 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 _MEMORY = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
            if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", ()) else math.inf)
 
-# cells per tile of the whole float fields: a float64 temporary of 2**15 cells
-# is 256 KiB, so a tile's temporaries stay in cache
-_TILE_CELLS = 2 ** 15
+# cells per tile of the whole float fields: a float64 temporary of 2**16 cells
+# is 512 KiB, so a tile's temporaries stay in cache
+_TILE_CELLS = 2 ** 16
 
 
-def _evaluate_rows(spec: ScanSpec, rows: slice, env_pts: bool = False, physical=None):
-    """eps on the g rows ``rows`` of the grid, or with ``env_pts`` the
-    environment's PTS eigenvalue (eps under ENVIRONMENT_ONLY), NaN off the
-    bona-fide mask ``physical``, which is evaluated where it is not given. The
-    g rows form a column that the formulas broadcast against the gp row; every
-    formula is elementwise, so the values do not depend on how rows are sliced.
-    """
+def _evaluate_rows(spec: ScanSpec, rows: slice, field_of, physical=None):
+    """``field_of(g, gp)`` on the g rows ``rows``, NaN off the bona-fide mask
+    ``physical``, evaluated where not given. The g column broadcasts against the
+    gp row, and every formula is elementwise, so no value depends on the slicing."""
     g, gp = spec.g_centers()[rows, np.newaxis], spec.gp_centers()
-    w = spec.omega_value
     if physical is None:
-        marginal_g, marginal_gp, uncertainty = bona_fide_conditions(w, g, gp)
+        marginal_g, marginal_gp, uncertainty = bona_fide_conditions(spec.omega_value, g, gp)
         physical = marginal_g & marginal_gp & uncertainty
     # forbidden cells may have negative radicands; they are masked to NaN in
     # place, in about half the time of an np.where copy
     with np.errstate(invalid="ignore"):
-        if env_pts or spec.protocol is Protocol.ENVIRONMENT_ONLY:
-            field = np.sqrt(env_pts_radicand(w, g, gp))
-        else:
-            field = large_mu_eps(spec.tau, w, g, gp, spec.protocol)
+        field = field_of(g, gp)
     field[~physical] = np.nan
+    return field
+
+
+def _tiled_field(spec: ScanSpec, field_of, physical_rows=lambda rows: None) -> np.ndarray:
+    """The whole grid of :func:`_evaluate_rows`, masked by ``physical_rows(tile)`` where not
+    None, a tile of about ``_TILE_CELLS`` cells (at least a g row) at a time; one tile uncopied."""
+    res, step = spec.resolution, max(1, _TILE_CELLS // spec.resolution)
+    if step >= res:
+        return _evaluate_rows(spec, slice(None), field_of, physical_rows(slice(None)))
+    field = np.empty((res, res))
+    for tile in (slice(start, start + step) for start in range(0, res, step)):
+        field[tile] = _evaluate_rows(spec, tile, field_of, physical_rows(tile))
     return field
 
 
@@ -213,27 +230,12 @@ def eps_field(spec: ScanSpec) -> np.ndarray:
     """eps at every cell center, indexed [i_g, j_gp], NaN outside the physical
     region; the quantity contoured by :func:`boundary_curves`. For
     ENVIRONMENT_ONLY it is the environment PTS eigenvalue itself."""
-    return _evaluate_rows(spec, slice(None))
+    return _tiled_field(spec, spec._eps_map.eps)
 
 
 # ---------------------------------------------------------------------------
 # scanning
 # ---------------------------------------------------------------------------
-
-def _pair_codes(spec: ScanSpec, g, gp):
-    """kind * 3 + activation of the cells (g, gp), elementwise: the bona-fide
-    conditions, environment.is_separable, and eps < 1 and eps < 1/e."""
-    w = spec.omega_value
-    marginal_g, marginal_gp, uncertainty = bona_fide_conditions(w, g, gp)
-    physical = marginal_g & marginal_gp & uncertainty
-    codes = 3 * (physical.astype(np.int8) + (physical & (env_pts_radicand(w, g, gp) < 1.0)))
-    if spec.protocol is not Protocol.ENVIRONMENT_ONLY:
-        with np.errstate(invalid="ignore"):  # NaN off the bona-fide cells
-            eps = large_mu_eps(spec.tau, w, g, gp, spec.protocol)
-        codes += physical & (eps < 1.0)
-        codes += physical & (eps < DISTILLABLE_EPS)
-    return codes
-
 
 def _first_true(holds, g, gp, lo, hi):
     """Per g row, the first gp index in [lo, hi) at which ``holds(g, gp)`` is
@@ -257,10 +259,12 @@ def scan(spec: ScanSpec) -> ScanGrid:
     like the gp centers, monotone in gp in float64: the uncertainty products
     (w + g)(w + gp), (w - g)(w - gp) >= 1, which imply |gp| < w, the
     separability factors (w - g)(w + gp), (w + g)(w - gp) < 1 and, on the
-    bona-fide run only (no NaN there), eps < 1 and eps < 1/e. Their ends cut
-    the row into at most 7 runs, each coded by :func:`_pair_codes` of its
-    first cell. A grid whose one-byte cell codes exceed the physical memory
-    raises MemoryError first.
+    bona-fide run only (no NaN there), eps < each activation level. Their ends
+    cut the row into at most 7 runs, each coded by where its first cell a lies
+    among them: bona fide for begin <= a < end, Entangled below the rising
+    separability cut or from the falling one on, and one activation step more
+    per level cut above a. A grid whose one-byte cell codes exceed the physical
+    memory raises MemoryError first.
     """
     res, w = spec.resolution, spec.omega_value
     if res * res > _MEMORY:
@@ -269,15 +273,16 @@ def scan(spec: ScanSpec) -> ScanGrid:
     lo, hi = np.zeros(res, np.intp), np.where(np.abs(g) < w, res, 0)
     begin = _first_true(lambda g, x: (w + g) * (w + x) >= 1.0, g, gp, lo, hi)
     end = np.maximum(begin, _first_true(lambda g, x: (w - g) * (w - x) < 1.0, g, gp, lo, hi))
-    flips = [lambda g, x: (w - g) * (w + x) >= 1.0, lambda g, x: (w + g) * (w - x) < 1.0]
-    if spec.protocol is not Protocol.ENVIRONMENT_ONLY:
-        eps = partial(large_mu_eps, spec.tau, w, protocol=spec.protocol)
-        flips += [lambda g, x: eps(g, x) >= 1.0, lambda g, x: eps(g, x) >= DISTILLABLE_EPS]
-    cuts = np.sort([begin, end, *(_first_true(f, g, gp, begin, end) for f in flips)], axis=0)
-    bounds = np.column_stack([np.zeros(res, np.intp), cuts.T, np.full(res, res)])
-    del lo, hi, begin, end, cuts  # the peak is in _pair_codes: hold only what it needs
-    starts = gp[np.minimum(bounds[:, :-1], res - 1)]
-    return ScanGrid(spec, bounds, _pair_codes(spec, g[:, np.newaxis], starts))
+    eps, levels = spec._eps_map.eps, spec._eps_map.levels
+    flips = [lambda g, x: (w - g) * (w + x) >= 1.0, lambda g, x: (w + g) * (w - x) < 1.0,
+             *(lambda g, x, level=level: eps(g, x) >= level for level in levels)]
+    cuts = np.array([begin, end, *(_first_true(f, g, gp, begin, end) for f in flips)])
+    bounds = np.column_stack([np.zeros(res, np.intp), np.sort(cuts, axis=0).T, np.full(res, res)])
+    a, (begin, end, rise, fall, *below) = bounds[:, :-1], cuts[..., np.newaxis]
+    physical = (begin <= a) & (a < end)
+    codes = 3 * (physical.astype(np.int8) + (physical & ((a < rise) | (fall <= a))))
+    codes += sum(physical & (a < cut) for cut in below)
+    return ScanGrid(spec, bounds, codes)
 
 
 def separable_activation_exists(
@@ -335,12 +340,8 @@ def boundary_curves(spec: ScanSpec, levels: tuple[float, ...] = (1.0, DISTILLABL
     floating-point rounding. Squares touching non-physical cells are skipped,
     which truncates contours at the border of the physical region.
     """
-    xs = spec.g_centers().tolist()
-    ys = spec.gp_centers().tolist()
-    field = eps_field(spec)
-    omega = spec.omega_value
-    scale = 1.0 if spec.protocol is Protocol.ENVIRONMENT_ONLY \
-        else large_mu_eps_scale(spec.tau, spec.protocol)
+    xs, ys = spec.g_centers().tolist(), spec.gp_centers().tolist()
+    field, omega, scale = eps_field(spec), spec.omega_value, spec._eps_map.scale
 
     contours = []
     for level in levels:
@@ -427,13 +428,13 @@ def _stitch_segments(segments):
 
 def _edge_point(edge, xs, ys, field, level, omega, radicand):
     """The point of ``edge`` at which eps = level, with ``radicand`` the squared
-    level over the protocol's squared eps scale.
+    level over the squared scale of the spec's eps map.
 
-    Along an edge one coordinate is fixed, and the squared eps over the squared
-    scale is (omega - fixed)(omega + free), which rises with the free
-    coordinate, (omega + fixed)(omega - free), which falls, or the smaller of
-    the two, which rises, then falls. So an edge whose first corner lies below
-    the level is crossed where the rising factor equals ``radicand``, and any
+    Along an edge one coordinate is fixed, and the map's squared eps over its
+    squared scale is the rising factor (omega - fixed)(omega + free), the
+    falling factor (omega + fixed)(omega - free), or the smaller of the two,
+    which rises, then falls. So an edge whose first corner lies below the
+    level is crossed where the rising factor equals ``radicand``, and any
     other crossed edge where the falling one does, each at a free coordinate
     found without iteration.
     """
@@ -448,10 +449,8 @@ def _edge_point(edge, xs, ys, field, level, omega, radicand):
         free = lo
     elif f1 == level:
         free = hi
+    elif f0 < level:
+        free = min(max(radicand / (omega - fixed) - omega, lo), hi)
     else:
-        if f0 < level:
-            free = radicand / (omega - fixed) - omega
-        else:
-            free = omega - radicand / (omega + fixed)
-        free = min(max(free, lo), hi)
+        free = min(max(omega - radicand / (omega + fixed), lo), hi)
     return (free, fixed) if kind == "h" else (fixed, free)

@@ -32,7 +32,7 @@ from entdist import scanner
 from entdist.environment import (EnvironmentParams, bona_fide_check, bona_fide_conditions,
                                  env_pts_radicand)
 from entdist.protocols import large_mu_eps, large_mu_eps_scale
-from entdist.scanner import _marching_squares_segments, _stitch_segments
+from entdist.scanner import ScanGrid, _marching_squares_segments, _stitch_segments
 
 from conftest import ACTIVATION_CODE, KIND_CODE
 
@@ -204,6 +204,21 @@ class TestScan:
         for arr in (grid.kind, grid.activation, grid.env_pts, grid.eps):
             with pytest.raises(ValueError):
                 arr[0, 0] = 0
+
+    def test_grid_copies_the_run_arrays_it_is_given(self):
+        # the grid keeps read-only copies, so the caller's arrays stay
+        # writable and a later write to them changes neither counts nor kind
+        spec = ScanSpec(tau=0.75, protocol=Protocol.DIRECT, resolution=11)
+        scanned = scan(spec)
+        bounds, codes = scanned.run_bounds.copy(), scanned.run_codes.copy()
+        grid = ScanGrid(spec, bounds, codes)
+        assert bounds.flags.writeable and codes.flags.writeable
+        assert not (grid.run_bounds.flags.writeable or grid.run_codes.flags.writeable)
+        bounds[0, 0] = 1
+        codes[:] = 0
+        assert grid.counts == scanned.counts
+        np.testing.assert_array_equal(grid.kind, scanned.kind)
+        assert sum(grid.counts) == 11 ** 2 and len(set(grid.kind.ravel().tolist())) == 3
 
     @pytest.mark.parametrize("tau", STANDARD_TAUS)
     @pytest.mark.parametrize("protocol", [Protocol.DIRECT, Protocol.SWAP])

@@ -141,3 +141,44 @@ def test_point_without_mu_uses_no_numpy(no_numpy, capsys):
     argv = ["point", "--tau", "0.75", "--at-eb", "--g", "5", "--gp=-5", "--output", "-"]
     assert entdist.cli.main(argv) == 0
     assert "direct_eps,0.5\n" in capsys.readouterr().out
+
+
+def _parse(path):
+    return ast.parse(Path(path).read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_only_the_eps_map_tells_environment_only_apart():
+    # each spec's _eps_map holds its eps field, scale and activation levels,
+    # so no other code in the scanner branches on the protocol having no eps
+    # of its own
+    tree = _parse(entdist.scanner.__file__)
+    maps = [node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_eps_map"]
+    assert len(maps) == 1
+    inside = {id(node) for node in ast.walk(maps[0])}
+    found = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "ENVIRONMENT_ONLY"]
+    assert found, "the eps map no longer names ENVIRONMENT_ONLY"
+    outside = [f"scanner.py:{node.lineno}" for node in found if id(node) not in inside]
+    assert not outside, f"ENVIRONMENT_ONLY outside the eps map: {', '.join(outside)}"
+
+
+def test_no_module_level_import_goes_unused():
+    # __init__.py imports to re-export, so it is exempt; no linter runs here
+    unused = []
+    for path in sorted(Path(entdist.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = _parse(path)
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.extend(f"{path.name}:{line} {name}" for name, line in imported.items()
+                      if name not in used)
+    assert not unused, f"unused imports: {', '.join(unused)}"
