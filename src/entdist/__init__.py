@@ -15,8 +15,6 @@ from .environment import (
     bona_fide_check,
     classify_environment,
     eb_threshold,
-    eb_threshold_nbar,
-    env_pts,
     is_separable,
 )
 from .errors import DomainError
@@ -24,20 +22,16 @@ from .protocols import (
     EprVariances,
     Protocol,
     ProtocolResult,
-    bell_port_variances,
     coherent_info_asymptotic,
     direct_eps_asymptotic,
     direct_output_cm,
-    direct_spectrum_asymptotic,
     epr_variances_from_cm,
-    one_mode_output_cm,
     run_direct,
     run_swap,
     swap_coherent_info_determinant,
     swap_conditional_cm,
     swap_epr_variances_asymptotic,
     swap_eps_asymptotic,
-    swap_noiseless_cm,
 )
 from .scanner import (
     DISTILLABLE_EPS,
@@ -53,12 +47,9 @@ from .scanner import (
 from .symplectic import (
     CovarianceMatrix,
     EntanglementReport,
-    coherent_information,
     entanglement_report,
     h,
     log_negativity,
-    make_env_cm,
-    make_epr_cm,
     partial_trace,
     partial_transpose,
     pts_min_eigenvalue,
@@ -83,27 +74,19 @@ __all__ = [
     "ProtocolResult",
     "ScanGrid",
     "ScanSpec",
-    "bell_port_variances",
     "bona_fide_check",
     "boundary_curves",
     "classify_environment",
     "coherent_info_asymptotic",
-    "coherent_information",
     "direct_eps_asymptotic",
     "direct_output_cm",
-    "direct_spectrum_asymptotic",
     "eb_threshold",
-    "eb_threshold_nbar",
     "entanglement_report",
-    "env_pts",
     "epr_variances_from_cm",
     "eps_field",
     "h",
     "is_separable",
     "log_negativity",
-    "make_env_cm",
-    "make_epr_cm",
-    "one_mode_output_cm",
     "partial_trace",
     "partial_transpose",
     "pts_min_eigenvalue",
@@ -115,7 +98,6 @@ __all__ = [
     "swap_conditional_cm",
     "swap_epr_variances_asymptotic",
     "swap_eps_asymptotic",
-    "swap_noiseless_cm",
     "symplectic_eigenvalues",
     "symplectic_form",
     "von_neumann_entropy",

@@ -239,8 +239,14 @@ def _rel_error(result) -> float:
 # point
 # ---------------------------------------------------------------------------
 
+def _omega(args) -> float:
+    """The environment variance of a ``point`` or ``converge`` run: ``--omega``,
+    or the EB threshold of ``--tau`` under ``--at-eb``."""
+    return eb_threshold(args.tau) if args.at_eb else args.omega
+
+
 def cmd_point(args) -> int:
-    omega = eb_threshold(args.tau) if args.at_eb else args.omega
+    omega = _omega(args)
 
     report: dict[str, object] = {
         "tau": args.tau,
@@ -525,9 +531,7 @@ def _render_scan_json(grid: ScanGrid):
 # ---------------------------------------------------------------------------
 
 def cmd_converge(args) -> int:
-    omega = eb_threshold(args.tau) if args.at_eb else args.omega
-
-    env = EnvironmentParams(args.tau, omega, args.g, args.gp)  # may raise DomainError
+    env = EnvironmentParams(args.tau, _omega(args), args.g, args.gp)  # may raise DomainError
     runner = _RUNNERS[args.protocol]
     rows = []
     for mu in args.mu:

@@ -150,16 +150,6 @@ def env_pts_radicand(omega, g, gp):
     return np.minimum(a, b)
 
 
-def env_pts(omega: float, g: float, gp: float) -> float:
-    """Smallest partially-transposed symplectic eigenvalue of the environment.
-
-    Closed form sqrt(:func:`env_pts_radicand`); the generic matrix path in
-    :mod:`entdist.symplectic` must reproduce it.
-    """
-    require_bona_fide(omega, g, gp)
-    return math.sqrt(env_pts_radicand(omega, g, gp))
-
-
 def is_separable(omega, g, gp):
     """Separability, env_pts >= 1, as :func:`env_pts_radicand` >= 1.
 
@@ -170,7 +160,8 @@ def is_separable(omega, g, gp):
 
 
 def classify_environment(omega: float, g: float, gp: float) -> EnvClass:
-    """Sort (omega, g, gp) into Forbidden / Separable / Entangled."""
+    """Sort (omega, g, gp) into Forbidden / Separable / Entangled; env_pts is the
+    environment's smallest PTS eigenvalue, sqrt(:func:`env_pts_radicand`)."""
     if not bona_fide_check(omega, g, gp):
         return EnvClass(EnvKind.FORBIDDEN, None)
     kind = EnvKind.SEPARABLE if is_separable(omega, g, gp) else EnvKind.ENTANGLED
@@ -182,9 +173,3 @@ def eb_threshold(tau: float) -> float:
     transmissivity tau breaks all input entanglement."""
     require_transmissivity(tau)
     return (1.0 + tau) / (1.0 - tau)
-
-
-def eb_threshold_nbar(tau: float) -> float:
-    """Same threshold expressed as a mean thermal photon number, tau/(1 - tau)."""
-    require_transmissivity(tau)
-    return tau / (1.0 - tau)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .environment import EnvironmentParams, require_variance
 from .errors import DomainError
-from .symplectic import CovarianceMatrix, EntanglementReport, _qp_cm, entanglement_report
+from .symplectic import CovarianceMatrix, EntanglementReport, entanglement_report
 
 
 class Protocol(Enum):
@@ -51,6 +51,16 @@ class EprVariances:
         return self.v_qminus < 1.0 and self.v_pplus < 1.0
 
 
+def _qp_cm(a, b, c) -> CovarianceMatrix:
+    """Two-mode CM with no q-p correlations, [[diag(a), diag(c)], [diag(c), diag(b)]],
+    from the (q, p) pairs a and b of the two modes and c between them."""
+    (a_q, a_p), (b_q, b_p), (c_q, c_p) = a, b, c
+    return CovarianceMatrix(np.array([[a_q, 0.0, c_q, 0.0],
+                                      [0.0, a_p, 0.0, c_p],
+                                      [c_q, 0.0, b_q, 0.0],
+                                      [0.0, c_p, 0.0, b_p]]))
+
+
 # ---------------------------------------------------------------------------
 # direct distribution
 # ---------------------------------------------------------------------------
@@ -64,15 +74,6 @@ def direct_output_cm(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
     x = env.tau * mu + t1 * env.omega
     c = env.tau * math.sqrt(mu * mu - 1.0)
     return _qp_cm((x, x), (x, x), (c + t1 * env.g, -c + t1 * env.gp))
-
-
-def one_mode_output_cm(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
-    """Output when only mode B is transmitted, [[mu I, mu' sqrt(tau) Z],
-    [mu' sqrt(tau) Z, x I]] with mu' = sqrt(mu^2 - 1) and x = tau*mu + (1 - tau)*omega."""
-    require_variance("mu", mu)
-    x = env.tau * mu + (1.0 - env.tau) * env.omega
-    c = math.sqrt(mu * mu - 1.0) * math.sqrt(env.tau)
-    return _qp_cm((mu, mu), (x, x), (c, -c))
 
 
 _DIRECT, _SWAP = Protocol.DIRECT, Protocol.SWAP
@@ -104,19 +105,6 @@ def direct_eps_asymptotic(env: EnvironmentParams) -> float:
     return float(large_mu_eps(env.tau, env.omega, env.g, env.gp, Protocol.DIRECT))
 
 
-def direct_spectrum_asymptotic(env: EnvironmentParams, mu: float) -> tuple[float, float]:
-    """Leading-order symplectic spectrum (nu_plus, nu_minus) of the direct output.
-
-    nu_+- = sqrt((2*omega + gp - g +- |g + gp|) * (1 - tau) * tau * mu); their
-    product equals 2*tau*mu times the asymptotic PTS eigenvalue.
-    """
-    require_variance("mu", mu)
-    base = (1.0 - env.tau) * env.tau * mu
-    shift = abs(env.g + env.gp)
-    mid = 2.0 * env.omega + env.gp - env.g
-    return (math.sqrt((mid + shift) * base), math.sqrt((mid - shift) * base))
-
-
 def coherent_info_asymptotic(eps: float) -> float:
     """ln(1/(e * eps)); positive exactly when eps < 1/e."""
     if not 0.0 < eps < math.inf:  # nan fails too
@@ -128,40 +116,16 @@ def coherent_info_asymptotic(eps: float) -> float:
 # entanglement swapping
 # ---------------------------------------------------------------------------
 
-def swap_noiseless_cm(mu: float) -> CovarianceMatrix:
-    """Remote CM after an ideal Bell measurement on two EPR halves.
-
-    (1/2mu) * [[(mu^2+1) I, (mu^2-1) Z], [(mu^2-1) Z, (mu^2+1) I]]; its PTS
-    eigenvalue is 1/mu and both remote EPR variances equal 1/mu.
-    """
-    require_variance("mu", mu)
-    a = (mu * mu + 1.0) / (2.0 * mu)
-    c = (mu * mu - 1.0) / (2.0 * mu)
-    return _qp_cm((a, a), (a, a), (c, -c))
-
-
-def bell_port_variances(mu: float, env: EnvironmentParams) -> tuple[float, float]:
-    """Variances of the two homodyned Bell-port quadratures.
-
-    The difference port sees tau*mu + (1 - tau)*(omega - g) in q and the sum
-    port tau*mu + (1 - tau)*(omega + gp) in p; both divide the conditioning
-    correction of the remote state.
-    """
-    return (
-        env.tau * mu + (1.0 - env.tau) * (env.omega - env.g),
-        env.tau * mu + (1.0 - env.tau) * (env.omega + env.gp),
-    )
-
-
 def swap_conditional_cm(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
     """Closed-form remote CM after the Bell measurement through the noisy arms.
 
     mu*I minus a rank-two correction (mu^2 - 1)*tau/2 scaled by the inverse
-    Bell-port variances; q entries anticorrelate the remote modes, p entries
-    correlate them.
+    variances of the homodyned Bell ports, the difference port in q and the sum
+    port in p; q entries anticorrelate the remote modes, p entries correlate them.
     """
     require_variance("mu", mu)
-    var_q, var_p = bell_port_variances(mu, env)
+    var_q = env.tau * mu + (1.0 - env.tau) * (env.omega - env.g)
+    var_p = env.tau * mu + (1.0 - env.tau) * (env.omega + env.gp)
     s = (mu * mu - 1.0) * env.tau / 2.0
     a = (mu - s * (1.0 / var_q), mu - s * (1.0 / var_p))
     # 0.0 - x, as in mu*I - s*K: +0.0, not -0.0, at mu = 1

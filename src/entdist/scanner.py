@@ -141,7 +141,10 @@ class ScanGrid:
     def __post_init__(self) -> None:
         for name in ("run_bounds", "run_codes"):
             object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
-        counts = np.bincount(self.run_codes.ravel(), np.diff(self.run_bounds).ravel(), minlength=9)
+        # in integers: each run adds its end to its pair code and takes off its start
+        counts = np.zeros(9, np.int64)
+        np.add.at(counts, self.run_codes, self.run_bounds[:, 1:])
+        np.subtract.at(counts, self.run_codes, self.run_bounds[:, :-1])
         object.__setattr__(self, "counts", tuple(int(n) for n in counts))
 
     @property

@@ -15,7 +15,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .environment import require_bona_fide, require_variance
 from .errors import DomainError
 
 SYMMETRY_RTOL = 1e-12
@@ -82,35 +81,6 @@ class EntanglementReport:
     log_negativity: float
     coherent_info: float
     symplectic_spectrum: tuple[float, ...]
-
-
-def _qp_cm(a, b, c) -> CovarianceMatrix:
-    """Two-mode CM with no q-p correlations, [[diag(a), diag(c)], [diag(c), diag(b)]],
-    from the (q, p) pairs a and b of the two modes and c between them."""
-    (a_q, a_p), (b_q, b_p), (c_q, c_p) = a, b, c
-    return CovarianceMatrix(np.array([[a_q, 0.0, c_q, 0.0],
-                                      [0.0, a_p, 0.0, c_p],
-                                      [c_q, 0.0, b_q, 0.0],
-                                      [0.0, c_p, 0.0, b_p]]))
-
-
-def make_epr_cm(mu: float) -> CovarianceMatrix:
-    """CM of a two-mode squeezed vacuum with quadrature variance mu >= 1.
-
-    Diagonal blocks mu*I, off-diagonal blocks sqrt(mu^2 - 1)*Z with
-    Z = diag(1, -1); pure for every mu, maximally correlated as mu grows.
-    """
-    require_variance("mu", mu)
-    c = math.sqrt(mu * mu - 1.0)
-    return _qp_cm((mu, mu), (mu, mu), (c, -c))
-
-
-def make_env_cm(omega: float, g: float, gp: float) -> CovarianceMatrix:
-    """CM of the correlated two-mode environment, [[omega*I, G], [G, omega*I]]
-    with G = diag(g, gp). Raises DomainError naming the violated bona-fide
-    condition for unphysical parameters."""
-    require_bona_fide(omega, g, gp)
-    return _qp_cm((omega, omega), (omega, omega), (g, gp))
 
 
 def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
@@ -185,24 +155,6 @@ def von_neumann_entropy(cm: CovarianceMatrix) -> float:
     return _entropy(symplectic_eigenvalues(cm), cm.magnitude())
 
 
-def _coherent_information(cm: CovarianceMatrix, keep_modes: list[int], spectrum) -> float:
-    """S(B) - S(AB) for the checked modes of B, given the symplectic spectrum of `cm`."""
-    reduced = partial_trace(cm, drop=[m for m in range(cm.n_modes) if m not in keep_modes])
-    return von_neumann_entropy(reduced) - _entropy(spectrum, cm.magnitude())
-
-
-def coherent_information(cm: CovarianceMatrix, keep: Iterable[int]) -> float:
-    """I(A>B) = S(B) - S(AB) in nats, where `keep` lists the modes of B.
-
-    May be negative; positive values lower-bound the one-way distillable
-    entanglement per copy.
-    """
-    keep_modes = _checked_modes(keep, cm.n_modes)
-    if len(keep_modes) == cm.n_modes:
-        raise DomainError("keep must be a proper subset of the modes")
-    return _coherent_information(cm, keep_modes, symplectic_eigenvalues(cm))
-
-
 def log_negativity(pts_min: float) -> float:
     """max{0, -ln(pts_min)}: zero exactly when the PTS eigenvalue is >= 1."""
     if not pts_min > 0.0:  # nan fails too
@@ -214,16 +166,18 @@ def entanglement_report(cm: CovarianceMatrix, partition: Iterable[int]) -> Entan
     """Report for the bipartition (rest | partition).
 
     The coherent information is taken toward the partition side, i.e.
-    I(rest > partition). The spectrum of `cm` is computed once, for both the
-    report and S(AB).
+    I(rest > partition) = S(partition) - S(all) in nats. It may be negative;
+    positive values lower-bound the one-way distillable entanglement per copy.
+    The spectrum of `cm` is computed once, for both the report and S(all).
     """
     modes = _checked_modes(partition, cm.n_modes)
     eps = pts_min_eigenvalue(cm, modes)
     spectrum = symplectic_eigenvalues(cm)
+    reduced = partial_trace(cm, drop=[m for m in range(cm.n_modes) if m not in modes])
     return EntanglementReport(
         pts_min=eps,
         log_negativity=log_negativity(eps),
-        coherent_info=_coherent_information(cm, modes, spectrum),
+        coherent_info=von_neumann_entropy(reduced) - _entropy(spectrum, cm.magnitude()),
         symplectic_spectrum=tuple(float(nu) for nu in spectrum),
     )
 

@@ -2,9 +2,10 @@
 
 These are the independent references that the tests compare entdist's closed
 forms against: beam splitters, symplectic conjugation, homodyne conditioning
-and the two-mode closed-form spectrum, and the pipelines that build each
-protocol's output state from them (beam splitters, partial traces, homodyne
-conditioning). The package itself never runs them. The module's name keeps
+and the two-mode closed-form spectrum, the EPR and environment input states,
+and the pipelines that build each protocol's output state from them (beam
+splitters, partial traces, homodyne conditioning). The package itself never
+runs them. The module's name keeps
 pytest from collecting it; tests import it as they import ``conftest``.
 """
 
@@ -20,17 +21,16 @@ from entdist import (
     CovarianceMatrix,
     DomainError,
     EnvironmentParams,
-    make_env_cm,
-    make_epr_cm,
     partial_trace,
     symplectic_form,
 )
-from entdist.environment import require_variance
+from entdist.environment import require_bona_fide, require_variance
 
 SYMPLECTIC_ATOL = 1e-10
 PINV_CUTOFF = 1e-12
 
 _I2 = np.eye(2)
+_Z = np.diag([1.0, -1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +138,30 @@ def homodyne_condition(cm: CovarianceMatrix, mode: int, quadrature: str) -> Cova
     a = cm.data[np.ix_(keep, keep)]
     c = cm.data[np.ix_(keep, [i])]
     return CovarianceMatrix(a - (c @ c.T) / var)
+
+
+# ---------------------------------------------------------------------------
+# input states
+# ---------------------------------------------------------------------------
+
+def make_epr_cm(mu: float) -> CovarianceMatrix:
+    """CM of a two-mode squeezed vacuum with quadrature variance mu >= 1.
+
+    Diagonal blocks mu*I, off-diagonal blocks sqrt(mu^2 - 1)*Z with
+    Z = diag(1, -1); pure for every mu, maximally correlated as mu grows.
+    """
+    require_variance("mu", mu)
+    c = math.sqrt(mu * mu - 1.0)
+    return CovarianceMatrix(np.block([[mu * _I2, c * _Z], [c * _Z, mu * _I2]]))
+
+
+def make_env_cm(omega: float, g: float, gp: float) -> CovarianceMatrix:
+    """CM of the correlated two-mode environment, [[omega*I, G], [G, omega*I]]
+    with G = diag(g, gp). Raises DomainError naming the violated bona-fide
+    condition for unphysical parameters."""
+    require_bona_fide(omega, g, gp)
+    corr = np.diag([g, gp])
+    return CovarianceMatrix(np.block([[omega * _I2, corr], [corr, omega * _I2]]))
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,10 @@ from entdist import (
     ScanSpec,
     bona_fide_check,
     classify_environment,
-    coherent_information,
     direct_eps_asymptotic,
     eb_threshold,
+    entanglement_report,
     epr_variances_from_cm,
-    make_env_cm,
-    make_epr_cm,
     pts_min_eigenvalue,
     scan,
     swap_coherent_info_determinant,
@@ -38,6 +36,8 @@ from entdist import (
 from conftest import ACTIVATION_CODE, KIND_CODE, random_bona_fide_env
 from gaussian_reference import (
     direct_output_pipeline,
+    make_env_cm,
+    make_epr_cm,
     one_mode_output_pipeline,
     swap_conditional_pipeline,
     swap_noiseless_pipeline,
@@ -161,12 +161,12 @@ def test_criterion_5_coherent_information():
     for env in cases:
         direct_cm = direct_output_pipeline(LARGE_MU, env)
         expected_direct = math.log(1.0 / (math.e * direct_eps_asymptotic(env)))
-        assert coherent_information(direct_cm, keep=(1,)) == \
+        assert entanglement_report(direct_cm, (1,)).coherent_info == \
             pytest.approx(expected_direct, abs=1e-2)
 
         swap_cm = swap_conditional_cm(LARGE_MU, env)
         expected_swap = math.log(1.0 / (math.e * swap_eps_asymptotic(env)))
-        assert coherent_information(swap_cm, keep=(1,)) == \
+        assert entanglement_report(swap_cm, (1,)).coherent_info == \
             pytest.approx(expected_swap, abs=1e-2)
         assert swap_coherent_info_determinant(swap_cm) == \
             pytest.approx(expected_swap, abs=1e-2)

@@ -22,20 +22,13 @@ from entdist import (
     classify_environment,
     coherent_info_asymptotic,
     direct_output_cm,
-    direct_spectrum_asymptotic,
     eb_threshold,
-    eb_threshold_nbar,
-    env_pts,
     h,
     log_negativity,
-    make_env_cm,
-    make_epr_cm,
-    one_mode_output_cm,
     run_direct,
     run_swap,
     separable_activation_exists,
     swap_conditional_cm,
-    swap_noiseless_cm,
 )
 from entdist.environment import require_bona_fide
 from entdist.protocols import large_mu_eps, large_mu_eps_scale
@@ -52,17 +45,10 @@ ENTRY_POINTS = {
     "ScanSpec.g_range": lambda x: ScanSpec(0.5, Protocol.DIRECT, 5, g_range=(-1.0, x)),
     "ScanSpec.gp_range": lambda x: ScanSpec(0.5, Protocol.DIRECT, 5, gp_range=(-1.0, x)),
     "eb_threshold": eb_threshold,
-    "eb_threshold_nbar": eb_threshold_nbar,
     "bona_fide_check": lambda x: bona_fide_check(x, 0.0, 0.0),
     "require_bona_fide": lambda x: require_bona_fide(x, 0.0, 0.0),
     "classify_environment": lambda x: classify_environment(x, 0.0, 0.0),
-    "env_pts": lambda x: env_pts(x, 0.0, 0.0),
-    "make_env_cm": lambda x: make_env_cm(x, 0.0, 0.0),
-    "make_epr_cm": make_epr_cm,
     "direct_output_cm": lambda x: direct_output_cm(x, ENV),
-    "one_mode_output_cm": lambda x: one_mode_output_cm(x, ENV),
-    "direct_spectrum_asymptotic": lambda x: direct_spectrum_asymptotic(ENV, x),
-    "swap_noiseless_cm": swap_noiseless_cm,
     "swap_conditional_cm": lambda x: swap_conditional_cm(x, ENV),
     "run_direct": lambda x: run_direct(x, ENV),
     "run_swap": lambda x: run_swap(x, ENV),

@@ -18,16 +18,14 @@ from entdist import (
     bona_fide_check,
     classify_environment,
     eb_threshold,
-    eb_threshold_nbar,
-    env_pts,
     is_separable,
-    make_env_cm,
     pts_min_eigenvalue,
 )
 from entdist.environment import MAX_MAGNITUDE, bona_fide_conditions, env_pts_radicand
 from entdist.protocols import large_mu_eps
 
 from conftest import random_bona_fide_env
+from gaussian_reference import make_env_cm
 
 omegas = st.floats(min_value=1.0, max_value=50.0, allow_nan=False)
 corrs = st.floats(min_value=-60.0, max_value=60.0, allow_nan=False)
@@ -128,19 +126,15 @@ class TestBonaFideCheck:
 class TestEnvPts:
     @given(omegas)
     def test_uncorrelated_gives_omega(self, omega):
-        assert env_pts(omega, 0.0, 0.0) == pytest.approx(omega, rel=1e-15)
+        assert classify_environment(omega, 0.0, 0.0).env_pts == pytest.approx(omega, rel=1e-15)
 
     def test_separable_boundary_point(self):
         # sqrt(49 + 36 - 7*12) = 1
-        assert env_pts(7.0, 6.0, -6.0) == 1.0
+        assert classify_environment(7.0, 6.0, -6.0).env_pts == 1.0
 
     def test_entangled_point(self):
         # sqrt(4 + 2.25 - 6) = 0.5
-        assert env_pts(2.0, 1.5, -1.5) == 0.5
-
-    def test_rejects_non_bona_fide(self):
-        with pytest.raises(DomainError):
-            env_pts(2.0, 1.9, 1.9)
+        assert classify_environment(2.0, 1.5, -1.5).env_pts == 0.5
 
     @pytest.mark.parametrize("a, b", [(5e-5, 5e-5), (1e-4, 2.5e-4), (2.5e-4, 1e-4)])
     def test_no_cancellation_near_corners_at_large_omega(self, a, b):
@@ -148,16 +142,15 @@ class TestEnvPts:
         # (omega + g)(omega - gp) otherwise; near the corners the differences are exact
         omega = 1e4
         g, gp = omega - a, -omega + b
-        assert env_pts(omega, g, gp) == pytest.approx(math.sqrt((omega - g) * (omega + gp)),
-                                                      rel=1e-14)
-        assert env_pts(omega, -g, -gp) == pytest.approx(math.sqrt((omega - g) * (omega + gp)),
-                                                        rel=1e-14)
+        expected = pytest.approx(math.sqrt((omega - g) * (omega + gp)), rel=1e-14)
+        assert classify_environment(omega, g, gp).env_pts == expected
+        assert classify_environment(omega, -g, -gp).env_pts == expected
 
     def test_matches_matrix_path(self):
         rng = np.random.default_rng(23)
         for _ in range(60):
             env = random_bona_fide_env(rng)
-            formula = env_pts(env.omega, env.g, env.gp)
+            formula = classify_environment(env.omega, env.g, env.gp).env_pts
             generic = pts_min_eigenvalue(make_env_cm(env.omega, env.g, env.gp), (1,))
             assert generic == pytest.approx(formula, abs=1e-10, rel=1e-10)
 
@@ -187,8 +180,9 @@ class TestClassifyEnvironment:
         # both the bona-fide conditions and eps are invariant under (g, gp) -> (-gp, -g)
         assume(bona_fide_check(omega, g, gp))
         assert bona_fide_check(omega, -gp, -g)
-        assert env_pts(omega, g, gp) == pytest.approx(env_pts(omega, -gp, -g), rel=1e-14)
-        assert classify_environment(omega, g, gp).kind is classify_environment(omega, -gp, -g).kind
+        cls, negated = classify_environment(omega, g, gp), classify_environment(omega, -gp, -g)
+        assert cls.env_pts == pytest.approx(negated.env_pts, rel=1e-14)
+        assert cls.kind is negated.kind
 
     @pytest.mark.parametrize("omega", [1.5, 2.0, 3.0, 7.0])
     def test_boundary_points_are_separable_with_unit_pts(self, omega):
@@ -223,12 +217,6 @@ class TestEbThreshold:
         assert eb_threshold(0.75) == pytest.approx(7.0, rel=1e-12)
         assert eb_threshold(0.9) == pytest.approx(19.0, rel=1e-12)
 
-    def test_nbar_form(self):
-        # omega = 2 nbar + 1 ties the two thresholds together
-        for tau in (0.3, 0.5, 0.75, 0.9):
-            assert eb_threshold(tau) == pytest.approx(2.0 * eb_threshold_nbar(tau) + 1.0,
-                                                      rel=1e-12)
-
     def test_limit_toward_zero_transmissivity(self):
         assert eb_threshold(1e-9) == pytest.approx(1.0, abs=1e-8)
 
@@ -236,8 +224,6 @@ class TestEbThreshold:
     def test_rejects_out_of_range(self, tau):
         with pytest.raises(DomainError):
             eb_threshold(tau)
-        with pytest.raises(DomainError):
-            eb_threshold_nbar(tau)
 
 
 # the signed zeros and NaN that numpy's minimum and sqrt treat in their own way

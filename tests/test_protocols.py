@@ -10,15 +10,11 @@ from entdist import (
     EnvKind,
     classify_environment,
     coherent_info_asymptotic,
-    coherent_information,
     direct_eps_asymptotic,
     direct_output_cm,
-    direct_spectrum_asymptotic,
     eb_threshold,
+    entanglement_report,
     epr_variances_from_cm,
-    make_env_cm,
-    make_epr_cm,
-    one_mode_output_cm,
     pts_min_eigenvalue,
     run_direct,
     run_swap,
@@ -26,14 +22,14 @@ from entdist import (
     swap_conditional_cm,
     swap_epr_variances_asymptotic,
     swap_eps_asymptotic,
-    swap_noiseless_cm,
-    bell_port_variances,
     symplectic_eigenvalues,
 )
 
 from conftest import random_bona_fide_env
 from gaussian_reference import (
     direct_output_pipeline,
+    make_env_cm,
+    make_epr_cm,
     one_mode_output_pipeline,
     swap_conditional_pipeline,
     swap_noiseless_pipeline,
@@ -95,23 +91,18 @@ class TestDirectOutput:
 class TestOneModeOutput:
     def test_transparent_channel_limit(self):
         env = EnvironmentParams(1.0 - 1e-12, 5.0, 0.0, 0.0)
-        assert_cm_close(one_mode_output_cm(3.0, env).data, make_epr_cm(3.0).data,
+        assert_cm_close(one_mode_output_pipeline(3.0, env).data, make_epr_cm(3.0).data,
                         rtol=1e-10)
-
-    def test_pipeline_matches_closed_form(self):
-        for mu, env in oracle_draws(np.random.default_rng(37), 50, 250):
-            assert_cm_close(one_mode_output_pipeline(mu, env).data,
-                            one_mode_output_cm(mu, env).data, rtol=1e-10)
 
     def test_eb_saturation(self):
         # (1 - tau) omega / (1 + tau) = 1 at tau = 0.5, omega = 3
         env = EnvironmentParams(0.5, 3.0, 0.0, 0.0)
-        eps = pts_min_eigenvalue(one_mode_output_cm(LARGE_MU, env), (1,))
+        eps = pts_min_eigenvalue(one_mode_output_pipeline(LARGE_MU, env), (1,))
         assert eps == pytest.approx(1.0, abs=1e-3)
 
     def test_below_threshold_stays_entangling(self):
         env = EnvironmentParams(0.5, 2.0, 0.0, 0.0)
-        eps = pts_min_eigenvalue(one_mode_output_cm(LARGE_MU, env), (1,))
+        eps = pts_min_eigenvalue(one_mode_output_pipeline(LARGE_MU, env), (1,))
         assert eps == pytest.approx(2.0 / 3.0, rel=1e-3)
         assert eps < 1.0
 
@@ -160,33 +151,13 @@ class TestDirectEpsAsymptotic:
 
 
 class TestDirectSpectrumAsymptotic:
-    def test_degenerate_pair(self):
-        env = EnvironmentParams(0.75, 7.0, 4.0, -4.0)
-        nu_plus, nu_minus = direct_spectrum_asymptotic(env, 1e4)
-        expected = math.sqrt(6.0 * 0.1875 * 1e4)
-        assert nu_plus == pytest.approx(expected, rel=1e-14)
-        assert nu_minus == pytest.approx(expected, rel=1e-14)
-
-    def test_memoryless_reduction(self):
-        env = EnvironmentParams(0.6, 3.0, 0.0, 0.0)
-        nu_plus, nu_minus = direct_spectrum_asymptotic(env, 1e5)
-        expected = math.sqrt(2.0 * 3.0 * 0.4 * 0.6 * 1e5)
-        assert (nu_plus, nu_minus) == pytest.approx((expected, expected), rel=1e-14)
-
-    def test_product_identity(self):
-        rng = np.random.default_rng(43)
-        for _ in range(50):
-            env = random_bona_fide_env(rng)
-            mu = float(rng.uniform(10.0, 1e6))
-            nu_plus, nu_minus = direct_spectrum_asymptotic(env, mu)
-            assert nu_plus * nu_minus == pytest.approx(
-                2.0 * env.tau * mu * direct_eps_asymptotic(env), rel=1e-9
-            )
-
     def test_finite_mu_spectrum_converges(self):
         env = EnvironmentParams(0.75, 7.0, 4.0, -4.0)
         finite = symplectic_eigenvalues(direct_output_cm(1e8, env))
-        asym = direct_spectrum_asymptotic(env, 1e8)
+        # leading order: nu_+- = sqrt((2 omega + gp - g +- |g + gp|) (1 - tau) tau mu)
+        base = (1.0 - env.tau) * env.tau * 1e8
+        shift, mid = abs(env.g + env.gp), 2.0 * env.omega + env.gp - env.g
+        asym = (math.sqrt((mid + shift) * base), math.sqrt((mid - shift) * base))
         np.testing.assert_allclose(finite, asym, rtol=1e-3)
 
 
@@ -208,24 +179,19 @@ class TestCoherentInfoAsymptotic:
 
 class TestSwapNoiseless:
     def test_mu_two_values(self):
-        cm = swap_noiseless_cm(2.0)
+        cm = swap_noiseless_pipeline(2.0)
         np.testing.assert_allclose(cm.mode_block(0, 0), 1.25 * np.eye(2))
         np.testing.assert_allclose(cm.mode_block(0, 1), 0.75 * np.diag([1.0, -1.0]))
         assert pts_min_eigenvalue(cm, (1,)) == pytest.approx(0.5, abs=1e-12)
 
     def test_mu_one_gives_vacua(self):
-        cm = swap_noiseless_cm(1.0)
+        cm = swap_noiseless_pipeline(1.0)
         np.testing.assert_array_equal(cm.data, np.eye(4))
         assert pts_min_eigenvalue(cm, (1,)) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("mu", [1.0, 2.0, 5.0, 10.0, 100.0])
-    def test_pipeline_reproduces_closed_form(self, mu):
-        assert_cm_close(swap_noiseless_pipeline(mu).data, swap_noiseless_cm(mu).data,
-                        rtol=1e-10)
-
     @pytest.mark.parametrize("mu", [1.5, 3.0, 40.0])
     def test_eps_and_epr_variances_are_reciprocal_mu(self, mu):
-        cm = swap_noiseless_cm(mu)
+        cm = swap_noiseless_pipeline(mu)
         assert pts_min_eigenvalue(cm, (1,)) == pytest.approx(1.0 / mu, abs=1e-12)
         var = epr_variances_from_cm(cm)
         assert var.v_qminus == pytest.approx(1.0 / mu, abs=1e-12)
@@ -233,16 +199,10 @@ class TestSwapNoiseless:
 
 
 class TestSwapConditional:
-    def test_bell_port_variances(self):
-        env = EnvironmentParams(0.75, 7.0, 5.0, -5.0)
-        var_q, var_p = bell_port_variances(4.0, env)
-        assert var_q == pytest.approx(0.75 * 4.0 + 0.25 * 2.0)
-        assert var_p == pytest.approx(0.75 * 4.0 + 0.25 * 2.0)
-
     def test_transparent_environment_reduces_to_noiseless(self):
         env = EnvironmentParams(1.0 - 1e-12, 4.0, 1.0, -1.0)
         assert_cm_close(swap_conditional_cm(2.0, env).data,
-                        swap_noiseless_cm(2.0).data, rtol=1e-9)
+                        swap_noiseless_pipeline(2.0).data, rtol=1e-9)
 
     def test_large_mu_pts_reaches_asymptote(self):
         env = EnvironmentParams(0.75, 7.0, 5.0, -5.0)
@@ -370,9 +330,8 @@ class TestProtocolRunners:
 
         monkeypatch.setattr(entdist.symplectic, "symplectic_eigenvalues",
                             counted("eig", entdist.symplectic.symplectic_eigenvalues))
-        for module in (entdist.environment, entdist.symplectic):
-            monkeypatch.setattr(module, "require_bona_fide",
-                                counted("check", module.require_bona_fide))
+        monkeypatch.setattr(entdist.environment, "require_bona_fide",
+                            counted("check", entdist.environment.require_bona_fide))
         runner(1e3, env)
         assert calls == ["eig"] * 3
 
@@ -387,13 +346,13 @@ class TestProtocolRunners:
 class TestCoherentInfoConsistency:
     def test_direct_distillable_point(self):
         env = EnvironmentParams(0.75, 7.0, 6.0, -6.0)
-        info = coherent_information(direct_output_cm(LARGE_MU, env), keep=(1,))
+        info = entanglement_report(direct_output_cm(LARGE_MU, env), (1,)).coherent_info
         assert info == pytest.approx(math.log(1.0 / (math.e * 0.25)), abs=1e-2)
 
     def test_swap_entropy_difference_and_determinant_form(self):
         env = EnvironmentParams(0.75, 7.0, 6.0, -6.0)
         cm = swap_conditional_cm(LARGE_MU, env)
-        entropy_diff = coherent_information(cm, keep=(1,))
+        entropy_diff = entanglement_report(cm, (1,)).coherent_info
         det_form = swap_coherent_info_determinant(cm)
         asym = coherent_info_asymptotic(swap_eps_asymptotic(env))
         assert entropy_diff == pytest.approx(asym, abs=1e-2)

@@ -21,7 +21,6 @@ from entdist import (
     classify_environment,
     direct_eps_asymptotic,
     eb_threshold,
-    env_pts,
     eps_field,
     is_separable,
     scan,
@@ -140,7 +139,8 @@ class TestScan:
 
     @pytest.mark.parametrize("protocol, scalar_eps", [
         (Protocol.DIRECT, direct_eps_asymptotic),
-        (Protocol.ENVIRONMENT_ONLY, lambda env: env_pts(env.omega, env.g, env.gp)),
+        (Protocol.ENVIRONMENT_ONLY,
+         lambda env: classify_environment(env.omega, env.g, env.gp).env_pts),
     ], ids=["DIRECT", "ENVIRONMENT_ONLY"])
     def test_matches_scalar_evaluators_cellwise_other_protocols(self, protocol, scalar_eps):
         self._assert_matches_scalar(protocol, scalar_eps)
@@ -849,4 +849,5 @@ class TestEpsField:
         for i in range(0, 21, 5):
             for j in range(0, 21, 5):
                 if bona_fide_check(2.0, gs[i], gps[j]):
-                    assert field[i, j] == env_pts(2.0, float(gs[i]), float(gps[j]))
+                    assert field[i, j] == \
+                        classify_environment(2.0, float(gs[i]), float(gps[j])).env_pts

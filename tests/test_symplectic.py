@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 from entdist import (
     CovarianceMatrix,
     DomainError,
-    coherent_information,
     entanglement_report,
     h,
     log_negativity,
-    make_env_cm,
-    make_epr_cm,
     partial_trace,
     partial_transpose,
     pts_min_eigenvalue,
@@ -28,6 +25,8 @@ from gaussian_reference import (
     apply_symplectic,
     beam_splitter,
     homodyne_condition,
+    make_env_cm,
+    make_epr_cm,
     symplectic_eigenvalues_two_mode,
 )
 
@@ -211,16 +210,17 @@ class TestCoherentInformation:
     def test_epr_reduction(self):
         # S(B) - S(AB) for a pure EPR: entropy of the thermal marginal, h(mu)
         expected = 1.5 * math.log(1.5) - 0.5 * math.log(0.5)
-        got = coherent_information(make_epr_cm(2.0), keep=(1,))
+        got = entanglement_report(make_epr_cm(2.0), partition=(1,)).coherent_info
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.9547712524422192, abs=1e-12)
 
     def test_product_of_vacua(self):
-        assert coherent_information(CovarianceMatrix(np.eye(4)), keep=(1,)) == 0.0
+        assert entanglement_report(CovarianceMatrix(np.eye(4)), partition=(1,)).coherent_info \
+            == 0.0
 
     def test_rejects_full_keep(self):
         with pytest.raises(DomainError):
-            coherent_information(make_epr_cm(2.0), keep=(0, 1))
+            entanglement_report(make_epr_cm(2.0), partition=(0, 1))
 
 
 class TestLogNegativity:
@@ -245,7 +245,9 @@ class TestLogNegativity:
                 cm = random_physical_cm(rng, n)
                 report = entanglement_report(cm, partition=(1,))
                 assert report.pts_min == pts_min_eigenvalue(cm, (1,))
-                assert report.coherent_info == coherent_information(cm, keep=(1,))
+                reduced = partial_trace(cm, drop=[m for m in range(n) if m != 1])
+                assert report.coherent_info == \
+                    von_neumann_entropy(reduced) - von_neumann_entropy(cm)
                 assert report.symplectic_spectrum == tuple(symplectic_eigenvalues(cm).tolist())
 
 
