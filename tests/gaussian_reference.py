@@ -3,10 +3,11 @@
 These are the independent references that the tests compare entdist's closed
 forms against: beam splitters, symplectic conjugation, homodyne conditioning
 and the two-mode closed-form spectrum, the EPR and environment input states,
-and the pipelines that build each protocol's output state from them (beam
-splitters, partial traces, homodyne conditioning). The package itself never
-runs them. The module's name keeps
-pytest from collecting it; tests import it as they import ``conftest``.
+the pipelines that build each protocol's output state from them (beam
+splitters, partial traces, homodyne conditioning), and the leading-order direct
+spectrum that the finite-mu spectrum converges to. The package itself never
+runs them. The module's name keeps pytest from collecting it; tests import it
+as they import ``conftest``.
 """
 
 from __future__ import annotations
@@ -164,6 +165,19 @@ def make_env_cm(omega: float, g: float, gp: float) -> CovarianceMatrix:
     return CovarianceMatrix(np.block([[omega * _I2, corr], [corr, omega * _I2]]))
 
 
+def direct_spectrum_asymptotic(env: EnvironmentParams, mu: float) -> tuple[float, float]:
+    """Leading-order symplectic spectrum (nu_plus, nu_minus) of the direct output.
+
+    nu_+- = sqrt((2*omega + gp - g +- |g + gp|) * (1 - tau) * tau * mu); their
+    product equals 2*tau*mu times the asymptotic PTS eigenvalue.
+    """
+    require_variance("mu", mu)
+    base = (1.0 - env.tau) * env.tau * mu
+    shift = abs(env.g + env.gp)
+    mid = 2.0 * env.omega + env.gp - env.g
+    return (math.sqrt((mid + shift) * base), math.sqrt((mid - shift) * base))
+
+
 # ---------------------------------------------------------------------------
 # protocol pipelines
 # ---------------------------------------------------------------------------
@@ -223,9 +237,9 @@ def swap_noiseless_pipeline(mu: float) -> CovarianceMatrix:
     return _bell_measure(joint, (1, 2))
 
 
-def swap_conditional_pipeline(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
-    """Oracle route: 6-mode state (a, A, B, b, E1, E2), lossy mixing of the
-    travelling modes with the correlated ancillas, then the Bell measurement."""
+def _swap_arms(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
+    """6-mode state (a, A, B, b, E1, E2), lossy mixing of the travelling modes
+    with the correlated ancillas, ancillas traced out: modes (a, A, B, b)."""
     require_variance("mu", mu)
     epr = make_epr_cm(mu).data
     joint = CovarianceMatrix(_block_diag(
@@ -236,5 +250,17 @@ def swap_conditional_pipeline(mu: float, env: EnvironmentParams) -> CovarianceMa
     bs = beam_splitter(env.tau)
     out = apply_symplectic(joint, bs, (1, 4))
     out = apply_symplectic(out, bs, (2, 5))
-    out = partial_trace(out, drop=(4, 5))
-    return _bell_measure(out, (1, 2))
+    return partial_trace(out, drop=(4, 5))
+
+
+def swap_conditional_pipeline(mu: float, env: EnvironmentParams) -> CovarianceMatrix:
+    """Oracle route: the lossy arms of :func:`_swap_arms`, then the Bell measurement."""
+    return _bell_measure(_swap_arms(mu, env), (1, 2))
+
+
+def bell_port_variances(mu: float, env: EnvironmentParams) -> tuple[float, float]:
+    """Variances that the Bell measurement reads after the balanced beam
+    splitter: q of the difference port and p of the sum port, as measured by
+    :func:`_bell_measure`."""
+    mixed = apply_symplectic(_swap_arms(mu, env), beam_splitter(0.5), (1, 2))
+    return float(mixed.data[4, 4]), float(mixed.data[3, 3])

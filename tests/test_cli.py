@@ -20,7 +20,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import entdist
-from entdist import Activation, EnvKind, Protocol, ScanSpec, scan
+from entdist import Activation, EnvKind, Protocol, ScanSpec, eb_threshold, scan
 from entdist.cli import (EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, OUTPUT_ENV_VAR,
                          _RENDER_TILE_CELLS, _g9_text, _json_number, _json_ready,
                          _needs_json_number, _render_scan_csv, _render_scan_json, fmt, main)
@@ -922,6 +922,21 @@ class TestConverge:
                                "--g", "1.9", "--gp", "1.9", "--protocol", "direct")
         assert code == EXIT_DOMAIN
         assert "omega^2 + g*gp" in err
+
+
+class TestAtEb:
+    @pytest.mark.parametrize("command", [
+        ("point", "--mu", "1e3"),
+        ("converge", "--protocol", "direct"),
+        ("converge", "--protocol", "swap"),
+    ], ids=["point", "converge-direct", "converge-swap"])
+    def test_reads_as_the_eb_threshold_omega(self, capsys, command):
+        # --at-eb stands for --omega eb_threshold(tau), number for number
+        point = ("--tau", "0.3", "--g", "0.5", "--gp", "-0.5")
+        at_eb = run_cli(capsys, *command, *point, "--at-eb")
+        omega = run_cli(capsys, *command, *point, "--omega", repr(eb_threshold(0.3)))
+        assert at_eb[0] == EXIT_OK
+        assert at_eb == omega
 
 
 class TestPointAndConvergeGolden:

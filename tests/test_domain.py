@@ -7,6 +7,11 @@ slips past a check would come back as a wrong result (``inf``, ``nan``, a
 matrix of nans) or as an untyped numpy error. A protocol argument is checked
 against the ``Protocol`` type itself; a string or ``None`` in its place once
 read as the direct protocol.
+
+The input states and pipelines of ``gaussian_reference`` are held to the same
+domains: the tests compare the package against them, and a reference that
+returned a matrix of nans would make such a comparison pass unseen
+(``assert_allclose`` takes nan as equal to nan).
 """
 
 import math
@@ -33,6 +38,16 @@ from entdist import (
 from entdist.environment import require_bona_fide
 from entdist.protocols import large_mu_eps, large_mu_eps_scale
 
+from gaussian_reference import (
+    direct_output_pipeline,
+    direct_spectrum_asymptotic,
+    make_env_cm,
+    make_epr_cm,
+    one_mode_output_pipeline,
+    swap_conditional_pipeline,
+    swap_noiseless_pipeline,
+)
+
 ENV = EnvironmentParams(0.5, 7.0, 4.0, -4.0)
 
 ENTRY_POINTS = {
@@ -55,6 +70,14 @@ ENTRY_POINTS = {
     "separable_activation_exists.tau": lambda x: separable_activation_exists(x, Protocol.SWAP),
     "separable_activation_exists.omega":
         lambda x: separable_activation_exists(0.75, Protocol.SWAP, omega=x),
+    # references
+    "make_env_cm": lambda x: make_env_cm(x, 0.0, 0.0),
+    "make_epr_cm": make_epr_cm,
+    "direct_spectrum_asymptotic": lambda x: direct_spectrum_asymptotic(ENV, x),
+    "direct_output_pipeline": lambda x: direct_output_pipeline(x, ENV),
+    "one_mode_output_pipeline": lambda x: one_mode_output_pipeline(x, ENV),
+    "swap_noiseless_pipeline": swap_noiseless_pipeline,
+    "swap_conditional_pipeline": lambda x: swap_conditional_pipeline(x, ENV),
 }
 
 

@@ -136,6 +136,12 @@ class TestEnvPts:
         # sqrt(4 + 2.25 - 6) = 0.5
         assert classify_environment(2.0, 1.5, -1.5).env_pts == 0.5
 
+    def test_rejects_non_bona_fide(self):
+        # a Forbidden point has no PTS eigenvalue: None, not a number
+        cls = classify_environment(2.0, 1.9, 1.9)
+        assert cls.kind is EnvKind.FORBIDDEN
+        assert cls.env_pts is None
+
     @pytest.mark.parametrize("a, b", [(5e-5, 5e-5), (1e-4, 2.5e-4), (2.5e-4, 1e-4)])
     def test_no_cancellation_near_corners_at_large_omega(self, a, b):
         # the radicand is (omega - g)(omega + gp) for g >= gp and
@@ -216,6 +222,12 @@ class TestEbThreshold:
         assert eb_threshold(0.5) == pytest.approx(3.0, rel=1e-12)
         assert eb_threshold(0.75) == pytest.approx(7.0, rel=1e-12)
         assert eb_threshold(0.9) == pytest.approx(19.0, rel=1e-12)
+
+    def test_nbar_form(self):
+        # omega = 2 nbar + 1 gives the threshold's thermal photon number tau/(1 - tau)
+        for tau in (0.3, 0.5, 0.75, 0.9):
+            assert (eb_threshold(tau) - 1.0) / 2.0 == pytest.approx(tau / (1.0 - tau),
+                                                                    rel=1e-12)
 
     def test_limit_toward_zero_transmissivity(self):
         assert eb_threshold(1e-9) == pytest.approx(1.0, abs=1e-8)

@@ -27,7 +27,9 @@ from entdist import (
 
 from conftest import random_bona_fide_env
 from gaussian_reference import (
+    bell_port_variances,
     direct_output_pipeline,
+    direct_spectrum_asymptotic,
     make_env_cm,
     make_epr_cm,
     one_mode_output_pipeline,
@@ -94,6 +96,16 @@ class TestOneModeOutput:
         assert_cm_close(one_mode_output_pipeline(3.0, env).data, make_epr_cm(3.0).data,
                         rtol=1e-10)
 
+    def test_pipeline_matches_closed_form(self):
+        # [[mu I, c Z], [c Z, x I]] with c = sqrt(mu^2 - 1) sqrt(tau) and
+        # x = tau mu + (1 - tau) omega
+        for mu, env in oracle_draws(np.random.default_rng(37), 50, 250):
+            x = env.tau * mu + (1.0 - env.tau) * env.omega
+            c = math.sqrt(mu * mu - 1.0) * math.sqrt(env.tau)
+            z = np.diag([1.0, -1.0])
+            closed = np.block([[mu * np.eye(2), c * z], [c * z, x * np.eye(2)]])
+            assert_cm_close(one_mode_output_pipeline(mu, env).data, closed, rtol=1e-10)
+
     def test_eb_saturation(self):
         # (1 - tau) omega / (1 + tau) = 1 at tau = 0.5, omega = 3
         env = EnvironmentParams(0.5, 3.0, 0.0, 0.0)
@@ -151,13 +163,33 @@ class TestDirectEpsAsymptotic:
 
 
 class TestDirectSpectrumAsymptotic:
+    def test_degenerate_pair(self):
+        env = EnvironmentParams(0.75, 7.0, 4.0, -4.0)
+        nu_plus, nu_minus = direct_spectrum_asymptotic(env, 1e4)
+        expected = math.sqrt(6.0 * 0.1875 * 1e4)
+        assert nu_plus == pytest.approx(expected, rel=1e-14)
+        assert nu_minus == pytest.approx(expected, rel=1e-14)
+
+    def test_memoryless_reduction(self):
+        env = EnvironmentParams(0.6, 3.0, 0.0, 0.0)
+        nu_plus, nu_minus = direct_spectrum_asymptotic(env, 1e5)
+        expected = math.sqrt(2.0 * 3.0 * 0.4 * 0.6 * 1e5)
+        assert (nu_plus, nu_minus) == pytest.approx((expected, expected), rel=1e-14)
+
+    def test_product_identity(self):
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            env = random_bona_fide_env(rng)
+            mu = float(rng.uniform(10.0, 1e6))
+            nu_plus, nu_minus = direct_spectrum_asymptotic(env, mu)
+            assert nu_plus * nu_minus == pytest.approx(
+                2.0 * env.tau * mu * direct_eps_asymptotic(env), rel=1e-9
+            )
+
     def test_finite_mu_spectrum_converges(self):
         env = EnvironmentParams(0.75, 7.0, 4.0, -4.0)
         finite = symplectic_eigenvalues(direct_output_cm(1e8, env))
-        # leading order: nu_+- = sqrt((2 omega + gp - g +- |g + gp|) (1 - tau) tau mu)
-        base = (1.0 - env.tau) * env.tau * 1e8
-        shift, mid = abs(env.g + env.gp), 2.0 * env.omega + env.gp - env.g
-        asym = (math.sqrt((mid + shift) * base), math.sqrt((mid - shift) * base))
+        asym = direct_spectrum_asymptotic(env, 1e8)
         np.testing.assert_allclose(finite, asym, rtol=1e-3)
 
 
@@ -189,6 +221,14 @@ class TestSwapNoiseless:
         np.testing.assert_array_equal(cm.data, np.eye(4))
         assert pts_min_eigenvalue(cm, (1,)) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("mu", [1.0, 2.0, 5.0, 10.0, 100.0])
+    def test_pipeline_reproduces_closed_form(self, mu):
+        # (1/2mu) [[(mu^2+1) I, (mu^2-1) Z], [(mu^2-1) Z, (mu^2+1) I]]
+        a, c = (mu * mu + 1.0) / (2.0 * mu), (mu * mu - 1.0) / (2.0 * mu)
+        z = np.diag([1.0, -1.0])
+        closed = np.block([[a * np.eye(2), c * z], [c * z, a * np.eye(2)]])
+        assert_cm_close(swap_noiseless_pipeline(mu).data, closed, rtol=1e-10)
+
     @pytest.mark.parametrize("mu", [1.5, 3.0, 40.0])
     def test_eps_and_epr_variances_are_reciprocal_mu(self, mu):
         cm = swap_noiseless_pipeline(mu)
@@ -199,6 +239,16 @@ class TestSwapNoiseless:
 
 
 class TestSwapConditional:
+    def test_bell_port_variances(self):
+        # q of the difference port: tau mu + (1 - tau)(omega - g);
+        # p of the sum port: tau mu + (1 - tau)(omega + gp)
+        env = EnvironmentParams(0.75, 7.0, 5.0, -5.0)
+        var_q, var_p = bell_port_variances(4.0, env)
+        assert var_q == pytest.approx(0.75 * 4.0 + 0.25 * 2.0)
+        assert var_p == pytest.approx(0.75 * 4.0 + 0.25 * 2.0)
+        var_q, var_p = bell_port_variances(4.0, EnvironmentParams(0.6, 7.0, 2.0, 1.0))
+        assert (var_q, var_p) == pytest.approx((0.6 * 4.0 + 0.4 * 5.0, 0.6 * 4.0 + 0.4 * 8.0))
+
     def test_transparent_environment_reduces_to_noiseless(self):
         env = EnvironmentParams(1.0 - 1e-12, 4.0, 1.0, -1.0)
         assert_cm_close(swap_conditional_cm(2.0, env).data,
