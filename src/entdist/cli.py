@@ -26,7 +26,9 @@ itself. Memory does not grow with the size of the output, and the output file
 is opened only once the scan has been computed. An existing output file is
 written over in place and then cut at the end of the new bytes, on success
 and on any error the command sees, so a rerun does not free and reallocate
-every block of the old file first.
+every block of the old file first. From ``_SPLIT_CELLS`` cells, on 2 CPUs, a
+forked worker renders the lower half of the rows meanwhile into a temporary
+file in ``TMPDIR`` of about half the output's size; the bytes are the same.
 """
 
 from __future__ import annotations
@@ -313,8 +315,11 @@ def cmd_scan(args) -> int:
         raise UsageError(str(exc)) from None
     except MemoryError:  # scan's up-front physical-memory check, or numpy could not allocate
         raise UsageError(f"resolution {args.resolution} is too large to fit in memory") from None
-    render = _render_scan_json if args.format == "json" else _render_scan_csv
-    _write_output(render(grid), _resolve_output(args))
+    blocks = (_render_scan_json if args.format == "json" else _render_scan_csv)(grid)
+    try:
+        _write_output(blocks, _resolve_output(args))
+    finally:  # on every exit path, so a render worker is reaped before the command returns
+        blocks.close()
     return EXIT_OK
 
 
@@ -347,6 +352,11 @@ def _needs_json_number(x):
 
 # cells per render tile, whose eps are formatted at once: 16 g rows at 1001^2
 _RENDER_TILE_CELLS = 2**14
+
+# cells from which a scan is split (_split_rows): the break-even of medians of one scan per
+# fresh process on a 2-core VM, CSV/JSON ms, whole -> split: 201^2 20.5/27.8 -> 25.5/30.1,
+# 401^2 50.3/56.9 -> 48.5/54.2, 451^2 68.8/78.4 -> 51.0/59.7, 1001^2 320/304 -> 196/217
+_SPLIT_CELLS = 450**2
 
 # "%.9g" text is at most 16 bytes long ("-1.23456789e-100"); the fast path
 # writes at most 14 ("0.000123456789")
@@ -436,7 +446,7 @@ def _g9_text(x, cells):
     return text.reshape(shape)
 
 
-def _scan_rows(grid: ScanGrid, fragments, separator, json_numbers: bool):
+def _scan_rows(grid: ScanGrid, fragments, separator, json_numbers: bool, first=0, stop=None):
     """One block of bytes per g row, the row's cells joined at once.
 
     Row g's cell at gp column j is ``separator(g)``, then the fragment of the
@@ -448,16 +458,19 @@ def _scan_rows(grid: ScanGrid, fragments, separator, json_numbers: bool):
     for it by ``grid.eps_rows`` and its mask taken from the runs by
     ``grid.physical_rows``, so the whole eps field is never held. With
     ``json_numbers`` the cells that ``_needs_json_number`` flags take
-    ``_json_number(eps)`` instead.
+    ``_json_number(eps)`` instead. The g rows are [first, stop), by default all.
     """
     res = grid.spec.resolution
+    if stop is None:  # the whole grid
+        yield from _split_rows(partial(_scan_rows, grid, fragments, separator, json_numbers), res)
+        return
     by_code = [fragments[code * res:(code + 1) * res] for code in range(len(_PAIRS))]
     g_seps = [separator(g) for g in grid.spec.g_centers().tolist()]
     run_bounds, run_codes = grid.run_bounds.tolist(), grid.run_codes.tolist()
     rows_per_tile = max(1, _RENDER_TILE_CELLS // res)
     parts = [b""] * (3 * res)
-    for start in range(0, res, rows_per_tile):
-        tile = slice(start, start + rows_per_tile)
+    for start in range(first, stop, rows_per_tile):
+        tile = slice(start, min(start + rows_per_tile, stop))
         eps = grid.eps_rows(tile)
         physical = grid.physical_rows(tile)
         texts = _g9_text(eps, physical).tolist()
@@ -472,6 +485,46 @@ def _scan_rows(grid: ScanGrid, fragments, separator, json_numbers: bool):
                     parts[3 * a + 1:3 * b + 1:3] = by_code[code][a:b]
             parts[2::3] = text_row
             yield b"".join(parts)
+
+
+def _split_rows(rows, res: int):
+    """The blocks of ``rows(0, res)``; from ``_SPLIT_CELLS`` cells on 2 CPUs a forked worker
+    renders the lower half meanwhile into an unlinked temporary file, read back in 1 MiB
+    blocks. Its ``os._exit`` code is 0, the errno of an ``OSError`` (raised here) or 255
+    (its rows are rendered here); it is killed and reaped on every way out."""
+    import contextlib, tempfile, warnings  # all loaded by numpy already
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    half, pid, tmp = res, -1, None
+    if hasattr(os, "fork") and len(cpus) >= 2 and res * res >= _SPLIT_CELLS:
+        with contextlib.suppress(OSError):  # without the file or the fork, all is done here
+            tmp = tempfile.TemporaryFile()
+            # from Python 3.12 a fork with threads (numpy's BLAS pool) warns after it:
+            with warnings.catch_warnings():  # raised, the warning would lose the pid
+                warnings.simplefilter("ignore", DeprecationWarning)
+                half, pid = res // 2, os.fork()
+    if pid == 0:
+        try:
+            tmp.writelines(rows(half, res))
+            tmp.flush()
+            os._exit(0)
+        except OSError as exc:
+            os._exit(min(exc.errno or 255, 255))
+        finally:
+            os._exit(255)
+    try:
+        yield from rows(0, half)
+        if pid > 0:
+            code, pid = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), -1
+            if 0 < code < 255:
+                raise OSError(code, os.strerror(code))
+            tmp.seek(0)
+            yield from rows(half, res) if code else iter(partial(tmp.read, 1 << 20), b"")
+    finally:
+        if pid > 0:
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+        if tmp is not None:
+            tmp.close()
 
 
 def _render_scan_csv(grid: ScanGrid):

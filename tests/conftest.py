@@ -1,6 +1,9 @@
-"""Shared generators for randomized tests."""
+"""Shared generators for randomized tests, and a guard against leftover child processes."""
+
+import os
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from scipy.linalg import expm
 
@@ -17,6 +20,20 @@ from gaussian_reference import SymplecticTransform
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """After each test this process has no child left, running or a zombie: a
+    scan that forks a render worker reaps it on every path."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"child process {pid} was left as a zombie" if pid else
+                "a child process is still running")
+
 
 # the documented ScanGrid codes of its int8 ``kind`` and ``activation`` arrays
 KIND_CODE = {EnvKind.FORBIDDEN: 0, EnvKind.SEPARABLE: 1, EnvKind.ENTANGLED: 2}

@@ -6,12 +6,15 @@ import json
 import math
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -718,6 +721,211 @@ class TestOutputFile:
         code, _, _ = run_cli(capsys, *self.ARGV["scan"], "--resolution", "1", "-o", str(path))
         assert code == EXIT_USAGE
         assert path.read_bytes() == old
+
+
+class TestSplitRender:
+    """Scans whose lower half of g rows a forked worker renders meanwhile
+    (``cli._split_rows``). The ``worker`` fixture shows the process 2 CPUs and
+    lists the pid of each worker forked; ``split`` also lowers the threshold to
+    0 cells, so that every scan forks one, on any machine."""
+
+    ARGV = TestOutputFile.ARGV["scan"]  # 41 g rows: 0-19 here, 20-40 in the worker
+    ABOVE_THRESHOLD = ["scan", "--tau", "0.75", "--at-eb", "--protocol", "direct",
+                       "--resolution", "451"]
+    NO_SPACE = "error: [Errno 28] No space left on device\n"
+
+    @pytest.fixture
+    def worker(self, monkeypatch):
+        pids, fork = [], os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+        monkeypatch.setattr(os, "fork", recording_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        return pids
+
+    @pytest.fixture
+    def split(self, monkeypatch, worker):
+        monkeypatch.setattr(entdist.cli, "_SPLIT_CELLS", 0)
+        return worker
+
+    @staticmethod
+    def assert_one_reaped(pids):
+        assert len(pids) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pids[0], os.WNOHANG)
+
+    @staticmethod
+    def whole(monkeypatch, tmp_path, argv):
+        """The bytes of a scan rendered in this process alone."""
+        path = tmp_path / "whole.out"
+        with monkeypatch.context() as patch:
+            patch.setattr(entdist.cli, "_SPLIT_CELLS", math.inf)
+            assert main([*argv, "-o", str(path)]) == EXIT_OK
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("tile_cells", [_RENDER_TILE_CELLS, 3 * 61 + 5],
+                             ids=["one_tile", "tile_seams"])
+    @pytest.mark.parametrize("protocol, fmt_kind, window",
+                             sorted(TestScanCommand.GOLDEN_SHA256))
+    def test_golden_digest(self, capsys, monkeypatch, split, protocol, fmt_kind, window,
+                           tile_cells):
+        # 61 g rows: 30 here, then the worker's 31
+        monkeypatch.setattr(entdist.cli, "_RENDER_TILE_CELLS", tile_cells)
+        code, out, _ = run_cli(capsys, "scan", *TestScanCommand.GOLDEN_WINDOWS[window],
+                               "--protocol", protocol, "--resolution", "61",
+                               "--format", fmt_kind)
+        assert code == EXIT_OK
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == TestScanCommand.GOLDEN_SHA256[(protocol, fmt_kind, window)]
+        self.assert_one_reaped(split)
+
+    # omega is 7 at tau 0.75 on the EB threshold, so only the g rows with
+    # |g| < 7 hold physical cells
+    WINDOWS = {
+        "smallest": ("--resolution", "2"),
+        "odd": ("--resolution", "7"),
+        "lower_half_forbidden": ("--resolution", "31", "--g-min", "-7", "--g-max", "40",
+                                 "--gp-min", "-7", "--gp-max", "7"),
+        "upper_half_forbidden": ("--resolution", "31", "--g-min", "-40", "--g-max", "7",
+                                 "--gp-min", "-7", "--gp-max", "7"),
+    }
+
+    @pytest.mark.parametrize("fmt_kind", ["csv", "json"])
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    def test_same_bytes_as_one_process(self, capsys, monkeypatch, tmp_path, split, window,
+                                       fmt_kind):
+        argv = ["scan", "--tau", "0.75", "--at-eb", "--protocol", "swap", "--format", fmt_kind,
+                *self.WINDOWS[window]]
+        expected = self.whole(monkeypatch, tmp_path, argv)
+        assert split == []
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out.encode(), err) == (EXIT_OK, expected, "")
+        self.assert_one_reaped(split)
+
+    def test_stdout_above_the_threshold(self, monkeypatch, tmp_path):
+        # a fresh interpreter writing to a real stdout: the worker leaves
+        # without flushing the head that it inherits in the stdout buffer
+        assert 451**2 >= entdist.cli._SPLIT_CELLS
+        expected = self.whole(monkeypatch, tmp_path, self.ABOVE_THRESHOLD)
+        script = ("import os, sys\n"
+                  "from entdist import cli\n"
+                  "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                  "fork, forks = os.fork, []\n"
+                  "os.fork = lambda: forks.append(fork()) or forks[-1]\n"
+                  "code = cli.main(sys.argv[1:])\n"
+                  "sys.stderr.write(f'{code} {len(forks)}')\n")
+        proc = subprocess.run([sys.executable, "-c", script, *self.ABOVE_THRESHOLD, "-o", "-"],
+                              capture_output=True, env=subprocess_env(), timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"0 1")
+        assert proc.stdout == expected
+
+    def test_fifo_above_the_threshold(self, monkeypatch, tmp_path, worker):
+        expected = self.whole(monkeypatch, tmp_path, self.ABOVE_THRESHOLD)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code = main([*self.ABOVE_THRESHOLD, "-o", str(fifo)])
+        reader.join(timeout=60)
+        assert code == EXIT_OK
+        assert received == [expected]
+        self.assert_one_reaped(worker)
+
+    def test_worker_os_error_cuts_at_the_bytes_before_it(self, capsys, monkeypatch, tmp_path,
+                                                         split):
+        # the worker's writes fail with ENOSPC, as on a full TMPDIR
+        expected = self.whole(monkeypatch, tmp_path, self.ARGV)
+        monkeypatch.setattr(tempfile, "TemporaryFile", lambda: open("/dev/full", "w+b"))
+        path = tmp_path / "grid.csv"
+        path.write_bytes(b"\xff" * (2 * len(expected)))
+        assert run_cli(capsys, *self.ARGV, "-o", str(path)) == (EXIT_IO, "", self.NO_SPACE)
+        self.assert_one_reaped(split)
+        # the header and this process's 20 rows of 41 cells, a line each
+        assert path.read_bytes() == b"\n".join(expected.split(b"\n")[:1 + 20 * 41])
+
+    def test_full_output_device_reaps_the_worker(self, capsys, split):
+        assert run_cli(capsys, *self.ARGV, "-o", "/dev/full") == (EXIT_IO, "", self.NO_SPACE)
+        self.assert_one_reaped(split)
+
+    def test_keyboard_interrupt_reaps_the_worker(self, monkeypatch, tmp_path, split):
+        expected = self.whole(monkeypatch, tmp_path, self.ARGV)
+
+        class InterruptedAfter300(io.FileIO):
+            def write(self, data):
+                room = 300 - self.tell()
+                if room <= 0:
+                    raise KeyboardInterrupt
+                return super().write(memoryview(data)[:room])
+        monkeypatch.setattr(entdist.cli, "open", raising=False,
+                            value=lambda fd, mode: io.BufferedWriter(
+                                InterruptedAfter300(fd, mode)))
+        path = tmp_path / "grid.csv"
+        # the traceback, held here, keeps every frame of the call alive
+        with pytest.raises(KeyboardInterrupt) as interrupt:
+            main([*self.ARGV, "-o", str(path)])
+        self.assert_one_reaped(split)
+        del interrupt
+        assert path.read_bytes() == expected[:300]
+
+    @pytest.mark.parametrize("drop", ["close", "del"])
+    def test_abandoned_render_reaps_the_worker(self, split, drop):
+        grid = scan(ScanSpec(tau=0.8, protocol=Protocol.SWAP, resolution=301))
+        blocks = _render_scan_json(grid)
+        next(blocks), next(blocks)  # the head, then the first row, which forks
+        assert len(split) == 1
+        if drop == "close":
+            blocks.close()
+        else:
+            del blocks
+        self.assert_one_reaped(split)
+
+    @pytest.mark.parametrize("failure", ["raises", "killed"])
+    def test_failed_worker_rows_are_rendered_here(self, capsys, monkeypatch, tmp_path, split,
+                                                  failure):
+        class FailingFile(io.BytesIO):
+            def writelines(self, blocks):
+                if failure == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("worker failed")
+        expected = self.whole(monkeypatch, tmp_path, self.ARGV)
+        monkeypatch.setattr(tempfile, "TemporaryFile", FailingFile)
+        code, out, err = run_cli(capsys, *self.ARGV)
+        assert (code, out.encode(), err) == (EXIT_OK, expected, "")
+        self.assert_one_reaped(split)
+
+    @pytest.mark.parametrize("target", ["TemporaryFile", "fork"])
+    def test_no_file_or_no_fork_renders_here(self, capsys, monkeypatch, tmp_path, split,
+                                            target):
+        def refuse(*args, **kwargs):
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        expected = self.whole(monkeypatch, tmp_path, self.ARGV)
+        monkeypatch.setattr(tempfile if target == "TemporaryFile" else os, target, refuse)
+        code, out, err = run_cli(capsys, *self.ARGV)
+        assert (code, out.encode(), err) == (EXIT_OK, expected, "")
+        assert split == []
+
+    def test_fork_warning_keeps_the_worker(self, capsys, monkeypatch, tmp_path, split):
+        # from Python 3.12 os.fork() warns in the parent, after forking, where
+        # other threads run; under -W error a raised warning would lose the pid
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn("This process is multi-threaded, use of fork() may lead to "
+                              "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return pid
+        expected = self.whole(monkeypatch, tmp_path, self.ARGV)
+        monkeypatch.setattr(os, "fork", warning_fork)
+        code, out, err = run_cli(capsys, *self.ARGV)
+        assert (code, out.encode(), err) == (EXIT_OK, expected, "")
+        self.assert_one_reaped(split)
 
 
 class TestScanMemory:

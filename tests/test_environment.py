@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,12 +143,17 @@ class TestEnvPts:
         assert cls.kind is EnvKind.FORBIDDEN
         assert cls.env_pts is None
 
-    @pytest.mark.parametrize("a, b", [(5e-5, 5e-5), (1e-4, 2.5e-4), (2.5e-4, 1e-4)])
+    @pytest.mark.parametrize("a, b", [(6e-5, 6e-5), (1e-4, 2.5e-4), (2.5e-4, 1e-4)])
     def test_no_cancellation_near_corners_at_large_omega(self, a, b):
         # the radicand is (omega - g)(omega + gp) for g >= gp and
         # (omega + g)(omega - gp) otherwise; near the corners the differences are exact
         omega = 1e4
         g, gp = omega - a, -omega + b
+        # each case is physical in exact arithmetic, both as written in decimal
+        # and as the floats it is evaluated on
+        w, exact_a, exact_b = Fraction(omega), Fraction(repr(a)), Fraction(repr(b))
+        for x, y in ((w - exact_a, -w + exact_b), (Fraction(g), Fraction(gp))):
+            assert all(bona_fide_conditions(w, x, y)) and all(bona_fide_conditions(w, -x, -y))
         expected = pytest.approx(math.sqrt((omega - g) * (omega + gp)), rel=1e-14)
         assert classify_environment(omega, g, gp).env_pts == expected
         assert classify_environment(omega, -g, -gp).env_pts == expected
