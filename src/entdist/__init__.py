@@ -50,12 +50,7 @@ from .symplectic import (
     entanglement_report,
     h,
     log_negativity,
-    partial_trace,
-    partial_transpose,
-    pts_min_eigenvalue,
-    symplectic_eigenvalues,
     symplectic_form,
-    von_neumann_entropy,
 )
 
 __all__ = [
@@ -87,9 +82,6 @@ __all__ = [
     "h",
     "is_separable",
     "log_negativity",
-    "partial_trace",
-    "partial_transpose",
-    "pts_min_eigenvalue",
     "run_direct",
     "run_swap",
     "scan",
@@ -98,7 +90,5 @@ __all__ = [
     "swap_conditional_cm",
     "swap_epr_variances_asymptotic",
     "swap_eps_asymptotic",
-    "symplectic_eigenvalues",
     "symplectic_form",
-    "von_neumann_entropy",
 ]

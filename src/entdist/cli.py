@@ -47,9 +47,8 @@ from .environment import (
     EnvironmentParams,
     EnvKind,
     bona_fide_check,
+    classify_bona_fide,
     eb_threshold,
-    env_pts_radicand,
-    is_separable,
     require_magnitude,
     require_transmissivity,
     require_variance,
@@ -267,9 +266,8 @@ def cmd_point(args) -> int:
         report["bona_fide_failures"] = "; ".join(check.failures)
         code = EXIT_DOMAIN
     else:
-        kind = EnvKind.SEPARABLE if is_separable(omega, args.g, args.gp) else EnvKind.ENTANGLED
-        report["env_class"] = kind.value
-        report["env_pts"] = math.sqrt(env_pts_radicand(omega, args.g, args.gp))
+        kind, env_pts = classify_bona_fide(env.omega, env.g, env.gp)
+        report.update(env_class=kind.value, env_pts=env_pts)
         finite = {} if args.mu is None else {"mu": args.mu}  # keys after every large-mu key
         for name, runner in _RUNNERS.items():
             eps = float(large_mu_eps(env.tau, env.omega, env.g, env.gp, _PROTOCOLS[name]))

@@ -164,8 +164,15 @@ def classify_environment(omega: float, g: float, gp: float) -> EnvClass:
     environment's smallest PTS eigenvalue, sqrt(:func:`env_pts_radicand`)."""
     if not bona_fide_check(omega, g, gp):
         return EnvClass(EnvKind.FORBIDDEN, None)
+    return EnvClass(*classify_bona_fide(omega, g, gp))
+
+
+def classify_bona_fide(omega: float, g: float, gp: float) -> tuple[EnvKind, float]:
+    """(kind, env_pts) of :func:`classify_environment` for an (omega, g, gp)
+    already known to be bona fide, as in an :class:`EnvironmentParams`; the
+    conditions are not evaluated again."""
     kind = EnvKind.SEPARABLE if is_separable(omega, g, gp) else EnvKind.ENTANGLED
-    return EnvClass(kind, math.sqrt(env_pts_radicand(omega, g, gp)))
+    return kind, math.sqrt(env_pts_radicand(omega, g, gp))
 
 
 def eb_threshold(tau: float) -> float:

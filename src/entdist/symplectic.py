@@ -9,7 +9,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -21,14 +23,16 @@ SYMMETRY_RTOL = 1e-12
 PHYSICAL_NU_TOL = 1e-9     # nu >= 1 - tol counts as physical
 NU_ONE_TOL = 1e-12         # nu <= 1 + tol is treated as exactly 1 in entropies
 ENTROPY_NU_ONE_TOL = 1e-11  # nu = 1 window per unit of matrix magnitude
+MAX_ENTRY = sys.float_info.max / 2.0  # the symmetrizing sum of two entries stays finite
 
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
     """Real symmetric 2n x 2n matrix of quadrature second moments.
 
-    The matrix is symmetrized and frozen on construction; non-finite entries
-    and asymmetry beyond 1e-12 (relative to the largest entry) are rejected.
+    The matrix is symmetrized and frozen on construction; non-finite entries,
+    entries above :data:`MAX_ENTRY` (where symmetrizing would overflow) and
+    asymmetry beyond 1e-12 (relative to the largest entry) are rejected.
     Positive-definiteness and the uncertainty principle are checked by the
     operations that rely on them, not here, so partially transposed and other
     intermediate matrices can be represented too.
@@ -41,8 +45,9 @@ class CovarianceMatrix:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2 != 0:
             raise DomainError(f"covariance matrix must be square with even size, got {arr.shape}")
         peak = float(np.abs(arr).max())
-        if not peak < math.inf:  # nan fails too
-            raise DomainError("covariance matrix entries must be finite")
+        if not peak <= MAX_ENTRY:  # nan fails too
+            raise DomainError(
+                f"covariance matrix entries must be finite and at most {MAX_ENTRY:.4g}")
         if float(np.abs(arr - arr.T).max()) > SYMMETRY_RTOL * max(peak, 1.0):
             raise DomainError("covariance matrix is not symmetric")
         arr = (arr + arr.T) / 2.0
@@ -57,19 +62,20 @@ class CovarianceMatrix:
         """2x2 block coupling modes i and j."""
         return self.data[2 * i:2 * i + 2, 2 * j:2 * j + 2]
 
-    def magnitude(self) -> float:
-        """Largest entry magnitude, floored at 1; the scale for tolerance tests."""
-        return max(float(np.abs(self.data).max()), 1.0)
 
-
+@functools.cache
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Mode-major symplectic form: direct sum of n blocks [[0, 1], [-1, 0]]."""
+    """Mode-major symplectic form: direct sum of n blocks [[0, 1], [-1, 0]].
+
+    Built once per mode count and shared, so the array is read-only.
+    """
     if n_modes < 1:
         raise DomainError(f"need at least one mode, got {n_modes}")
     omega = np.zeros((2 * n_modes, 2 * n_modes))
     for k in range(n_modes):
         omega[2 * k, 2 * k + 1] = 1.0
         omega[2 * k + 1, 2 * k] = -1.0
+    omega.flags.writeable = False
     return omega
 
 
@@ -83,40 +89,17 @@ class EntanglementReport:
     symplectic_spectrum: tuple[float, ...]
 
 
-def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
-    """Symplectic spectrum of a positive-definite CM, sorted descending.
+def _symplectic_spectrum(v: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum of a positive-definite 2n x 2n array, sorted descending.
 
     Computed as the moduli of the eigenvalues of i*Omega*V. Those come in
     conjugate pairs (+/- i*nu); the pairs are averaged to wash out the slight
     asymmetry of the nonsymmetric eigensolve.
     """
-    v = cm.data
     if float(np.linalg.eigvalsh(v)[0]) <= 0.0:
         raise DomainError("covariance matrix is not positive-definite")
-    moduli = np.sort(np.abs(np.linalg.eigvals(symplectic_form(cm.n_modes) @ v)))
-    nus = 0.5 * (moduli[0::2] + moduli[1::2])
-    return nus[::-1].copy()
-
-
-def partial_transpose(cm: CovarianceMatrix, modes: Iterable[int]) -> CovarianceMatrix:
-    """Flip p -> -p on the given modes (conjugation by the per-mode reflection)."""
-    modes = _checked_modes(modes, cm.n_modes)
-    flip = np.ones(2 * cm.n_modes)
-    for m in modes:
-        flip[2 * m + 1] = -1.0
-    return CovarianceMatrix(cm.data * np.outer(flip, flip))
-
-
-def pts_min_eigenvalue(cm: CovarianceMatrix, partition: Iterable[int]) -> float:
-    """Smallest symplectic eigenvalue after partial transposition of `partition`.
-
-    The bipartition must be proper: transposing nothing or everything leaves
-    the spectrum unchanged and would certify nothing.
-    """
-    modes = _checked_modes(partition, cm.n_modes)
-    if len(modes) == cm.n_modes:
-        raise DomainError("partition must leave at least one mode untransposed")
-    return float(symplectic_eigenvalues(partial_transpose(cm, modes))[-1])
+    moduli = np.sort(np.abs(np.linalg.eigvals(symplectic_form(len(v) // 2) @ v)))
+    return (0.5 * (moduli[0::2] + moduli[1::2]))[::-1]
 
 
 def h(nu: float, tol: float = PHYSICAL_NU_TOL, one_tol: float = NU_ONE_TOL) -> float:
@@ -135,24 +118,21 @@ def h(nu: float, tol: float = PHYSICAL_NU_TOL, one_tol: float = NU_ONE_TOL) -> f
     return up * math.log(up) - dn * math.log(dn)
 
 
-def _entropy(nus, scale: float) -> float:
-    """Sum of :func:`h` over a spectrum, with windows scaled by the magnitude
-    `scale` of its matrix (see :func:`von_neumann_entropy`)."""
+def _entropy(nus, v: np.ndarray) -> float:
+    """Entropy in nats of the state of matrix `v` with symplectic spectrum `nus`:
+    the sum of :func:`h`, zero exactly for pure states.
+
+    The physicality and nu = 1 windows are scaled by the largest entry
+    magnitude of `v`, floored at 1: eigenvalues of a covariance matrix with
+    entries of size M carry absolute errors of order M (and worse near
+    degeneracies), so a fixed window would misclassify large pure states as
+    unphysical.
+    """
+    scale = max(float(np.abs(v).max()), 1.0)
     return float(sum(
         h(float(nu), tol=PHYSICAL_NU_TOL * scale, one_tol=ENTROPY_NU_ONE_TOL * scale)
         for nu in nus
     ))
-
-
-def von_neumann_entropy(cm: CovarianceMatrix) -> float:
-    """Entropy of a Gaussian state in nats; zero exactly for pure states.
-
-    The physicality and nu = 1 windows are scaled by the matrix magnitude:
-    eigenvalues of a covariance matrix with entries of size M carry absolute
-    errors of order M (and worse near degeneracies), so a fixed window would
-    misclassify large pure states as unphysical.
-    """
-    return _entropy(symplectic_eigenvalues(cm), cm.magnitude())
 
 
 def log_negativity(pts_min: float) -> float:
@@ -168,28 +148,31 @@ def entanglement_report(cm: CovarianceMatrix, partition: Iterable[int]) -> Entan
     The coherent information is taken toward the partition side, i.e.
     I(rest > partition) = S(partition) - S(all) in nats. It may be negative;
     positive values lower-bound the one-way distillable entanglement per copy.
-    The spectrum of `cm` is computed once, for both the report and S(all).
+
+    One pass over ``cm.data`` gives three symplectic spectra, each after one
+    positive-definiteness check: of the partially transposed array (p -> -p
+    on the partition, the array times the outer product of the +-1 signs),
+    whose smallest value is the PTS eigenvalue; of the array itself, for both
+    the report and S(all); and of the partition's index block, for
+    S(partition). The partition must be nonempty, in range and proper:
+    transposing every mode would certify nothing.
     """
-    modes = _checked_modes(partition, cm.n_modes)
-    eps = pts_min_eigenvalue(cm, modes)
-    spectrum = symplectic_eigenvalues(cm)
-    reduced = partial_trace(cm, drop=[m for m in range(cm.n_modes) if m not in modes])
+    v, n_modes = cm.data, cm.n_modes
+    modes = _checked_modes(partition, n_modes)
+    if len(modes) == n_modes:
+        raise DomainError("partition must leave at least one mode untransposed")
+    signs = np.ones(2 * n_modes)
+    signs[[2 * m + 1 for m in modes]] = -1.0
+    eps = float(_symplectic_spectrum(v * np.outer(signs, signs))[-1])
+    spectrum = _symplectic_spectrum(v)
+    kept = [i for m in modes for i in (2 * m, 2 * m + 1)]
+    reduced = v[np.ix_(kept, kept)]
     return EntanglementReport(
         pts_min=eps,
         log_negativity=log_negativity(eps),
-        coherent_info=von_neumann_entropy(reduced) - _entropy(spectrum, cm.magnitude()),
+        coherent_info=_entropy(_symplectic_spectrum(reduced), reduced) - _entropy(spectrum, v),
         symplectic_spectrum=tuple(float(nu) for nu in spectrum),
     )
-
-
-def partial_trace(cm: CovarianceMatrix, drop: Iterable[int]) -> CovarianceMatrix:
-    """Discard the listed modes (delete their rows and columns)."""
-    drop_modes = _checked_modes(drop, cm.n_modes)
-    if len(drop_modes) == cm.n_modes:
-        raise DomainError("cannot trace out every mode")
-    idx = [i for m in drop_modes for i in (2 * m, 2 * m + 1)]
-    v = np.delete(np.delete(cm.data, idx, axis=0), idx, axis=1)
-    return CovarianceMatrix(v)
 
 
 def _checked_modes(modes: Iterable[int], n_modes: int) -> list[int]:

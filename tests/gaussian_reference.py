@@ -1,31 +1,36 @@
 """Generic symplectic algebra and the finite-mu symplectic pipelines.
 
 These are the independent references that the tests compare entdist's closed
-forms against: beam splitters, symplectic conjugation, homodyne conditioning
-and the two-mode closed-form spectrum, the EPR and environment input states,
-the pipelines that build each protocol's output state from them (beam
-splitters, partial traces, homodyne conditioning), and the leading-order direct
-spectrum that the finite-mu spectrum converges to. The package itself never
-runs them. The module's name keeps pytest from collecting it; tests import it
-as they import ``conftest``.
+forms against: the symplectic spectrum of a covariance matrix, partial
+transposition and trace, the von Neumann entropy and the entanglement report
+built from them, beam splitters, symplectic conjugation, homodyne
+conditioning and the two-mode closed-form spectrum, the EPR and environment
+input states, the pipelines that build each protocol's output state from them
+(beam splitters, partial traces, homodyne conditioning), and the
+leading-order direct spectrum that the finite-mu spectrum converges to. The
+package itself never runs them. The module's name keeps pytest from
+collecting it; tests import it as they import ``conftest``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from entdist import (
     CovarianceMatrix,
     DomainError,
+    EntanglementReport,
     EnvironmentParams,
-    partial_trace,
+    h,
+    log_negativity,
     symplectic_form,
 )
 from entdist.environment import require_bona_fide, require_variance
+from entdist.symplectic import ENTROPY_NU_ONE_TOL, PHYSICAL_NU_TOL
 
 SYMPLECTIC_ATOL = 1e-10
 PINV_CUTOFF = 1e-12
@@ -57,6 +62,91 @@ class SymplecticTransform:
     @property
     def n_modes(self) -> int:
         return self.matrix.shape[0] // 2
+
+
+def _checked_modes(modes: Iterable[int], n_modes: int) -> list[int]:
+    out = sorted(set(int(m) for m in modes))
+    if not out:
+        raise DomainError("mode set must be nonempty")
+    if out[0] < 0 or out[-1] >= n_modes:
+        raise DomainError(f"mode indices {out} out of range for {n_modes} modes")
+    return out
+
+
+def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
+    """Symplectic spectrum of a positive-definite CM, sorted descending.
+
+    Computed as the moduli of the eigenvalues of i*Omega*V. Those come in
+    conjugate pairs (+/- i*nu); the pairs are averaged to wash out the slight
+    asymmetry of the nonsymmetric eigensolve.
+    """
+    v = cm.data
+    if float(np.linalg.eigvalsh(v)[0]) <= 0.0:
+        raise DomainError("covariance matrix is not positive-definite")
+    moduli = np.sort(np.abs(np.linalg.eigvals(symplectic_form(cm.n_modes) @ v)))
+    nus = 0.5 * (moduli[0::2] + moduli[1::2])
+    return nus[::-1].copy()
+
+
+def partial_transpose(cm: CovarianceMatrix, modes: Iterable[int]) -> CovarianceMatrix:
+    """Flip p -> -p on the given modes (conjugation by the per-mode reflection)."""
+    modes = _checked_modes(modes, cm.n_modes)
+    flip = np.ones(2 * cm.n_modes)
+    for m in modes:
+        flip[2 * m + 1] = -1.0
+    return CovarianceMatrix(cm.data * np.outer(flip, flip))
+
+
+def pts_min_eigenvalue(cm: CovarianceMatrix, partition: Iterable[int]) -> float:
+    """Smallest symplectic eigenvalue after partial transposition of `partition`.
+
+    The bipartition must be proper: transposing nothing or everything leaves
+    the spectrum unchanged and would certify nothing.
+    """
+    modes = _checked_modes(partition, cm.n_modes)
+    if len(modes) == cm.n_modes:
+        raise DomainError("partition must leave at least one mode untransposed")
+    return float(symplectic_eigenvalues(partial_transpose(cm, modes))[-1])
+
+
+def partial_trace(cm: CovarianceMatrix, drop: Iterable[int]) -> CovarianceMatrix:
+    """Discard the listed modes (delete their rows and columns)."""
+    drop_modes = _checked_modes(drop, cm.n_modes)
+    if len(drop_modes) == cm.n_modes:
+        raise DomainError("cannot trace out every mode")
+    idx = [i for m in drop_modes for i in (2 * m, 2 * m + 1)]
+    v = np.delete(np.delete(cm.data, idx, axis=0), idx, axis=1)
+    return CovarianceMatrix(v)
+
+
+def von_neumann_entropy(cm: CovarianceMatrix) -> float:
+    """Entropy of a Gaussian state in nats; zero exactly for pure states.
+
+    The physicality and nu = 1 windows are scaled by the matrix magnitude:
+    eigenvalues of a covariance matrix with entries of size M carry absolute
+    errors of order M (and worse near degeneracies), so a fixed window would
+    misclassify large pure states as unphysical.
+    """
+    scale = max(float(np.abs(cm.data).max()), 1.0)
+    return float(sum(
+        h(float(nu), tol=PHYSICAL_NU_TOL * scale, one_tol=ENTROPY_NU_ONE_TOL * scale)
+        for nu in symplectic_eigenvalues(cm)
+    ))
+
+
+def reference_report(cm: CovarianceMatrix, partition: Iterable[int]) -> EntanglementReport:
+    """The entanglement report of ``entdist.entanglement_report`` from the
+    matrix operations above: the PTS eigenvalue of the partially transposed
+    CM, and S(partition) - S(all) from the partial trace to the partition."""
+    eps = pts_min_eigenvalue(cm, partition)
+    keep = _checked_modes(partition, cm.n_modes)
+    reduced = partial_trace(cm, drop=[m for m in range(cm.n_modes) if m not in keep])
+    return EntanglementReport(
+        pts_min=eps,
+        log_negativity=log_negativity(eps),
+        coherent_info=von_neumann_entropy(reduced) - von_neumann_entropy(cm),
+        symplectic_spectrum=tuple(symplectic_eigenvalues(cm).tolist()),
+    )
 
 
 def symplectic_eigenvalues_two_mode(cm: CovarianceMatrix) -> np.ndarray:

@@ -25,7 +25,6 @@ from entdist import (
     eb_threshold,
     entanglement_report,
     epr_variances_from_cm,
-    pts_min_eigenvalue,
     scan,
     swap_coherent_info_determinant,
     swap_conditional_cm,
@@ -39,6 +38,7 @@ from gaussian_reference import (
     make_env_cm,
     make_epr_cm,
     one_mode_output_pipeline,
+    pts_min_eigenvalue,
     swap_conditional_pipeline,
     swap_noiseless_pipeline,
 )

@@ -20,13 +20,12 @@ from entdist import (
     classify_environment,
     eb_threshold,
     is_separable,
-    pts_min_eigenvalue,
 )
 from entdist.environment import MAX_MAGNITUDE, bona_fide_conditions, env_pts_radicand
 from entdist.protocols import large_mu_eps
 
 from conftest import random_bona_fide_env
-from gaussian_reference import make_env_cm
+from gaussian_reference import make_env_cm, pts_min_eigenvalue
 
 omegas = st.floats(min_value=1.0, max_value=50.0, allow_nan=False)
 corrs = st.floats(min_value=-60.0, max_value=60.0, allow_nan=False)

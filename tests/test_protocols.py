@@ -15,14 +15,12 @@ from entdist import (
     eb_threshold,
     entanglement_report,
     epr_variances_from_cm,
-    pts_min_eigenvalue,
     run_direct,
     run_swap,
     swap_coherent_info_determinant,
     swap_conditional_cm,
     swap_epr_variances_asymptotic,
     swap_eps_asymptotic,
-    symplectic_eigenvalues,
 )
 
 from conftest import random_bona_fide_env
@@ -33,8 +31,11 @@ from gaussian_reference import (
     make_env_cm,
     make_epr_cm,
     one_mode_output_pipeline,
+    pts_min_eigenvalue,
+    reference_report,
     swap_conditional_pipeline,
     swap_noiseless_pipeline,
+    symplectic_eigenvalues,
 )
 
 LARGE_MU = 1e6
@@ -339,6 +340,11 @@ class TestSwapEprVariances:
             assert finite.v_pplus == pytest.approx(asym.v_pplus, rel=1e-3)
 
 
+def _report_floats(report):
+    return (report.pts_min, report.log_negativity, report.coherent_info,
+            *report.symplectic_spectrum)
+
+
 class TestProtocolRunners:
     @pytest.mark.parametrize("runner", [run_direct, run_swap])
     def test_convergence_contract(self, runner):
@@ -378,12 +384,25 @@ class TestProtocolRunners:
                 return function(*args)
             return wrapper
 
-        monkeypatch.setattr(entdist.symplectic, "symplectic_eigenvalues",
-                            counted("eig", entdist.symplectic.symplectic_eigenvalues))
+        monkeypatch.setattr(entdist.symplectic, "_symplectic_spectrum",
+                            counted("eig", entdist.symplectic._symplectic_spectrum))
         monkeypatch.setattr(entdist.environment, "require_bona_fide",
                             counted("check", entdist.environment.require_bona_fide))
         runner(1e3, env)
         assert calls == ["eig"] * 3
+
+    @pytest.mark.parametrize("runner", [run_direct, run_swap])
+    def test_report_is_the_reference_report_bit_for_bit(self, runner):
+        # the PT, full and reduced spectra come from cm.data directly; the
+        # reference builds each intermediate CovarianceMatrix
+        rng = np.random.default_rng(2026)
+        for _ in range(200):
+            env = random_bona_fide_env(rng, omega_range=(1.0, 50.0))
+            mu = float(10.0 ** rng.uniform(1.0, 6.0))
+            result = runner(mu, env)
+            expected = reference_report(result.output_cm, (1,))
+            assert [float.hex(x) for x in _report_floats(result.report)] == \
+                [float.hex(x) for x in _report_floats(expected)], (env, mu)
 
     def test_report_sides(self):
         env = EnvironmentParams(0.75, 7.0, 6.0, -6.0)

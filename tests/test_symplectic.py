@@ -11,12 +11,7 @@ from entdist import (
     entanglement_report,
     h,
     log_negativity,
-    partial_trace,
-    partial_transpose,
-    pts_min_eigenvalue,
-    symplectic_eigenvalues,
     symplectic_form,
-    von_neumann_entropy,
 )
 
 from conftest import random_physical_cm, random_symplectic
@@ -27,7 +22,13 @@ from gaussian_reference import (
     homodyne_condition,
     make_env_cm,
     make_epr_cm,
+    partial_trace,
+    partial_transpose,
+    pts_min_eigenvalue,
+    reference_report,
+    symplectic_eigenvalues,
     symplectic_eigenvalues_two_mode,
+    von_neumann_entropy,
 )
 
 
@@ -50,6 +51,12 @@ class TestCovarianceMatrix:
         with pytest.raises(DomainError, match="finite"):
             CovarianceMatrix(v)
 
+    def test_rejects_entries_whose_symmetrizing_sum_overflows(self):
+        # accepted before, as a matrix whose diagonal read inf
+        with pytest.raises(DomainError, match="finite and at most 8.988e"):
+            CovarianceMatrix(1e308 * np.eye(2))
+        assert CovarianceMatrix(8e307 * np.eye(2)).data[0, 0] == 8e307
+
     def test_data_is_frozen(self):
         cm = make_epr_cm(2.0)
         with pytest.raises(ValueError):
@@ -62,6 +69,11 @@ class TestSymplecticForm:
         omega = symplectic_form(n)
         np.testing.assert_allclose(omega, -omega.T)
         np.testing.assert_allclose(omega @ omega, -np.eye(2 * n))
+
+    def test_built_once_per_mode_count_and_read_only(self):
+        assert symplectic_form(3) is symplectic_form(3)
+        with pytest.raises(ValueError):
+            symplectic_form(3)[0, 1] = 2.0
 
 
 class TestMakeEprCm:
@@ -222,6 +234,17 @@ class TestCoherentInformation:
         with pytest.raises(DomainError):
             entanglement_report(make_epr_cm(2.0), partition=(0, 1))
 
+    @pytest.mark.parametrize("partition, message", [
+        ((0, 1), "partition must leave at least one mode untransposed"),
+        ((), "mode set must be nonempty"),
+        ((2,), r"mode indices \[2\] out of range for 2 modes"),
+        ((-1, 1), r"mode indices \[-1, 1\] out of range for 2 modes"),
+    ])
+    def test_improper_partition_errors_match_the_reference(self, partition, message):
+        for report in (entanglement_report, reference_report):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                report(make_epr_cm(2.0), partition)
+
 
 class TestLogNegativity:
     @given(st.floats(min_value=1e-6, max_value=100.0, allow_nan=False))
@@ -239,16 +262,30 @@ class TestLogNegativity:
         assert min(report.symplectic_spectrum) >= 1.0 - 1e-9
 
     def test_report_fields_equal_the_separate_evaluators(self):
+        # the multi-mode and mode-0 partitions exercise the sign flip and the
+        # index block that (1,) alone would not
         rng = np.random.default_rng(47)
-        for n in (2, 3):
+        for n, partitions in ((2, [(1,), (0,)]), (3, [(1,), (0,), (0, 2), (2, 1)])):
             for _ in range(20):
                 cm = random_physical_cm(rng, n)
-                report = entanglement_report(cm, partition=(1,))
-                assert report.pts_min == pts_min_eigenvalue(cm, (1,))
-                reduced = partial_trace(cm, drop=[m for m in range(n) if m != 1])
-                assert report.coherent_info == \
-                    von_neumann_entropy(reduced) - von_neumann_entropy(cm)
-                assert report.symplectic_spectrum == tuple(symplectic_eigenvalues(cm).tolist())
+                for partition in partitions:
+                    report = entanglement_report(cm, partition=partition)
+                    assert report.pts_min == pts_min_eigenvalue(cm, partition)
+                    reduced = partial_trace(cm, drop=[m for m in range(n) if m not in partition])
+                    assert report.coherent_info == \
+                        von_neumann_entropy(reduced) - von_neumann_entropy(cm)
+                    assert report.symplectic_spectrum == \
+                        tuple(symplectic_eigenvalues(cm).tolist())
+                    assert report == reference_report(cm, partition)
+
+    def test_report_rejects_a_matrix_that_is_not_positive_definite(self):
+        # symmetric, so a valid CovarianceMatrix, with eigenvalues 3 and -1
+        cm = CovarianceMatrix(np.array([[1.0, 0.0, 2.0, 0.0],
+                                        [0.0, 1.0, 0.0, 2.0],
+                                        [2.0, 0.0, 1.0, 0.0],
+                                        [0.0, 2.0, 0.0, 1.0]]))
+        with pytest.raises(DomainError, match="^covariance matrix is not positive-definite$"):
+            entanglement_report(cm, partition=(1,))
 
 
 class TestBeamSplitter:
