@@ -5,6 +5,10 @@ two-mode environment (``EnvironmentParams`` is physical by construction),
 direct and swap-based distribution protocols as closed forms (the
 finite-squeezing symplectic pipelines that check them live with the tests), and
 a correlation plane scanner behind the ``entdist`` CLI.
+
+numpy loads on first use: the names of :mod:`entdist.scanner`, which works on
+arrays throughout, are imported on first access, so ``import entdist`` loads
+no numpy.
 """
 
 from .environment import (
@@ -19,6 +23,8 @@ from .environment import (
 )
 from .errors import DomainError
 from .protocols import (
+    DISTILLABLE_EPS,
+    Activation,
     EprVariances,
     Protocol,
     ProtocolResult,
@@ -32,17 +38,6 @@ from .protocols import (
     swap_conditional_cm,
     swap_epr_variances_asymptotic,
     swap_eps_asymptotic,
-)
-from .scanner import (
-    DISTILLABLE_EPS,
-    Activation,
-    Contour,
-    ScanGrid,
-    ScanSpec,
-    boundary_curves,
-    eps_field,
-    scan,
-    separable_activation_exists,
 )
 from .symplectic import (
     CovarianceMatrix,
@@ -92,3 +87,18 @@ __all__ = [
     "swap_eps_asymptotic",
     "symplectic_form",
 ]
+
+_SCANNER_NAMES = ("Contour", "ScanGrid", "ScanSpec", "boundary_curves", "eps_field", "scan",
+                  "separable_activation_exists")
+
+
+def __getattr__(name):
+    """The names of :mod:`entdist.scanner`, imported with it on first access (PEP 562)."""
+    if name not in _SCANNER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import scanner
+    return getattr(scanner, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -8,6 +8,11 @@ refused number as a usage error naming the flag. All floating-point output is
 fixed at 9 significant digits so files are byte-identical across runs and
 platforms.
 
+numpy is imported only where arrays or matrices are handled: by a scan, through
+the module-level ``scan`` that loads :mod:`entdist.scanner` on its first call,
+and by the finite-mu runs of ``point --mu`` and ``converge``. ``point`` without
+``--mu``, ``--help`` and usage errors load no numpy.
+
 Output is produced as a sequence of blocks of ASCII bytes that
 ``_write_output`` writes as they come, through a binary file or the bytes
 buffer under stdout. ``_render_table`` renders the ``point`` and ``converge``
@@ -39,9 +44,8 @@ import math
 import os
 import stat
 import sys
-from functools import partial
-
-import numpy as np
+from functools import cache, partial
+from typing import TYPE_CHECKING
 
 from .environment import (
     EnvironmentParams,
@@ -54,8 +58,11 @@ from .environment import (
     require_variance,
 )
 from .errors import DomainError
-from .protocols import Protocol, coherent_info_asymptotic, large_mu_eps, run_direct, run_swap
-from .scanner import DISTILLABLE_EPS, Activation, ScanGrid, ScanSpec, scan
+from .protocols import (DISTILLABLE_EPS, Activation, Protocol, coherent_info_asymptotic,
+                        large_mu_eps, run_direct, run_swap)
+
+if TYPE_CHECKING:  # the scanner, and numpy with it, loads when a scan runs
+    from .scanner import ScanGrid, ScanSpec
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -294,7 +301,15 @@ def cmd_point(args) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
+def scan(spec: ScanSpec) -> ScanGrid:
+    """:func:`entdist.scanner.scan`, through which ``cmd_scan`` scans; the scanner,
+    and numpy with it, is imported on the first call."""
+    from . import scanner
+    return scanner.scan(spec)
+
+
 def cmd_scan(args) -> int:
+    from .scanner import ScanSpec
     for lo, hi, name in ((args.g_min, args.g_max, "--g-min/--g-max"),
                          (args.gp_min, args.gp_max, "--gp-min/--gp-max")):
         if (lo is None) != (hi is None):
@@ -345,6 +360,7 @@ def _needs_json_number(x):
     is within 0.5 <= 1e-8*|x| of one. So this flags a superset of both cases.
     NaN is never flagged.
     """
+    import numpy as np
     return np.abs(x - np.rint(x)) <= 1e-8 * np.maximum(np.abs(x), 1.0)
 
 
@@ -359,15 +375,17 @@ _SPLIT_CELLS = 450**2
 # "%.9g" text is at most 16 bytes long ("-1.23456789e-100"); the fast path
 # writes at most 14 ("0.000123456789")
 _TEXT_WIDTH = 16
-_POW10 = np.array([float(10**k) for k in range(15)])  # all exact in float64
 _ASCII_0, _ASCII_DOT = ord("0"), ord(".")
-_ZERO_POINT = np.frombuffer(b"0.000", np.uint8)  # the head of the fixed notation below 1
 
 
-def _digit_words():
-    """Entry k < 1000 holds the three ASCII digits of k ("007"), entry 1000 + k
-    the same with trailing zeros as NUL ("7", "0" -> ""), each in the first
-    three bytes of a uint32."""
+@cache
+def _g9_tables():
+    """The tables of ``_g9_text``, built on its first call: the powers 10**k, k < 15
+    (all exact in float64); "0.000", the head of the fixed notation below 1; and the
+    digit words, where entry k < 1000 holds the three ASCII digits of k ("007") and
+    entry 1000 + k the same with trailing zeros as NUL ("7", "0" -> ""), each in the
+    first three bytes of a uint32."""
+    import numpy as np
     k = np.arange(1000)
     digits = np.stack([k // 100, k // 10 % 10, k % 10], axis=1)
     # kept: a nonzero digit here or further right
@@ -375,10 +393,8 @@ def _digit_words():
     table = np.zeros((2, 1000, 4), np.uint8)
     table[:, :, :3] = digits + _ASCII_0
     table[1, :, :3] *= kept
-    return table.view(np.uint32).ravel()
-
-
-_DIGIT_WORDS = _digit_words()
+    return (np.array([float(10**k) for k in range(15)]), np.frombuffer(b"0.000", np.uint8),
+            table.view(np.uint32).ravel())
 
 
 def _g9_text(x, cells):
@@ -398,11 +414,13 @@ def _g9_text(x, cells):
     of one e at a time, the trailing zeros of the fraction as NUL bytes, which
     ``tolist()`` strips.
     """
+    import numpy as np
+    pow10, zero_point, digit_words = _g9_tables()
     shape, x, cells = x.shape, x.ravel(), cells.ravel()
     in_range = cells & (x >= 5e-5) & (x < 1e9)
     v = np.where(in_range, x, 1.0)
     e = np.clip(np.floor(np.log10(v)), -5, 8).astype(np.int8)
-    m = v * _POW10.take(8 - e)
+    m = v * pow10.take(8 - e)
     n = np.rint(m)
     fast = in_range & (e >= -4) & (m >= 1e8) & (n < 1e9) & (np.abs(m - n) < 0.5 - 1e-6)
     # sorted by exponent, the fast cells of one e are a contiguous run; the
@@ -420,9 +438,9 @@ def _g9_text(x, cells):
     mid = low // 1000
     last = low - mid * 1000
     words = np.empty((n.size, 3), np.uint32)
-    words[:, 0] = _DIGIT_WORDS[high + 1000 * (low == 0)]
-    words[:, 1] = _DIGIT_WORDS[mid + 1000 * (last == 0)]
-    words[:, 2] = _DIGIT_WORDS[last + 1000]
+    words[:, 0] = digit_words[high + 1000 * (low == 0)]
+    words[:, 1] = digit_words[mid + 1000 * (last == 0)]
+    words[:, 2] = digit_words[last + 1000]
     digits = words.view(np.uint8)[:, [0, 1, 2, 4, 5, 6, 8, 9, 10]]
 
     chars = np.zeros((n.size, _TEXT_WIDTH), np.uint8)
@@ -431,7 +449,7 @@ def _g9_text(x, cells):
             continue
         block, digs = chars[lo:hi], digits[lo:hi]
         if exp < 0:  # 0.000ddddddddd
-            block[:, :1 - exp] = _ZERO_POINT[:1 - exp]
+            block[:, :1 - exp] = zero_point[:1 - exp]
             block[:, 1 - exp:10 - exp] = digs
         else:  # the integer digits keep their zeros; no fraction, no point
             block[:, :exp + 1] = np.maximum(digs[:, :exp + 1], _ASCII_0)
@@ -458,6 +476,7 @@ def _scan_rows(grid: ScanGrid, fragments, separator, json_numbers: bool, first=0
     ``json_numbers`` the cells that ``_needs_json_number`` flags take
     ``_json_number(eps)`` instead. The g rows are [first, stop), by default all.
     """
+    import numpy as np
     res = grid.spec.resolution
     if stop is None:  # the whole grid
         yield from _split_rows(partial(_scan_rows, grid, fragments, separator, json_numbers), res)

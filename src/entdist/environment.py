@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import DomainError
 
 # Largest accepted |omega|, |g| and |gp|: every product the plane formulas form
@@ -147,6 +145,7 @@ def env_pts_radicand(omega, g, gp):
     a, b = (omega - g) * (omega + gp), (omega + g) * (omega - gp)
     if isinstance(a, float):
         return a if a < b or a != a else b
+    import numpy as np
     return np.minimum(a, b)
 
 

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .environment import EnvironmentParams, require_variance
 from .errors import DomainError
 from .symplectic import CovarianceMatrix, EntanglementReport, entanglement_report
@@ -26,6 +24,16 @@ class Protocol(Enum):
     DIRECT = "Direct"
     SWAP = "Swap"
     ENVIRONMENT_ONLY = "EnvironmentOnly"
+
+
+class Activation(Enum):
+    NONE = "None"
+    ENTANGLING = "Entangling"
+    DISTILLABLE = "Distillable"
+
+
+# a large-mu eps below 1 entangles; below 1/e the coherent information is positive
+DISTILLABLE_EPS = math.exp(-1.0)
 
 
 @dataclass(frozen=True)
@@ -54,6 +62,7 @@ class EprVariances:
 def _qp_cm(a, b, c) -> CovarianceMatrix:
     """Two-mode CM with no q-p correlations, [[diag(a), diag(c)], [diag(c), diag(b)]],
     from the (q, p) pairs a and b of the two modes and c between them."""
+    import numpy as np
     (a_q, a_p), (b_q, b_p), (c_q, c_p) = a, b, c
     return CovarianceMatrix(np.array([[a_q, 0.0, c_q, 0.0],
                                       [0.0, a_p, 0.0, c_p],
@@ -97,6 +106,7 @@ def large_mu_eps(tau, omega, g, gp, protocol: Protocol):
     scale, radicand = large_mu_eps_scale(tau, protocol), (omega - g) * (omega + gp)
     if isinstance(radicand, float):
         return scale * (math.sqrt(radicand) if not radicand < 0.0 else math.nan)
+    import numpy as np
     return scale * np.sqrt(radicand)
 
 
@@ -158,6 +168,7 @@ def swap_coherent_info_determinant(cm: CovarianceMatrix) -> float:
     coherent information; agrees with the entropy difference at large mu."""
     if cm.n_modes != 2:
         raise DomainError(f"determinant form needs exactly 2 modes, got {cm.n_modes}")
+    import numpy as np
     sign_b, logdet_b = np.linalg.slogdet(cm.mode_block(1, 1))
     sign_ab, logdet_ab = np.linalg.slogdet(cm.data)
     if sign_b <= 0.0 or sign_ab <= 0.0:

@@ -14,7 +14,6 @@ import math
 import os
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property, partial
 
 import numpy as np
@@ -23,20 +22,11 @@ from .environment import (EnvKind, bona_fide_conditions, eb_threshold, env_pts_r
                           is_separable, require_magnitude, require_transmissivity,
                           require_variance)
 from .errors import DomainError
-from .protocols import Protocol, large_mu_eps, large_mu_eps_scale
-
-DISTILLABLE_EPS = math.exp(-1.0)
+from .protocols import DISTILLABLE_EPS, Activation, Protocol, large_mu_eps, large_mu_eps_scale
 
 # float() parses strings and takes bools, and bytes iterate as their byte values,
 # so none of these is accepted as a window or a window bound
 _NOT_NUMBERS = (str, bytes, bytearray, bool, np.bool_)
-
-
-class Activation(Enum):
-    NONE = "None"
-    ENTANGLING = "Entangling"
-    DISTILLABLE = "Distillable"
-
 
 # eps(g, gp), elementwise; its large-mu scale; the levels below which a cell activates
 _EpsMap = namedtuple("_EpsMap", "eps scale levels")

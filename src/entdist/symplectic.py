@@ -13,11 +13,12 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import DomainError
+
+if TYPE_CHECKING:  # numpy loads on first use, in the functions that need it
+    import numpy as np
 
 SYMMETRY_RTOL = 1e-12
 PHYSICAL_NU_TOL = 1e-9     # nu >= 1 - tol counts as physical
@@ -41,6 +42,7 @@ class CovarianceMatrix:
     data: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         arr = np.array(self.data, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2 != 0:
             raise DomainError(f"covariance matrix must be square with even size, got {arr.shape}")
@@ -71,6 +73,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     """
     if n_modes < 1:
         raise DomainError(f"need at least one mode, got {n_modes}")
+    import numpy as np
     omega = np.zeros((2 * n_modes, 2 * n_modes))
     for k in range(n_modes):
         omega[2 * k, 2 * k + 1] = 1.0
@@ -96,6 +99,7 @@ def _symplectic_spectrum(v: np.ndarray) -> np.ndarray:
     conjugate pairs (+/- i*nu); the pairs are averaged to wash out the slight
     asymmetry of the nonsymmetric eigensolve.
     """
+    import numpy as np
     if float(np.linalg.eigvalsh(v)[0]) <= 0.0:
         raise DomainError("covariance matrix is not positive-definite")
     moduli = np.sort(np.abs(np.linalg.eigvals(symplectic_form(len(v) // 2) @ v)))
@@ -128,7 +132,7 @@ def _entropy(nus, v: np.ndarray) -> float:
     degeneracies), so a fixed window would misclassify large pure states as
     unphysical.
     """
-    scale = max(float(np.abs(v).max()), 1.0)
+    scale = max(float(abs(v).max()), 1.0)
     return float(sum(
         h(float(nu), tol=PHYSICAL_NU_TOL * scale, one_tol=ENTROPY_NU_ONE_TOL * scale)
         for nu in nus
@@ -157,6 +161,7 @@ def entanglement_report(cm: CovarianceMatrix, partition: Iterable[int]) -> Entan
     S(partition). The partition must be nonempty, in range and proper:
     transposing every mode would certify nothing.
     """
+    import numpy as np
     v, n_modes = cm.data, cm.n_modes
     modes = _checked_modes(partition, n_modes)
     if len(modes) == n_modes:

@@ -1,3 +1,4 @@
+import ast
 import csv
 import errno
 import hashlib
@@ -1353,3 +1354,53 @@ class TestImports:
         result = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
                                 capture_output=True, text=True, check=True, timeout=60)
         assert result.stdout.strip() == "[]"
+
+    @staticmethod
+    def fresh_numpy_modules(statement):
+        """Run ``statement`` in a fresh interpreter; the value it leaves in ``code``
+        and the numpy modules loaded after it."""
+        probe = (f"import sys\ncode = None\n{statement}\n"
+                 "print(repr((code, sorted(m for m in sys.modules "
+                 "if m.partition('.')[0] == 'numpy'))))")
+        result = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
+                                capture_output=True, text=True, check=True, timeout=60)
+        return ast.literal_eval(result.stdout.splitlines()[-1])
+
+    @staticmethod
+    def main_statement(*argv):
+        return f"from entdist.cli import main\ncode = main({list(argv)!r})"
+
+    @pytest.mark.parametrize("statement, expected", [
+        ("import entdist", None),
+        ("import entdist.cli", None),
+        (main_statement("point", "--tau", "0.75", "--at-eb", "--g", "5", "--gp=-5"), EXIT_OK),
+        (main_statement("point", "--tau", "0.75", "--omega", "2", "--g", "3", "--gp", "0"),
+         EXIT_DOMAIN),
+        (main_statement("--help"), EXIT_OK),
+        (main_statement("point", "--tau", "2"), EXIT_USAGE),
+    ], ids=["import-entdist", "import-cli", "point-separable", "point-forbidden", "help",
+            "usage-error"])
+    def test_loads_no_numpy(self, statement, expected):
+        # numpy loads only where arrays or matrices are handled: a scan, a
+        # finite-mu run, a library call on arrays
+        assert self.fresh_numpy_modules(statement) == (expected, [])
+
+    @pytest.mark.parametrize("statement", [
+        "import entdist\nentdist.ScanSpec",
+        main_statement("scan", "--tau", "0.5", "--at-eb", "--protocol", "direct",
+                       "--resolution", "3", "--output", os.devnull),
+        main_statement("point", "--tau", "0.75", "--at-eb", "--g", "5", "--gp=-5", "--mu", "100"),
+    ], ids=["scanner-name", "scan", "point-mu"])
+    def test_arrays_load_numpy(self, statement):
+        code, numpy_modules = self.fresh_numpy_modules(statement)
+        assert code in (None, EXIT_OK)
+        assert "numpy" in numpy_modules
+
+    def test_importtime_lists_no_numpy(self):
+        result = subprocess.run([sys.executable, "-X", "importtime", "-c", "import entdist.cli"],
+                                env=subprocess_env(), capture_output=True, text=True,
+                                check=True, timeout=60)
+        names = [line.rpartition("|")[2].strip() for line in result.stderr.splitlines()
+                 if line.startswith("import time:")]
+        assert "entdist.cli" in names
+        assert not [name for name in names if name.partition(".")[0] == "numpy"]

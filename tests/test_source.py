@@ -1,6 +1,8 @@
 """Rules that the package source itself must keep."""
 
 import ast
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,39 @@ def test_public_names_resolve_once_and_in_order():
     assert names == sorted(names)
     missing = [name for name in names if not hasattr(entdist, name)]
     assert not missing, f"unresolved public names: {', '.join(missing)}"
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'entdist' has no attribute 'no_such_name'$"):
+        entdist.no_such_name
+
+
+def test_dir_lists_every_public_name():
+    listed = dir(entdist)
+    assert listed == sorted(listed)
+    assert set(entdist.__all__) <= set(listed)
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from entdist import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == entdist.__all__
+    assert all(value is getattr(entdist, name) for name, value in namespace.items())
+
+
+@pytest.mark.parametrize("name", ["Contour", "ScanGrid", "ScanSpec", "boundary_curves",
+                                  "eps_field", "scan", "separable_activation_exists"])
+def test_scanner_names_are_the_scanner_objects(name):
+    # imported on first access, through the package's module __getattr__
+    assert getattr(entdist, name) is getattr(entdist.scanner, name)
+
+
+@pytest.mark.parametrize("name", ["Activation", "DISTILLABLE_EPS"])
+def test_activation_names_resolve_to_one_object(name):
+    # defined in protocols, which `point` needs; the scanner re-exports them
+    assert getattr(entdist.scanner, name) is getattr(entdist.protocols, name) \
+        is getattr(entdist, name)
 
 
 def test_no_pipeline_is_public():
@@ -117,8 +152,9 @@ def test_cli_reads_no_whole_grid_code_array():
     assert not found, f"whole-grid code arrays read in the CLI: {', '.join(found)}"
 
 
-class _NoNumpy:
-    """Stands in for numpy in a module whose scalar path must not use it."""
+class _NoNumpy(types.ModuleType):
+    """Stands in for numpy where the scalar path must not use it; a module, so
+    that ``import numpy`` inside a function returns it from ``sys.modules``."""
 
     def __getattr__(self, name):
         raise AssertionError(f"numpy used on the scalar path: np.{name}")
@@ -126,8 +162,11 @@ class _NoNumpy:
 
 @pytest.fixture
 def no_numpy(monkeypatch):
-    for module in (entdist.environment, entdist.protocols, entdist.scanner):
-        monkeypatch.setattr(module, "np", _NoNumpy())
+    # the scanner imports numpy at module level; the other modules import it
+    # in the functions that use it
+    stub = _NoNumpy("numpy")
+    monkeypatch.setitem(sys.modules, "numpy", stub)
+    monkeypatch.setattr(entdist.scanner, "np", stub)
 
 
 def test_scalar_formulas_use_no_numpy(no_numpy):
