@@ -6,10 +6,12 @@ direct and swap-based distribution protocols as closed forms (the
 finite-squeezing symplectic pipelines that check them live with the tests), and
 a correlation plane scanner behind the ``entdist`` CLI.
 
-numpy loads on first use: the names of :mod:`entdist.scanner`, which works on
-arrays throughout, are imported on first access, so ``import entdist`` loads
-no numpy.
+numpy loads on first use: :mod:`entdist.scanner`, which works on arrays
+throughout, and its names are imported on first access, so ``import entdist``
+loads no numpy.
 """
+
+import importlib
 
 from .environment import (
     BonaFideResult,
@@ -93,11 +95,12 @@ _SCANNER_NAMES = ("Contour", "ScanGrid", "ScanSpec", "boundary_curves", "eps_fie
 
 
 def __getattr__(name):
-    """The names of :mod:`entdist.scanner`, imported with it on first access (PEP 562)."""
-    if name not in _SCANNER_NAMES:
+    """:mod:`entdist.scanner` and its names, imported on first access (PEP 562)."""
+    if name != "scanner" and name not in _SCANNER_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import scanner
-    return getattr(scanner, name)
+    # not ``from . import scanner``: its fromlist check would call this hook again
+    scanner = importlib.import_module(".scanner", __name__)
+    return scanner if name == "scanner" else getattr(scanner, name)
 
 
 def __dir__():

@@ -92,14 +92,14 @@ class EntanglementReport:
     symplectic_spectrum: tuple[float, ...]
 
 
-def _symplectic_spectrum(v: np.ndarray) -> np.ndarray:
+def _symplectic_spectrum(v: np.ndarray, np) -> np.ndarray:
     """Symplectic spectrum of a positive-definite 2n x 2n array, sorted descending.
 
     Computed as the moduli of the eigenvalues of i*Omega*V. Those come in
     conjugate pairs (+/- i*nu); the pairs are averaged to wash out the slight
-    asymmetry of the nonsymmetric eigensolve.
+    asymmetry of the nonsymmetric eigensolve. ``np`` is the numpy module,
+    which the caller has imported: this runs three times per report.
     """
-    import numpy as np
     if float(np.linalg.eigvalsh(v)[0]) <= 0.0:
         raise DomainError("covariance matrix is not positive-definite")
     moduli = np.sort(np.abs(np.linalg.eigvals(symplectic_form(len(v) // 2) @ v)))
@@ -168,14 +168,15 @@ def entanglement_report(cm: CovarianceMatrix, partition: Iterable[int]) -> Entan
         raise DomainError("partition must leave at least one mode untransposed")
     signs = np.ones(2 * n_modes)
     signs[[2 * m + 1 for m in modes]] = -1.0
-    eps = float(_symplectic_spectrum(v * np.outer(signs, signs))[-1])
-    spectrum = _symplectic_spectrum(v)
+    eps = float(_symplectic_spectrum(v * np.outer(signs, signs), np)[-1])
+    spectrum = _symplectic_spectrum(v, np)
     kept = [i for m in modes for i in (2 * m, 2 * m + 1)]
     reduced = v[np.ix_(kept, kept)]
+    s_partition = _entropy(_symplectic_spectrum(reduced, np), reduced)
     return EntanglementReport(
         pts_min=eps,
         log_negativity=log_negativity(eps),
-        coherent_info=_entropy(_symplectic_spectrum(reduced), reduced) - _entropy(spectrum, v),
+        coherent_info=s_partition - _entropy(spectrum, v),
         symplectic_spectrum=tuple(float(nu) for nu in spectrum),
     )
 

@@ -1387,10 +1387,11 @@ class TestImports:
 
     @pytest.mark.parametrize("statement", [
         "import entdist\nentdist.ScanSpec",
+        "import entdist\nentdist.scanner.scan",
         main_statement("scan", "--tau", "0.5", "--at-eb", "--protocol", "direct",
                        "--resolution", "3", "--output", os.devnull),
         main_statement("point", "--tau", "0.75", "--at-eb", "--g", "5", "--gp=-5", "--mu", "100"),
-    ], ids=["scanner-name", "scan", "point-mu"])
+    ], ids=["scanner-name", "scanner-module", "scan", "point-mu"])
     def test_arrays_load_numpy(self, statement):
         code, numpy_modules = self.fresh_numpy_modules(statement)
         assert code in (None, EXIT_OK)

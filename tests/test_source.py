@@ -55,8 +55,7 @@ def test_star_import_binds_every_public_name():
     assert all(value is getattr(entdist, name) for name, value in namespace.items())
 
 
-@pytest.mark.parametrize("name", ["Contour", "ScanGrid", "ScanSpec", "boundary_curves",
-                                  "eps_field", "scan", "separable_activation_exists"])
+@pytest.mark.parametrize("name", entdist._SCANNER_NAMES)
 def test_scanner_names_are_the_scanner_objects(name):
     # imported on first access, through the package's module __getattr__
     assert getattr(entdist, name) is getattr(entdist.scanner, name)
