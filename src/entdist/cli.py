@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, needs_point: bool) -> None:
         p.add_argument("--tau", type=_finite_float(require_transmissivity), required=True,
-                       help="beam-splitter transmissivity in (0, 1)")
+                       help="beam-splitter transmissivity in [1e-150, 1)")
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--omega", type=_finite_float(partial(require_variance, "omega")),
                            help="thermal variance (>= 1)")

@@ -19,6 +19,8 @@ from .errors import DomainError
 # Largest accepted |omega|, |g| and |gp|: every product the plane formulas form
 # (omega^2, g*gp, (omega - g)*(omega + gp), ...) then stays below 1e301, so finite.
 MAX_MAGNITUDE = 1e150
+# Smallest accepted tau: the swap eps scale (1 - tau)/tau then stays below MAX_MAGNITUDE
+_MIN_TRANSMISSIVITY = 1.0 / MAX_MAGNITUDE
 
 
 def require_magnitude(name: str, value: float) -> None:
@@ -28,9 +30,11 @@ def require_magnitude(name: str, value: float) -> None:
 
 
 def require_transmissivity(tau: float) -> None:
-    """Raise DomainError unless 0 < tau < 1 (nan fails too)."""
-    if not 0.0 < tau < 1.0:
-        raise DomainError(f"transmissivity must lie in (0, 1), got {tau}")
+    """Raise DomainError unless 1/:data:`MAX_MAGNITUDE` <= tau < 1 (nan fails too), so
+    that every large-mu eps, at most the swap scale (1 - tau)/tau times 2 omega, stays
+    below 2e300."""
+    if not _MIN_TRANSMISSIVITY <= tau < 1.0:
+        raise DomainError(f"transmissivity must lie in [{_MIN_TRANSMISSIVITY:g}, 1), got {tau}")
 
 
 def require_variance(name: str, value: float) -> None:
@@ -44,7 +48,7 @@ def require_variance(name: str, value: float) -> None:
 class EnvironmentParams:
     """Beam-splitter transmissivity plus the environment normal form (omega, g, gp).
 
-    Physical by construction: raises DomainError for tau outside (0, 1), for a
+    Physical by construction: raises DomainError for tau outside [1e-150, 1), for a
     magnitude above :data:`MAX_MAGNITUDE`, for omega below 1, and, naming the
     failed conditions, for an (omega, g, gp) that is not a bona-fide environment.
     """

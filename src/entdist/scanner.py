@@ -3,9 +3,9 @@
 Every cell is evaluated at its center by the same formula functions that the
 point evaluators in :mod:`entdist.environment` and :mod:`entdist.protocols`
 call, here on arrays over the grid, so the scan and the point evaluators agree
-bit for bit by construction. :func:`scan` keeps each g row as at most 7 runs
-of one class pair and evaluates no eps field; ``_evaluate_rows`` gives eps on g
-rows. Each spec's ``_eps_map`` alone decides which eps field a protocol has.
+bit for bit by construction. Each spec's ``_eps_map`` alone decides which eps
+field a protocol has, and holds the plane's one boundary table: :func:`scan`
+bisects g rows on its predicates, :func:`boundary_curves` solves vertices from its cuts.
 """
 
 from __future__ import annotations
@@ -28,8 +28,10 @@ from .protocols import DISTILLABLE_EPS, Activation, Protocol, large_mu_eps, larg
 # so none of these is accepted as a window or a window bound
 _NOT_NUMBERS = (str, bytes, bytearray, bool, np.bool_)
 
-# eps(g, gp), elementwise; its large-mu scale; the levels below which a cell activates
-_EpsMap = namedtuple("_EpsMap", "eps scale levels")
+# eps(g, gp), elementwise; its large-mu scale; the levels below which a cell
+# activates; the plane's boundaries by name, each a float predicate and a cut
+_EpsMap = namedtuple("_EpsMap", "eps scale levels boundaries")
+_Boundary = namedtuple("_Boundary", "holds cut")
 
 
 def _env_pts_field(omega, g, gp):
@@ -93,12 +95,29 @@ class ScanSpec:
 
     @cached_property
     def _eps_map(self) -> _EpsMap:
-        """Large-mu eps; for ENVIRONMENT_ONLY the environment's PTS eigenvalue, no levels."""
+        """Large-mu eps, or the environment's PTS eigenvalue with no levels, and the boundary
+        table: on a g row with a bona-fide cell holds(g, gp[, level]) turns true once as gp
+        rises, near cut(c, g), where its factor equals c = 1 or (level / scale)**2."""
         w = self.omega_value
+        rising = lambda c, x: c / (w - x) - w  # the gp at which (w - x)(w + gp) = c
+        falling = lambda c, x: w - c / (w + x)  # the gp at which (w + x)(w - gp) = c
+        table = {"uncertainty, rising": _Boundary(lambda g, x: (w + g) * (w + x) >= 1.0,
+                                                  lambda c, g: c / (w + g) - w),
+                 "uncertainty, falling": _Boundary(lambda g, x: (w - g) * (w - x) < 1.0,
+                                                   lambda c, g: w - c / (w - g)),
+                 "separability, rising": _Boundary(lambda g, x: (w - g) * (w + x) >= 1.0, rising),
+                 "separability, falling": _Boundary(lambda g, x: (w + g) * (w - x) < 1.0,
+                                                    falling)}
         if self.protocol is Protocol.ENVIRONMENT_ONLY:
-            return _EpsMap(partial(_env_pts_field, w), 1.0, ())
-        return _EpsMap(partial(large_mu_eps, self.tau, w, protocol=self.protocol),
-                       large_mu_eps_scale(self.tau, self.protocol), (1.0, DISTILLABLE_EPS))
+            table["eps = level, rising"] = _Boundary(
+                lambda g, x, level: (w - g) * (w + x) >= level ** 2, rising)
+            table["eps = level, falling"] = _Boundary(
+                lambda g, x, level: (w + g) * (w - x) < level ** 2, falling)
+            return _EpsMap(partial(_env_pts_field, w), 1.0, (), table)
+        eps = partial(large_mu_eps, self.tau, w, protocol=self.protocol)
+        table["eps = level, rising"] = _Boundary(lambda g, x, level: eps(g, x) >= level, rising)
+        return _EpsMap(eps, large_mu_eps_scale(self.tau, self.protocol), (1.0, DISTILLABLE_EPS),
+                       table)
 
     @cached_property
     def _centers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -248,27 +267,25 @@ def _first_true(holds, g, gp, lo, hi):
 def scan(spec: ScanSpec) -> ScanGrid:
     """Classify every cell of the grid; Forbidden cells are recorded, never raised.
 
-    On a g row with a bona-fide cell w -+ g > 0, so each predicate below is,
-    like the gp centers, monotone in gp in float64: the uncertainty products
-    (w + g)(w + gp), (w - g)(w - gp) >= 1, which imply |gp| < w, the
-    separability factors (w - g)(w + gp), (w + g)(w - gp) < 1 and, on the
-    bona-fide run only (no NaN there), eps < each activation level. Their ends
-    cut the row into at most 7 runs, each coded by where its first cell a lies
-    among them: bona fide for begin <= a < end, Entangled below the rising
-    separability cut or from the falling one on, and one activation step more
-    per level cut above a. A grid whose one-byte cell codes exceed the physical
-    memory raises MemoryError first.
+    On a g row with a bona-fide cell w -+ g > 0, so the predicates of the
+    boundary table are, like the gp centers, monotone in gp in float64, eps =
+    level's on the bona-fide run only (no NaN there); uncertainty's imply
+    |gp| < w. Their flips cut the row into at most 7 runs, each coded by where
+    its first cell a lies among them: bona fide for begin <= a < end, Entangled
+    below the rising separability flip or from the falling one on, and one
+    activation step more per level flip above a. A grid whose one-byte cell
+    codes exceed the physical memory raises MemoryError first.
     """
     res, w = spec.resolution, spec.omega_value
     if res * res > _MEMORY:
         raise MemoryError(f"a {res}x{res} grid of one-byte codes exceeds the physical memory")
     g, gp = spec.g_centers(), spec.gp_centers()
     lo, hi = np.zeros(res, np.intp), np.where(np.abs(g) < w, res, 0)
-    begin = _first_true(lambda g, x: (w + g) * (w + x) >= 1.0, g, gp, lo, hi)
-    end = np.maximum(begin, _first_true(lambda g, x: (w - g) * (w - x) < 1.0, g, gp, lo, hi))
-    eps, levels = spec._eps_map.eps, spec._eps_map.levels
-    flips = [lambda g, x: (w - g) * (w + x) >= 1.0, lambda g, x: (w + g) * (w - x) < 1.0,
-             *(lambda g, x, level=level: eps(g, x) >= level for level in levels)]
+    _, _, levels, table = spec._eps_map
+    begin = _first_true(table["uncertainty, rising"].holds, g, gp, lo, hi)
+    end = np.maximum(begin, _first_true(table["uncertainty, falling"].holds, g, gp, lo, hi))
+    flips = [table["separability, rising"].holds, table["separability, falling"].holds,
+             *(partial(table["eps = level, rising"].holds, level=level) for level in levels)]
     cuts = np.array([begin, end, *(_first_true(f, g, gp, begin, end) for f in flips)])
     bounds = np.column_stack([np.zeros(res, np.intp), np.sort(cuts, axis=0).T, np.full(res, res)])
     a, (begin, end, rise, fall, *below) = bounds[:, :-1], cuts[..., np.newaxis]
@@ -278,11 +295,8 @@ def scan(spec: ScanSpec) -> ScanGrid:
     return ScanGrid(spec, bounds, codes)
 
 
-def separable_activation_exists(
-    tau: float,
-    protocol: Protocol,
-    omega: float | None = None,
-) -> tuple[bool, tuple[float, float] | None]:
+def separable_activation_exists(tau: float, protocol: Protocol, omega: float | None = None
+                                ) -> tuple[bool, tuple[float, float] | None]:
     """Whether a separable environment activates the protocol, and a witness (g, gp).
 
     eps = scale * sqrt((omega - g)(omega + gp)), scale 1 - tau (direct) or (1 - tau)/tau (swap).
@@ -292,7 +306,7 @@ def separable_activation_exists(
     1/scale), or 1 if rounding pushes that out; DomainError where float64 holds neither, and
     for the direct protocol where 1 - tau rounds to 1 (tau <= 2**-54), though such a tau activates.
     """
-    omega_eb = eb_threshold(tau)  # refuses tau outside (0, 1)
+    omega_eb = eb_threshold(tau)  # refuses tau outside [1e-150, 1)
     scale = large_mu_eps_scale(tau, protocol)  # refuses all but DIRECT and SWAP
     w = omega_eb if omega is None else omega
     require_variance("omega", w)
@@ -326,22 +340,37 @@ def boundary_curves(spec: ScanSpec, levels: tuple[float, ...] = (1.0, DISTILLABL
     """Iso-contours of the eps field over the bona-fide cells.
 
     Marching squares on the cell-center grid gives segments between crossed
-    edges, and segments sharing an edge are joined into chains: open paths
-    first, then closed loops. Each crossing is then solved exactly on its
-    edge, where one coordinate is fixed and eps = level has a closed-form
-    solution in the other, so returned vertices satisfy eps = level up to
-    floating-point rounding. Squares touching non-physical cells are skipped,
-    which truncates contours at the border of the physical region.
+    edges, joined into chains where they share one: open paths first, then
+    closed loops. One numpy pass per level solves every crossing from the
+    boundary table: along an edge eps**2 / scale**2 is the rising factor
+    (w - fixed)(w + free), the falling one (w + fixed)(w - free) or the lesser
+    of the two, so a crossing whose first corner lies below the level is the
+    rising separability cut of c = (level / scale)**2, clamped to the edge, any
+    other the falling one; a corner at the level is the vertex. Squares touching
+    non-physical cells are skipped, truncating contours at the physical border.
     """
-    xs, ys = spec.g_centers().tolist(), spec.gp_centers().tolist()
-    field, omega, scale = eps_field(spec), spec.omega_value, spec._eps_map.scale
-
+    xs, ys = spec.g_centers(), spec.gp_centers()
+    field, (_, scale, _, table) = eps_field(spec), spec._eps_map
+    rising, falling = table["separability, rising"].cut, table["separability, falling"].cut
     contours = []
     for level in levels:
-        radicand = (level / scale) ** 2
-        for chain, closed in _stitch_segments(_marching_squares_segments(field, level)):
-            pts = np.array([_edge_point(e, xs, ys, field, level, omega, radicand) for e in chain])
-            contours.append(Contour(level=level, points=pts, closed=closed))
+        chains = _stitch_segments(_marching_squares_segments(field, level))
+        if not chains:
+            continue
+        kind, i, j = zip(*[edge for chain, _ in chains for edge in chain])
+        v = np.frombuffer("".join(kind).encode(), np.uint8) == ord("v")  # (i, j)-(i, j + 1)
+        i, j = np.fromiter(i, np.intp, len(i)), np.fromiter(j, np.intp, len(j))
+        i1, j1 = i + ~v, j + v
+        (x0, y0), (x1, y1) = (xs[i], ys[j]), (xs[i1], ys[j1])
+        lo, hi, fixed = np.where(v, y0, x0), np.where(v, y1, x1), np.where(v, x0, y0)
+        f0, f1, c = field[i, j], field[i1, j1], (level / scale) ** 2
+        free = np.where(f0 < level, rising(c, fixed), falling(c, fixed))
+        free = np.where(f0 == level, lo, np.where(f1 == level, hi, np.minimum(np.maximum(
+            free, lo), hi)))
+        points = np.column_stack([np.where(v, x0, free), np.where(v, free, y0)])
+        ends = np.cumsum([len(chain) for chain, _ in chains]).tolist()
+        contours += [Contour(level=level, points=points[end - len(chain):end], closed=closed)
+                     for (chain, closed), end in zip(chains, ends)]
     return contours
 
 
@@ -417,33 +446,3 @@ def _stitch_segments(segments):
                 edge = next((nb for nb in adjacency[edge] if nb not in visited), None)
             chains.append((chain + [start] if closed else chain, closed))
     return chains
-
-
-def _edge_point(edge, xs, ys, field, level, omega, radicand):
-    """The point of ``edge`` at which eps = level, with ``radicand`` the squared
-    level over the squared scale of the spec's eps map.
-
-    Along an edge one coordinate is fixed, and the map's squared eps over its
-    squared scale is the rising factor (omega - fixed)(omega + free), the
-    falling factor (omega + fixed)(omega - free), or the smaller of the two,
-    which rises, then falls. So an edge whose first corner lies below the
-    level is crossed where the rising factor equals ``radicand``, and any
-    other crossed edge where the falling one does, each at a free coordinate
-    found without iteration.
-    """
-    kind, i, j = edge
-    if kind == "h":
-        lo, hi, fixed = xs[i], xs[i + 1], ys[j]
-        f0, f1 = field[i, j], field[i + 1, j]
-    else:
-        lo, hi, fixed = ys[j], ys[j + 1], xs[i]
-        f0, f1 = field[i, j], field[i, j + 1]
-    if f0 == level:
-        free = lo
-    elif f1 == level:
-        free = hi
-    elif f0 < level:
-        free = min(max(radicand / (omega - fixed) - omega, lo), hi)
-    else:
-        free = min(max(omega - radicand / (omega + fixed), lo), hi)
-    return (free, fixed) if kind == "h" else (fixed, free)

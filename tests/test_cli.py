@@ -1016,7 +1016,8 @@ class TestScanMemory:
 
 
 class TestInputMagnitude:
-    """Numbers above 1e150 in size would overflow the plane formulas' products."""
+    """Numbers above 1e150 in size, and tau below 1e-150, would overflow the plane
+    formulas' products."""
 
     @pytest.mark.parametrize("flag", ["--omega", "--g-min", "--g-max", "--gp-min", "--gp-max"])
     def test_scan(self, capsys, flag):
@@ -1064,6 +1065,30 @@ class TestInputMagnitude:
         assert code == EXIT_USAGE
         assert out == ""
         assert "--mu" in err and "magnitude" in err
+
+
+    @pytest.mark.parametrize("command", [
+        ("point", "--g", "0", "--gp", "0"),
+        ("scan", "--protocol", "swap", "--resolution", "3"),
+        ("scan", "--protocol", "swap", "--resolution", "3", "--format", "json"),
+    ], ids=["point", "scan-csv", "scan-json"])
+    @pytest.mark.parametrize("tau", ["1e-200", "5e-324"])
+    def test_tau_below_its_floor(self, capsys, command, tau):
+        # a swap scale (1 - tau)/tau above 1e150 overflowed the eps: scan printed
+        # inf cells with exit 0 ("eps": inf in JSON, which is not JSON), and
+        # point exited 3 on a physical point
+        code, out, err = run_cli(capsys, command[0], "--tau", tau, "--omega", "1e150",
+                                 *command[1:])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"argument --tau: transmissivity must lie in [1e-150, 1), got {float(tau)}" in err
+
+    def test_swap_scan_at_the_tau_floor_is_finite(self, capsys):
+        code, out, _ = run_cli(capsys, "scan", "--tau", "1e-150", "--omega", "1e150",
+                               "--protocol", "swap", "--resolution", "3")
+        assert code == EXIT_OK
+        eps = [float(row["eps"]) for row in csv.DictReader(io.StringIO(out))]
+        assert len(eps) == 9 and all(1e299 < x < 2e300 for x in eps)
 
 
 class TestNonFiniteFlags:

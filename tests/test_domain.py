@@ -2,9 +2,10 @@
 
 The domains are stated once, in ``entdist.environment`` (``require_transmissivity``,
 ``require_variance``, ``require_magnitude``); these tests feed nan, +-inf and
-magnitudes above 1e150 into each raw-float entry point, where a number that
-slips past a check would come back as a wrong result (``inf``, ``nan``, a
-matrix of nans) or as an untyped numpy error. A protocol argument is checked
+magnitudes above 1e150 into each raw-float entry point, and tau below 1e-150
+into each tau entry point, where a number that slips past a check would come
+back as a wrong result (``inf``, ``nan``, a matrix of nans) or as an untyped
+numpy error. A protocol argument is checked
 against the ``Protocol`` type itself; a string or ``None`` in its place once
 read as the direct protocol.
 
@@ -86,6 +87,24 @@ ENTRY_POINTS = {
 def test_entry_point_refuses_out_of_domain_number(entry, value):
     with pytest.raises(DomainError):
         ENTRY_POINTS[entry](value)
+
+
+TAU_ENTRY_POINTS = sorted(name for name in ENTRY_POINTS
+                          if name.endswith("tau") or name == "eb_threshold")
+
+
+@pytest.mark.parametrize("value", [1e-151, 5e-324])
+@pytest.mark.parametrize("entry", TAU_ENTRY_POINTS)
+def test_tau_entry_point_refuses_tau_below_its_floor(entry, value):
+    # below 1e-150 the swap scale (1 - tau)/tau outgrows MAX_MAGNITUDE, and the
+    # swap eps overflowed to inf: 1e-200 printed inf cells, 5e-324 is subnormal
+    with pytest.raises(DomainError, match=r"\[1e-150, 1\)"):
+        ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("entry", TAU_ENTRY_POINTS)
+def test_tau_entry_point_takes_its_floor(entry):
+    ENTRY_POINTS[entry](1e-150)
 
 
 @pytest.mark.parametrize("evaluator", [log_negativity, h, coherent_info_asymptotic])

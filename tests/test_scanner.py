@@ -3,10 +3,11 @@ import math
 import struct
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -307,6 +308,18 @@ def _ulps_around(x, n):
     return float(lo), float(hi)
 
 
+def _window(fractions, w):
+    """A window given as fractions of omega, or None for the default box."""
+    if fractions is None or fractions[0] == fractions[1]:
+        return None
+    return (min(fractions) * w, max(fractions) * w)
+
+
+# windows are fractions of omega, so they reach 1.5 omega beyond the physical
+# box on either side
+_windows = st.one_of(st.none(), st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)))
+
+
 class TestRuns:
     """scan keeps each g row as at most 7 runs of one pair code, whose ends it
     finds by bisection on predicates monotone in gp; the cells they cover must
@@ -532,6 +545,13 @@ class TestClosedFormActivation:
         assert_activating_witness(tau, protocol, eb_threshold(tau) if omega is None else omega,
                                   witness)
 
+    @given(tau=st.floats(0.0, 1e-150, exclude_max=True),
+           protocol=st.sampled_from([Protocol.DIRECT, Protocol.SWAP]))
+    def test_refuses_tau_below_the_floor(self, tau, protocol):
+        # where the theorem's draws end: below 1e-150 tau is refused, not answered
+        with pytest.raises(DomainError, match="transmissivity"):
+            separable_activation_exists(tau, protocol)
+
     def test_rejects_direct_tau_where_one_minus_tau_rounds_to_one(self):
         # 1 - 1e-17 is 1.0 in float64, which would read as "no activation"
         with pytest.raises(DomainError, match="tau=1e-17"):
@@ -548,7 +568,7 @@ class TestClosedFormActivation:
         with pytest.raises(DomainError, match="omega"):
             separable_activation_exists(0.5, Protocol.DIRECT, omega=1e150)
 
-    @given(tau=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    @given(tau=st.floats(1e-150, 1.0, exclude_max=True),
            log_omega=st.floats(0.0, 6.0),
            protocol=st.sampled_from([Protocol.DIRECT, Protocol.SWAP]))
     def test_verdict_is_the_theorem(self, tau, log_omega, protocol):
@@ -753,6 +773,161 @@ def reference_boundary_curves(spec, levels):
 
     return [(level, np.array([polish(edge, level) for edge in chain]), closed)
             for level in levels for chain, closed in _stitch_segments(segments(level))]
+
+
+def _edge_point(edge, xs, ys, field, level, omega, radicand):
+    """The point of ``edge`` at which eps = level, with ``radicand`` the squared
+    level over the squared scale of the spec's eps map.
+
+    Along an edge one coordinate is fixed, and the map's squared eps over its
+    squared scale is the rising factor (omega - fixed)(omega + free), the
+    falling factor (omega + fixed)(omega - free), or the smaller of the two,
+    which rises, then falls. So an edge whose first corner lies below the
+    level is crossed where the rising factor equals ``radicand``, and any
+    other crossed edge where the falling one does, each at a free coordinate
+    found without iteration.
+    """
+    kind, i, j = edge
+    if kind == "h":
+        lo, hi, fixed = xs[i], xs[i + 1], ys[j]
+        f0, f1 = field[i, j], field[i + 1, j]
+    else:
+        lo, hi, fixed = ys[j], ys[j + 1], xs[i]
+        f0, f1 = field[i, j], field[i, j + 1]
+    if f0 == level:
+        free = lo
+    elif f1 == level:
+        free = hi
+    elif f0 < level:
+        free = min(max(radicand / (omega - fixed) - omega, lo), hi)
+    else:
+        free = min(max(omega - radicand / (omega + fixed), lo), hi)
+    return (free, fixed) if kind == "h" else (fixed, free)
+
+
+def edge_point_curves(spec, levels):
+    """(level, points, closed) of boundary_curves before its vectorized solve:
+    the same chains, each vertex solved by one scalar ``_edge_point`` call."""
+    xs, ys = spec.g_centers().tolist(), spec.gp_centers().tolist()
+    field, omega, scale = eps_field(spec), spec.omega_value, spec._eps_map.scale
+    curves = []
+    for level in levels:
+        radicand = (level / scale) ** 2
+        for chain, closed in _stitch_segments(_marching_squares_segments(field, level)):
+            points = [_edge_point(e, xs, ys, field, level, omega, radicand) for e in chain]
+            curves.append((level, np.array(points), closed))
+    return curves
+
+
+def _hex(points):
+    return [[float(x).hex() for x in point] for point in points]
+
+
+class TestVertexSolve:
+    """The vectorized vertex solve of boundary_curves against the scalar one it
+    replaced, ``_edge_point``: every vertex bit for bit, the corner branches
+    (a corner exactly at the level) included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(protocol=st.sampled_from(list(Protocol)), resolution=st.integers(2, 121),
+           tau=st.floats(0.01, 0.99), log_omega=st.one_of(st.none(), st.floats(0.0, 4.0)),
+           g_window=_windows, gp_window=_windows, pick=st.floats(0.0, 1.0, exclude_max=True))
+    def test_matches_the_scalar_solve_bit_for_bit(self, protocol, resolution, tau, log_omega,
+                                                  g_window, gp_window, pick):
+        omega = None if log_omega is None else 10.0 ** log_omega
+        w = eb_threshold(tau) if omega is None else omega
+        spec = ScanSpec(tau=tau, protocol=protocol, resolution=resolution, omega=omega,
+                        g_range=_window(g_window, w), gp_range=_window(gp_window, w))
+        # a level equal to a field value puts corners exactly at the level
+        values = eps_field(spec)[np.isfinite(eps_field(spec))]
+        at_a_corner = (float(values[int(pick * values.size)]),) if values.size else ()
+        levels = (*spec._eps_map.levels, *LOOP_LEVELS, *at_a_corner)
+        curves = boundary_curves(spec, levels)
+        reference = edge_point_curves(spec, levels)
+        assert [(c.level, c.closed) for c in curves] == [(lv, cl) for lv, _, cl in reference]
+        for curve, (_, points, _) in zip(curves, reference):
+            assert curve.points.dtype == np.float64 and curve.points.shape == points.shape
+            assert curve.points.flags.c_contiguous
+            assert _hex(curve.points) == _hex(points)
+
+
+    def test_a_falling_cut_at_zero_keeps_a_positive_sign(self):
+        # at omega 2, tau 1/2 the direct eps = 1 contour crosses the g edge at
+        # gp = 0 where w - c/(w + gp) = 2 - 4/2 is +0.0; written as
+        # -(c/(w + gp) - w) that vertex would read -0.0
+        spec = ScanSpec(tau=0.5, protocol=Protocol.DIRECT, resolution=5, omega=2.0,
+                        g_range=(-0.9, 1.1), gp_range=(-1.0, 1.0))
+        assert spec.gp_centers()[2] == 0.0 and spec.g_centers()[1] < 0.0 < spec.g_centers()[2]
+        curves = boundary_curves(spec, (1.0,))
+        (_, points, _), = edge_point_curves(spec, (1.0,))
+        assert _hex(curves[0].points) == _hex(points)
+        assert ["0x0.0p+0", "0x0.0p+0"] in _hex(points)
+
+
+class TestBoundaryTable:
+    """Each entry of a spec's boundary table pairs the float predicate that scan
+    bisects on with the closed-form cut: on every g row the cut must lie within
+    one cell of the predicate's flip, both clamped to the row's bona-fide run.
+    Where cells are ulps wide, the rounding of the cut and of the predicate
+    (up to 3 ulps of omega, measured) widens that by 8 ulps of omega."""
+
+    @staticmethod
+    def assert_cuts_match_flips(spec, levels):
+        _, scale, _, table = spec._eps_map
+        w, res = spec.omega_value, spec.resolution
+        g, gp = spec.g_centers(), spec.gp_centers()
+        # scan's bona-fide run of each row, from the uncertainty entries
+        lo, hi = np.zeros(res, np.intp), np.where(np.abs(g) < w, res, 0)
+        begin = scanner._first_true(table["uncertainty, rising"].holds, g, gp, lo, hi)
+        end = np.maximum(begin, scanner._first_true(table["uncertainty, falling"].holds,
+                                                    g, gp, lo, hi))
+        slack = 8.0 * np.spacing(w)
+        for name, (holds, cut) in table.items():
+            at_level = name.startswith("eps")
+            for level in levels if at_level else (1.0,):
+                c = (level / scale) ** 2 if at_level else 1.0
+                run = (lo, hi) if name.startswith("uncertainty") else (begin, end)
+                flip = scanner._first_true(partial(holds, level=level) if at_level else holds,
+                                           g, gp, *run)
+                x = cut(c, g)
+                first = np.clip(np.searchsorted(gp, x - slack), *run) - 1
+                last = np.clip(np.searchsorted(gp, x + slack), *run) + 1
+                far = (run[0] < run[1]) & ((flip < first) | (flip > last))
+                assert not far.any(), (name, level, g[far], flip[far], x[far])
+
+    @settings(max_examples=150, deadline=None)
+    @given(protocol=st.sampled_from(list(Protocol)), resolution=st.integers(2, 399),
+           tau=st.floats(0.01, 0.99), log_omega=st.one_of(st.none(), st.floats(0.0, 8.0)),
+           g_window=_windows, gp_window=_windows, level=st.floats(0.05, 20.0))
+    def test_cut_within_one_cell_of_the_flip(self, protocol, resolution, tau, log_omega,
+                                             g_window, gp_window, level):
+        omega = None if log_omega is None else 10.0 ** log_omega
+        w = eb_threshold(tau) if omega is None else omega
+        spec = ScanSpec(tau=tau, protocol=protocol, resolution=resolution, omega=omega,
+                        g_range=_window(g_window, w), gp_range=_window(gp_window, w))
+        self.assert_cuts_match_flips(spec, (*spec._eps_map.levels, level))
+
+    @settings(max_examples=150, deadline=None)
+    @given(protocol=st.sampled_from(list(Protocol)), tau=st.floats(0.05, 0.95),
+           log_omega=st.floats(0.0, 8.0), fraction=st.floats(-0.9, 0.9),
+           entry=st.integers(0, 5), level=st.sampled_from([1.0, DISTILLABLE_EPS, 1.3]),
+           ulps=st.integers(1, 8))
+    def test_windows_straddling_a_flip_by_a_few_ulps(self, protocol, tau, log_omega, fraction,
+                                                     entry, level, ulps):
+        # as in TestRuns::test_windows_straddling_a_boundary_by_a_few_ulps, the
+        # windows are a few ulps around one entry's float flip, so cells are ulps
+        omega = 10.0 ** log_omega
+        _, _, _, table = ScanSpec(tau=tau, protocol=protocol, resolution=2, omega=omega)._eps_map
+        name = sorted(table)[entry % len(table)]
+        holds = partial(table[name].holds, level=level) if name.startswith("eps") \
+            else table[name].holds
+        g = fraction * omega
+        at = lambda gp: bool(holds(np.array([g]), np.array([gp]))[0])  # noqa: E731
+        assume(at(-omega) != at(omega))  # a flip inside the physical box at this g
+        below, _ = _float_flip(at, -omega, omega)
+        spec = ScanSpec(tau=tau, protocol=protocol, resolution=13, omega=omega,
+                        g_range=_ulps_around(g, 4), gp_range=_ulps_around(below, ulps))
+        self.assert_cuts_match_flips(spec, (level,))
 
 
 class TestExactContours:
