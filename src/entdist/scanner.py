@@ -4,8 +4,8 @@ Every cell is evaluated at its center by the same formula functions that the
 point evaluators in :mod:`entdist.environment` and :mod:`entdist.protocols`
 call, here on arrays over the grid, so the scan and the point evaluators agree
 bit for bit by construction. Each spec's ``_eps_map`` alone decides which eps
-field a protocol has, and holds the plane's one boundary table: :func:`scan`
-bisects g rows on its predicates, :func:`boundary_curves` solves vertices from its cuts.
+field a protocol has, and holds the plane's two boundary shapes: :func:`scan` bisects
+g rows on their predicates, :func:`boundary_curves` solves vertices from their cuts.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .protocols import DISTILLABLE_EPS, Activation, Protocol, large_mu_eps, larg
 _NOT_NUMBERS = (str, bytes, bytearray, bool, np.bool_)
 
 # eps(g, gp), elementwise; its large-mu scale; the levels below which a cell
-# activates; the plane's boundaries by name, each a float predicate and a cut
-_EpsMap = namedtuple("_EpsMap", "eps scale levels boundaries")
+# activates; the plane's two boundary shapes, each a float predicate and a cut
+_EpsMap = namedtuple("_EpsMap", "eps scale levels rising falling")
 _Boundary = namedtuple("_Boundary", "holds cut")
 
 
@@ -63,6 +63,7 @@ class ScanSpec:
         # concrete types: isinstance against the numbers.Integral ABC is slow
         if not (isinstance(self.resolution, (int, np.integer)) and self.resolution >= 2):
             raise DomainError(f"resolution must be an integer >= 2, got {self.resolution!r}")
+        object.__setattr__(self, "resolution", int(self.resolution))  # a numpy int's ** 2 wraps
         w = self.omega_value
         for name, rng in (("g_range", self.g_range), ("gp_range", self.gp_range)):
             if rng is None:
@@ -95,29 +96,21 @@ class ScanSpec:
 
     @cached_property
     def _eps_map(self) -> _EpsMap:
-        """Large-mu eps, or the environment's PTS eigenvalue with no levels, and the boundary
-        table: on a g row with a bona-fide cell holds(g, gp[, level]) turns true once as gp
-        rises, near cut(c, g), where its factor equals c = 1 or (level / scale)**2."""
+        """Large-mu eps, or the environment's PTS eigenvalue with no levels, and the two
+        boundary shapes: on a row with w -+ a > 0 holds(a, gp, c) turns true once as gp rises,
+        near cut(c, a), where (w - a)(w + gp), or (w + a)(w - gp), equals c. At a = -g these
+        are the uncertainty products; at a = g those of the partial transpose (g -> -g), and
+        (eps / scale)**2 is the rising one or, under ENVIRONMENT_ONLY, the lesser of the two."""
         w = self.omega_value
-        rising = lambda c, x: c / (w - x) - w  # the gp at which (w - x)(w + gp) = c
-        falling = lambda c, x: w - c / (w + x)  # the gp at which (w + x)(w - gp) = c
-        table = {"uncertainty, rising": _Boundary(lambda g, x: (w + g) * (w + x) >= 1.0,
-                                                  lambda c, g: c / (w + g) - w),
-                 "uncertainty, falling": _Boundary(lambda g, x: (w - g) * (w - x) < 1.0,
-                                                   lambda c, g: w - c / (w - g)),
-                 "separability, rising": _Boundary(lambda g, x: (w - g) * (w + x) >= 1.0, rising),
-                 "separability, falling": _Boundary(lambda g, x: (w + g) * (w - x) < 1.0,
-                                                    falling)}
+        rising = _Boundary(lambda a, gp, c=1.0: (w - a) * (w + gp) >= c,
+                           lambda c, a: c / (w - a) - w)
+        falling = _Boundary(lambda a, gp, c=1.0: (w + a) * (w - gp) < c,
+                            lambda c, a: w - c / (w + a))
         if self.protocol is Protocol.ENVIRONMENT_ONLY:
-            table["eps = level, rising"] = _Boundary(
-                lambda g, x, level: (w - g) * (w + x) >= level ** 2, rising)
-            table["eps = level, falling"] = _Boundary(
-                lambda g, x, level: (w + g) * (w - x) < level ** 2, falling)
-            return _EpsMap(partial(_env_pts_field, w), 1.0, (), table)
-        eps = partial(large_mu_eps, self.tau, w, protocol=self.protocol)
-        table["eps = level, rising"] = _Boundary(lambda g, x, level: eps(g, x) >= level, rising)
-        return _EpsMap(eps, large_mu_eps_scale(self.tau, self.protocol), (1.0, DISTILLABLE_EPS),
-                       table)
+            return _EpsMap(partial(_env_pts_field, w), 1.0, (), rising, falling)
+        return _EpsMap(partial(large_mu_eps, self.tau, w, protocol=self.protocol),
+                       large_mu_eps_scale(self.tau, self.protocol), (1.0, DISTILLABLE_EPS),
+                       rising, falling)
 
     @cached_property
     def _centers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -267,25 +260,26 @@ def _first_true(holds, g, gp, lo, hi):
 def scan(spec: ScanSpec) -> ScanGrid:
     """Classify every cell of the grid; Forbidden cells are recorded, never raised.
 
-    On a g row with a bona-fide cell w -+ g > 0, so the predicates of the
-    boundary table are, like the gp centers, monotone in gp in float64, eps =
-    level's on the bona-fide run only (no NaN there); uncertainty's imply
-    |gp| < w. Their flips cut the row into at most 7 runs, each coded by where
-    its first cell a lies among them: bona fide for begin <= a < end, Entangled
-    below the rising separability flip or from the falling one on, and one
-    activation step more per level flip above a. A grid whose one-byte cell
-    codes exceed the physical memory raises MemoryError first.
+    On a g row with a bona-fide cell w -+ g > 0, so the two shapes' predicates
+    read at -g and at g are, like the gp centers, monotone in gp in float64, and
+    so is eps >= level on the bona-fide run (no NaN there), which those at -g
+    bound within |gp| < w. Their flips cut the row into at most 7 runs, each
+    coded by where its first cell a lies among them: bona fide from the rising
+    flip at -g to the falling one, Entangled below the rising flip at g or from
+    the falling one on, and one activation step more per level flip above a. A
+    grid whose one-byte cell codes exceed the physical memory raises MemoryError.
     """
     res, w = spec.resolution, spec.omega_value
     if res * res > _MEMORY:
         raise MemoryError(f"a {res}x{res} grid of one-byte codes exceeds the physical memory")
     g, gp = spec.g_centers(), spec.gp_centers()
     lo, hi = np.zeros(res, np.intp), np.where(np.abs(g) < w, res, 0)
-    _, _, levels, table = spec._eps_map
-    begin = _first_true(table["uncertainty, rising"].holds, g, gp, lo, hi)
-    end = np.maximum(begin, _first_true(table["uncertainty, falling"].holds, g, gp, lo, hi))
-    flips = [table["separability, rising"].holds, table["separability, falling"].holds,
-             *(partial(table["eps = level, rising"].holds, level=level) for level in levels)]
+    eps_map = spec._eps_map
+    rising, falling = eps_map.rising.holds, eps_map.falling.holds
+    begin = _first_true(rising, -g, gp, lo, hi)
+    end = np.maximum(begin, _first_true(falling, -g, gp, lo, hi))
+    flips = [rising, falling, *(lambda g, gp, level=level: eps_map.eps(g, gp) >= level
+                                for level in eps_map.levels)]
     cuts = np.array([begin, end, *(_first_true(f, g, gp, begin, end) for f in flips)])
     bounds = np.column_stack([np.zeros(res, np.intp), np.sort(cuts, axis=0).T, np.full(res, res)])
     a, (begin, end, rise, fall, *below) = bounds[:, :-1], cuts[..., np.newaxis]
@@ -341,17 +335,17 @@ def boundary_curves(spec: ScanSpec, levels: tuple[float, ...] = (1.0, DISTILLABL
 
     Marching squares on the cell-center grid gives segments between crossed
     edges, joined into chains where they share one: open paths first, then
-    closed loops. One numpy pass per level solves every crossing from the
-    boundary table: along an edge eps**2 / scale**2 is the rising factor
+    closed loops. One numpy pass per level solves every crossing from the two
+    boundary shapes: along an edge eps**2 / scale**2 is the rising factor
     (w - fixed)(w + free), the falling one (w + fixed)(w - free) or the lesser
     of the two, so a crossing whose first corner lies below the level is the
-    rising separability cut of c = (level / scale)**2, clamped to the edge, any
+    rising cut of c = (level / scale)**2 at a = fixed, clamped to the edge, any
     other the falling one; a corner at the level is the vertex. Squares touching
     non-physical cells are skipped, truncating contours at the physical border.
     """
     xs, ys = spec.g_centers(), spec.gp_centers()
-    field, (_, scale, _, table) = eps_field(spec), spec._eps_map
-    rising, falling = table["separability, rising"].cut, table["separability, falling"].cut
+    field, scale = eps_field(spec), spec._eps_map.scale
+    rising, falling = spec._eps_map.rising.cut, spec._eps_map.falling.cut
     contours = []
     for level in levels:
         chains = _stitch_segments(_marching_squares_segments(field, level))

@@ -2,6 +2,7 @@ import hashlib
 import math
 import struct
 import tracemalloc
+import warnings
 from fractions import Fraction
 from functools import partial
 
@@ -75,6 +76,18 @@ class TestScanSpec:
     def test_accepts_numpy_integer_resolution(self):
         spec = ScanSpec(tau=0.5, protocol=Protocol.DIRECT, resolution=np.int64(5))
         assert len(spec.g_centers()) == 5
+
+    @pytest.mark.parametrize("resolution", [np.int8(100), np.uint8(200), np.int16(300),
+                                            np.int32(46341), np.int64(1001)], ids=repr)
+    def test_keeps_a_numpy_integer_resolution_as_an_int(self, resolution):
+        # kept as given, resolution ** 2 wrapped in its dtype: the fractions of
+        # np.int8(100) summed to 625, and the memory check warned of overflow
+        spec = ScanSpec(tau=0.5, protocol=Protocol.DIRECT, resolution=resolution)
+        assert type(spec.resolution) is int and spec.resolution == int(resolution)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fractions = scan(spec).summary_fractions()
+        assert math.fsum(fractions.values()) == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_empty_range(self):
         with pytest.raises(DomainError):
@@ -865,35 +878,48 @@ class TestVertexSolve:
 
 
 class TestBoundaryTable:
-    """Each entry of a spec's boundary table pairs the float predicate that scan
-    bisects on with the closed-form cut: on every g row the cut must lie within
-    one cell of the predicate's flip, both clamped to the row's bona-fide run.
-    Where cells are ulps wide, the rounding of the cut and of the predicate
-    (up to 3 ulps of omega, measured) widens that by 8 ulps of omega."""
+    """The boundary table is two shapes, rising and falling, each a float
+    predicate that scan bisects on and its closed-form cut: read at a = -g with
+    c = 1 over [lo, hi) they bound a row's bona-fide run, at a = g with c = 1 or
+    (level / scale)**2 they are the separability and eps = level boundaries
+    within it, as is eps >= level with the rising cut. On every g row each cut
+    must lie within one cell of its predicate's flip, both clamped to the run.
+    Where cells are ulps wide, the rounding of the cut and of the predicate (up
+    to 3 ulps of omega, measured) widens that by 8 ulps of omega."""
 
     @staticmethod
-    def assert_cuts_match_flips(spec, levels):
-        _, scale, _, table = spec._eps_map
-        w, res = spec.omega_value, spec.resolution
+    def boundaries(spec, levels):
+        """(name, holds(a, gp), cut(a), whether a = -g, whether within the bona-fide run)."""
+        eps_map = spec._eps_map
+        shapes = (("rising", eps_map.rising), ("falling", eps_map.falling))
+        found = [(f"{name} at -g", shape.holds, partial(shape.cut, 1.0), True, False)
+                 for name, shape in shapes]
+        for c in (1.0, *((level / eps_map.scale) ** 2 for level in levels)):
+            found += [(f"{name} at g, c={c}", partial(shape.holds, c=c), partial(shape.cut, c),
+                       False, True) for name, shape in shapes]
+        if eps_map.levels:  # eps rises along gp, save under ENVIRONMENT_ONLY
+            found += [(f"eps >= {level}", lambda a, gp, level=level: eps_map.eps(a, gp) >= level,
+                       partial(eps_map.rising.cut, (level / eps_map.scale) ** 2), False, True)
+                      for level in levels]
+        return found
+
+    @classmethod
+    def assert_cuts_match_flips(cls, spec, levels):
+        eps_map, w, res = spec._eps_map, spec.omega_value, spec.resolution
         g, gp = spec.g_centers(), spec.gp_centers()
-        # scan's bona-fide run of each row, from the uncertainty entries
+        # scan's bona-fide run of each row, from the shapes at a = -g
         lo, hi = np.zeros(res, np.intp), np.where(np.abs(g) < w, res, 0)
-        begin = scanner._first_true(table["uncertainty, rising"].holds, g, gp, lo, hi)
-        end = np.maximum(begin, scanner._first_true(table["uncertainty, falling"].holds,
-                                                    g, gp, lo, hi))
+        begin = scanner._first_true(eps_map.rising.holds, -g, gp, lo, hi)
+        end = np.maximum(begin, scanner._first_true(eps_map.falling.holds, -g, gp, lo, hi))
         slack = 8.0 * np.spacing(w)
-        for name, (holds, cut) in table.items():
-            at_level = name.startswith("eps")
-            for level in levels if at_level else (1.0,):
-                c = (level / scale) ** 2 if at_level else 1.0
-                run = (lo, hi) if name.startswith("uncertainty") else (begin, end)
-                flip = scanner._first_true(partial(holds, level=level) if at_level else holds,
-                                           g, gp, *run)
-                x = cut(c, g)
-                first = np.clip(np.searchsorted(gp, x - slack), *run) - 1
-                last = np.clip(np.searchsorted(gp, x + slack), *run) + 1
-                far = (run[0] < run[1]) & ((flip < first) | (flip > last))
-                assert not far.any(), (name, level, g[far], flip[far], x[far])
+        for name, holds, cut, mirrored, within in cls.boundaries(spec, levels):
+            a, run = -g if mirrored else g, (begin, end) if within else (lo, hi)
+            flip = scanner._first_true(holds, a, gp, *run)
+            x = cut(a)
+            first = np.clip(np.searchsorted(gp, x - slack), *run) - 1
+            last = np.clip(np.searchsorted(gp, x + slack), *run) + 1
+            far = (run[0] < run[1]) & ((flip < first) | (flip > last))
+            assert not far.any(), (name, g[far], flip[far], x[far])
 
     @settings(max_examples=150, deadline=None)
     @given(protocol=st.sampled_from(list(Protocol)), resolution=st.integers(2, 399),
@@ -910,24 +936,89 @@ class TestBoundaryTable:
     @settings(max_examples=150, deadline=None)
     @given(protocol=st.sampled_from(list(Protocol)), tau=st.floats(0.05, 0.95),
            log_omega=st.floats(0.0, 8.0), fraction=st.floats(-0.9, 0.9),
-           entry=st.integers(0, 5), level=st.sampled_from([1.0, DISTILLABLE_EPS, 1.3]),
+           entry=st.integers(0, 6), level=st.sampled_from([1.0, DISTILLABLE_EPS, 1.3]),
            ulps=st.integers(1, 8))
     def test_windows_straddling_a_flip_by_a_few_ulps(self, protocol, tau, log_omega, fraction,
                                                      entry, level, ulps):
         # as in TestRuns::test_windows_straddling_a_boundary_by_a_few_ulps, the
-        # windows are a few ulps around one entry's float flip, so cells are ulps
+        # windows are a few ulps around one boundary's float flip, so cells are ulps
         omega = 10.0 ** log_omega
-        _, _, _, table = ScanSpec(tau=tau, protocol=protocol, resolution=2, omega=omega)._eps_map
-        name = sorted(table)[entry % len(table)]
-        holds = partial(table[name].holds, level=level) if name.startswith("eps") \
-            else table[name].holds
+        spec = ScanSpec(tau=tau, protocol=protocol, resolution=2, omega=omega)
+        found = self.boundaries(spec, (level,))
+        _, holds, _, mirrored, _ = found[entry % len(found)]
         g = fraction * omega
-        at = lambda gp: bool(holds(np.array([g]), np.array([gp]))[0])  # noqa: E731
+        a = np.array([-g if mirrored else g])
+        at = lambda gp: bool(holds(a, np.array([gp]))[0])  # noqa: E731
         assume(at(-omega) != at(omega))  # a flip inside the physical box at this g
         below, _ = _float_flip(at, -omega, omega)
         spec = ScanSpec(tau=tau, protocol=protocol, resolution=13, omega=omega,
                         g_range=_ulps_around(g, 4), gp_range=_ulps_around(below, ulps))
         self.assert_cuts_match_flips(spec, (level,))
+
+
+def _scalar_hex(f, *args):
+    try:
+        return f(*args).hex()
+    except ZeroDivisionError:  # a cut at w -+ a = 0; an array gives inf there
+        return "ZeroDivisionError"
+
+
+@st.composite
+def _mirror_inputs(draw):
+    """A spec of omega in [1, 1e150] or at EB, and (g, gp) pairs: signed zeros,
+    subnormals, +-omega, points of the box and far beyond it."""
+    tau = draw(st.floats(1e-150, 0.999))
+    omega = draw(st.one_of(st.none(), st.floats(1.0, 1e150)))
+    w = eb_threshold(tau) if omega is None else omega
+    coordinate = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1030, -(2.0 ** -1030), w, -w]),
+        st.floats(-1.5, 1.5).map(lambda f: f * w), st.floats(-1e150, 1e150))
+    pairs = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=12))
+    return ScanSpec(tau=tau, protocol=Protocol.DIRECT, resolution=2, omega=omega), pairs
+
+
+class TestBoundaryMirror:
+    """The two shapes at a = -g are the uncertainty products, and at a = g the
+    separability ones and, at c = level**2, the eps = level boundaries of the
+    environment's PTS eigenvalue. w - (-g) is the same float operation as
+    w + g, so the shapes must give what those six boundaries give written out
+    in g, on scalars and arrays alike: predicates as booleans, cuts bit for bit."""
+
+    @staticmethod
+    def reference(eps_map, w, c):
+        """name: (shape, whether a = -g, the predicate and the cut at c written out in g)."""
+        rising, falling = eps_map.rising, eps_map.falling
+        return {
+            "uncertainty, rising": (rising, True, lambda g, x: (w + g) * (w + x) >= 1.0,
+                                    lambda g: c / (w + g) - w),
+            "uncertainty, falling": (falling, True, lambda g, x: (w - g) * (w - x) < 1.0,
+                                     lambda g: w - c / (w - g)),
+            "separability, rising": (rising, False, lambda g, x: (w - g) * (w + x) >= 1.0,
+                                     lambda g: c / (w - g) - w),
+            "separability, falling": (falling, False, lambda g, x: (w + g) * (w - x) < 1.0,
+                                      lambda g: w - c / (w + g)),
+            "eps = level, rising": (rising, False, lambda g, x: (w - g) * (w + x) >= c,
+                                    lambda g: c / (w - g) - w),
+            "eps = level, falling": (falling, False, lambda g, x: (w + g) * (w - x) < c,
+                                     lambda g: w - c / (w + g)),
+        }
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=_mirror_inputs(), level=st.floats(0.05, 20.0))
+    def test_shapes_give_the_six_expressions(self, inputs, level):
+        spec, pairs = inputs
+        g, gp = (np.array(column) for column in zip(*pairs))
+        for c in (1.0, level ** 2):
+            for name, (shape, mirrored, holds, cut) in \
+                    self.reference(spec._eps_map, spec.omega_value, c).items():
+                at = (lambda x: -x) if mirrored else (lambda x: x)  # noqa: E731
+                extra = (c,) if name.startswith("eps") else ()  # scan leaves c = 1 out
+                for gi, gpi in pairs:
+                    assert shape.holds(at(gi), gpi, *extra) is holds(gi, gpi), (name, gi, gpi)
+                    assert _scalar_hex(shape.cut, c, at(gi)) == _scalar_hex(cut, gi), (name, gi)
+                with np.errstate(divide="ignore"):
+                    assert shape.holds(at(g), gp, *extra).tolist() == holds(g, gp).tolist(), name
+                    assert _hex([shape.cut(c, at(g))]) == _hex([cut(g)]), name
 
 
 class TestExactContours:
