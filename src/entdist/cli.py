@@ -58,8 +58,8 @@ from .environment import (
     require_variance,
 )
 from .errors import DomainError
-from .protocols import (DISTILLABLE_EPS, Activation, Protocol, coherent_info_asymptotic,
-                        large_mu_eps, run_direct, run_swap)
+from .protocols import (DISTILLABLE_EPS, Activation, Protocol, _pts_squared,
+                        coherent_info_asymptotic, large_mu_eps, run_direct, run_swap)
 
 if TYPE_CHECKING:  # the scanner, and numpy with it, loads when a scan runs
     from .scanner import ScanGrid, ScanSpec
@@ -238,9 +238,13 @@ def _render_table(table, fmt_kind: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rel_error(result) -> float:
-    """Relative distance of a finite-mu eps from its large-mu value."""
-    return abs(result.report.pts_min - result.asymptotic_eps) / result.asymptotic_eps
+def _rel_error(protocol, mu, env, result) -> float:
+    """Relative distance |eps - eps_inf| / eps_inf of the finite-mu eps of `result`,
+    the run of `protocol` at `mu` and `env`, from its large-mu value: |r| / (1 +
+    eps/eps_inf), with r = eps^2/eps_inf^2 - 1 from the closed-form factors and
+    no difference of two rounded eps values."""
+    excess = _pts_squared(mu, env, protocol)[1]
+    return abs(excess) / (1.0 + result.report.pts_min / result.asymptotic_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +292,7 @@ def cmd_point(args) -> int:
                 result = runner(args.mu, env)
                 finite.update({
                     f"{name}_eps_finite": result.report.pts_min,
-                    f"{name}_eps_rel_error": _rel_error(result),
+                    f"{name}_eps_rel_error": _rel_error(_PROTOCOLS[name], args.mu, env, result),
                     f"{name}_coherent_info_finite": result.report.coherent_info,
                 })
         report.update(finite)
@@ -602,7 +606,7 @@ def _render_scan_json(grid: ScanGrid):
 
 def cmd_converge(args) -> int:
     env = EnvironmentParams(args.tau, _omega(args), args.g, args.gp)  # may raise DomainError
-    runner = _RUNNERS[args.protocol]
+    runner, protocol = _RUNNERS[args.protocol], _PROTOCOLS[args.protocol]
     rows = []
     for mu in args.mu:
         result = runner(mu, env)
@@ -610,7 +614,7 @@ def cmd_converge(args) -> int:
             "mu": mu,
             "eps_finite": result.report.pts_min,
             "eps_asymptotic": result.asymptotic_eps,
-            "rel_error": _rel_error(result),
+            "rel_error": _rel_error(protocol, mu, env, result),
         })
     _write_output([_render_table(rows, args.format).encode()], _resolve_output(args))
     return EXIT_OK

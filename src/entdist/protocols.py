@@ -1,9 +1,10 @@
 """Direct and swap-based entanglement distribution through the correlated environment.
 
-The evaluators are closed forms: the finite-mu output covariance matrices and
-their large-mu asymptotics. The symplectic pipelines that build the same
-states from beam splitters, partial traces and homodyne conditioning live with
-the tests, in ``tests/gaussian_reference.py``, as independent references.
+The evaluators are closed forms: the finite-mu output covariance matrices, the
+PTS eigenvalue of each output, and their large-mu asymptotics. The symplectic
+pipelines that build the same states from beam splitters, partial traces and
+homodyne conditioning live with the tests, in ``tests/gaussian_reference.py``,
+as independent references.
 
 Every evaluator takes an :class:`~entdist.environment.EnvironmentParams`, which
 is physical by construction, so none of them re-checks the environment.
@@ -17,7 +18,7 @@ from enum import Enum
 
 from .environment import EnvironmentParams, require_variance
 from .errors import DomainError
-from .symplectic import CovarianceMatrix, EntanglementReport, entanglement_report
+from .symplectic import CovarianceMatrix, EntanglementReport, _report_with_pts
 
 
 class Protocol(Enum):
@@ -180,12 +181,55 @@ def swap_coherent_info_determinant(cm: CovarianceMatrix) -> float:
 # protocol runners
 # ---------------------------------------------------------------------------
 
-def _run(cm: CovarianceMatrix, eps_inf: float) -> ProtocolResult:
-    """Report on `cm` with partition/coherent info toward mode 1, plus the
-    large-mu reference values of PTS eigenvalue `eps_inf`."""
+def _pts_squared(mu: float, env: EnvironmentParams, protocol: Protocol) -> tuple[float, float]:
+    """(eps^2, eps^2/eps_inf^2 - 1) of the finite-mu output of `protocol`, in
+    plain floats from the q/p factors of its covariance matrix.
+
+    Both outputs have decoupled q and p blocks, each a symmetric circulant 2x2
+    block, so each PT symplectic eigenvalue squared is a product of one q and
+    one p block eigenvalue. With t1 = 1 - tau, A = t1(w - g) and B = t1(w + gp):
+    - DIRECT, s = mu + sqrt(mu^2 - 1): the products (tau/s + A)(tau/s + B) and
+      (tau*s + t1(w + g))(tau*s + t1(w - gp)); eps_inf^2 = AB, and the first
+      product is AB + a(A + B + a), a = tau/s, so its excess needs no
+      difference;
+    - SWAP: mu^2 and l_q*l_p, l_q = (mu*A + tau)/(tau*mu + A) and l_p likewise
+      with B; eps_inf^2 = AB/tau^2, and l_q*l_p - AB/tau^2 factors as
+      (tau^2 - AB)(tau*mu(A + B) + tau^2 + AB)/(tau^2 (tau*mu + A)(tau*mu + B)).
+    `mu` must be validated first: below 1 the DIRECT square root raises.
+    """
+    tau, t1 = env.tau, 1.0 - env.tau
+    a, b = t1 * (env.omega - env.g), t1 * (env.omega + env.gp)
+    ab = a * b
+    if protocol is _DIRECT:
+        s = mu + math.sqrt((mu - 1.0) * (mu + 1.0))
+        x, y = tau / s, tau * s
+        falling = (x + a) * (x + b)
+        rising = (y + t1 * (env.omega + env.g)) * (y + t1 * (env.omega - env.gp))
+        if falling <= rising:
+            return falling, x * (a + b + x) / ab
+        return rising, (rising - ab) / ab
+    v_q, v_p = tau * mu + a, tau * mu + b
+    l_qp = (mu * a + tau) / v_q * ((mu * b + tau) / v_p)
+    excess = (tau * tau - ab) / ab * ((tau * mu * (a + b) + tau * tau + ab) / (v_q * v_p))
+    return min(l_qp, mu * mu), excess
+
+
+def _run(cm: CovarianceMatrix, mu: float, env: EnvironmentParams,
+         protocol: Protocol) -> ProtocolResult:
+    """Report on `cm`, the output of `protocol` at `mu`, with partition/coherent
+    info toward mode 1, plus the large-mu reference values.
+
+    The PTS eigenvalue is :func:`_pts_squared`'s closed form, so the partially
+    transposed matrix is never diagonalized. Its positive-definiteness check
+    is implied by the one on `cm`: the partial transpose is the congruence of
+    `cm` by a diagonal of +-1, an orthogonal similarity with the same
+    eigenvalues.
+    """
+    eps_inf = float(large_mu_eps(env.tau, env.omega, env.g, env.gp, protocol))
+    eps = math.sqrt(_pts_squared(mu, env, protocol)[0])
     return ProtocolResult(
         output_cm=cm,
-        report=entanglement_report(cm, partition=(1,)),
+        report=_report_with_pts(cm.data, [1], eps),
         asymptotic_eps=eps_inf,
         asymptotic_coherent_info=coherent_info_asymptotic(eps_inf),
     )
@@ -193,9 +237,9 @@ def _run(cm: CovarianceMatrix, eps_inf: float) -> ProtocolResult:
 
 def run_direct(mu: float, env: EnvironmentParams) -> ProtocolResult:
     """Direct protocol at finite mu; partition/coherent info toward mode B."""
-    return _run(direct_output_cm(mu, env), direct_eps_asymptotic(env))
+    return _run(direct_output_cm(mu, env), mu, env, _DIRECT)
 
 
 def run_swap(mu: float, env: EnvironmentParams) -> ProtocolResult:
     """Swapping protocol at finite mu; partition/coherent info toward mode b."""
-    return _run(swap_conditional_cm(mu, env), swap_eps_asymptotic(env))
+    return _run(swap_conditional_cm(mu, env), mu, env, _SWAP)

@@ -98,7 +98,7 @@ def _symplectic_spectrum(v: np.ndarray, np) -> np.ndarray:
     Computed as the moduli of the eigenvalues of i*Omega*V. Those come in
     conjugate pairs (+/- i*nu); the pairs are averaged to wash out the slight
     asymmetry of the nonsymmetric eigensolve. ``np`` is the numpy module,
-    which the caller has imported: this runs three times per report.
+    which the caller has imported: this runs two or three times per report.
     """
     if float(np.linalg.eigvalsh(v)[0]) <= 0.0:
         raise DomainError("covariance matrix is not positive-definite")
@@ -111,26 +111,31 @@ def h(nu: float, tol: float = PHYSICAL_NU_TOL, one_tol: float = NU_ONE_TOL) -> f
 
     Values in [1 - tol, 1 + one_tol] count as the nu = 1 limit and give 0
     exactly; anything below 1 - tol is rejected as unphysical, and so is a
-    non-finite value.
+    non-finite value. With up = (nu + 1)/2 = 1 + dn, h = up*ln(up) - dn*ln(dn)
+    is evaluated as up*log1p(dn) - dn*ln(dn) below nu = 3, two terms of one
+    sign, and as ln(dn) + up*log1p(1/dn) from 3 on, where those two terms
+    would cancel more and more as nu grows.
     """
     if not 1.0 - tol <= nu < math.inf:  # nan fails too
         raise DomainError(f"symplectic eigenvalue must be finite and >= 1, got {nu}")
     if nu <= 1.0 + one_tol:
         return 0.0
-    up = (nu + 1.0) / 2.0
-    dn = (nu - 1.0) / 2.0
-    return up * math.log(up) - dn * math.log(dn)
+    up, dn = (nu + 1.0) / 2.0, (nu - 1.0) / 2.0
+    if nu >= 3.0:
+        return math.log(dn) + up * math.log1p(1.0 / dn)
+    return up * math.log1p(dn) - dn * math.log(dn)
 
 
 def _entropy(nus, v: np.ndarray) -> float:
     """Entropy in nats of the state of matrix `v` with symplectic spectrum `nus`:
     the sum of :func:`h`, zero exactly for pure states.
 
-    The physicality and nu = 1 windows are scaled by the largest entry
-    magnitude of `v`, floored at 1: eigenvalues of a covariance matrix with
+    The physicality and nu = 1 windows are scaled by M, the largest entry
+    magnitude of `v` floored at 1: eigenvalues of a covariance matrix with
     entries of size M carry absolute errors of order M (and worse near
     degeneracies), so a fixed window would misclassify large pure states as
-    unphysical.
+    unphysical. So any nu <= 1 + 1e-11*M counts as 1 and contributes 0, and
+    any nu below 1 - 1e-9*M is refused.
     """
     scale = max(float(abs(v).max()), 1.0)
     return float(sum(
@@ -153,13 +158,11 @@ def entanglement_report(cm: CovarianceMatrix, partition: Iterable[int]) -> Entan
     I(rest > partition) = S(partition) - S(all) in nats. It may be negative;
     positive values lower-bound the one-way distillable entanglement per copy.
 
-    One pass over ``cm.data`` gives three symplectic spectra, each after one
-    positive-definiteness check: of the partially transposed array (p -> -p
-    on the partition, the array times the outer product of the +-1 signs),
-    whose smallest value is the PTS eigenvalue; of the array itself, for both
-    the report and S(all); and of the partition's index block, for
-    S(partition). The partition must be nonempty, in range and proper:
-    transposing every mode would certify nothing.
+    The PTS eigenvalue is the smallest symplectic eigenvalue of the partially
+    transposed array (p -> -p on the partition, the array times the outer
+    product of the +-1 signs), after its own positive-definiteness check; the
+    rest is :func:`_report_with_pts`. The partition must be nonempty, in range
+    and proper: transposing every mode would certify nothing.
     """
     import numpy as np
     v, n_modes = cm.data, cm.n_modes
@@ -169,6 +172,18 @@ def entanglement_report(cm: CovarianceMatrix, partition: Iterable[int]) -> Entan
     signs = np.ones(2 * n_modes)
     signs[[2 * m + 1 for m in modes]] = -1.0
     eps = float(_symplectic_spectrum(v * np.outer(signs, signs), np)[-1])
+    return _report_with_pts(v, modes, eps)
+
+
+def _report_with_pts(v: np.ndarray, modes: list[int], eps: float) -> EntanglementReport:
+    """The report on array `v` for the sorted, proper partition `modes`, given
+    its PTS eigenvalue `eps`.
+
+    Two symplectic spectra are taken from `v`, each after one
+    positive-definiteness check: of the array itself, for both the report and
+    S(all), and of the partition's index block, for S(partition).
+    """
+    import numpy as np
     spectrum = _symplectic_spectrum(v, np)
     kept = [i for m in modes for i in (2 * m, 2 * m + 1)]
     reduced = v[np.ix_(kept, kept)]

@@ -1179,16 +1179,16 @@ class TestPointAndConvergeGolden:
     POINT = ("--tau", "0.75", "--at-eb", "--g", "5", "--gp=-5")
     GOLDEN = {
         "point-csv": (("point", *POINT, "--mu", "1e3"), EXIT_OK,
-                      "af5e211fce320442d6ef6a61d6999a5daa0235fb8de71519ae7d57fdec3610d8"),
+                      "5468c4b343001e0b99e539949a484ebfb2b4bb7a969821a828578872ab433225"),
         "point-json": (("point", *POINT, "--mu", "1e3", "--format", "json"), EXIT_OK,
-                       "6b845c6bbd4261101a05d5ec2fd58a034473ca232baf1773eee895b697a9e63c"),
+                       "f3aca0cd32c6b6ca9f980f0113c9ef583318aaf35e83ffc1e3e2bbab2fd0e405"),
         "point-forbidden": (("point", "--tau", "0.5", "--omega", "2", "--g", "3", "--gp", "0"),
                             EXIT_DOMAIN,
                             "be988fce3f95aa92d3218ed6e9f8e41dd844c10071d3c3e13ecadbcbbf5f762a"),
         "converge-direct": (("converge", *POINT, "--protocol", "direct"), EXIT_OK,
-                            "24e196beeb822ab60e355c24e226b816f3dc9ee32691885776a7d02e35398938"),
+                            "87515b5b1797846899b68804d945baac5d8700064520fe13992c52b9a3331789"),
         "converge-swap": (("converge", *POINT, "--protocol", "swap"), EXIT_OK,
-                          "a6432886ff5f8a64ffb5e892e328cdf15b9d9770d14746c3da0cda7aacaa0f0c"),
+                          "bcb884679ffc50af06be654c84fd6624a7498744657a82e70cb7967e1ea6a1f3"),
     }
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))
@@ -1221,7 +1221,7 @@ class TestArgvMatrix:
     # stdout digest or, for exit 2, the name that stderr must print)
     CASES = [
         ("point", {}, EXIT_OK,
-         "cbfd4587460da476cfae867cce94180f3291dd68168064086d24c136dd6248e2"),
+         "e01ce5ab7b24fff7ebe731aa25f47b45f7ead30743ed064a1c56b579426b3943"),
         ("point", {"--tau": "0"}, EXIT_USAGE, "--tau"),
         ("point", {"--tau": "1"}, EXIT_USAGE, "--tau"),
         ("point", {"--tau": "1.5"}, EXIT_USAGE, "--tau"),
@@ -1241,17 +1241,17 @@ class TestArgvMatrix:
         ("point", {"--g": "8"}, EXIT_DOMAIN,
          "9b4090b997d186a5a980acc69d8c2bcf7cdebde07c8fb5fe6bf704192c4af0b0"),
         ("point", {"--format": "json"}, EXIT_OK,
-         "284a692fe711b800efc94fba1caefc4fb63c04a9afade3b9ed606228e1db5cba"),
+         "d1b7a52dcfd429753a14fcf5c74710199991328f9f42d6054d9947bec700e273"),
         ("point", {"--g": "8", "--format": "json"}, EXIT_DOMAIN,
          "aca78e7a50ff0c62e9ef8676833186852f1142b397af05591f38f16fcf9ca571"),
         ("point", {"--mu": None, "--format": "json"}, EXIT_OK,
          "02be2d68c713da131fd277400878a8489227330c0ed55f2c72c89724160b2783"),
         ("point", AT_EB, EXIT_OK,
-         "cbfd4587460da476cfae867cce94180f3291dd68168064086d24c136dd6248e2"),
+         "e01ce5ab7b24fff7ebe731aa25f47b45f7ead30743ed064a1c56b579426b3943"),
         ("point", {"--omega": "1e150", "--g": "0", "--gp": "0", "--mu": None}, EXIT_OK,
          "7520fe96638cb7ed5bd427d4027387802aa5bec16194990272b0a05c7a826ee3"),
         ("converge", {}, EXIT_OK,
-         "86b65bc75c079cce792e9a10ca090ba8bbd4acdc246edbc42c8f362dfe2fb015"),
+         "82dabf06a2fbefdf4a8d637decb4378b566b28980e275b0c1d2a0fea0f1d2154"),
         ("converge", {"--tau": "0"}, EXIT_USAGE, "--tau"),
         ("converge", {"--tau": "-0.5"}, EXIT_USAGE, "--tau"),
         ("converge", {"--tau": "inf"}, EXIT_USAGE, "--tau"),
@@ -1270,11 +1270,11 @@ class TestArgvMatrix:
         ("converge", {"--g": None}, EXIT_USAGE, "--g"),
         ("converge", {"--omega": "2", "--g": "1.9", "--gp": "1.9"}, EXIT_DOMAIN, EMPTY),
         ("converge", {"--protocol": "direct"}, EXIT_OK,
-         "cc7b6e0f93023496303af9e4e5618bd9f18a6e0aa5fbe8a21223cb816ee24ca8"),
+         "e49a90f6ef7e6062a83887a2f1ee8c8292437f2f0d75770f0fe3e782d194545c"),
         ("converge", {"--format": "json"}, EXIT_OK,
-         "0733f2eeb7d5574522459e1b681eac7b78411c8e7a0b41ba3b66c6d747d6dd52"),
+         "8e4a09fe499ca7a2d5e669586f1a1f0ab05115d00a8be8c0b11f4331b5586cee"),
         ("converge", AT_EB, EXIT_OK,
-         "86b65bc75c079cce792e9a10ca090ba8bbd4acdc246edbc42c8f362dfe2fb015"),
+         "82dabf06a2fbefdf4a8d637decb4378b566b28980e275b0c1d2a0fea0f1d2154"),
         ("scan", {}, EXIT_OK,
          "2a06b7b84cc45a7f6ece1ef17e742a6a9f428980d47a86cd0065a27f7a1e1b1e"),
         ("scan", {"--tau": "1"}, EXIT_USAGE, "--tau"),

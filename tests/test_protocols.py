@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,6 +9,7 @@ from entdist import (
     DomainError,
     EnvironmentParams,
     EnvKind,
+    Protocol,
     classify_environment,
     coherent_info_asymptotic,
     direct_eps_asymptotic,
@@ -37,8 +39,14 @@ from gaussian_reference import (
     swap_noiseless_pipeline,
     symplectic_eigenvalues,
 )
+from test_reference_table import _finite_mu
 
 LARGE_MU = 1e6
+PROTOCOL_NAMES = {run_direct: "direct", run_swap: "swap",
+                  Protocol.DIRECT: "direct", Protocol.SWAP: "swap"}
+# the closed-form PTS eigenvalue is a square root of a few products, sums and
+# quotients of positive terms, each rounded once: a few ulps at most
+PTS_ULPS = 4
 
 
 def oracle_draws(rng, n_uniform, n_log_uniform):
@@ -48,6 +56,16 @@ def oracle_draws(rng, n_uniform, n_log_uniform):
         yield float(rng.uniform(1.0, 1e3)), random_bona_fide_env(rng)
     for _ in range(n_log_uniform):
         yield float(10.0 ** rng.uniform(0.0, 15.0)), random_bona_fide_env(rng)
+
+
+def assert_pts_min_is_the_reference(report, pts_min):
+    """``report``'s PTS eigenvalue within PTS_ULPS of the mpf ``pts_min``, and its
+    log-negativity within what that error and one rounding of the log allow."""
+    eps = report.pts_min
+    assert abs(eps - pts_min) <= PTS_ULPS * math.ulp(eps), (eps, pts_min)
+    log_neg = max(mpmath.mpf(0), -mpmath.log(pts_min))
+    assert abs(report.log_negativity - log_neg) <= \
+        PTS_ULPS * math.ulp(eps) / eps + math.ulp(float(log_neg)), (report, pts_min)
 
 
 def assert_cm_close(a, b, rtol):
@@ -340,11 +358,6 @@ class TestSwapEprVariances:
             assert finite.v_pplus == pytest.approx(asym.v_pplus, rel=1e-3)
 
 
-def _report_floats(report):
-    return (report.pts_min, report.log_negativity, report.coherent_info,
-            *report.symplectic_spectrum)
-
-
 class TestProtocolRunners:
     @pytest.mark.parametrize("runner", [run_direct, run_swap])
     def test_convergence_contract(self, runner):
@@ -372,9 +385,9 @@ class TestProtocolRunners:
             runner(mu, EnvironmentParams(0.5, 7.0, 4.0, -4.0))
 
     @pytest.mark.parametrize("runner", [run_direct, run_swap])
-    def test_runner_rechecks_nothing_and_diagonalizes_three_times(self, runner, monkeypatch):
-        # the PT spectrum, the reduced spectrum and the full spectrum, which
-        # serves both the report and S(AB)
+    def test_runner_rechecks_nothing_and_diagonalizes_twice(self, runner, monkeypatch):
+        # the full spectrum, which serves both the report and S(AB), and the
+        # reduced spectrum; the PTS eigenvalue is a closed form
         env = EnvironmentParams(0.75, 7.0, 4.0, -4.0)
         calls = []
 
@@ -389,20 +402,28 @@ class TestProtocolRunners:
         monkeypatch.setattr(entdist.environment, "require_bona_fide",
                             counted("check", entdist.environment.require_bona_fide))
         runner(1e3, env)
-        assert calls == ["eig"] * 3
+        assert calls == ["eig"] * 2
 
     @pytest.mark.parametrize("runner", [run_direct, run_swap])
-    def test_report_is_the_reference_report_bit_for_bit(self, runner):
-        # the PT, full and reduced spectra come from cm.data directly; the
-        # reference builds each intermediate CovarianceMatrix
+    def test_report_is_the_reference_report(self, runner):
+        # the full and reduced spectra come from cm.data directly, and the
+        # reference builds each intermediate CovarianceMatrix: the spectrum and
+        # the coherent information agree bit for bit. The PTS eigenvalue is a
+        # closed form, which the mpf reference checks to within a few ulps
         rng = np.random.default_rng(2026)
         for _ in range(200):
             env = random_bona_fide_env(rng, omega_range=(1.0, 50.0))
             mu = float(10.0 ** rng.uniform(1.0, 6.0))
             result = runner(mu, env)
             expected = reference_report(result.output_cm, (1,))
-            assert [float.hex(x) for x in _report_floats(result.report)] == \
-                [float.hex(x) for x in _report_floats(expected)], (env, mu)
+            assert [float.hex(x) for x in
+                    (result.report.coherent_info, *result.report.symplectic_spectrum)] == \
+                [float.hex(x) for x in (expected.coherent_info, *expected.symplectic_spectrum)], \
+                (env, mu)
+            with mpmath.workdps(60):
+                pts_min, _ = _finite_mu(PROTOCOL_NAMES[runner], mu, env.tau, env.omega,
+                                        env.g, env.gp)
+                assert_pts_min_is_the_reference(result.report, pts_min)
 
     def test_report_sides(self):
         env = EnvironmentParams(0.75, 7.0, 6.0, -6.0)
@@ -410,6 +431,28 @@ class TestProtocolRunners:
         assert result.asymptotic_eps == pytest.approx(0.25)
         assert result.report.pts_min == pytest.approx(0.25, rel=1e-3)
         assert result.asymptotic_coherent_info == pytest.approx(math.log(4.0) - 1.0)
+
+
+class TestClosedFormPtsMin:
+    """The PTS eigenvalue that the runners report, the square root of
+    ``protocols._pts_squared``, against the mpf reference over the whole mu
+    range. Called directly, since the runners also diagonalize the output
+    matrix, which can fail at large mu."""
+
+    @pytest.mark.parametrize("protocol", [Protocol.DIRECT, Protocol.SWAP])
+    @pytest.mark.parametrize("log10_mu, dps, n", [((0.0, 15.0), 60, 300),
+                                                   ((15.0, 150.0), 330, 30)])
+    def test_pts_min_is_the_reference(self, protocol, log10_mu, dps, n):
+        # the reference loses about 2*log10(mu) of its digits to cancellation
+        rng = np.random.default_rng(31)
+        for _ in range(n):
+            env = random_bona_fide_env(rng)
+            mu = float(10.0 ** rng.uniform(*log10_mu))
+            eps = math.sqrt(entdist.protocols._pts_squared(mu, env, protocol)[0])
+            with mpmath.workdps(dps):
+                pts_min, _ = _finite_mu(PROTOCOL_NAMES[protocol], mu, env.tau, env.omega,
+                                        env.g, env.gp)
+                assert abs(eps - pts_min) <= PTS_ULPS * math.ulp(eps), (env, mu, eps)
 
 
 class TestCoherentInfoConsistency:

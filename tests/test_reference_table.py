@@ -8,7 +8,9 @@ large-mu closed forms at 60 digits:
 - TABLE: each value that the `point`/`converge` digest cases print;
 - SCAN_CELLS: the pair code and eps of every 97th cell of each scan digest case;
 - CONTOURS: every vertex of the `swap` and `environment` contour digest cases.
-``test_*_is_the_reference`` recomputes each table.
+``test_*_is_the_reference`` recomputes each table. The `point`/`converge`
+command lines of BEYOND_DIGESTS, at large mu and at the magnitude limits, are
+checked against the same model at the digits each needs.
 
 A value within ``HALF_WAY_MARGIN`` of a half-way point between two 9-digit
 numbers could print either way after a few roundings, so it is marked
@@ -26,8 +28,8 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from entdist import Protocol, ScanSpec, boundary_curves
-from entdist.cli import main
+from entdist import Protocol, ScanSpec, boundary_curves, eb_threshold
+from entdist.cli import build_parser, main
 
 import test_cli
 import test_scanner
@@ -116,12 +118,24 @@ TABLE = {
 CASES = {"point-csv": "point", "point-json": "point", "point-forbidden": "point-forbidden",
          "converge-direct": "converge-direct", "converge-swap": "converge-swap"}
 
-# Rows that the program prints wrong today. |eps - eps_inf| / eps_inf is
-# taken by subtracting two rounded eps values, which loses about log10(mu)
-# digits; the closed-form difference of ROADMAP item 2 is the fix.
-WRONG_TODAY = {("point", "direct_eps_rel_error"), ("converge-direct", "rel_error[1]"),
-               ("converge-direct", "rel_error[2]"), ("converge-swap", "rel_error[1]"),
-               ("converge-swap", "rel_error[2]")}
+# command lines beyond the digest cases, at large mu or at the magnitude
+# limits -> (digits of the reference, printed keys left out). A relative error
+# from the difference of two rounded eps values lost about log10(mu) digits,
+# and an entropy from two cancelling terms lost all of them at nu = 1e150.
+# Left out: at mu = 1e16 the coherent information, which still comes from an
+# eigensolve of the output matrix and is off in the second digit there
+# (ROADMAP item 2); at the last line the direct rel_error of 5e-451, which
+# float64 prints as 0.
+BEYOND_DIGESTS = {
+    "converge-direct-1e16": (("converge", "--protocol", "direct", "--tau", "0.75", "--at-eb",
+                              "--g", "0.5", "--gp", "0.3", "--mu", "1e6", "1e10", "1e14",
+                              "1e16"), 120, ()),
+    "point-swap-1e16": (("point", "--tau", "0.5", "--omega", "7", "--g", "4", "--gp=-4",
+                         "--mu", "1e16"), 120,
+                        ("direct_coherent_info_finite", "swap_coherent_info_finite")),
+    "point-1e150": (("point", "--tau", "1e-150", "--omega", "1e150", "--g", "0", "--gp", "0",
+                     "--mu", "1e150"), 330, ("direct_eps_rel_error",)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +245,6 @@ def test_table_is_the_reference():
 
 def test_digest_cases_are_the_tabled_ones():
     assert sorted(CASES) == sorted(test_cli.TestPointAndConvergeGolden.GOLDEN)
-    # each row the program is known to print wrong is decidable
-    assert all(TABLE[case][key] != UNDECIDABLE for case, key in WRONG_TODAY)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +253,11 @@ def test_digest_cases_are_the_tabled_ones():
 
 def _printed(case):
     """key -> printed value of a digest case: CSV text, or the JSON value."""
-    argv, _, _ = test_cli.TestPointAndConvergeGolden.GOLDEN[case]
+    return _printed_by(test_cli.TestPointAndConvergeGolden.GOLDEN[case][0])
+
+
+def _printed_by(argv):
+    """key -> printed value of a `point` or `converge` command line."""
     out = io.StringIO()
     with redirect_stdout(out):
         main([*argv, "--output", "-"])
@@ -270,12 +286,7 @@ def _program_cases():
         for key, expected in TABLE[table].items():
             if expected == UNDECIDABLE:
                 continue
-            marks = ()
-            if (table, key) in WRONG_TODAY:
-                marks = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-                    f"{key} is printed from a difference of two rounded eps values; "
-                    f"the reference value is {expected}"))
-            yield pytest.param(case, key, expected, marks=marks, id=f"{case}-{key}")
+            yield pytest.param(case, key, expected, id=f"{case}-{key}")
 
 
 @pytest.mark.parametrize("case, key, expected", _program_cases())
@@ -283,6 +294,24 @@ def test_program_prints_the_reference(case, key, expected):
     printed = _printed(case)
     assert key in printed
     assert _matches(expected, printed[key]), f"{key}: printed {printed[key]!r}"
+
+
+@pytest.mark.parametrize("case", sorted(BEYOND_DIGESTS))
+def test_program_prints_the_reference_beyond_the_digests(case):
+    argv, dps, left_out = BEYOND_DIGESTS[case]
+    args = build_parser().parse_args(argv)
+    omega = eb_threshold(args.tau) if args.at_eb else args.omega
+    with mpmath.workdps(dps):
+        if args.command == "point":
+            row = _reference_point(args.tau, omega, args.g, args.gp, args.mu)
+        else:
+            row = _reference_converge(args.protocol, args.tau, omega, args.g, args.gp, args.mu)
+        expected = {key: nine_digits(value) for key, value in row.items()}
+    printed = _printed_by(argv)
+    assert sorted(printed) == sorted(expected)
+    wrong = {key: (printed[key], value) for key, value in expected.items()
+             if key not in left_out and not _matches(value, printed[key])}
+    assert not wrong
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -174,8 +174,12 @@ def test_scalar_formulas_use_no_numpy(no_numpy):
     assert env.env_pts_radicand(7.0, 5.0, -5.0) == 4.0
     assert env.is_separable(7.0, 5.0, -5.0) is True
     assert env.classify_environment(7.0, 5.0, -5.0) == env.EnvClass(env.EnvKind.SEPARABLE, 2.0)
+    params = env.EnvironmentParams(0.75, 7.0, 5.0, -5.0)
     for protocol, eps in ((Protocol.DIRECT, 0.5), (Protocol.SWAP, 2.0 / 3.0)):
         assert entdist.protocols.large_mu_eps(0.75, 7.0, 5.0, -5.0, protocol) == eps
+        # the finite-mu PTS eigenvalue squared and its excess over eps^2
+        assert [type(x) for x in entdist.protocols._pts_squared(1e3, params, protocol)] == \
+            [float, float]
 
 
 @pytest.mark.parametrize("protocol", [Protocol.DIRECT, Protocol.SWAP])

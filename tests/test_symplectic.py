@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,6 +217,18 @@ class TestEntropy:
     def test_h_rejects_unphysical(self):
         with pytest.raises(DomainError):
             h(0.9)
+
+    @pytest.mark.parametrize("offset, lo, hi", [(1.0, -10.7, 0.3), (0.0, 0.0, 300.0)])
+    def test_h_is_the_reference(self, offset, lo, hi):
+        # nu - 1 log-uniform in [2e-11, 2], above the nu = 1 window, then nu
+        # log-uniform in [1, 1e300]; the reference is up*ln(up) - dn*ln(dn) at
+        # 340 digits, which its cancellation leaves at about 340 - log10(nu)
+        rng = np.random.default_rng(17)
+        with mpmath.workdps(340):
+            for nu in (offset + 10.0 ** rng.uniform(lo, hi, 500)).tolist():
+                up, dn = (mpmath.mpf(nu) + 1) / 2, (mpmath.mpf(nu) - 1) / 2
+                expected = up * mpmath.log(up) - dn * mpmath.log(dn)
+                assert abs(h(nu) - expected) <= 4 * 2.0 ** -53 * expected, nu
 
 
 class TestCoherentInformation:
