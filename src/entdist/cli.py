@@ -58,7 +58,7 @@ from .environment import (
     require_variance,
 )
 from .errors import DomainError
-from .protocols import (DISTILLABLE_EPS, Activation, Protocol, _pts_squared,
+from .protocols import (DISTILLABLE_EPS, Activation, Protocol, _squared_spectra,
                         coherent_info_asymptotic, large_mu_eps, run_direct, run_swap)
 
 if TYPE_CHECKING:  # the scanner, and numpy with it, loads when a scan runs
@@ -243,7 +243,7 @@ def _rel_error(protocol, mu, env, result) -> float:
     the run of `protocol` at `mu` and `env`, from its large-mu value: |r| / (1 +
     eps/eps_inf), with r = eps^2/eps_inf^2 - 1 from the closed-form factors and
     no difference of two rounded eps values."""
-    excess = _pts_squared(mu, env, protocol)[1]
+    excess = _squared_spectra(mu, env, protocol)[1]
     return abs(excess) / (1.0 + result.report.pts_min / result.asymptotic_eps)
 
 

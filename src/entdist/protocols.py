@@ -181,21 +181,29 @@ def swap_coherent_info_determinant(cm: CovarianceMatrix) -> float:
 # protocol runners
 # ---------------------------------------------------------------------------
 
-def _pts_squared(mu: float, env: EnvironmentParams, protocol: Protocol) -> tuple[float, float]:
-    """(eps^2, eps^2/eps_inf^2 - 1) of the finite-mu output of `protocol`, in
-    plain floats from the q/p factors of its covariance matrix.
+def _squared_spectra(mu: float, env: EnvironmentParams,
+                     protocol: Protocol) -> tuple[float, float, float, float]:
+    """(eps^2, eps^2/eps_inf^2 - 1, nu_1^2, nu_2^2) of the finite-mu output of
+    `protocol`: its PTS eigenvalue squared, that square's excess over the
+    large-mu value, and its two full symplectic eigenvalues squared, unsorted,
+    in plain floats from the q/p factors of its covariance matrix.
 
     Both outputs have decoupled q and p blocks, each a symmetric circulant 2x2
-    block, so each PT symplectic eigenvalue squared is a product of one q and
-    one p block eigenvalue. With t1 = 1 - tau, A = t1(w - g) and B = t1(w + gp):
-    - DIRECT, s = mu + sqrt(mu^2 - 1): the products (tau/s + A)(tau/s + B) and
-      (tau*s + t1(w + g))(tau*s + t1(w - gp)); eps_inf^2 = AB, and the first
-      product is AB + a(A + B + a), a = tau/s, so its excess needs no
+    block whose eigenvectors are the sum (+) and the difference (-) mode, with
+    block eigenvalues q_+, q_- and p_+, p_-. So the full symplectic
+    eigenvalues squared are q_+ p_+ and q_- p_-, and the PT ones, since
+    p -> -p on mode 1 swaps p_+ and p_-, are q_- p_+ and q_+ p_-. With
+    t1 = 1 - tau, A = t1(w - g), B = t1(w + gp), C = t1(w + g), D = t1(w - gp):
+    - DIRECT, s = mu + sqrt(mu^2 - 1): q_+ = tau*s + C, q_- = tau/s + A,
+      p_+ = tau/s + B and p_- = tau*s + D. eps_inf^2 = AB, and the PT product
+      q_- p_+ is AB + a(A + B + a), a = tau/s, so its excess needs no
       difference;
-    - SWAP: mu^2 and l_q*l_p, l_q = (mu*A + tau)/(tau*mu + A) and l_p likewise
-      with B; eps_inf^2 = AB/tau^2, and l_q*l_p - AB/tau^2 factors as
-      (tau^2 - AB)(tau*mu(A + B) + tau^2 + AB)/(tau^2 (tau*mu + A)(tau*mu + B)).
-    `mu` must be validated first: below 1 the DIRECT square root raises.
+    - SWAP: q_+ = p_- = mu, q_- = l_q = (mu*A + tau)/(tau*mu + A) and p_+ = l_p
+      likewise with B. eps_inf^2 = AB/tau^2, and l_q*l_p - AB/tau^2 factors
+      as (tau^2 - AB)(tau*mu(A + B) + tau^2 + AB)/(tau^2 (tau*mu + A)(tau*mu + B)).
+    Every factor is a sum of positive terms, so each result is within a few
+    ulps at any mu. `mu` must be validated first: below 1 the DIRECT square
+    root raises.
     """
     tau, t1 = env.tau, 1.0 - env.tau
     a, b = t1 * (env.omega - env.g), t1 * (env.omega + env.gp)
@@ -203,15 +211,17 @@ def _pts_squared(mu: float, env: EnvironmentParams, protocol: Protocol) -> tuple
     if protocol is _DIRECT:
         s = mu + math.sqrt((mu - 1.0) * (mu + 1.0))
         x, y = tau / s, tau * s
-        falling = (x + a) * (x + b)
-        rising = (y + t1 * (env.omega + env.g)) * (y + t1 * (env.omega - env.gp))
+        q_minus, p_plus = x + a, x + b
+        q_plus, p_minus = y + t1 * (env.omega + env.g), y + t1 * (env.omega - env.gp)
+        falling, rising = q_minus * p_plus, q_plus * p_minus
+        full = (q_plus * p_plus, q_minus * p_minus)
         if falling <= rising:
-            return falling, x * (a + b + x) / ab
-        return rising, (rising - ab) / ab
+            return falling, x * (a + b + x) / ab, *full
+        return rising, (rising - ab) / ab, *full
     v_q, v_p = tau * mu + a, tau * mu + b
-    l_qp = (mu * a + tau) / v_q * ((mu * b + tau) / v_p)
+    l_q, l_p = (mu * a + tau) / v_q, (mu * b + tau) / v_p
     excess = (tau * tau - ab) / ab * ((tau * mu * (a + b) + tau * tau + ab) / (v_q * v_p))
-    return min(l_qp, mu * mu), excess
+    return min(l_q * l_p, mu * mu), excess, mu * l_p, mu * l_q
 
 
 def _run(cm: CovarianceMatrix, mu: float, env: EnvironmentParams,
@@ -219,17 +229,22 @@ def _run(cm: CovarianceMatrix, mu: float, env: EnvironmentParams,
     """Report on `cm`, the output of `protocol` at `mu`, with partition/coherent
     info toward mode 1, plus the large-mu reference values.
 
-    The PTS eigenvalue is :func:`_pts_squared`'s closed form, so the partially
-    transposed matrix is never diagonalized. Its positive-definiteness check
-    is implied by the one on `cm`: the partial transpose is the congruence of
-    `cm` by a diagonal of +-1, an orthogonal similarity with the same
-    eigenvalues.
+    The PTS eigenvalue and the full symplectic spectrum are
+    :func:`_squared_spectra`'s closed forms, so neither `cm` nor its partial
+    transpose is diagonalized: only mode 1's 2x2 block is, for S(B). The
+    closed-form spectrum is within a few ulps of each nu, so S(AB) sums
+    :func:`~entdist.symplectic.h` at its own fixed windows; the windows of
+    :func:`~entdist.symplectic._entropy`, scaled by the largest entry, apply
+    to the diagonalized reduced block alone. The closed forms need no
+    positive-definiteness check: every factor is positive on a physical
+    environment, and h refuses a nu below 1.
     """
     eps_inf = float(large_mu_eps(env.tau, env.omega, env.g, env.gp, protocol))
-    eps = math.sqrt(_pts_squared(mu, env, protocol)[0])
+    eps2, _, nu2_a, nu2_b = _squared_spectra(mu, env, protocol)
+    spectrum = (math.sqrt(max(nu2_a, nu2_b)), math.sqrt(min(nu2_a, nu2_b)))
     return ProtocolResult(
         output_cm=cm,
-        report=_report_with_pts(cm.data, [1], eps),
+        report=_report_with_pts(cm.data, [1], math.sqrt(eps2), spectrum),
         asymptotic_eps=eps_inf,
         asymptotic_coherent_info=coherent_info_asymptotic(eps_inf),
     )

@@ -127,15 +127,16 @@ def h(nu: float, tol: float = PHYSICAL_NU_TOL, one_tol: float = NU_ONE_TOL) -> f
 
 
 def _entropy(nus, v: np.ndarray) -> float:
-    """Entropy in nats of the state of matrix `v` with symplectic spectrum `nus`:
-    the sum of :func:`h`, zero exactly for pure states.
+    """Entropy in nats of the state of matrix `v` with symplectic spectrum `nus`,
+    diagonalized from `v`: the sum of :func:`h`, zero exactly for pure states.
 
     The physicality and nu = 1 windows are scaled by M, the largest entry
     magnitude of `v` floored at 1: eigenvalues of a covariance matrix with
     entries of size M carry absolute errors of order M (and worse near
     degeneracies), so a fixed window would misclassify large pure states as
     unphysical. So any nu <= 1 + 1e-11*M counts as 1 and contributes 0, and
-    any nu below 1 - 1e-9*M is refused.
+    any nu below 1 - 1e-9*M is refused. A closed-form spectrum has no such
+    error and takes h's own windows instead (:func:`_report_with_pts`).
     """
     scale = max(float(abs(v).max()), 1.0)
     return float(sum(
@@ -175,23 +176,34 @@ def entanglement_report(cm: CovarianceMatrix, partition: Iterable[int]) -> Entan
     return _report_with_pts(v, modes, eps)
 
 
-def _report_with_pts(v: np.ndarray, modes: list[int], eps: float) -> EntanglementReport:
+def _report_with_pts(v: np.ndarray, modes: list[int], eps: float,
+                     spectrum: tuple[float, ...] | None = None) -> EntanglementReport:
     """The report on array `v` for the sorted, proper partition `modes`, given
-    its PTS eigenvalue `eps`.
+    its PTS eigenvalue `eps` and, where a closed form knows it, its symplectic
+    `spectrum`, sorted descending.
 
-    Two symplectic spectra are taken from `v`, each after one
-    positive-definiteness check: of the array itself, for both the report and
-    S(all), and of the partition's index block, for S(partition).
+    S(partition) is always diagonalized: the symplectic spectrum of the
+    partition's index block, after its positive-definiteness check, summed at
+    :func:`_entropy`'s windows, scaled by that block's largest entry. Without
+    `spectrum`, the spectrum of `v` is diagonalized the same way, after its
+    own check, and S(all) takes the windows scaled by `v`'s largest entry.
+    A given `spectrum` is taken to be within a few ulps of each nu, so S(all)
+    sums :func:`h` at h's own fixed windows: at entries of 1e150 the scaled
+    nu = 1 window would be 1e139 wide and zero S(all) out.
     """
     import numpy as np
-    spectrum = _symplectic_spectrum(v, np)
+    if spectrum is None:
+        spectrum = _symplectic_spectrum(v, np)
+        s_all = _entropy(spectrum, v)
+    else:
+        s_all = sum(map(h, spectrum))
     kept = [i for m in modes for i in (2 * m, 2 * m + 1)]
     reduced = v[np.ix_(kept, kept)]
     s_partition = _entropy(_symplectic_spectrum(reduced, np), reduced)
     return EntanglementReport(
         pts_min=eps,
         log_negativity=log_negativity(eps),
-        coherent_info=s_partition - _entropy(spectrum, v),
+        coherent_info=s_partition - s_all,
         symplectic_spectrum=tuple(float(nu) for nu in spectrum),
     )
 

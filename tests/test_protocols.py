@@ -34,19 +34,23 @@ from gaussian_reference import (
     make_epr_cm,
     one_mode_output_pipeline,
     pts_min_eigenvalue,
-    reference_report,
     swap_conditional_pipeline,
     swap_noiseless_pipeline,
     symplectic_eigenvalues,
 )
-from test_reference_table import _finite_mu
+from test_reference_table import _finite_mu, _finite_mu_spectra, oracles
 
 LARGE_MU = 1e6
 PROTOCOL_NAMES = {run_direct: "direct", run_swap: "swap",
                   Protocol.DIRECT: "direct", Protocol.SWAP: "swap"}
-# the closed-form PTS eigenvalue is a square root of a few products, sums and
-# quotients of positive terms, each rounded once: a few ulps at most
+# the closed-form PTS eigenvalue and full symplectic spectrum are square roots
+# of a few products, sums and quotients of positive terms, each rounded once:
+# a few ulps at most
 PTS_ULPS = 4
+# the coherent information S(B) - S(AB) is a difference of sums of h, each
+# within a few ulps of its entropy, or of 1 near nu = 1, where h is steep: a
+# few ulps of the largest of S(B), S(AB) and 1
+COHERENT_INFO_ULPS = 4
 
 
 def oracle_draws(rng, n_uniform, n_log_uniform):
@@ -66,6 +70,20 @@ def assert_pts_min_is_the_reference(report, pts_min):
     log_neg = max(mpmath.mpf(0), -mpmath.log(pts_min))
     assert abs(report.log_negativity - log_neg) <= \
         PTS_ULPS * math.ulp(eps) / eps + math.ulp(float(log_neg)), (report, pts_min)
+
+
+def assert_report_is_the_reference(report, protocol, mu, env):
+    """``report``, the run of ``protocol`` at ``mu`` and ``env``, against the mpf
+    model at the current precision: see PTS_ULPS and COHERENT_INFO_ULPS."""
+    pts_min, nu_plus, nu_minus, nu_b = _finite_mu_spectra(protocol, mu, env.tau, env.omega,
+                                                          env.g, env.gp)
+    assert_pts_min_is_the_reference(report, pts_min)
+    for nu, expected in zip(report.symplectic_spectrum, (nu_plus, nu_minus), strict=True):
+        assert abs(nu - expected) <= PTS_ULPS * math.ulp(nu), (mu, env, nu, expected)
+    s_b = oracles._entropy_term(nu_b)
+    s_ab = oracles._entropy_term(nu_plus) + oracles._entropy_term(nu_minus)
+    assert abs(report.coherent_info - (s_b - s_ab)) <= \
+        COHERENT_INFO_ULPS * math.ulp(float(max(s_b, s_ab, 1))), (mu, env, report)
 
 
 def assert_cm_close(a, b, rtol):
@@ -385,15 +403,15 @@ class TestProtocolRunners:
             runner(mu, EnvironmentParams(0.5, 7.0, 4.0, -4.0))
 
     @pytest.mark.parametrize("runner", [run_direct, run_swap])
-    def test_runner_rechecks_nothing_and_diagonalizes_twice(self, runner, monkeypatch):
-        # the full spectrum, which serves both the report and S(AB), and the
-        # reduced spectrum; the PTS eigenvalue is a closed form
+    def test_runner_rechecks_nothing_and_diagonalizes_once(self, runner, monkeypatch):
+        # the reduced block of mode B, for S(B); the PTS eigenvalue and the
+        # full spectrum are closed forms
         env = EnvironmentParams(0.75, 7.0, 4.0, -4.0)
         calls = []
 
         def counted(name, function):
             def wrapper(*args):
-                calls.append(name)
+                calls.append((name, np.shape(args[0])))
                 return function(*args)
             return wrapper
 
@@ -402,28 +420,86 @@ class TestProtocolRunners:
         monkeypatch.setattr(entdist.environment, "require_bona_fide",
                             counted("check", entdist.environment.require_bona_fide))
         runner(1e3, env)
-        assert calls == ["eig"] * 2
+        assert calls == [("eig", (2, 2))]
 
     @pytest.mark.parametrize("runner", [run_direct, run_swap])
     def test_report_is_the_reference_report(self, runner):
-        # the full and reduced spectra come from cm.data directly, and the
-        # reference builds each intermediate CovarianceMatrix: the spectrum and
-        # the coherent information agree bit for bit. The PTS eigenvalue is a
-        # closed form, which the mpf reference checks to within a few ulps
+        # every figure against the mpf model: the PTS eigenvalue and the full
+        # spectrum within PTS_ULPS of each eigenvalue, the coherent information
+        # within COHERENT_INFO_ULPS of the larger of its entropies and 1
         rng = np.random.default_rng(2026)
         for _ in range(200):
             env = random_bona_fide_env(rng, omega_range=(1.0, 50.0))
             mu = float(10.0 ** rng.uniform(1.0, 6.0))
-            result = runner(mu, env)
-            expected = reference_report(result.output_cm, (1,))
-            assert [float.hex(x) for x in
-                    (result.report.coherent_info, *result.report.symplectic_spectrum)] == \
-                [float.hex(x) for x in (expected.coherent_info, *expected.symplectic_spectrum)], \
-                (env, mu)
+            report = runner(mu, env).report
             with mpmath.workdps(60):
-                pts_min, _ = _finite_mu(PROTOCOL_NAMES[runner], mu, env.tau, env.omega,
-                                        env.g, env.gp)
-                assert_pts_min_is_the_reference(result.report, pts_min)
+                assert_report_is_the_reference(report, PROTOCOL_NAMES[runner], mu, env)
+
+    @pytest.mark.parametrize("runner", [run_direct, run_swap])
+    @pytest.mark.parametrize("log10_mu, dps, n", [((0.0, 15.0), 60, 300),
+                                                   ((15.0, 150.0), 330, 30)])
+    def test_report_is_the_reference_at_every_mu(self, runner, log10_mu, dps, n):
+        # the reference loses about 2*log10(mu) of its digits to cancellation
+        rng = np.random.default_rng(37)
+        for _ in range(n):
+            env = random_bona_fide_env(rng)
+            mu = float(10.0 ** rng.uniform(*log10_mu))
+            report = runner(mu, env).report
+            with mpmath.workdps(dps):
+                assert_report_is_the_reference(report, PROTOCOL_NAMES[runner], mu, env)
+
+    @pytest.mark.parametrize("runner", [run_direct, run_swap])
+    @pytest.mark.parametrize("mu, env", [
+        # a seeded draw that the eigensolve of the output matrix refused as
+        # "not positive-definite"
+        (745563078511248.5, EnvironmentParams(0.9227522067266897, 2.416533707215296,
+                                              -1.191118440891899, -1.4484676637483087)),
+        (1e17, EnvironmentParams(0.5, 7.0, 4.0, -4.0)),
+        (1e150, EnvironmentParams(0.9999999999999999, eb_threshold(0.9999999999999999),
+                                  1e16, -1e16)),
+    ])
+    def test_large_mu_is_the_reference(self, runner, mu, env):
+        report = runner(mu, env).report
+        with mpmath.workdps(330):
+            assert_report_is_the_reference(report, PROTOCOL_NAMES[runner], mu, env)
+
+    @pytest.mark.parametrize("point", [
+        (272.37711447356196, 0.5463504397133371, 3.408689382915289, 3.074072715731224,
+         -1.4352231452314606),
+        (172.66979011473583, 0.9253436681835006, 35.906323472058446, 35.053838128356645,
+         -7.971240048526166),
+    ])
+    def test_near_zero_coherent_info_meets_the_contract(self, point):
+        # finite-mu benchmark pool points (seeds 4007 and 3309) whose coherent
+        # information, 8.7e-05 and -8.3e-05, the eigensolve of the output
+        # matrix got wrong beyond the 9-digit contract's half unit of 5e-14
+        report = run_direct(point[0], EnvironmentParams(*point[1:])).report
+        expected = oracles.finite_mu_reference("direct", *point)
+        assert all(oracles.within_contract((report.pts_min, report.coherent_info), expected))
+
+    @pytest.mark.parametrize("runner", [run_direct, run_swap])
+    @pytest.mark.parametrize("log10_mu", [2, 5, 7, 9, 12, 14])
+    def test_contract_across_decades(self, runner, log10_mu):
+        # 150 seeded points per decade, tau in (0.55, 0.95) at the EB omega,
+        # (g, gp) uniform over the bona-fide region, against the 50-digit
+        # oracle on the 9-digit output contract. The eigensolve of the output
+        # matrix missed most points from mu = 1e9 on
+        rng = np.random.default_rng(4000 + log10_mu)
+        protocol, missed = PROTOCOL_NAMES[runner], []
+        for _ in range(150):
+            tau = float(rng.uniform(0.55, 0.95))
+            omega = eb_threshold(tau)
+            while True:
+                g, gp = (float(x) for x in rng.uniform(-omega, omega, size=2))
+                if oracles.bona_fide(omega, g, gp):
+                    break
+            mu = float(10.0 ** rng.uniform(log10_mu, log10_mu + 1))
+            report = runner(mu, EnvironmentParams(tau, omega, g, gp)).report
+            got = (report.pts_min, report.coherent_info)
+            expected = oracles.finite_mu_reference(protocol, mu, tau, omega, g, gp)
+            if not all(oracles.within_contract(got, expected)):
+                missed.append((mu, tau, omega, g, gp, got, expected))
+        assert not missed
 
     def test_report_sides(self):
         env = EnvironmentParams(0.75, 7.0, 6.0, -6.0)
@@ -435,9 +511,8 @@ class TestProtocolRunners:
 
 class TestClosedFormPtsMin:
     """The PTS eigenvalue that the runners report, the square root of
-    ``protocols._pts_squared``, against the mpf reference over the whole mu
-    range. Called directly, since the runners also diagonalize the output
-    matrix, which can fail at large mu."""
+    ``protocols._squared_spectra``, against the mpf reference over the whole mu
+    range."""
 
     @pytest.mark.parametrize("protocol", [Protocol.DIRECT, Protocol.SWAP])
     @pytest.mark.parametrize("log10_mu, dps, n", [((0.0, 15.0), 60, 300),
@@ -448,7 +523,7 @@ class TestClosedFormPtsMin:
         for _ in range(n):
             env = random_bona_fide_env(rng)
             mu = float(10.0 ** rng.uniform(*log10_mu))
-            eps = math.sqrt(entdist.protocols._pts_squared(mu, env, protocol)[0])
+            eps = math.sqrt(entdist.protocols._squared_spectra(mu, env, protocol)[0])
             with mpmath.workdps(dps):
                 pts_min, _ = _finite_mu(PROTOCOL_NAMES[protocol], mu, env.tau, env.omega,
                                         env.g, env.gp)

@@ -121,20 +121,23 @@ CASES = {"point-csv": "point", "point-json": "point", "point-forbidden": "point-
 # command lines beyond the digest cases, at large mu or at the magnitude
 # limits -> (digits of the reference, printed keys left out). A relative error
 # from the difference of two rounded eps values lost about log10(mu) digits,
-# and an entropy from two cancelling terms lost all of them at nu = 1e150.
-# Left out: at mu = 1e16 the coherent information, which still comes from an
-# eigensolve of the output matrix and is off in the second digit there
-# (ROADMAP item 2); at the last line the direct rel_error of 5e-451, which
-# float64 prints as 0.
+# an entropy from two cancelling terms lost all of them at nu = 1e150, and a
+# coherent information from an eigensolve of the output matrix was off in the
+# second digit at mu = 1e16 and refused from mu = 1e17 ("not
+# positive-definite"). Left out: at `point-1e150` the direct rel_error of
+# 5e-451, which float64 prints as 0.
 BEYOND_DIGESTS = {
     "converge-direct-1e16": (("converge", "--protocol", "direct", "--tau", "0.75", "--at-eb",
                               "--g", "0.5", "--gp", "0.3", "--mu", "1e6", "1e10", "1e14",
                               "1e16"), 120, ()),
     "point-swap-1e16": (("point", "--tau", "0.5", "--omega", "7", "--g", "4", "--gp=-4",
-                         "--mu", "1e16"), 120,
-                        ("direct_coherent_info_finite", "swap_coherent_info_finite")),
+                         "--mu", "1e16"), 120, ()),
+    "point-swap-1e17": (("point", "--tau", "0.5", "--omega", "7", "--g", "4", "--gp=-4",
+                         "--mu", "1e17"), 330, ()),
     "point-1e150": (("point", "--tau", "1e-150", "--omega", "1e150", "--g", "0", "--gp", "0",
                      "--mu", "1e150"), 330, ("direct_eps_rel_error",)),
+    "point-at-eb-1e150": (("point", "--tau", "0.9999999999999999", "--at-eb", "--g", "1e16",
+                           "--gp=-1e16", "--mu", "1e150"), 330, ()),
 }
 
 
@@ -142,11 +145,13 @@ BEYOND_DIGESTS = {
 # the reference, at DPS digits
 # ---------------------------------------------------------------------------
 
-def _finite_mu(protocol, mu, tau, omega, g, gp):
-    """(pts_min, coherent_info) of oracles.finite_mu_reference, kept as mpf.
+def _finite_mu_spectra(protocol, mu, tau, omega, g, gp):
+    """(pts_min, nu_plus, nu_minus, nu_b) of oracles.finite_mu_reference, kept
+    as mpf: the PTS eigenvalue, the full symplectic spectrum and that of the
+    kept mode b.
 
-    The two blocks and the entropy are the oracle's; the spectrum is the one
-    that finite_mu_reference takes of them, before it rounds to float.
+    The two blocks are the oracle's; the spectra are the ones that
+    finite_mu_reference takes of them, before it rounds to float.
     """
     mu, tau, omega, g, gp = (mpmath.mpf(x) for x in (mu, tau, omega, g, gp))
     vq = oracles._quadrature_block(protocol, 1, mu, tau, omega, g)
@@ -159,10 +164,15 @@ def _finite_mu(protocol, mu, tau, omega, g, gp):
         return mpmath.sqrt(big), mpmath.sqrt(det_v / big)
 
     _, pts_min = spectrum(det_a + det_b - 2 * det_c)
-    nu_plus, nu_minus = spectrum(det_a + det_b + 2 * det_c)
-    coherent = (oracles._entropy_term(mpmath.sqrt(det_b)) - oracles._entropy_term(nu_plus)
-                - oracles._entropy_term(nu_minus))
-    return pts_min, coherent
+    return (pts_min, *spectrum(det_a + det_b + 2 * det_c), mpmath.sqrt(det_b))
+
+
+def _finite_mu(protocol, mu, tau, omega, g, gp):
+    """(pts_min, coherent_info) of oracles.finite_mu_reference, kept as mpf;
+    the entropy is the oracle's."""
+    pts_min, nu_plus, nu_minus, nu_b = _finite_mu_spectra(protocol, mu, tau, omega, g, gp)
+    return pts_min, (oracles._entropy_term(nu_b) - oracles._entropy_term(nu_plus)
+                     - oracles._entropy_term(nu_minus))
 
 
 def _large_mu_eps(protocol, tau, omega, g, gp):

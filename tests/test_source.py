@@ -177,9 +177,10 @@ def test_scalar_formulas_use_no_numpy(no_numpy):
     params = env.EnvironmentParams(0.75, 7.0, 5.0, -5.0)
     for protocol, eps in ((Protocol.DIRECT, 0.5), (Protocol.SWAP, 2.0 / 3.0)):
         assert entdist.protocols.large_mu_eps(0.75, 7.0, 5.0, -5.0, protocol) == eps
-        # the finite-mu PTS eigenvalue squared and its excess over eps^2
-        assert [type(x) for x in entdist.protocols._pts_squared(1e3, params, protocol)] == \
-            [float, float]
+        # the finite-mu PTS eigenvalue squared, its excess over eps^2 and the
+        # full symplectic spectrum squared
+        assert [type(x) for x in entdist.protocols._squared_spectra(1e3, params, protocol)] == \
+            [float] * 4
 
 
 @pytest.mark.parametrize("protocol", [Protocol.DIRECT, Protocol.SWAP])
