@@ -16,8 +16,8 @@ from enum import Enum
 
 from .errors import DomainError
 
-# Largest accepted |omega|, |g| and |gp|: every product the plane formulas form
-# (omega^2, g*gp, (omega - g)*(omega + gp), ...) then stays below 1e301, so finite.
+# Largest accepted |omega|, |g| and |gp|: :func:`rising` and :func:`falling`, the
+# products the plane formulas form, then stay below 1e301, so finite.
 MAX_MAGNITUDE = 1e150
 # Smallest accepted tau: the swap eps scale (1 - tau)/tau then stays below MAX_MAGNITUDE
 _MIN_TRANSMISSIVITY = 1.0 / MAX_MAGNITUDE
@@ -91,16 +91,30 @@ class BonaFideResult:
     ok = property(__bool__)
 
 
-def bona_fide_conditions(omega, g, gp):
-    """The three physicality conditions |g| < omega, |gp| < omega and
-    omega^2 + g*gp - 1 >= omega*|g + gp|, in that order; elementwise on arrays.
+def rising(omega, a, gp):
+    """(omega - a)(omega + gp), rising in gp where omega > a; elementwise, numpy-free.
 
-    The last is evaluated in the equal factored form
-    min((omega - g)(omega - gp), (omega + g)(omega + gp)) >= 1, whose ``- 1``
-    does not drop below the rounding of omega^2 at large omega. It is written
-    as both products >= 1, which keeps scalar calls free of numpy.
+    With :func:`falling` it decides the plane. At a = -g the two are the
+    uncertainty products, both >= 1 when bona fide; at a = g those of the
+    partial transpose, whose lesser is :func:`env_pts_radicand`, and the rising
+    one is the large-mu (eps / scale)**2. Factored, neither cancels at large
+    omega as the expanded omega^2 - a*gp -+ omega*(a - gp) does, nor drops its
+    test against 1 below the rounding of omega^2; omega - (-g) is omega + g to
+    the bit.
     """
-    uncertainty = ((omega - g) * (omega - gp) >= 1.0) & ((omega + g) * (omega + gp) >= 1.0)
+    return (omega - a) * (omega + gp)
+
+
+def falling(omega, a, gp):
+    """(omega + a)(omega - gp), :func:`rising` at (-a, -gp): falling in gp where omega > -a."""
+    return (omega + a) * (omega - gp)
+
+
+def bona_fide_conditions(omega, g, gp):
+    """The three physicality conditions, in this order: |g| < omega, |gp| < omega and
+    omega^2 + g*gp - 1 >= omega*|g + gp|, the last as :func:`falling` and :func:`rising`
+    at a = -g both >= 1; elementwise on arrays."""
+    uncertainty = (falling(omega, -g, gp) >= 1.0) & (rising(omega, -g, gp) >= 1.0)
     return abs(g) < omega, abs(gp) < omega, uncertainty
 
 
@@ -119,10 +133,8 @@ def bona_fide_check(omega: float, g: float, gp: float) -> BonaFideResult:
     if not marginal_gp:
         failures.append(f"|gp| < omega violated ({abs(gp)} >= {omega})")
     if not uncertainty:
-        # the factored products that fall short of 1; the expanded sides can
-        # round to the same number at large omega
-        products = {"(omega-g)(omega-gp)": (omega - g) * (omega - gp),
-                    "(omega+g)(omega+gp)": (omega + g) * (omega + gp)}
+        products = {"(omega-g)(omega-gp)": falling(omega, -g, gp),
+                    "(omega+g)(omega+gp)": rising(omega, -g, gp)}
         short = ", ".join(f"{name} = {value} < 1"
                           for name, value in products.items() if not value >= 1.0)
         failures.append(f"omega^2 + g*gp - 1 >= omega*|g + gp| violated ({short})")
@@ -137,28 +149,20 @@ def require_bona_fide(omega: float, g: float, gp: float) -> None:
 
 
 def env_pts_radicand(omega, g, gp):
-    """omega^2 - g*gp - omega*|g - gp|, the square of the environment's smallest
-    partially-transposed symplectic eigenvalue; elementwise on arrays.
-
-    Evaluated in the equal factored form min((omega - g)(omega + gp),
-    (omega + g)(omega - gp)), which keeps its relative precision where the
-    expanded one cancels (g -> omega, gp -> -omega at large omega) and is
-    positive wherever |g|, |gp| < omega. Float scalars skip numpy, keeping
-    np.minimum's rule: NaN if either is, else the second on ties (+-0.0).
-    """
-    a, b = (omega - g) * (omega + gp), (omega + g) * (omega - gp)
-    if isinstance(a, float):
+    """omega^2 - g*gp - omega*|g - gp|, the square of the environment's smallest PT
+    symplectic eigenvalue, as the lesser of :func:`rising` and :func:`falling` at a = g,
+    positive wherever |g|, |gp| < omega; elementwise. Python int and float scalars skip
+    numpy, keeping np.minimum's rule: NaN if either is, else the second on ties (+-0.0)."""
+    a, b = rising(omega, g, gp), falling(omega, g, gp)
+    if isinstance(a, (float, int)):
         return a if a < b or a != a else b
     import numpy as np
     return np.minimum(a, b)
 
 
 def is_separable(omega, g, gp):
-    """Separability, env_pts >= 1, as :func:`env_pts_radicand` >= 1.
-
-    Free of square-root rounding, and of the cancellation of the expanded
-    omega^2 - g*gp - 1 >= omega*|g - gp| at large omega; elementwise on arrays.
-    """
+    """Separability, env_pts >= 1, as :func:`env_pts_radicand` >= 1, free of square-root
+    rounding; elementwise on arrays."""
     return env_pts_radicand(omega, g, gp) >= 1.0
 
 

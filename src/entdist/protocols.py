@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .environment import EnvironmentParams, require_variance
+from .environment import EnvironmentParams, require_variance, rising
 from .errors import DomainError
 from .symplectic import CovarianceMatrix, EntanglementReport, _report_with_pts
 
@@ -100,12 +100,12 @@ def large_mu_eps_scale(tau, protocol: Protocol):
 
 
 def large_mu_eps(tau, omega, g, gp, protocol: Protocol):
-    """Large-mu PTS eigenvalue (1 - tau) * sqrt((omega - g) * (omega + gp)) of the
-    direct output, divided by tau for the swapped state; unvalidated, elementwise.
-    NaN where the product is negative: float scalars take math.sqrt, with no
-    warning; arrays take np.sqrt, which warns there unless np.errstate hides it."""
-    scale, radicand = large_mu_eps_scale(tau, protocol), (omega - g) * (omega + gp)
-    if isinstance(radicand, float):
+    """Large-mu PTS eigenvalue (1 - tau) * sqrt(rising(omega, g, gp)) of the direct
+    output, divided by tau for the swapped state; unvalidated, elementwise. NaN where
+    the product is negative: int and float scalars take math.sqrt, with no warning;
+    arrays take np.sqrt, which warns there unless np.errstate hides it."""
+    scale, radicand = large_mu_eps_scale(tau, protocol), rising(omega, g, gp)
+    if isinstance(radicand, (float, int)):
         return scale * (math.sqrt(radicand) if not radicand < 0.0 else math.nan)
     import numpy as np
     return scale * np.sqrt(radicand)

@@ -19,8 +19,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .environment import (EnvKind, bona_fide_conditions, eb_threshold, env_pts_radicand,
-                          is_separable, require_magnitude, require_transmissivity,
-                          require_variance)
+                          falling, is_separable, require_magnitude, require_transmissivity,
+                          require_variance, rising)
 from .errors import DomainError
 from .protocols import DISTILLABLE_EPS, Activation, Protocol, large_mu_eps, large_mu_eps_scale
 
@@ -96,21 +96,18 @@ class ScanSpec:
 
     @cached_property
     def _eps_map(self) -> _EpsMap:
-        """Large-mu eps, or the environment's PTS eigenvalue with no levels, and the two
-        boundary shapes: on a row with w -+ a > 0 holds(a, gp, c) turns true once as gp rises,
-        near cut(c, a), where (w - a)(w + gp), or (w + a)(w - gp), equals c. At a = -g these
-        are the uncertainty products; at a = g those of the partial transpose (g -> -g), and
-        (eps / scale)**2 is the rising one or, under ENVIRONMENT_ONLY, the lesser of the two."""
+        """Large-mu eps, or the environment's PTS eigenvalue with no levels, and the boundary
+        shapes of the products rising and falling at omega = w: on a row with w -+ a > 0
+        holds(a, gp, c) turns true once as gp rises, near cut(c, a), where the product is c;
+        (eps / scale)**2 is rising at a = g or, under ENVIRONMENT_ONLY, the lesser of the two."""
         w = self.omega_value
-        rising = _Boundary(lambda a, gp, c=1.0: (w - a) * (w + gp) >= c,
-                           lambda c, a: c / (w - a) - w)
-        falling = _Boundary(lambda a, gp, c=1.0: (w + a) * (w - gp) < c,
-                            lambda c, a: w - c / (w + a))
+        up = _Boundary(lambda a, gp, c=1.0: rising(w, a, gp) >= c, lambda c, a: c / (w - a) - w)
+        down = _Boundary(lambda a, gp, c=1.0: falling(w, a, gp) < c, lambda c, a: w - c / (w + a))
         if self.protocol is Protocol.ENVIRONMENT_ONLY:
-            return _EpsMap(partial(_env_pts_field, w), 1.0, (), rising, falling)
+            return _EpsMap(partial(_env_pts_field, w), 1.0, (), up, down)
         return _EpsMap(partial(large_mu_eps, self.tau, w, protocol=self.protocol),
                        large_mu_eps_scale(self.tau, self.protocol), (1.0, DISTILLABLE_EPS),
-                       rising, falling)
+                       up, down)
 
     @cached_property
     def _centers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -275,11 +272,11 @@ def scan(spec: ScanSpec) -> ScanGrid:
     g, gp = spec.g_centers(), spec.gp_centers()
     lo, hi = np.zeros(res, np.intp), np.where(np.abs(g) < w, res, 0)
     eps_map = spec._eps_map
-    rising, falling = eps_map.rising.holds, eps_map.falling.holds
-    begin = _first_true(rising, -g, gp, lo, hi)
-    end = np.maximum(begin, _first_true(falling, -g, gp, lo, hi))
-    flips = [rising, falling, *(lambda g, gp, level=level: eps_map.eps(g, gp) >= level
-                                for level in eps_map.levels)]
+    up, down = eps_map.rising.holds, eps_map.falling.holds
+    begin = _first_true(up, -g, gp, lo, hi)
+    end = np.maximum(begin, _first_true(down, -g, gp, lo, hi))
+    flips = [up, down, *(lambda g, gp, level=level: eps_map.eps(g, gp) >= level
+                         for level in eps_map.levels)]
     cuts = np.array([begin, end, *(_first_true(f, g, gp, begin, end) for f in flips)])
     bounds = np.column_stack([np.zeros(res, np.intp), np.sort(cuts, axis=0).T, np.full(res, res)])
     a, (begin, end, rise, fall, *below) = bounds[:, :-1], cuts[..., np.newaxis]
@@ -293,12 +290,12 @@ def separable_activation_exists(tau: float, protocol: Protocol, omega: float | N
                                 ) -> tuple[bool, tuple[float, float] | None]:
     """Whether a separable environment activates the protocol, and a witness (g, gp).
 
-    eps = scale * sqrt((omega - g)(omega + gp)), scale 1 - tau (direct) or (1 - tau)/tau (swap).
-    That product is >= the PTS radicand, which is >= 1 on separable environments, so eps >=
-    scale there; gp = -g, 1 <= omega - g <= omega is separable with eps = scale * (omega - g).
-    So activation exists iff scale < 1. Witness: omega - g halfway between 1 and min(omega,
-    1/scale), or 1 if rounding pushes that out; DomainError where float64 holds neither, and
-    for the direct protocol where 1 - tau rounds to 1 (tau <= 2**-54), though such a tau activates.
+    eps = scale * sqrt(rising(omega, g, gp)), and rising >= env_pts_radicand, which is >= 1 on
+    separable environments, so eps >= scale there; gp = -g, 1 <= omega - g <= omega is separable
+    with eps = scale * (omega - g). So activation exists iff scale < 1. Witness: omega - g halfway
+    between 1 and min(omega, 1/scale), or 1 if rounding pushes that out; DomainError where float64
+    holds neither, and for the direct protocol where 1 - tau rounds to 1 (tau <= 2**-54), though
+    such a tau activates.
     """
     omega_eb = eb_threshold(tau)  # refuses tau outside [1e-150, 1)
     scale = large_mu_eps_scale(tau, protocol)  # refuses all but DIRECT and SWAP
@@ -336,16 +333,16 @@ def boundary_curves(spec: ScanSpec, levels: tuple[float, ...] = (1.0, DISTILLABL
     Marching squares on the cell-center grid gives segments between crossed
     edges, joined into chains where they share one: open paths first, then
     closed loops. One numpy pass per level solves every crossing from the two
-    boundary shapes: along an edge eps**2 / scale**2 is the rising factor
-    (w - fixed)(w + free), the falling one (w + fixed)(w - free) or the lesser
-    of the two, so a crossing whose first corner lies below the level is the
-    rising cut of c = (level / scale)**2 at a = fixed, clamped to the edge, any
-    other the falling one; a corner at the level is the vertex. Squares touching
-    non-physical cells are skipped, truncating contours at the physical border.
+    boundary shapes: along an edge eps**2 / scale**2 is rising(w, fixed, free),
+    falling(w, fixed, free) or the lesser, so a crossing whose first corner lies
+    below the level is the rising cut of c = (level / scale)**2 at a = fixed,
+    clamped to the edge, any other the falling one; a corner at the level is the
+    vertex. Squares touching non-physical cells are skipped, truncating contours
+    at the physical border.
     """
     xs, ys = spec.g_centers(), spec.gp_centers()
     field, scale = eps_field(spec), spec._eps_map.scale
-    rising, falling = spec._eps_map.rising.cut, spec._eps_map.falling.cut
+    up, down = spec._eps_map.rising.cut, spec._eps_map.falling.cut
     contours = []
     for level in levels:
         chains = _stitch_segments(_marching_squares_segments(field, level))
@@ -358,7 +355,7 @@ def boundary_curves(spec: ScanSpec, levels: tuple[float, ...] = (1.0, DISTILLABL
         (x0, y0), (x1, y1) = (xs[i], ys[j]), (xs[i1], ys[j1])
         lo, hi, fixed = np.where(v, y0, x0), np.where(v, y1, x1), np.where(v, x0, y0)
         f0, f1, c = field[i, j], field[i1, j1], (level / scale) ** 2
-        free = np.where(f0 < level, rising(c, fixed), falling(c, fixed))
+        free = np.where(f0 < level, up(c, fixed), down(c, fixed))
         free = np.where(f0 == level, lo, np.where(f1 == level, hi, np.minimum(np.maximum(
             free, lo), hi)))
         points = np.column_stack([np.where(v, x0, free), np.where(v, free, y0)])

@@ -21,7 +21,8 @@ from entdist import (
     eb_threshold,
     is_separable,
 )
-from entdist.environment import MAX_MAGNITUDE, bona_fide_conditions, env_pts_radicand
+from entdist.environment import (MAX_MAGNITUDE, bona_fide_conditions, env_pts_radicand,
+                                 falling, rising)
 from entdist.protocols import large_mu_eps
 
 from conftest import random_bona_fide_env
@@ -278,7 +279,12 @@ class TestScalarPathMatchesArrayPath:
         radicand = env_pts_radicand(omega, g, gp)
         separable = is_separable(omega, g, gp)
         conditions = bona_fide_conditions(omega, g, gp)
+        products = [(product, product(omega, g, gp)) for product in (rising, falling)]
         for i, point in enumerate(points):
+            for product, array in products:
+                value = product(*point)
+                assert type(value) is float
+                assert _same_float(value, array[i])
             value = env_pts_radicand(*point)
             assert type(value) is float
             assert _same_float(value, radicand[i])
@@ -303,7 +309,8 @@ class TestScalarPathMatchesArrayPath:
         # among these, (0, 1, -0) makes the two radicand factors -0.0 and +0.0
         for point in itertools.product([0.0, -0.0, 1.0, -1.0, math.nan], repeat=3):
             arrays = [np.array([x]) for x in point]
-            assert _same_float(env_pts_radicand(*point), env_pts_radicand(*arrays)[0]), point
+            for formula in (rising, falling, env_pts_radicand):
+                assert _same_float(formula(*point), formula(*arrays)[0]), (formula, point)
             for protocol in (Protocol.DIRECT, Protocol.SWAP):
                 with np.errstate(invalid="ignore"):
                     expected = large_mu_eps(0.5, *arrays, protocol)[0]

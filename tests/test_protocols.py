@@ -9,7 +9,6 @@ from entdist import (
     DomainError,
     EnvironmentParams,
     EnvKind,
-    Protocol,
     classify_environment,
     coherent_info_asymptotic,
     direct_eps_asymptotic,
@@ -38,11 +37,10 @@ from gaussian_reference import (
     swap_noiseless_pipeline,
     symplectic_eigenvalues,
 )
-from test_reference_table import _finite_mu, _finite_mu_spectra, oracles
+from test_reference_table import _finite_mu_spectra, oracles
 
 LARGE_MU = 1e6
-PROTOCOL_NAMES = {run_direct: "direct", run_swap: "swap",
-                  Protocol.DIRECT: "direct", Protocol.SWAP: "swap"}
+PROTOCOL_NAMES = {run_direct: "direct", run_swap: "swap"}
 # the closed-form PTS eigenvalue and full symplectic spectrum are square roots
 # of a few products, sums and quotients of positive terms, each rounded once:
 # a few ulps at most
@@ -507,27 +505,6 @@ class TestProtocolRunners:
         assert result.asymptotic_eps == pytest.approx(0.25)
         assert result.report.pts_min == pytest.approx(0.25, rel=1e-3)
         assert result.asymptotic_coherent_info == pytest.approx(math.log(4.0) - 1.0)
-
-
-class TestClosedFormPtsMin:
-    """The PTS eigenvalue that the runners report, the square root of
-    ``protocols._squared_spectra``, against the mpf reference over the whole mu
-    range."""
-
-    @pytest.mark.parametrize("protocol", [Protocol.DIRECT, Protocol.SWAP])
-    @pytest.mark.parametrize("log10_mu, dps, n", [((0.0, 15.0), 60, 300),
-                                                   ((15.0, 150.0), 330, 30)])
-    def test_pts_min_is_the_reference(self, protocol, log10_mu, dps, n):
-        # the reference loses about 2*log10(mu) of its digits to cancellation
-        rng = np.random.default_rng(31)
-        for _ in range(n):
-            env = random_bona_fide_env(rng)
-            mu = float(10.0 ** rng.uniform(*log10_mu))
-            eps = math.sqrt(entdist.protocols._squared_spectra(mu, env, protocol)[0])
-            with mpmath.workdps(dps):
-                pts_min, _ = _finite_mu(PROTOCOL_NAMES[protocol], mu, env.tau, env.omega,
-                                        env.g, env.gp)
-                assert abs(eps - pts_min) <= PTS_ULPS * math.ulp(eps), (env, mu, eps)
 
 
 class TestCoherentInfoConsistency:

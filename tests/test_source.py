@@ -169,18 +169,26 @@ def no_numpy(monkeypatch):
 
 
 def test_scalar_formulas_use_no_numpy(no_numpy):
+    # Python ints take the scalar path too, and give Python numbers and bools
     env = entdist.environment
-    assert env.bona_fide_conditions(7.0, 5.0, -5.0) == (True, True, True)
-    assert env.env_pts_radicand(7.0, 5.0, -5.0) == 4.0
-    assert env.is_separable(7.0, 5.0, -5.0) is True
-    assert env.classify_environment(7.0, 5.0, -5.0) == env.EnvClass(env.EnvKind.SEPARABLE, 2.0)
-    params = env.EnvironmentParams(0.75, 7.0, 5.0, -5.0)
-    for protocol, eps in ((Protocol.DIRECT, 0.5), (Protocol.SWAP, 2.0 / 3.0)):
-        assert entdist.protocols.large_mu_eps(0.75, 7.0, 5.0, -5.0, protocol) == eps
-        # the finite-mu PTS eigenvalue squared, its excess over eps^2 and the
-        # full symplectic spectrum squared
-        assert [type(x) for x in entdist.protocols._squared_spectra(1e3, params, protocol)] == \
-            [float] * 4
+    for point in ((7.0, 5.0, -5.0), (7, 5, -5)):
+        number = type(point[0])
+        assert [(type(x), x) for x in (env.rising(*point), env.falling(*point))] == \
+            [(number, 4), (number, 144)]
+        assert env.bona_fide_conditions(*point) == (True, True, True)
+        assert [type(x) for x in env.bona_fide_conditions(*point)] == [bool] * 3
+        radicand = env.env_pts_radicand(*point)
+        assert type(radicand) is number and radicand == 4
+        assert env.is_separable(*point) is True
+        assert env.classify_environment(*point) == env.EnvClass(env.EnvKind.SEPARABLE, 2.0)
+        params = env.EnvironmentParams(0.75, *point)
+        for protocol, eps in ((Protocol.DIRECT, 0.5), (Protocol.SWAP, 2.0 / 3.0)):
+            value = entdist.protocols.large_mu_eps(0.75, *point, protocol)
+            assert type(value) is float and value == eps
+            # the finite-mu PTS eigenvalue squared, its excess over eps^2 and
+            # the full symplectic spectrum squared
+            assert [type(x) for x in entdist.protocols._squared_spectra(1e3, params, protocol)] \
+                == [float] * 4
 
 
 @pytest.mark.parametrize("protocol", [Protocol.DIRECT, Protocol.SWAP])
@@ -215,6 +223,32 @@ def test_only_the_eps_map_tells_environment_only_apart():
     assert found, "the eps map no longer names ENVIRONMENT_ONLY"
     outside = [f"scanner.py:{node.lineno}" for node in found if id(node) not in inside]
     assert not outside, f"ENVIRONMENT_ONLY outside the eps map: {', '.join(outside)}"
+
+
+def _omega_factor(node):
+    """An omega + x or omega - x expression (either order), omega spelled omega, w or .omega."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)) and any(
+        isinstance(side, ast.Name) and side.id in ("omega", "w")
+        or isinstance(side, ast.Attribute) and side.attr == "omega"
+        for side in (node.left, node.right))
+
+
+def test_only_the_two_products_multiply_omega_factors():
+    # every decision of the plane reads environment.rising or environment.falling,
+    # which state once why the products stay factored; a product of two omega +- x
+    # factors anywhere else is a second copy of one of them
+    homes, outside = [], []
+    for path in sorted(Path(entdist.__file__).parent.glob("*.py")):
+        tree = _parse(path)
+        inside = {id(node) for home in tree.body if path.name == "environment.py"
+                  and isinstance(home, ast.FunctionDef) and home.name in ("rising", "falling")
+                  for node in ast.walk(home)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) \
+                    and _omega_factor(node.left) and _omega_factor(node.right):
+                (homes if id(node) in inside else outside).append(f"{path.name}:{node.lineno}")
+    assert not outside, f"omega factor products outside the home: {', '.join(outside)}"
+    assert len(homes) == 2, f"the two home products are not where expected: {homes}"
 
 
 def test_no_module_level_import_goes_unused():
