@@ -168,27 +168,27 @@ def no_numpy(monkeypatch):
     monkeypatch.setattr(entdist.scanner, "np", stub)
 
 
-def test_scalar_formulas_use_no_numpy(no_numpy):
-    # Python ints take the scalar path too, and give Python numbers and bools
+# Python ints take the scalar path too, and give Python numbers and bools
+@pytest.mark.parametrize("point", [(7.0, 5.0, -5.0), (7, 5, -5)], ids=["float", "int"])
+def test_scalar_formulas_use_no_numpy(no_numpy, point):
     env = entdist.environment
-    for point in ((7.0, 5.0, -5.0), (7, 5, -5)):
-        number = type(point[0])
-        assert [(type(x), x) for x in (env.rising(*point), env.falling(*point))] == \
-            [(number, 4), (number, 144)]
-        assert env.bona_fide_conditions(*point) == (True, True, True)
-        assert [type(x) for x in env.bona_fide_conditions(*point)] == [bool] * 3
-        radicand = env.env_pts_radicand(*point)
-        assert type(radicand) is number and radicand == 4
-        assert env.is_separable(*point) is True
-        assert env.classify_environment(*point) == env.EnvClass(env.EnvKind.SEPARABLE, 2.0)
-        params = env.EnvironmentParams(0.75, *point)
-        for protocol, eps in ((Protocol.DIRECT, 0.5), (Protocol.SWAP, 2.0 / 3.0)):
-            value = entdist.protocols.large_mu_eps(0.75, *point, protocol)
-            assert type(value) is float and value == eps
-            # the finite-mu PTS eigenvalue squared, its excess over eps^2 and
-            # the full symplectic spectrum squared
-            assert [type(x) for x in entdist.protocols._squared_spectra(1e3, params, protocol)] \
-                == [float] * 4
+    number = type(point[0])
+    assert [(type(x), x) for x in (env.rising(*point), env.falling(*point))] == \
+        [(number, 4), (number, 144)]
+    assert env.bona_fide_conditions(*point) == (True, True, True)
+    assert [type(x) for x in env.bona_fide_conditions(*point)] == [bool] * 3
+    radicand = env.env_pts_radicand(*point)
+    assert type(radicand) is number and radicand == 4
+    assert env.is_separable(*point) is True
+    assert env.classify_environment(*point) == env.EnvClass(env.EnvKind.SEPARABLE, 2.0)
+    params = env.EnvironmentParams(0.75, *point)
+    for protocol, eps in ((Protocol.DIRECT, 0.5), (Protocol.SWAP, 2.0 / 3.0)):
+        value = entdist.protocols.large_mu_eps(0.75, *point, protocol)
+        assert type(value) is float and value == eps
+        # the finite-mu PTS eigenvalue squared, its excess over eps^2 and the
+        # full symplectic spectrum squared
+        assert [type(x) for x in entdist.protocols._squared_spectra(1e3, params, protocol)] == \
+            [float] * 4
 
 
 @pytest.mark.parametrize("protocol", [Protocol.DIRECT, Protocol.SWAP])
@@ -233,6 +233,25 @@ def _omega_factor(node):
         for side in (node.left, node.right))
 
 
+def _omega_products(tree):
+    """The products of two omega +- x factors in ``tree``."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and _omega_factor(node.left) and _omega_factor(node.right)]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("(w - g) * (w + gp)", 1),
+    ("(a + omega) * (omega - gp)", 1),
+    ("(env.omega + g) * (self.omega - gp)", 1),
+    ("t1 * (w - g) + t1 * (w + gp)", 0),
+    ("(x - g) * (x + gp)", 0),
+])
+def test_product_guard_sees_every_spelling(source, found):
+    # the guard below passes on any tree where this finds nothing
+    assert len(_omega_products(ast.parse(source))) == found
+
+
 def test_only_the_two_products_multiply_omega_factors():
     # every decision of the plane reads environment.rising or environment.falling,
     # which state once why the products stay factored; a product of two omega +- x
@@ -243,10 +262,8 @@ def test_only_the_two_products_multiply_omega_factors():
         inside = {id(node) for home in tree.body if path.name == "environment.py"
                   and isinstance(home, ast.FunctionDef) and home.name in ("rising", "falling")
                   for node in ast.walk(home)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) \
-                    and _omega_factor(node.left) and _omega_factor(node.right):
-                (homes if id(node) in inside else outside).append(f"{path.name}:{node.lineno}")
+        for node in _omega_products(tree):
+            (homes if id(node) in inside else outside).append(f"{path.name}:{node.lineno}")
     assert not outside, f"omega factor products outside the home: {', '.join(outside)}"
     assert len(homes) == 2, f"the two home products are not where expected: {homes}"
 
