@@ -1,10 +1,11 @@
 """Gaussian toolkit for entanglement distribution through correlated lossy environments.
 
-Covariance-matrix symplectic algebra, classification of the correlated
-two-mode environment (``EnvironmentParams`` is physical by construction),
-direct and swap-based distribution protocols as closed forms (the
-finite-squeezing symplectic pipelines that check them live with the tests), and
-a correlation plane scanner behind the ``entdist`` CLI.
+Covariance matrices with the entropy ``h`` and the log-negativity,
+classification of the correlated two-mode environment (``EnvironmentParams`` is
+physical by construction), direct and swap-based distribution protocols as
+closed forms (the generic n-mode symplectic algebra and the finite-squeezing
+pipelines that check them live with the tests), and a correlation plane scanner
+behind the ``entdist`` CLI.
 
 numpy loads on first use: :mod:`entdist.scanner`, which works on arrays
 throughout, and its names are imported on first access, so ``import entdist``
@@ -44,10 +45,8 @@ from .protocols import (
 from .symplectic import (
     CovarianceMatrix,
     EntanglementReport,
-    entanglement_report,
     h,
     log_negativity,
-    symplectic_form,
 )
 
 __all__ = [
@@ -73,7 +72,6 @@ __all__ = [
     "direct_eps_asymptotic",
     "direct_output_cm",
     "eb_threshold",
-    "entanglement_report",
     "epr_variances_from_cm",
     "eps_field",
     "h",
@@ -87,7 +85,6 @@ __all__ = [
     "swap_conditional_cm",
     "swap_epr_variances_asymptotic",
     "swap_eps_asymptotic",
-    "symplectic_form",
 ]
 
 _SCANNER_NAMES = ("Contour", "ScanGrid", "ScanSpec", "boundary_curves", "eps_field", "scan",

@@ -244,7 +244,7 @@ def _run(cm: CovarianceMatrix, mu: float, env: EnvironmentParams,
     spectrum = (math.sqrt(max(nu2_a, nu2_b)), math.sqrt(min(nu2_a, nu2_b)))
     return ProtocolResult(
         output_cm=cm,
-        report=_report_with_pts(cm.data, [1], math.sqrt(eps2), spectrum),
+        report=_report_with_pts(cm.data, math.sqrt(eps2), spectrum),
         asymptotic_eps=eps_inf,
         asymptotic_coherent_info=coherent_info_asymptotic(eps_inf),
     )

@@ -297,10 +297,11 @@ def separable_activation_exists(tau: float, protocol: Protocol, omega: float | N
     holds neither, and for the direct protocol where 1 - tau rounds to 1 (tau <= 2**-54), though
     such a tau activates.
     """
-    omega_eb = eb_threshold(tau)  # refuses tau outside [1e-150, 1)
+    w = eb_threshold(tau)  # refuses tau outside [1e-150, 1); then in [1, 2**54]
     scale = large_mu_eps_scale(tau, protocol)  # refuses all but DIRECT and SWAP
-    w = omega_eb if omega is None else omega
-    require_variance("omega", w)
+    if omega is not None:
+        require_variance("omega", omega)
+        w = omega
     if scale >= 1.0:
         if protocol is Protocol.DIRECT:
             raise DomainError(f"1 - tau rounds to 1 in float64 at tau={tau}, so the activating "

@@ -1,4 +1,11 @@
-"""Symplectic linear algebra on Gaussian covariance matrices.
+"""Covariance matrices and the entropies and report of the finite-mu runners.
+
+The runners of :mod:`entdist.protocols` take the PTS eigenvalue and the full
+symplectic spectrum of their two-mode outputs in closed form; this module
+diagonalizes only mode B's 2x2 block, for S(B), and builds the report. The
+generic n-mode algebra (symplectic form, partial transpose and trace, spectra
+and the report of any bipartition) is the tests' reference,
+``tests/gaussian_reference.py``.
 
 Conventions used throughout the package:
 
@@ -13,7 +20,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 
@@ -65,23 +72,6 @@ class CovarianceMatrix:
         return self.data[2 * i:2 * i + 2, 2 * j:2 * j + 2]
 
 
-@functools.cache
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Mode-major symplectic form: direct sum of n blocks [[0, 1], [-1, 0]].
-
-    Built once per mode count and shared, so the array is read-only.
-    """
-    if n_modes < 1:
-        raise DomainError(f"need at least one mode, got {n_modes}")
-    import numpy as np
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        omega[2 * k, 2 * k + 1] = 1.0
-        omega[2 * k + 1, 2 * k] = -1.0
-    omega.flags.writeable = False
-    return omega
-
-
 @dataclass(frozen=True)
 class EntanglementReport:
     """Entanglement figures of merit for one bipartition of a Gaussian state."""
@@ -92,18 +82,28 @@ class EntanglementReport:
     symplectic_spectrum: tuple[float, ...]
 
 
-def _symplectic_spectrum(v: np.ndarray, np) -> np.ndarray:
-    """Symplectic spectrum of a positive-definite 2n x 2n array, sorted descending.
+@functools.cache
+def _one_mode_form() -> np.ndarray:
+    """The symplectic form of one mode, [[0, 1], [-1, 0]]; built once, read-only."""
+    import numpy as np
+    omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    omega.flags.writeable = False
+    return omega
 
-    Computed as the moduli of the eigenvalues of i*Omega*V. Those come in
-    conjugate pairs (+/- i*nu); the pairs are averaged to wash out the slight
-    asymmetry of the nonsymmetric eigensolve. ``np`` is the numpy module,
-    which the caller has imported: this runs two or three times per report.
+
+def _symplectic_spectrum(v: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum (nu,) of a positive-definite 2x2 array.
+
+    Computed as the modulus of the eigenvalues of i*Omega*V. Those come as a
+    conjugate pair (+/- i*nu); the pair is averaged to wash out the slight
+    asymmetry of the nonsymmetric eigensolve. It runs once per report, on
+    mode B's block (:func:`_report_with_pts`).
     """
+    import numpy as np
     if float(np.linalg.eigvalsh(v)[0]) <= 0.0:
         raise DomainError("covariance matrix is not positive-definite")
-    moduli = np.sort(np.abs(np.linalg.eigvals(symplectic_form(len(v) // 2) @ v)))
-    return (0.5 * (moduli[0::2] + moduli[1::2]))[::-1]
+    moduli = np.abs(np.linalg.eigvals(_one_mode_form() @ v))
+    return 0.5 * (moduli[:1] + moduli[1:])
 
 
 def h(nu: float, tol: float = PHYSICAL_NU_TOL, one_tol: float = NU_ONE_TOL) -> float:
@@ -152,66 +152,24 @@ def log_negativity(pts_min: float) -> float:
     return max(0.0, -math.log(pts_min))
 
 
-def entanglement_report(cm: CovarianceMatrix, partition: Iterable[int]) -> EntanglementReport:
-    """Report for the bipartition (rest | partition).
+def _report_with_pts(v: np.ndarray, eps: float, spectrum: tuple[float, float]
+                     ) -> EntanglementReport:
+    """The report on the two-mode array `v` toward mode B, given its PTS
+    eigenvalue `eps` and its symplectic `spectrum`, sorted descending, both
+    closed forms.
 
-    The coherent information is taken toward the partition side, i.e.
-    I(rest > partition) = S(partition) - S(all) in nats. It may be negative;
-    positive values lower-bound the one-way distillable entanglement per copy.
-
-    The PTS eigenvalue is the smallest symplectic eigenvalue of the partially
-    transposed array (p -> -p on the partition, the array times the outer
-    product of the +-1 signs), after its own positive-definiteness check; the
-    rest is :func:`_report_with_pts`. The partition must be nonempty, in range
-    and proper: transposing every mode would certify nothing.
-    """
-    import numpy as np
-    v, n_modes = cm.data, cm.n_modes
-    modes = _checked_modes(partition, n_modes)
-    if len(modes) == n_modes:
-        raise DomainError("partition must leave at least one mode untransposed")
-    signs = np.ones(2 * n_modes)
-    signs[[2 * m + 1 for m in modes]] = -1.0
-    eps = float(_symplectic_spectrum(v * np.outer(signs, signs), np)[-1])
-    return _report_with_pts(v, modes, eps)
-
-
-def _report_with_pts(v: np.ndarray, modes: list[int], eps: float,
-                     spectrum: tuple[float, ...] | None = None) -> EntanglementReport:
-    """The report on array `v` for the sorted, proper partition `modes`, given
-    its PTS eigenvalue `eps` and, where a closed form knows it, its symplectic
-    `spectrum`, sorted descending.
-
-    S(partition) is always diagonalized: the symplectic spectrum of the
-    partition's index block, after its positive-definiteness check, summed at
-    :func:`_entropy`'s windows, scaled by that block's largest entry. Without
-    `spectrum`, the spectrum of `v` is diagonalized the same way, after its
-    own check, and S(all) takes the windows scaled by `v`'s largest entry.
-    A given `spectrum` is taken to be within a few ulps of each nu, so S(all)
+    S(B) is diagonalized: the symplectic spectrum of mode B's block
+    ``v[2:, 2:]``, after its positive-definiteness check, summed at
+    :func:`_entropy`'s windows, scaled by that block's largest entry. The
+    given `spectrum` is taken to be within a few ulps of each nu, so S(AB)
     sums :func:`h` at h's own fixed windows: at entries of 1e150 the scaled
-    nu = 1 window would be 1e139 wide and zero S(all) out.
+    nu = 1 window would be 1e139 wide and zero S(AB) out.
     """
-    import numpy as np
-    if spectrum is None:
-        spectrum = _symplectic_spectrum(v, np)
-        s_all = _entropy(spectrum, v)
-    else:
-        s_all = sum(map(h, spectrum))
-    kept = [i for m in modes for i in (2 * m, 2 * m + 1)]
-    reduced = v[np.ix_(kept, kept)]
-    s_partition = _entropy(_symplectic_spectrum(reduced, np), reduced)
+    reduced = v[2:, 2:]
+    s_b = _entropy(_symplectic_spectrum(reduced), reduced)
     return EntanglementReport(
         pts_min=eps,
         log_negativity=log_negativity(eps),
-        coherent_info=s_partition - s_all,
+        coherent_info=s_b - sum(map(h, spectrum)),
         symplectic_spectrum=tuple(float(nu) for nu in spectrum),
     )
-
-
-def _checked_modes(modes: Iterable[int], n_modes: int) -> list[int]:
-    out = sorted(set(int(m) for m in modes))
-    if not out:
-        raise DomainError("mode set must be nonempty")
-    if out[0] < 0 or out[-1] >= n_modes:
-        raise DomainError(f"mode indices {out} out of range for {n_modes} modes")
-    return out

@@ -13,10 +13,9 @@ from entdist import (
     EnvironmentParams,
     EnvKind,
     bona_fide_check,
-    symplectic_form,
 )
 
-from gaussian_reference import SymplecticTransform
+from gaussian_reference import SymplecticTransform, symplectic_form
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")

@@ -1,19 +1,20 @@
 """Generic symplectic algebra and the finite-mu symplectic pipelines.
 
 These are the independent references that the tests compare entdist's closed
-forms against: the symplectic spectrum of a covariance matrix, partial
-transposition and trace, the von Neumann entropy and the entanglement report
-built from them, beam splitters, symplectic conjugation, homodyne
-conditioning and the two-mode closed-form spectrum, the EPR and environment
-input states, the pipelines that build each protocol's output state from them
-(beam splitters, partial traces, homodyne conditioning), and the
-leading-order direct spectrum that the finite-mu spectrum converges to. The
-package itself never runs them. The module's name keeps pytest from
-collecting it; tests import it as they import ``conftest``.
+forms against: the symplectic form, the symplectic spectrum of a covariance
+matrix, partial transposition and trace, the von Neumann entropy and the
+entanglement report of any bipartition built from them, beam splitters,
+symplectic conjugation, homodyne conditioning and the two-mode closed-form
+spectrum, the EPR and environment input states, the pipelines that build each
+protocol's output state from them (beam splitters, partial traces, homodyne
+conditioning), and the leading-order direct spectrum that the finite-mu
+spectrum converges to. The package itself never runs them. The module's name
+keeps pytest from collecting it; tests import it as they import ``conftest``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -27,7 +28,6 @@ from entdist import (
     EnvironmentParams,
     h,
     log_negativity,
-    symplectic_form,
 )
 from entdist.environment import require_bona_fide, require_variance
 from entdist.symplectic import ENTROPY_NU_ONE_TOL, PHYSICAL_NU_TOL
@@ -42,6 +42,22 @@ _Z = np.diag([1.0, -1.0])
 # ---------------------------------------------------------------------------
 # generic symplectic algebra
 # ---------------------------------------------------------------------------
+
+@functools.cache
+def symplectic_form(n_modes: int) -> np.ndarray:
+    """Mode-major symplectic form: direct sum of n blocks [[0, 1], [-1, 0]].
+
+    Built once per mode count and shared, so the array is read-only.
+    """
+    if n_modes < 1:
+        raise DomainError(f"need at least one mode, got {n_modes}")
+    omega = np.zeros((2 * n_modes, 2 * n_modes))
+    for k in range(n_modes):
+        omega[2 * k, 2 * k + 1] = 1.0
+        omega[2 * k + 1, 2 * k] = -1.0
+    omega.flags.writeable = False
+    return omega
+
 
 @dataclass(frozen=True)
 class SymplecticTransform:
@@ -135,9 +151,10 @@ def von_neumann_entropy(cm: CovarianceMatrix) -> float:
 
 
 def reference_report(cm: CovarianceMatrix, partition: Iterable[int]) -> EntanglementReport:
-    """The entanglement report of ``entdist.entanglement_report`` from the
+    """The entanglement report of the bipartition (rest | partition) from the
     matrix operations above: the PTS eigenvalue of the partially transposed
-    CM, and S(partition) - S(all) from the partial trace to the partition."""
+    CM, and the coherent information toward the partition,
+    S(partition) - S(all), from the partial trace to the partition."""
     eps = pts_min_eigenvalue(cm, partition)
     keep = _checked_modes(partition, cm.n_modes)
     reduced = partial_trace(cm, drop=[m for m in range(cm.n_modes) if m not in keep])

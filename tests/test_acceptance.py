@@ -23,8 +23,9 @@ from entdist import (
     classify_environment,
     direct_eps_asymptotic,
     eb_threshold,
-    entanglement_report,
     epr_variances_from_cm,
+    run_direct,
+    run_swap,
     scan,
     swap_coherent_info_determinant,
     swap_conditional_cm,
@@ -39,6 +40,7 @@ from gaussian_reference import (
     make_epr_cm,
     one_mode_output_pipeline,
     pts_min_eigenvalue,
+    reference_report,
     swap_conditional_pipeline,
     swap_noiseless_pipeline,
 )
@@ -159,16 +161,18 @@ def test_criterion_5_coherent_information():
         EnvironmentParams(0.9, 19.0, 9.0, -9.0),
     ]
     for env in cases:
-        direct_cm = direct_output_pipeline(LARGE_MU, env)
+        # the package's evaluators, and the pipeline state through the reference
         expected_direct = math.log(1.0 / (math.e * direct_eps_asymptotic(env)))
-        assert entanglement_report(direct_cm, (1,)).coherent_info == \
+        assert run_direct(LARGE_MU, env).report.coherent_info == \
+            pytest.approx(expected_direct, abs=1e-2)
+        direct_cm = direct_output_pipeline(LARGE_MU, env)
+        assert reference_report(direct_cm, (1,)).coherent_info == \
             pytest.approx(expected_direct, abs=1e-2)
 
-        swap_cm = swap_conditional_cm(LARGE_MU, env)
         expected_swap = math.log(1.0 / (math.e * swap_eps_asymptotic(env)))
-        assert entanglement_report(swap_cm, (1,)).coherent_info == \
+        assert run_swap(LARGE_MU, env).report.coherent_info == \
             pytest.approx(expected_swap, abs=1e-2)
-        assert swap_coherent_info_determinant(swap_cm) == \
+        assert swap_coherent_info_determinant(swap_conditional_cm(LARGE_MU, env)) == \
             pytest.approx(expected_swap, abs=1e-2)
 
 

@@ -14,7 +14,6 @@ from entdist import (
     direct_eps_asymptotic,
     direct_output_cm,
     eb_threshold,
-    entanglement_report,
     epr_variances_from_cm,
     run_direct,
     run_swap,
@@ -33,6 +32,7 @@ from gaussian_reference import (
     make_epr_cm,
     one_mode_output_pipeline,
     pts_min_eigenvalue,
+    reference_report,
     swap_conditional_pipeline,
     swap_noiseless_pipeline,
     symplectic_eigenvalues,
@@ -466,11 +466,14 @@ class TestProtocolRunners:
          -1.4352231452314606),
         (172.66979011473583, 0.9253436681835006, 35.906323472058446, 35.053838128356645,
          -7.971240048526166),
+        (357.86507761129747, 0.47634189503359586, 2.8192858680728565, 2.4696170639018615,
+         -1.4012046660383086),
     ])
     def test_near_zero_coherent_info_meets_the_contract(self, point):
-        # finite-mu benchmark pool points (seeds 4007 and 3309) whose coherent
-        # information, 8.7e-05 and -8.3e-05, the eigensolve of the output
-        # matrix got wrong beyond the 9-digit contract's half unit of 5e-14
+        # finite-mu benchmark pool points (seeds 4007, 3309 and 79) whose
+        # coherent information, 8.7e-05, -8.3e-05 and 3.9e-05, the eigensolve of
+        # the output matrix got wrong beyond the 9-digit contract (a half unit
+        # of 5e-14 at the first)
         report = run_direct(point[0], EnvironmentParams(*point[1:])).report
         expected = oracles.finite_mu_reference("direct", *point)
         assert all(oracles.within_contract((report.pts_min, report.coherent_info), expected))
@@ -510,13 +513,13 @@ class TestProtocolRunners:
 class TestCoherentInfoConsistency:
     def test_direct_distillable_point(self):
         env = EnvironmentParams(0.75, 7.0, 6.0, -6.0)
-        info = entanglement_report(direct_output_cm(LARGE_MU, env), (1,)).coherent_info
+        info = reference_report(direct_output_cm(LARGE_MU, env), (1,)).coherent_info
         assert info == pytest.approx(math.log(1.0 / (math.e * 0.25)), abs=1e-2)
 
     def test_swap_entropy_difference_and_determinant_form(self):
         env = EnvironmentParams(0.75, 7.0, 6.0, -6.0)
         cm = swap_conditional_cm(LARGE_MU, env)
-        entropy_diff = entanglement_report(cm, (1,)).coherent_info
+        entropy_diff = reference_report(cm, (1,)).coherent_info
         det_form = swap_coherent_info_determinant(cm)
         asym = coherent_info_asymptotic(swap_eps_asymptotic(env))
         assert entropy_diff == pytest.approx(asym, abs=1e-2)

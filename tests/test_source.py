@@ -3,6 +3,7 @@
 import ast
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -82,7 +83,8 @@ def test_package_neither_defines_nor_imports_the_references():
              "one_mode_output_cm", "swap_noiseless_cm", "direct_spectrum_asymptotic",
              "make_epr_cm", "make_env_cm",
              "symplectic_eigenvalues", "partial_transpose", "partial_trace",
-             "pts_min_eigenvalue", "von_neumann_entropy", "reference_report"}
+             "pts_min_eigenvalue", "von_neumann_entropy", "reference_report",
+             "entanglement_report", "symplectic_form", "_checked_modes"}
     found = []
     for path in sorted(Path(entdist.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -287,3 +289,39 @@ def test_no_module_level_import_goes_unused():
         unused.extend(f"{path.name}:{line} {name}" for name, line in imported.items()
                       if name not in used)
     assert not unused, f"unused imports: {', '.join(unused)}"
+
+
+def _module_level_names(tree):
+    """(name, node) of each function, class and constant the module body defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                        yield name.id, node
+
+
+def _reads(tree):
+    """How often each name is read in `tree`, as a name or as an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+                   or isinstance(node, ast.Attribute))
+
+
+def test_every_module_level_name_is_used_or_public():
+    # a name that nothing in the package reads and that the package does not
+    # export is dead code: the tests alone keep it alive
+    trees = {path.name: _parse(path)
+             for path in sorted(Path(entdist.__file__).parent.glob("*.py"))}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    public = set(entdist.__all__)
+    dead = [f"{filename}:{definition.lineno} {name}"
+            for filename, tree in trees.items()
+            for name, definition in _module_level_names(tree)
+            if not (name.startswith("__") and name.endswith("__") or name in public)
+            and reads[name] == _reads(definition)[name]]
+    assert not dead, f"module-level names neither used nor public: {', '.join(dead)}"

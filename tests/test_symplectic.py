@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from entdist import (
     CovarianceMatrix,
     DomainError,
-    entanglement_report,
+    EnvironmentParams,
     h,
     log_negativity,
-    symplectic_form,
+    run_direct,
+    run_swap,
 )
+from entdist.symplectic import _entropy, _report_with_pts, _symplectic_spectrum
 
 from conftest import random_physical_cm, random_symplectic
 from gaussian_reference import (
@@ -26,9 +28,9 @@ from gaussian_reference import (
     partial_trace,
     partial_transpose,
     pts_min_eigenvalue,
-    reference_report,
     symplectic_eigenvalues,
     symplectic_eigenvalues_two_mode,
+    symplectic_form,
     von_neumann_entropy,
 )
 
@@ -232,31 +234,37 @@ class TestEntropy:
 
 
 class TestCoherentInformation:
+    # the runners' report: S(B) from mode B's diagonalized block at _entropy's
+    # scaled windows, less S(AB) summed over the closed-form spectrum
+
     def test_epr_reduction(self):
         # S(B) - S(AB) for a pure EPR: entropy of the thermal marginal, h(mu)
         expected = 1.5 * math.log(1.5) - 0.5 * math.log(0.5)
-        got = entanglement_report(make_epr_cm(2.0), partition=(1,)).coherent_info
+        got = _report_with_pts(make_epr_cm(2.0).data, 2.0 - math.sqrt(3.0),
+                               (1.0, 1.0)).coherent_info
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.9547712524422192, abs=1e-12)
 
     def test_product_of_vacua(self):
-        assert entanglement_report(CovarianceMatrix(np.eye(4)), partition=(1,)).coherent_info \
-            == 0.0
+        # mu = 1 through a vacuum environment: both outputs are vacua
+        env = EnvironmentParams(0.5, 1.0, 0.0, 0.0)
+        for runner in (run_direct, run_swap):
+            assert runner(1.0, env).report.coherent_info == 0.0
 
-    def test_rejects_full_keep(self):
-        with pytest.raises(DomainError):
-            entanglement_report(make_epr_cm(2.0), partition=(0, 1))
+    @pytest.mark.parametrize("r", [0.5, 3.0, 5.0])
+    def test_entropy_of_a_pure_block_is_exactly_zero(self, r):
+        # a rotated squeezed vacuum with entries up to e^(2r): the eigensolve's
+        # nu is off 1 by a rounding of the order of the entries, which the
+        # scaled nu = 1 window takes as 1
+        c, s = math.cos(0.3), math.sin(0.3)
+        rotation = np.array([[c, -s], [s, c]])
+        v = rotation @ np.diag([math.exp(2.0 * r), math.exp(-2.0 * r)]) @ rotation.T
+        v = (v + v.T) / 2.0
+        assert _entropy(_symplectic_spectrum(v), v) == 0.0
 
-    @pytest.mark.parametrize("partition, message", [
-        ((0, 1), "partition must leave at least one mode untransposed"),
-        ((), "mode set must be nonempty"),
-        ((2,), r"mode indices \[2\] out of range for 2 modes"),
-        ((-1, 1), r"mode indices \[-1, 1\] out of range for 2 modes"),
-    ])
-    def test_improper_partition_errors_match_the_reference(self, partition, message):
-        for report in (entanglement_report, reference_report):
-            with pytest.raises(DomainError, match=f"^{message}$"):
-                report(make_epr_cm(2.0), partition)
+    def test_spectrum_refuses_a_block_that_is_not_positive_definite(self):
+        with pytest.raises(DomainError, match="^covariance matrix is not positive-definite$"):
+            _symplectic_spectrum(np.diag([1.0, -1.0]))
 
 
 class TestLogNegativity:
@@ -270,35 +278,19 @@ class TestLogNegativity:
             assert value > 0.0
 
     def test_report_consistency(self):
-        report = entanglement_report(make_epr_cm(2.0), partition=(1,))
-        assert report.log_negativity == pytest.approx(-math.log(report.pts_min))
-        assert min(report.symplectic_spectrum) >= 1.0 - 1e-9
-
-    def test_report_fields_equal_the_separate_evaluators(self):
-        # the multi-mode and mode-0 partitions exercise the sign flip and the
-        # index block that (1,) alone would not
-        rng = np.random.default_rng(47)
-        for n, partitions in ((2, [(1,), (0,)]), (3, [(1,), (0,), (0, 2), (2, 1)])):
-            for _ in range(20):
-                cm = random_physical_cm(rng, n)
-                for partition in partitions:
-                    report = entanglement_report(cm, partition=partition)
-                    assert report.pts_min == pts_min_eigenvalue(cm, partition)
-                    reduced = partial_trace(cm, drop=[m for m in range(n) if m not in partition])
-                    assert report.coherent_info == \
-                        von_neumann_entropy(reduced) - von_neumann_entropy(cm)
-                    assert report.symplectic_spectrum == \
-                        tuple(symplectic_eigenvalues(cm).tolist())
-                    assert report == reference_report(cm, partition)
+        env = EnvironmentParams(0.75, 7.0, 6.0, -6.0)
+        for runner in (run_direct, run_swap):
+            report = runner(1e3, env).report
+            assert report.pts_min < 1.0
+            assert report.log_negativity == -math.log(report.pts_min)
+            assert min(report.symplectic_spectrum) >= 1.0
 
     def test_report_rejects_a_matrix_that_is_not_positive_definite(self):
-        # symmetric, so a valid CovarianceMatrix, with eigenvalues 3 and -1
-        cm = CovarianceMatrix(np.array([[1.0, 0.0, 2.0, 0.0],
-                                        [0.0, 1.0, 0.0, 2.0],
-                                        [2.0, 0.0, 1.0, 0.0],
-                                        [0.0, 2.0, 0.0, 1.0]]))
+        # mode B's block [[1, 2], [2, 1]] has eigenvalues 3 and -1
+        v = np.eye(4)
+        v[2:, 2:] = [[1.0, 2.0], [2.0, 1.0]]
         with pytest.raises(DomainError, match="^covariance matrix is not positive-definite$"):
-            entanglement_report(cm, partition=(1,))
+            _report_with_pts(v, 1.0, (1.0, 1.0))
 
 
 class TestBeamSplitter:
