@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from . import symplectic
 from .environment import EnvironmentParams, require_variance, rising
 from .errors import DomainError
 from .symplectic import CovarianceMatrix, EntanglementReport, _report_with_pts
@@ -28,6 +29,21 @@ class Protocol(Enum):
 
 
 class Activation(Enum):
+    """What the large-mu PTS eigenvalue eps of an output certifies.
+
+    - ``ENTANGLING``, eps < 1: the two-mode Gaussian output has a negative
+      partial transpose, so it is distillable with two-way LOCC (Giedke et
+      al., Quantum Inf. Comput. 1, 79 (2001));
+    - ``DISTILLABLE``, eps < :data:`DISTILLABLE_EPS` = 1/e: the coherent
+      information I_C = -1 - ln(eps) is positive, and max(0, I_C) <= E_D is
+      the one-way hashing bound (Devetak and Winter, Proc. R. Soc. A 461, 207
+      (2005)).
+
+    From above, E_D <= E_N = max(0, -ln(eps)), the log-negativity (Vidal and
+    Werner, Phys. Rev. A 65, 032314 (2002)); at large mu the bracket is one
+    nat wide.
+    """
+
     NONE = "None"
     ENTANGLING = "Entangling"
     DISTILLABLE = "Distillable"
@@ -231,20 +247,21 @@ def _run(cm: CovarianceMatrix, mu: float, env: EnvironmentParams,
 
     The PTS eigenvalue and the full symplectic spectrum are
     :func:`_squared_spectra`'s closed forms, so neither `cm` nor its partial
-    transpose is diagonalized: only mode 1's 2x2 block is, for S(B). The
-    closed-form spectrum is within a few ulps of each nu, so S(AB) sums
-    :func:`~entdist.symplectic.h` at its own fixed windows; the windows of
-    :func:`~entdist.symplectic._entropy`, scaled by the largest entry, apply
-    to the diagonalized reduced block alone. The closed forms need no
-    positive-definiteness check: every factor is positive on a physical
-    environment, and h refuses a nu below 1.
+    transpose is diagonalized: only mode 1's 2x2 block is, for S(B), by
+    :func:`~entdist.symplectic._symplectic_spectrum`, which checks that it is
+    positive-definite. Those three eigenvalues are each within a few ulps of
+    their nu, so the coherent information sums :func:`~entdist.symplectic.h`
+    over them at h's own fixed windows.
+    The closed forms need no positive-definiteness check: every factor is
+    positive on a physical environment, and h refuses a nu below 1.
     """
     eps_inf = float(large_mu_eps(env.tau, env.omega, env.g, env.gp, protocol))
     eps2, _, nu2_a, nu2_b = _squared_spectra(mu, env, protocol)
     spectrum = (math.sqrt(max(nu2_a, nu2_b)), math.sqrt(min(nu2_a, nu2_b)))
+    nu_b = symplectic._symplectic_spectrum(cm.data[2:, 2:])
     return ProtocolResult(
         output_cm=cm,
-        report=_report_with_pts(cm.data, math.sqrt(eps2), spectrum),
+        report=_report_with_pts(math.sqrt(eps2), spectrum, nu_b),
         asymptotic_eps=eps_inf,
         asymptotic_coherent_info=coherent_info_asymptotic(eps_inf),
     )

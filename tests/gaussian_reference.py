@@ -30,10 +30,11 @@ from entdist import (
     log_negativity,
 )
 from entdist.environment import require_bona_fide, require_variance
-from entdist.symplectic import ENTROPY_NU_ONE_TOL, PHYSICAL_NU_TOL
+from entdist.symplectic import PHYSICAL_NU_TOL
 
 SYMPLECTIC_ATOL = 1e-10
 PINV_CUTOFF = 1e-12
+ENTROPY_NU_ONE_TOL = 1e-11  # nu = 1 window of von_neumann_entropy per unit of matrix magnitude
 
 _I2 = np.eye(2)
 _Z = np.diag([1.0, -1.0])
@@ -138,16 +139,21 @@ def partial_trace(cm: CovarianceMatrix, drop: Iterable[int]) -> CovarianceMatrix
 def von_neumann_entropy(cm: CovarianceMatrix) -> float:
     """Entropy of a Gaussian state in nats; zero exactly for pure states.
 
-    The physicality and nu = 1 windows are scaled by the matrix magnitude:
-    eigenvalues of a covariance matrix with entries of size M carry absolute
-    errors of order M (and worse near degeneracies), so a fixed window would
-    misclassify large pure states as unphysical.
+    The physicality and nu = 1 windows are scaled by M, the largest entry
+    magnitude floored at 1: eigenvalues of a covariance matrix with entries of
+    size M carry absolute errors of order M (and worse near degeneracies), so
+    h's fixed windows would misclassify large pure states as unphysical. So
+    any nu <= 1 + 1e-11*M counts as 1 and contributes 0, and any nu below
+    1 - 1e-9*M is refused.
     """
     scale = max(float(np.abs(cm.data).max()), 1.0)
-    return float(sum(
-        h(float(nu), tol=PHYSICAL_NU_TOL * scale, one_tol=ENTROPY_NU_ONE_TOL * scale)
-        for nu in symplectic_eigenvalues(cm)
-    ))
+    total = 0.0
+    for nu in symplectic_eigenvalues(cm).tolist():
+        if not nu >= 1.0 - PHYSICAL_NU_TOL * scale:  # nan fails too; h refuses inf
+            raise DomainError(f"symplectic eigenvalue must be finite and >= 1, got {nu}")
+        if nu > 1.0 + ENTROPY_NU_ONE_TOL * scale:
+            total += h(nu)
+    return total
 
 
 def reference_report(cm: CovarianceMatrix, partition: Iterable[int]) -> EntanglementReport:

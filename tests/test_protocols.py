@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import entdist
 from entdist import (
@@ -15,6 +17,7 @@ from entdist import (
     direct_output_cm,
     eb_threshold,
     epr_variances_from_cm,
+    log_negativity,
     run_direct,
     run_swap,
     swap_coherent_info_determinant,
@@ -22,6 +25,7 @@ from entdist import (
     swap_epr_variances_asymptotic,
     swap_eps_asymptotic,
 )
+from entdist.symplectic import _symplectic_spectrum
 
 from conftest import random_bona_fide_env
 from gaussian_reference import (
@@ -479,6 +483,57 @@ class TestProtocolRunners:
         assert all(oracles.within_contract((report.pts_min, report.coherent_info), expected))
 
     @pytest.mark.parametrize("runner", [run_direct, run_swap])
+    def test_coherent_info_near_mu_one_is_the_reference(self, runner):
+        # S(B) once counted mode B's nu as 1 up to a window scaled by its
+        # block's entries, 1e-11*M, and S(AB) only up to h's own 1e-12: for mu
+        # within about 1e-11 of 1, S(B) read 0 while S(AB) was counted, and the
+        # swap's coherent information came out up to twice the reference
+        # (1.3e-10 off). h's own window costs at most h(1 + 1e-12) = 1.5e-11
+        # for each eigenvalue it zeroes
+        rng = np.random.default_rng(11)
+        protocol = PROTOCOL_NAMES[runner]
+        for _ in range(300):
+            env = random_bona_fide_env(rng)
+            mu = 1.0 + float(10.0 ** rng.uniform(-15.0, -8.0))
+            got = runner(mu, env).report.coherent_info
+            _, expected = oracles.finite_mu_reference(protocol, mu, env.tau, env.omega,
+                                                      env.g, env.gp)
+            assert abs(got - expected) <= 2e-11, (mu, env, got, expected)
+
+    @pytest.mark.parametrize("protocol, mu, env", [
+        ("swap", 1.000000000003058, (0.8056029003649895, 79.19769181348528,
+                                     -55.59066819946741, 31.4433828610223)),
+        ("swap", 1.0000000000148745, (0.3324167007975312, 7.1536828349334955,
+                                      -0.5302836879767705, -6.8242598941009645)),
+        ("direct", 1.00000000001, (0.3, 1.0, 0.0, 0.0)),
+        ("direct", 1.00000000001, (0.7, 1.0, 0.0, 0.0)),
+    ])
+    def test_coherent_info_near_mu_one_at_points_the_scaled_window_missed(
+            self, protocol, mu, env):
+        # read -8.35e-11, -2.68e-10, -6.0e-11 and -6.0e-11 against the
+        # reference's -4.18e-11, -1.34e-10, -1.77e-11 and +3.58e-11: the last
+        # with the wrong sign
+        runner = {"direct": run_direct, "swap": run_swap}[protocol]
+        got = runner(mu, EnvironmentParams(*env)).report.coherent_info
+        _, expected = oracles.finite_mu_reference(protocol, mu, *env)
+        assert abs(got - expected) <= 2e-11, (got, expected)
+
+    @pytest.mark.parametrize("runner", [run_direct, run_swap])
+    def test_mode_b_eigenvalue_bounds_its_block(self, runner):
+        # nu_B >= M/sqrt(2), M the largest entry of mode B's block: direct's
+        # block is nu_B*I, and swap's is diag(a_q, a_p) with
+        # (mu^2 + 1)/(2mu) <= a_x <= mu, so max/min < 2. A rounding of a few
+        # ulps of M is then a few ulps of nu_B, and h's fixed windows fit S(B)
+        # as they fit the closed-form S(AB)
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            env = random_bona_fide_env(rng)
+            mu = float(10.0 ** rng.uniform(0.0, 150.0))
+            block = runner(mu, env).output_cm.data[2:, 2:]
+            assert _symplectic_spectrum(block) >= float(np.abs(block).max()) / math.sqrt(2.0), \
+                (mu, env)
+
+    @pytest.mark.parametrize("runner", [run_direct, run_swap])
     @pytest.mark.parametrize("log10_mu", [2, 5, 7, 9, 12, 14])
     def test_contract_across_decades(self, runner, log10_mu):
         # 150 seeded points per decade, tau in (0.55, 0.95) at the EB omega,
@@ -525,3 +580,31 @@ class TestCoherentInfoConsistency:
         assert entropy_diff == pytest.approx(asym, abs=1e-2)
         assert det_form == pytest.approx(asym, abs=1e-2)
         assert det_form == pytest.approx(entropy_diff, abs=1e-3)
+
+
+class TestDistillableBracket:
+    # max(0, I_C) <= E_D, the one-way hashing bound (Devetak and Winter, Proc.
+    # R. Soc. A 461, 207 (2005)), and E_D <= E_N (Vidal and Werner, PRA 65,
+    # 032314 (2002)): the coherent information never exceeds the log-negativity
+
+    @pytest.mark.parametrize("runner", [run_direct, run_swap])
+    def test_coherent_info_is_at_most_the_log_negativity(self, runner):
+        # each side within its ulp bound: PTS_ULPS of eps for E_N, and
+        # COHERENT_INFO_ULPS of the larger of S(B), S(AB) and 1 for I_C
+        rng = np.random.default_rng(17)
+        for _ in range(400):
+            env = random_bona_fide_env(rng)
+            mu = float(10.0 ** rng.uniform(0.0, 150.0))
+            report = runner(mu, env).report
+            s_ab = sum(map(entdist.h, report.symplectic_spectrum))
+            s_b = report.coherent_info + s_ab
+            eps, e_n = report.pts_min, report.log_negativity
+            slack = PTS_ULPS * math.ulp(eps) / eps + math.ulp(e_n) + \
+                COHERENT_INFO_ULPS * math.ulp(max(s_b, s_ab, 1.0))
+            assert max(0.0, report.coherent_info) <= e_n + slack, (mu, env, report)
+
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    def test_large_mu_bracket_is_one_nat_wide(self, eps):
+        # E_N = -ln(eps) against I_C = -1 - ln(eps) at large mu, for eps < 1
+        gap = log_negativity(eps) - coherent_info_asymptotic(eps)
+        assert abs(gap - 1.0) <= math.ulp(max(log_negativity(eps), 1.0))

@@ -15,7 +15,7 @@ from entdist import (
     run_direct,
     run_swap,
 )
-from entdist.symplectic import _entropy, _report_with_pts, _symplectic_spectrum
+from entdist.symplectic import _report_with_pts, _symplectic_spectrum
 
 from conftest import random_physical_cm, random_symplectic
 from gaussian_reference import (
@@ -207,6 +207,16 @@ class TestEntropy:
             2.0 * math.log(2.0), abs=1e-14
         )
 
+    @pytest.mark.parametrize("r", [0.5, 3.0, 5.0])
+    def test_entropy_of_a_pure_block_is_exactly_zero(self, r):
+        # a rotated squeezed vacuum with entries up to e^(2r): the eigensolve's
+        # nu is off 1 by a rounding of the order of the entries, which the
+        # reference's scaled nu = 1 window takes as 1
+        c, s = math.cos(0.3), math.sin(0.3)
+        rotation = np.array([[c, -s], [s, c]])
+        v = rotation @ np.diag([math.exp(2.0 * r), math.exp(-2.0 * r)]) @ rotation.T
+        assert von_neumann_entropy(CovarianceMatrix(v)) == 0.0
+
     def test_h_at_one_is_zero(self):
         assert h(1.0) == 0.0
         assert h(1.0 + 1e-13) == 0.0
@@ -234,14 +244,14 @@ class TestEntropy:
 
 
 class TestCoherentInformation:
-    # the runners' report: S(B) from mode B's diagonalized block at _entropy's
-    # scaled windows, less S(AB) summed over the closed-form spectrum
+    # the runners' report: h at its fixed windows over mode B's eigenvalue,
+    # diagonalized from its block, less h over the closed-form spectrum
 
     def test_epr_reduction(self):
         # S(B) - S(AB) for a pure EPR: entropy of the thermal marginal, h(mu)
         expected = 1.5 * math.log(1.5) - 0.5 * math.log(0.5)
-        got = _report_with_pts(make_epr_cm(2.0).data, 2.0 - math.sqrt(3.0),
-                               (1.0, 1.0)).coherent_info
+        nu_b = _symplectic_spectrum(make_epr_cm(2.0).data[2:, 2:])
+        got = _report_with_pts(2.0 - math.sqrt(3.0), (1.0, 1.0), nu_b).coherent_info
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.9547712524422192, abs=1e-12)
 
@@ -251,20 +261,12 @@ class TestCoherentInformation:
         for runner in (run_direct, run_swap):
             assert runner(1.0, env).report.coherent_info == 0.0
 
-    @pytest.mark.parametrize("r", [0.5, 3.0, 5.0])
-    def test_entropy_of_a_pure_block_is_exactly_zero(self, r):
-        # a rotated squeezed vacuum with entries up to e^(2r): the eigensolve's
-        # nu is off 1 by a rounding of the order of the entries, which the
-        # scaled nu = 1 window takes as 1
-        c, s = math.cos(0.3), math.sin(0.3)
-        rotation = np.array([[c, -s], [s, c]])
-        v = rotation @ np.diag([math.exp(2.0 * r), math.exp(-2.0 * r)]) @ rotation.T
-        v = (v + v.T) / 2.0
-        assert _entropy(_symplectic_spectrum(v), v) == 0.0
-
-    def test_spectrum_refuses_a_block_that_is_not_positive_definite(self):
+    # [[1, 2], [2, 1]] has a positive diagonal, but eigenvalues 3 and -1
+    @pytest.mark.parametrize("block", [[[1.0, 0.0], [0.0, -1.0]], [[1.0, 2.0], [2.0, 1.0]]],
+                             ids=["negative-diagonal", "positive-diagonal"])
+    def test_spectrum_refuses_a_block_that_is_not_positive_definite(self, block):
         with pytest.raises(DomainError, match="^covariance matrix is not positive-definite$"):
-            _symplectic_spectrum(np.diag([1.0, -1.0]))
+            _symplectic_spectrum(np.array(block))
 
 
 class TestLogNegativity:
@@ -284,13 +286,6 @@ class TestLogNegativity:
             assert report.pts_min < 1.0
             assert report.log_negativity == -math.log(report.pts_min)
             assert min(report.symplectic_spectrum) >= 1.0
-
-    def test_report_rejects_a_matrix_that_is_not_positive_definite(self):
-        # mode B's block [[1, 2], [2, 1]] has eigenvalues 3 and -1
-        v = np.eye(4)
-        v[2:, 2:] = [[1.0, 2.0], [2.0, 1.0]]
-        with pytest.raises(DomainError, match="^covariance matrix is not positive-definite$"):
-            _report_with_pts(v, 1.0, (1.0, 1.0))
 
 
 class TestBeamSplitter:
