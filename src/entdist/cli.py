@@ -21,19 +21,20 @@ at once from a separator per row and, per cell, a fragment formatted once per
 scan for every gp column and cell class, followed by the cell's eps text.
 The scan keeps each g row as a few runs of one class pair, and a row's
 fragments are copied in by one list slice per run; the eps of each render
-tile are evaluated for that tile by ``ScanGrid.eps_rows``, and its physical
-mask taken from the runs by ``ScanGrid.physical_rows``, so neither per-cell
-class codes nor a whole eps field is held.
+tile are evaluated for that tile by ``ScanGrid.eps_rows``, NaN exactly on its
+Forbidden cells, so neither per-cell class codes nor a whole eps field is held.
 ``_g9_text`` writes that text for a tile of cells at a time with numpy
-operations, exactly as ``"%.9g"`` does: a cell whose 9-digit rounding float64
-cannot settle, or which needs the exponent notation, goes through ``"%.9g"``
-itself. Memory does not grow with the size of the output, and the output file
-is opened only once the scan has been computed. An existing output file is
-written over in place and then cut at the end of the new bytes, on success
-and on any error the command sees, so a rerun does not free and reallocate
-every block of the old file first. From ``_SPLIT_CELLS`` cells, on 2 CPUs, a
-forked worker renders the lower half of the rows meanwhile into a temporary
-file in ``TMPDIR`` of about half the output's size; the bytes are the same.
+operations, exactly as ``"%.9g"`` does, and empty text for NaN: a cell whose
+9-digit rounding float64 cannot settle, or which needs the exponent notation,
+goes through ``"%.9g"`` itself. Memory does not grow with the size of the
+output, and the output file is opened only once the scan has been computed.
+An existing output file is written over in place and then cut at the end of
+the new bytes, on success and on any error the command sees, so a rerun does
+not free and reallocate every block of the old file first. From
+``_SPLIT_CELLS`` cells, on 2 CPUs, a forked worker renders the lower half of
+the rows meanwhile into a temporary file in ``TMPDIR`` of about half the
+output's size; the bytes are the same, and where the worker fails, a full
+``TMPDIR`` included, the command renders those rows itself.
 """
 
 from __future__ import annotations
@@ -401,9 +402,9 @@ def _g9_tables():
             table.view(np.uint32).ravel())
 
 
-def _g9_text(x, cells):
-    """``"%.9g" % v`` for each value v of the float64 array x where ``cells`` is
-    True and empty text elsewhere, as an ``S16`` array of x's shape.
+def _g9_text(x):
+    """``"%.9g" % v`` for each value v of the float64 array x that is not NaN, and
+    empty text for NaN, as an ``S16`` array of x's shape.
 
     A value 5e-5 <= v < 1e9 has the exponent e = floor(log10(v)) and the
     9-digit mantissa n = rint(m), m = v * 10**(8 - e). The power of ten is
@@ -413,23 +414,23 @@ def _g9_text(x, cells):
     point (only m = n + 0.5 is undecided; the rest of the margin is headroom),
     where m < 1e8 or n = 1e9 (log10 one off next to a power of ten, or a
     rounding up to the next one), where e is outside -4..8 (the exponent
-    notation), and for zero, negative and non-finite values. The others are
+    notation), and for zero, negative and infinite values. The others are
     written in the fixed notation of their e by numpy operations on all cells
     of one e at a time, the trailing zeros of the fraction as NUL bytes, which
     ``tolist()`` strips.
     """
     import numpy as np
     pow10, zero_point, digit_words = _g9_tables()
-    shape, x, cells = x.shape, x.ravel(), cells.ravel()
-    in_range = cells & (x >= 5e-5) & (x < 1e9)
+    shape, x = x.shape, x.ravel()
+    in_range = (x >= 5e-5) & (x < 1e9)
     v = np.where(in_range, x, 1.0)
     e = np.clip(np.floor(np.log10(v)), -5, 8).astype(np.int8)
     m = v * pow10.take(8 - e)
     n = np.rint(m)
     fast = in_range & (e >= -4) & (m >= 1e8) & (n < 1e9) & (np.abs(m - n) < 0.5 - 1e-6)
     # sorted by exponent, the fast cells of one e are a contiguous run; the
-    # other cells follow, 9 those to format by "%.9g", 10 those to leave empty
-    key = np.where(fast, e, np.int8(10) - cells)
+    # other cells follow, 9 those to format by "%.9g", 10 the NaN, left empty
+    key = np.where(fast, e, np.int8(9) + np.isnan(x))
     order = np.argsort(key, kind="stable")
     bounds = np.searchsorted(key[order], np.arange(-4, 11, dtype=np.int8))
     fast_cells, slow_cells = order[:bounds[13]], order[bounds[13]:bounds[14]]
@@ -466,25 +467,21 @@ def _g9_text(x, cells):
     return text.reshape(shape)
 
 
-def _scan_rows(grid: ScanGrid, fragments, separator, json_numbers: bool, first=0, stop=None):
-    """One block of bytes per g row, the row's cells joined at once.
+def _scan_rows(grid: ScanGrid, fragments, separator, json_numbers: bool, first, stop):
+    """One block of bytes per g row in [first, stop), the row's cells joined at once.
 
     Row g's cell at gp column j is ``separator(g)``, then the fragment of the
     cell's pair code, ``fragments[code * resolution + j]``, then the cell's eps
-    text: ``_g9_text`` of the physical cells' eps, formatted a tile of
-    ``_RENDER_TILE_CELLS`` cells at a time, and empty for Forbidden cells. The
-    fragments of a row are copied in by one slice of the fragment list per run
-    of the row, so no per-cell code is built. The eps of a tile are evaluated
-    for it by ``grid.eps_rows`` and its mask taken from the runs by
-    ``grid.physical_rows``, so the whole eps field is never held. With
-    ``json_numbers`` the cells that ``_needs_json_number`` flags take
-    ``_json_number(eps)`` instead. The g rows are [first, stop), by default all.
+    text: ``_g9_text`` of the eps, formatted a tile of ``_RENDER_TILE_CELLS``
+    cells at a time. The fragments of a row are copied in by one slice of the
+    fragment list per run of the row, so no per-cell code is built. The eps of
+    a tile are evaluated for it by ``grid.eps_rows``, so the whole eps field is
+    never held; they are NaN exactly on the Forbidden cells, whose text is
+    empty. With ``json_numbers`` the cells that ``_needs_json_number`` flags
+    take ``_json_number(eps)`` instead.
     """
     import numpy as np
     res = grid.spec.resolution
-    if stop is None:  # the whole grid
-        yield from _split_rows(partial(_scan_rows, grid, fragments, separator, json_numbers), res)
-        return
     by_code = [fragments[code * res:(code + 1) * res] for code in range(len(_PAIRS))]
     g_seps = [separator(g) for g in grid.spec.g_centers().tolist()]
     run_bounds, run_codes = grid.run_bounds.tolist(), grid.run_codes.tolist()
@@ -493,10 +490,9 @@ def _scan_rows(grid: ScanGrid, fragments, separator, json_numbers: bool, first=0
     for start in range(first, stop, rows_per_tile):
         tile = slice(start, min(start + rows_per_tile, stop))
         eps = grid.eps_rows(tile)
-        physical = grid.physical_rows(tile)
-        texts = _g9_text(eps, physical).tolist()
+        texts = _g9_text(eps).tolist()
         if json_numbers:
-            for i, j in np.argwhere(physical & _needs_json_number(eps)).tolist():
+            for i, j in np.argwhere(_needs_json_number(eps)).tolist():
                 texts[i][j] = _json_number(eps[i, j]).encode()
         for sep, bounds, codes, text_row in zip(g_seps[tile], run_bounds[tile],
                                                 run_codes[tile], texts):
@@ -511,8 +507,8 @@ def _scan_rows(grid: ScanGrid, fragments, separator, json_numbers: bool, first=0
 def _split_rows(rows, res: int):
     """The blocks of ``rows(0, res)``; from ``_SPLIT_CELLS`` cells on 2 CPUs a forked worker
     renders the lower half meanwhile into an unlinked temporary file, read back in 1 MiB
-    blocks. Its ``os._exit`` code is 0, the errno of an ``OSError`` (raised here) or 255
-    (its rows are rendered here); it is killed and reaped on every way out."""
+    blocks. Where it exits other than with 0, for an ``OSError`` or anything else, its rows
+    are rendered here; it is killed and reaped on every way out."""
     import contextlib, tempfile, warnings  # all loaded by numpy already
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
     half, pid, tmp = res, -1, None
@@ -528,16 +524,12 @@ def _split_rows(rows, res: int):
             tmp.writelines(rows(half, res))
             tmp.flush()
             os._exit(0)
-        except OSError as exc:
-            os._exit(min(exc.errno or 255, 255))
         finally:
-            os._exit(255)
+            os._exit(1)
     try:
         yield from rows(0, half)
         if pid > 0:
             code, pid = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), -1
-            if 0 < code < 255:
-                raise OSError(code, os.strerror(code))
             tmp.seek(0)
             yield from rows(half, res) if code else iter(partial(tmp.read, 1 << 20), b"")
     finally:
@@ -553,9 +545,9 @@ def _render_scan_csv(grid: ScanGrid):
     starts with the newline that ends the line before it."""
     gps = [fmt(gp) for gp in grid.spec.gp_centers().tolist()]
     fragments = [f"{gp},{kind},{act},".encode() for kind, act in _PAIRS for gp in gps]
+    rows = partial(_scan_rows, grid, fragments, lambda g: f"\n{fmt(g)},".encode(), False)
     yield b"g,gp,env_class,activation,eps"
-    yield from _scan_rows(grid, fragments, lambda g: f"\n{fmt(g)},".encode(),
-                          json_numbers=False)
+    yield from _split_rows(rows, grid.spec.resolution)
     yield b"\n"
 
 
@@ -564,9 +556,8 @@ def _render_scan_json(grid: ScanGrid):
     the spec and summary, then one block per g row of cells, then the closing
     brackets. Each cell starts with the close of the cell before it."""
     spec = grid.spec
-    summary = grid.summary  # counted from the runs: nothing grid-sized is allocated here
-    counts = {f"{kind.value}/{act.value}": summary.get((kind, act), 0)
-              for kind in EnvKind for act in Activation}
+    # counted from the runs, in pair-code order: nothing grid-sized is allocated here
+    counts = {f"{kind}/{act}": count for (kind, act), count in zip(_PAIRS, grid.counts)}
     total = spec.resolution ** 2
     fractions = {key: count / total for key, count in counts.items()}
     head = json.dumps(_json_ready({
@@ -594,7 +585,7 @@ def _render_scan_json(grid: ScanGrid):
     def separator(g):  # closes the cell before, opens this one
         return f'\n    }},\n    {{\n      "g": {_json_number(g)},\n      '.encode()
 
-    rows = _scan_rows(grid, fragments, separator, json_numbers=True)
+    rows = _split_rows(partial(_scan_rows, grid, fragments, separator, True), spec.resolution)
     yield next(rows)[len(b"\n    },"):]  # no cell closes before the first
     yield from rows
     yield b"\n    }\n  ]\n}\n"

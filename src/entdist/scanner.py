@@ -130,7 +130,7 @@ class ScanGrid:
     run arrays are read-only copies of those passed in; the per-cell ``kind``,
     ``activation`` (int8), ``eps`` and ``env_pts`` (NaN on Forbidden cells, one
     array under ENVIRONMENT_ONLY) are read-only, built on first access and
-    cached; ``physical_rows`` and ``eps_rows`` cover g rows only."""
+    cached; ``eps_rows`` covers g rows only, NaN exactly on the Forbidden cells."""
 
     spec: ScanSpec
     run_bounds: np.ndarray
@@ -162,24 +162,24 @@ class ScanGrid:
     kind = cached_property(lambda self: _read_only(self._cells(self.run_codes // 3)))
     activation = cached_property(lambda self: _read_only(self._cells(self.run_codes % 3)))
 
-    def physical_rows(self, rows: slice) -> np.ndarray:
+    def _physical_rows(self, rows: slice) -> np.ndarray:
         """True on the bona-fide cells of the g rows ``rows``."""
         return self._cells(self.run_codes > 2, rows)
 
     def eps_rows(self, rows: slice) -> np.ndarray:
         """eps on the g rows ``rows``, NaN on Forbidden cells."""
-        return _evaluate_rows(self.spec, rows, self.spec._eps_map.eps, self.physical_rows(rows))
+        return _evaluate_rows(self.spec, rows, self.spec._eps_map.eps, self._physical_rows(rows))
 
     @cached_property
     def eps(self) -> np.ndarray:
-        return _read_only(_tiled_field(self.spec, self.spec._eps_map.eps, self.physical_rows))
+        return _read_only(_tiled_field(self.spec, self.spec._eps_map.eps, self._physical_rows))
 
     @cached_property
     def env_pts(self) -> np.ndarray:
         if not self.spec._eps_map.levels:  # eps is the environment's PTS eigenvalue
             return self.eps
         env_pts = partial(_env_pts_field, self.spec.omega_value)
-        return _read_only(_tiled_field(self.spec, env_pts, self.physical_rows))
+        return _read_only(_tiled_field(self.spec, env_pts, self._physical_rows))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # numpy loads on first use, in the functions that need it
 
 SYMMETRY_RTOL = 1e-12
 PHYSICAL_NU_TOL = 1e-9     # nu >= 1 - tol counts as physical
-NU_ONE_TOL = 1e-12         # nu <= 1 + tol is treated as exactly 1 in entropies
 MAX_ENTRY = sys.float_info.max / 2.0  # the symmetrizing sum of two entries stays finite
 
 
@@ -109,16 +108,17 @@ def _symplectic_spectrum(v: np.ndarray) -> float:
 def h(nu: float) -> float:
     """Entropy contribution of one symplectic eigenvalue, in nats.
 
-    Values in [1 - PHYSICAL_NU_TOL, 1 + NU_ONE_TOL] count as the nu = 1 limit
-    and give 0 exactly; anything below 1 - PHYSICAL_NU_TOL is rejected as
-    unphysical, and so is a non-finite value. With up = (nu + 1)/2 = 1 + dn,
+    Values in [1 - PHYSICAL_NU_TOL, 1] count as the nu = 1 limit and give 0
+    exactly; anything below 1 - PHYSICAL_NU_TOL is rejected as unphysical, and
+    so is a non-finite value. Above 1, with up = (nu + 1)/2 = 1 + dn,
     h = up*ln(up) - dn*ln(dn) is evaluated as up*log1p(dn) - dn*ln(dn) below
     nu = 3, two terms of one sign, and as ln(dn) + up*log1p(1/dn) from 3 on,
-    where those two terms would cancel more and more as nu grows.
+    where those two terms would cancel more and more as nu grows; neither
+    cancels, so h is as accurate next to 1 as anywhere.
     """
     if not 1.0 - PHYSICAL_NU_TOL <= nu < math.inf:  # nan fails too
         raise DomainError(f"symplectic eigenvalue must be finite and >= 1, got {nu}")
-    if nu <= 1.0 + NU_ONE_TOL:
+    if nu <= 1.0:
         return 0.0
     up, dn = (nu + 1.0) / 2.0, (nu - 1.0) / 2.0
     if nu >= 3.0:

@@ -488,8 +488,8 @@ class TestProtocolRunners:
         # block's entries, 1e-11*M, and S(AB) only up to h's own 1e-12: for mu
         # within about 1e-11 of 1, S(B) read 0 while S(AB) was counted, and the
         # swap's coherent information came out up to twice the reference
-        # (1.3e-10 off). h's own window costs at most h(1 + 1e-12) = 1.5e-11
-        # for each eigenvalue it zeroes
+        # (1.3e-10 off). h now gives 0 to no nu above 1, where a window up to
+        # 1 + 1e-12 cost up to h(1 + 1e-12) = 1.5e-11 per eigenvalue it zeroed
         rng = np.random.default_rng(11)
         protocol = PROTOCOL_NAMES[runner]
         for _ in range(300):
@@ -507,12 +507,14 @@ class TestProtocolRunners:
                                       -0.5302836879767705, -6.8242598941009645)),
         ("direct", 1.00000000001, (0.3, 1.0, 0.0, 0.0)),
         ("direct", 1.00000000001, (0.7, 1.0, 0.0, 0.0)),
+        ("direct", 1.0000000000040716, (0.394179424194733, 1.0, 0.0, 0.0)),
     ])
     def test_coherent_info_near_mu_one_at_points_the_scaled_window_missed(
             self, protocol, mu, env):
         # read -8.35e-11, -2.68e-10, -6.0e-11 and -6.0e-11 against the
-        # reference's -4.18e-11, -1.34e-10, -1.77e-11 and +3.58e-11: the last
-        # with the wrong sign
+        # reference's -4.18e-11, -1.34e-10, -1.77e-11 and +3.58e-11: the fourth
+        # with the wrong sign. The fifth read +2.32e-11 against -5.39e-12 when h
+        # still zeroed nu up to 1 + 1e-12, each of those costing up to 1.5e-11
         runner = {"direct": run_direct, "swap": run_swap}[protocol]
         got = runner(mu, EnvironmentParams(*env)).report.coherent_info
         _, expected = oracles.finite_mu_reference(protocol, mu, *env)

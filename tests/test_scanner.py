@@ -419,10 +419,45 @@ class TestRuns:
         assert peak < 2**16
 
 
+@st.composite
+def _row_slices(draw):
+    """A spec of any protocol, tau and omega up to 1e150 whose window, default,
+    off-centre or at a corner, may end on, or a few ulps off, |g| or |gp| = omega;
+    and a slice of its g rows."""
+    tau = draw(st.floats(1e-150, 0.999))
+    omega = draw(st.one_of(st.none(), st.floats(0.0, 150.0).map(lambda e: 10.0 ** e)))
+    w = eb_threshold(tau) if omega is None else omega
+    edges = [float(np.nextafter(x, to)) for x in (w, -w) for to in (-math.inf, x, math.inf)]
+    bound = st.one_of(st.sampled_from(edges), st.floats(-1.5, 1.5).map(lambda f: f * w))
+    ranges = {}
+    for name in ("g_range", "gp_range"):
+        lo, hi = sorted(min(max(x, -1e150), 1e150) for x in draw(st.tuples(bound, bound)))
+        if lo < hi:  # else the default box
+            ranges[name] = (lo, hi)
+    resolution = draw(st.integers(2, 60))
+    start = draw(st.integers(0, resolution - 1))
+    rows = slice(start, draw(st.integers(start + 1, resolution)))
+    protocol = draw(st.sampled_from(list(Protocol)))
+    return ScanSpec(tau=tau, protocol=protocol, resolution=resolution, omega=omega,
+                    **ranges), rows
+
+
 class TestLazyFields:
     """scan keeps the runs of class codes only; eps and env_pts are evaluated
     tile by tile on first access and cached, and eps_rows evaluates a slice of
     rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_row_slices())
+    def test_eps_rows_are_nan_exactly_on_forbidden_cells(self, case):
+        # the renderer writes a cell's eps text from eps_rows alone, empty for
+        # NaN: on a bona-fide cell |g|, |gp| < omega, so both factors under
+        # eps's square root are positive
+        spec, rows = case
+        grid = scan(spec)
+        forbidden = np.repeat(grid.run_codes[rows] < 3, np.diff(grid.run_bounds[rows]).ravel())
+        np.testing.assert_array_equal(np.isnan(grid.eps_rows(rows)),
+                                      forbidden.reshape(-1, spec.resolution))
 
     @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.name)
     def test_read_only_cached_and_equal_to_the_whole_grid(self, monkeypatch, protocol):

@@ -144,8 +144,8 @@ def test_cli_reads_no_whole_grid_float_field():
 def test_cli_reads_no_whole_grid_code_array():
     # a scan keeps runs of cells, a few ints per g row; ScanGrid.kind and
     # ScanGrid.activation build an int8 array of the whole grid from them, so
-    # the renderer copies each run's fragments by slice and takes each render
-    # tile's mask from ScanGrid.physical_rows, and reads neither
+    # the renderer copies each run's fragments by slice, finds each render
+    # tile's Forbidden cells as the NaN of ScanGrid.eps_rows, and reads neither
     path = Path(entdist.cli.__file__)
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)

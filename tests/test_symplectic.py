@@ -217,9 +217,22 @@ class TestEntropy:
         v = rotation @ np.diag([math.exp(2.0 * r), math.exp(-2.0 * r)]) @ rotation.T
         assert von_neumann_entropy(CovarianceMatrix(v)) == 0.0
 
+    @staticmethod
+    def reference_h(nu):
+        """up*ln(up) - dn*ln(dn) at 340 digits, which its cancellation leaves at
+        about 340 - log10(nu)."""
+        with mpmath.workdps(340):
+            up, dn = (mpmath.mpf(nu) + 1) / 2, (mpmath.mpf(nu) - 1) / 2
+            return up * mpmath.log(up) - dn * mpmath.log(dn)
+
     def test_h_at_one_is_zero(self):
+        # exactly 0 on [1 - 1e-9, 1] only: just above 1 h is evaluated, not zeroed,
+        # since h(1 + 1e-12) = 1.5e-11 can flip the sign of a coherent information
         assert h(1.0) == 0.0
-        assert h(1.0 + 1e-13) == 0.0
+        assert h(1.0 - 1e-10) == 0.0
+        for nu in (math.nextafter(1.0, 2.0), 1.0 + 1e-15, 1.0 + 1e-13, 1.0 + 1e-12):
+            expected = self.reference_h(nu)
+            assert 0.0 < h(nu) and abs(h(nu) - expected) <= 4 * 2.0 ** -53 * expected, nu
 
     def test_h_monotone(self):
         nus = np.linspace(1.0, 50.0, 200)
@@ -230,17 +243,14 @@ class TestEntropy:
         with pytest.raises(DomainError):
             h(0.9)
 
-    @pytest.mark.parametrize("offset, lo, hi", [(1.0, -10.7, 0.3), (0.0, 0.0, 300.0)])
+    @pytest.mark.parametrize("offset, lo, hi", [(1.0, -15.0, 0.3), (0.0, 0.0, 300.0)])
     def test_h_is_the_reference(self, offset, lo, hi):
-        # nu - 1 log-uniform in [2e-11, 2], above the nu = 1 window, then nu
-        # log-uniform in [1, 1e300]; the reference is up*ln(up) - dn*ln(dn) at
-        # 340 digits, which its cancellation leaves at about 340 - log10(nu)
+        # nu - 1 log-uniform in [1e-15, 2], a few ulps of 1 at its low end, then
+        # nu log-uniform in [1, 1e300]
         rng = np.random.default_rng(17)
-        with mpmath.workdps(340):
-            for nu in (offset + 10.0 ** rng.uniform(lo, hi, 500)).tolist():
-                up, dn = (mpmath.mpf(nu) + 1) / 2, (mpmath.mpf(nu) - 1) / 2
-                expected = up * mpmath.log(up) - dn * mpmath.log(dn)
-                assert abs(h(nu) - expected) <= 4 * 2.0 ** -53 * expected, nu
+        for nu in (offset + 10.0 ** rng.uniform(lo, hi, 500)).tolist():
+            expected = self.reference_h(nu)
+            assert abs(h(nu) - expected) <= 4 * 2.0 ** -53 * expected, nu
 
 
 class TestCoherentInformation:
