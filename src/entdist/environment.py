@@ -11,8 +11,8 @@ algebraic conditions handled here; anything involving matrices lives in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -44,25 +44,35 @@ def require_variance(name: str, value: float) -> None:
         raise DomainError(f"{name} must be >= 1, got {value}")
 
 
-@dataclass(frozen=True)
-class EnvironmentParams:
-    """Beam-splitter transmissivity plus the environment normal form (omega, g, gp).
-
-    Physical by construction: raises DomainError for tau outside [1e-150, 1), for a
-    magnitude above :data:`MAX_MAGNITUDE`, for omega below 1, and, naming the
-    failed conditions, for an (omega, g, gp) that is not a bona-fide environment.
-    """
-
+class _EnvironmentFields(NamedTuple):
     tau: float
     omega: float
     g: float
     gp: float
 
-    def __post_init__(self) -> None:
-        require_transmissivity(self.tau)
-        for name in ("g", "gp"):
-            require_magnitude(name, getattr(self, name))
-        require_bona_fide(self.omega, self.g, self.gp)
+
+class EnvironmentParams(_EnvironmentFields):
+    """Beam-splitter transmissivity plus the environment normal form (omega, g, gp).
+
+    Physical by construction: raises DomainError for tau outside [1e-150, 1), for a
+    magnitude above :data:`MAX_MAGNITUDE`, for omega below 1, and, naming the
+    failed conditions, for an (omega, g, gp) that is not a bona-fide environment.
+    Every way to build one, ``_make``, ``_replace``, copy and unpickling
+    included, goes through that check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tau: float, omega: float, g: float, gp: float) -> EnvironmentParams:
+        require_transmissivity(tau)
+        require_magnitude("g", g)
+        require_magnitude("gp", gp)
+        require_bona_fide(omega, g, gp)
+        return super().__new__(cls, tau, omega, g, gp)
+
+    @classmethod
+    def _make(cls, fields) -> EnvironmentParams:
+        return cls(*fields)
 
 
 class EnvKind(Enum):
@@ -71,16 +81,14 @@ class EnvKind(Enum):
     ENTANGLED = "Entangled"
 
 
-@dataclass(frozen=True)
-class EnvClass:
+class EnvClass(NamedTuple):
     """Classification outcome; env_pts is None exactly when the point is Forbidden."""
 
     kind: EnvKind
     env_pts: float | None
 
 
-@dataclass(frozen=True)
-class BonaFideResult:
+class BonaFideResult(NamedTuple):
     """Outcome of the three physicality conditions; truthy when all hold."""
 
     failures: tuple[str, ...]

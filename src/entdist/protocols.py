@@ -13,8 +13,8 @@ is physical by construction, so none of them re-checks the environment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import symplectic
 from .environment import EnvironmentParams, require_variance, rising
@@ -53,8 +53,7 @@ class Activation(Enum):
 DISTILLABLE_EPS = math.exp(-1.0)
 
 
-@dataclass(frozen=True)
-class ProtocolResult:
+class ProtocolResult(NamedTuple):
     """Finite-mu output state and report, with large-mu reference values attached."""
 
     output_cm: CovarianceMatrix
@@ -63,8 +62,7 @@ class ProtocolResult:
     asymptotic_coherent_info: float
 
 
-@dataclass(frozen=True)
-class EprVariances:
+class EprVariances(NamedTuple):
     """Variances of the remote difference/sum quadratures (q_a - q_b)/sqrt(2)
     and (p_a + p_b)/sqrt(2)."""
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError
 
@@ -33,8 +32,11 @@ PHYSICAL_NU_TOL = 1e-9     # nu >= 1 - tol counts as physical
 MAX_ENTRY = sys.float_info.max / 2.0  # the symmetrizing sum of two entries stays finite
 
 
-@dataclass(frozen=True)
-class CovarianceMatrix:
+class _CovarianceFields(NamedTuple):
+    data: np.ndarray
+
+
+class CovarianceMatrix(_CovarianceFields):
     """Real symmetric 2n x 2n matrix of quadrature second moments.
 
     The matrix is symmetrized and frozen on construction; non-finite entries,
@@ -42,14 +44,16 @@ class CovarianceMatrix:
     asymmetry beyond 1e-12 (relative to the largest entry) are rejected.
     Positive-definiteness and the uncertainty principle are checked by the
     operations that rely on them, not here, so partially transposed and other
-    intermediate matrices can be represented too.
+    intermediate matrices can be represented too. Every way to build one,
+    ``_make``, ``_replace``, copy and unpickling included, goes through these
+    checks.
     """
 
-    data: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, data) -> CovarianceMatrix:
         import numpy as np
-        arr = np.array(self.data, dtype=float)
+        arr = np.array(data, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2 != 0:
             raise DomainError(f"covariance matrix must be square with even size, got {arr.shape}")
         peak = float(np.abs(arr).max())
@@ -60,7 +64,11 @@ class CovarianceMatrix:
             raise DomainError("covariance matrix is not symmetric")
         arr = (arr + arr.T) / 2.0
         arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        return super().__new__(cls, arr)
+
+    @classmethod
+    def _make(cls, fields) -> CovarianceMatrix:
+        return cls(*fields)
 
     @property
     def n_modes(self) -> int:
@@ -71,8 +79,7 @@ class CovarianceMatrix:
         return self.data[2 * i:2 * i + 2, 2 * j:2 * j + 2]
 
 
-@dataclass(frozen=True)
-class EntanglementReport:
+class EntanglementReport(NamedTuple):
     """Entanglement figures of merit for one bipartition of a Gaussian state."""
 
     pts_min: float

@@ -1,6 +1,8 @@
 """Shared generators for randomized tests, and a guard against leftover child processes."""
 
+import copy
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -63,3 +65,22 @@ def random_bona_fide_env(rng, tau=None, omega_range=(1.0, 8.0)):
         gp = rng.uniform(-omega, omega)
         if bona_fide_check(omega, g, gp):
             return EnvironmentParams(tau_val, omega, g, gp)
+
+
+def _unchecked(cls, fields):
+    """A `cls` record holding `fields` without its check, as a foreign pickle could."""
+    return tuple.__new__(cls, fields)
+
+
+# every way to build a NamedTuple record from its fields, each as
+# build(cls, valid, fields) with `valid` a checked record of cls; the copies
+# start from an unchecked record, so only their own check can refuse it
+CONSTRUCTION_PATHS = {
+    "positional": lambda cls, valid, fields: cls(*fields),
+    "keyword": lambda cls, valid, fields: cls(**dict(zip(cls._fields, fields))),
+    "make": lambda cls, valid, fields: cls._make(fields),
+    "replace": lambda cls, valid, fields: valid._replace(**dict(zip(cls._fields, fields))),
+    "copy": lambda cls, valid, fields: copy.copy(_unchecked(cls, fields)),
+    "deepcopy": lambda cls, valid, fields: copy.deepcopy(_unchecked(cls, fields)),
+    "pickle": lambda cls, valid, fields: pickle.loads(pickle.dumps(_unchecked(cls, fields))),
+}

@@ -24,10 +24,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import entdist
+import entdist.render
 from entdist import Activation, EnvKind, Protocol, ScanSpec, eb_threshold, scan
-from entdist.cli import (EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, OUTPUT_ENV_VAR,
-                         _RENDER_TILE_CELLS, _g9_text, _json_number, _json_ready,
-                         _needs_json_number, _render_scan_csv, _render_scan_json, fmt, main)
+from entdist.cli import (EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, OUTPUT_ENV_VAR, _json_ready,
+                         fmt, main)
+from entdist.render import (_RENDER_TILE_CELLS, _g9_text, _json_number, _needs_json_number,
+                            _render_scan_csv, _render_scan_json)
 from entdist.scanner import ScanGrid
 
 from conftest import ACTIVATION_CODE, KIND_CODE
@@ -219,7 +221,7 @@ class TestScanCommand:
         # at 61^2 each golden case is one render tile; here the 61 rows are
         # rendered 3 at a time (20 tiles and 1 row), each tile's eps and
         # physical mask taken from the scan's runs on its own rows
-        monkeypatch.setattr(entdist.cli, "_RENDER_TILE_CELLS", 3 * 61 + 5)
+        monkeypatch.setattr(entdist.render, "_RENDER_TILE_CELLS", 3 * 61 + 5)
         code, out, _ = run_cli(capsys, "scan", *self.GOLDEN_WINDOWS[window],
                                "--protocol", protocol, "--resolution", "61",
                                "--format", fmt_kind)
@@ -633,7 +635,7 @@ class TestOutputFile:
         def render(grid):
             yield from blocks
             raise exc
-        monkeypatch.setattr("entdist.cli._render_scan_csv", render)
+        monkeypatch.setattr("entdist.render._render_scan_csv", render)
         path = tmp_path / "grid.csv"
         path.write_bytes(b"\xff" * 100000)
         argv = [*self.ARGV["scan"], "-o", str(path)]
@@ -725,7 +727,7 @@ class TestOutputFile:
 
 class TestSplitRender:
     """Scans whose lower half of g rows a forked worker renders meanwhile
-    (``cli._split_rows``). The ``worker`` fixture shows the process 2 CPUs and
+    (``render._split_rows``). The ``worker`` fixture shows the process 2 CPUs and
     lists the pid of each worker forked; ``split`` also lowers the threshold to
     0 cells, so that every scan forks one, on any machine."""
 
@@ -750,7 +752,7 @@ class TestSplitRender:
 
     @pytest.fixture
     def split(self, monkeypatch, worker):
-        monkeypatch.setattr(entdist.cli, "_SPLIT_CELLS", 0)
+        monkeypatch.setattr(entdist.render, "_SPLIT_CELLS", 0)
         return worker
 
     @staticmethod
@@ -764,7 +766,7 @@ class TestSplitRender:
         """The bytes of a scan rendered in this process alone."""
         path = tmp_path / "whole.out"
         with monkeypatch.context() as patch:
-            patch.setattr(entdist.cli, "_SPLIT_CELLS", math.inf)
+            patch.setattr(entdist.render, "_SPLIT_CELLS", math.inf)
             assert main([*argv, "-o", str(path)]) == EXIT_OK
         return path.read_bytes()
 
@@ -775,7 +777,7 @@ class TestSplitRender:
     def test_golden_digest(self, capsys, monkeypatch, split, protocol, fmt_kind, window,
                            tile_cells):
         # 61 g rows: 30 here, then the worker's 31
-        monkeypatch.setattr(entdist.cli, "_RENDER_TILE_CELLS", tile_cells)
+        monkeypatch.setattr(entdist.render, "_RENDER_TILE_CELLS", tile_cells)
         code, out, _ = run_cli(capsys, "scan", *TestScanCommand.GOLDEN_WINDOWS[window],
                                "--protocol", protocol, "--resolution", "61",
                                "--format", fmt_kind)
@@ -810,7 +812,7 @@ class TestSplitRender:
     def test_stdout_above_the_threshold(self, monkeypatch, tmp_path):
         # a fresh interpreter writing to a real stdout: the worker leaves
         # without flushing the head that it inherits in the stdout buffer
-        assert 451**2 >= entdist.cli._SPLIT_CELLS
+        assert 451**2 >= entdist.render._SPLIT_CELLS
         expected = self.whole(monkeypatch, tmp_path, self.ABOVE_THRESHOLD)
         script = ("import os, sys\n"
                   "from entdist import cli\n"
@@ -1372,12 +1374,14 @@ class TestImports:
         assert result.stdout.strip() == "[]"
 
     @staticmethod
-    def fresh_numpy_modules(statement):
-        """Run ``statement`` in a fresh interpreter; the value it leaves in ``code``
-        and the numpy modules loaded after it."""
+    def fresh_modules(statement):
+        """Run ``statement`` in a fresh interpreter; the value it leaves in ``code``,
+        the numpy modules loaded after it, and which of the scan renderer and of
+        ``dataclasses`` and the ``inspect`` it imports are loaded."""
         probe = (f"import sys\ncode = None\n{statement}\n"
                  "print(repr((code, sorted(m for m in sys.modules "
-                 "if m.partition('.')[0] == 'numpy'))))")
+                 "if m.partition('.')[0] == 'numpy'), "
+                 "sorted({'entdist.render', 'dataclasses', 'inspect'} & set(sys.modules)))))")
         result = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
                                 capture_output=True, text=True, check=True, timeout=60)
         return ast.literal_eval(result.stdout.splitlines()[-1])
@@ -1398,20 +1402,23 @@ class TestImports:
             "usage-error"])
     def test_loads_no_numpy(self, statement, expected):
         # numpy loads only where arrays or matrices are handled: a scan, a
-        # finite-mu run, a library call on arrays
-        assert self.fresh_numpy_modules(statement) == (expected, [])
+        # finite-mu run, a library call on arrays; the scan renderer only with
+        # a scan, and the records are NamedTuples, so nothing loads dataclasses
+        assert self.fresh_modules(statement) == (expected, [], [])
 
-    @pytest.mark.parametrize("statement", [
-        "import entdist\nentdist.ScanSpec",
-        "import entdist\nentdist.scanner.scan",
-        main_statement("scan", "--tau", "0.5", "--at-eb", "--protocol", "direct",
-                       "--resolution", "3", "--output", os.devnull),
-        main_statement("point", "--tau", "0.75", "--at-eb", "--g", "5", "--gp=-5", "--mu", "100"),
+    @pytest.mark.parametrize("statement, renders", [
+        ("import entdist\nentdist.ScanSpec", False),
+        ("import entdist\nentdist.scanner.scan", False),
+        (main_statement("scan", "--tau", "0.5", "--at-eb", "--protocol", "direct",
+                        "--resolution", "3", "--output", os.devnull), True),
+        (main_statement("point", "--tau", "0.75", "--at-eb", "--g", "5", "--gp=-5", "--mu", "100"),
+         False),
     ], ids=["scanner-name", "scanner-module", "scan", "point-mu"])
-    def test_arrays_load_numpy(self, statement):
-        code, numpy_modules = self.fresh_numpy_modules(statement)
+    def test_arrays_load_numpy(self, statement, renders):
+        code, numpy_modules, loaded = self.fresh_modules(statement)
         assert code in (None, EXIT_OK)
         assert "numpy" in numpy_modules
+        assert ("entdist.render" in loaded) is renders
 
     def test_importtime_lists_no_numpy(self):
         result = subprocess.run([sys.executable, "-X", "importtime", "-c", "import entdist.cli"],
@@ -1421,3 +1428,4 @@ class TestImports:
                  if line.startswith("import time:")]
         assert "entdist.cli" in names
         assert not [name for name in names if name.partition(".")[0] == "numpy"]
+        assert not {"dataclasses", "inspect", "entdist.render"} & set(names)

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import re
@@ -25,7 +24,7 @@ from entdist.environment import (MAX_MAGNITUDE, bona_fide_conditions, env_pts_ra
                                  falling, rising)
 from entdist.protocols import large_mu_eps
 
-from conftest import random_bona_fide_env
+from conftest import CONSTRUCTION_PATHS, random_bona_fide_env
 from gaussian_reference import make_env_cm, pts_min_eigenvalue
 
 omegas = st.floats(min_value=1.0, max_value=50.0, allow_nan=False)
@@ -69,8 +68,23 @@ class TestEnvironmentParams:
         assert str(built.value) == expected
         env = EnvironmentParams(0.5, omega, 0.0, 0.0)
         with pytest.raises(DomainError) as replaced:
-            dataclasses.replace(env, g=g, gp=gp)
+            env._replace(g=g, gp=gp)
         assert str(replaced.value) == expected
+
+    @pytest.mark.parametrize("path", sorted(CONSTRUCTION_PATHS))
+    def test_every_construction_path_checks(self, path):
+        build, valid = CONSTRUCTION_PATHS[path], EnvironmentParams(0.5, 2.0, 0.0, 0.0)
+        assert build(EnvironmentParams, valid, (0.75, 7.0, 5.0, -5.0)) == (0.75, 7.0, 5.0, -5.0)
+        for fields in [(1.0, 2.0, 0.0, 0.0), (0.5, 2.0, 2.5, 0.0), (0.5, 2.0, 0.0, 1e200)]:
+            with pytest.raises(DomainError):
+                build(EnvironmentParams, valid, fields)
+
+    @pytest.mark.parametrize("name", ["g", "extra"])
+    def test_attributes_cannot_be_set(self, name):
+        env = EnvironmentParams(0.5, 2.0, 0.0, 0.0)
+        with pytest.raises(AttributeError):
+            setattr(env, name, 1.0)
+        assert env == (0.5, 2.0, 0.0, 0.0)
 
 
 class TestBonaFideCheck:
@@ -97,7 +111,7 @@ class TestBonaFideCheck:
         assert any("|g| < omega" in f for f in check.failures)
 
     def test_verdict_is_read_from_the_failures(self):
-        assert [f.name for f in dataclasses.fields(BonaFideResult)] == ["failures"]
+        assert BonaFideResult._fields == ("failures",)
         failed, passed = BonaFideResult(("x",)), BonaFideResult(())
         assert not failed and failed.ok is False
         assert passed and passed.ok is True

@@ -12,6 +12,7 @@ import entdist
 import entdist.cli
 import entdist.environment
 import entdist.protocols
+import entdist.render
 import entdist.scanner
 from entdist import Protocol
 
@@ -130,14 +131,22 @@ def test_protocol_resolves_to_one_object():
     assert entdist.scanner.Protocol is entdist.protocols.Protocol is entdist.Protocol
 
 
+# the CLI's modules: the command and, since it renders a scan, the scan renderer
+CLI_SOURCES = [Path(entdist.cli.__file__), Path(entdist.render.__file__)]
+
+
+def _attribute_reads(paths, attrs):
+    """`file:line` of each read of one of `attrs` as an attribute in the files `paths`."""
+    return [f"{path.name}:{node.lineno}" for path in paths
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+            if isinstance(node, ast.Attribute) and node.attr in attrs]
+
+
 def test_cli_reads_no_whole_grid_float_field():
     # a scan keeps runs of cells; ScanGrid.eps and ScanGrid.env_pts build a
     # float64 array of the whole grid, so the renderer asks for the eps rows
     # of each tile (ScanGrid.eps_rows) and reads neither
-    path = Path(entdist.cli.__file__)
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    found = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr in ("eps", "env_pts")]
+    found = _attribute_reads(CLI_SOURCES, ("eps", "env_pts"))
     assert not found, f"whole-grid float fields read in the CLI: {', '.join(found)}"
 
 
@@ -146,11 +155,15 @@ def test_cli_reads_no_whole_grid_code_array():
     # ScanGrid.activation build an int8 array of the whole grid from them, so
     # the renderer copies each run's fragments by slice, finds each render
     # tile's Forbidden cells as the NaN of ScanGrid.eps_rows, and reads neither
-    path = Path(entdist.cli.__file__)
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    found = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr in ("kind", "activation")]
+    found = _attribute_reads(CLI_SOURCES, ("kind", "activation"))
     assert not found, f"whole-grid code arrays read in the CLI: {', '.join(found)}"
+
+
+def test_guards_see_the_scan_renderer():
+    # the two guards above pass on any source where they find nothing: the
+    # renderer must be among their files, and its reads of eps_rows among what
+    # they walk
+    assert _attribute_reads(CLI_SOURCES[1:], ("eps_rows",))
 
 
 class _NoNumpy(types.ModuleType):
@@ -163,8 +176,8 @@ class _NoNumpy(types.ModuleType):
 
 @pytest.fixture
 def no_numpy(monkeypatch):
-    # the scanner imports numpy at module level; the other modules import it
-    # in the functions that use it
+    # the scanner and the scan renderer import numpy at module level; the other
+    # modules import it in the functions that use it
     stub = _NoNumpy("numpy")
     monkeypatch.setitem(sys.modules, "numpy", stub)
     monkeypatch.setattr(entdist.scanner, "np", stub)

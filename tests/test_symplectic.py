@@ -17,7 +17,7 @@ from entdist import (
 )
 from entdist.symplectic import _report_with_pts, _symplectic_spectrum
 
-from conftest import random_physical_cm, random_symplectic
+from conftest import CONSTRUCTION_PATHS, random_physical_cm, random_symplectic
 from gaussian_reference import (
     SymplecticTransform,
     apply_symplectic,
@@ -64,6 +64,23 @@ class TestCovarianceMatrix:
         cm = make_epr_cm(2.0)
         with pytest.raises(ValueError):
             cm.data[0, 0] = 99.0
+
+    @pytest.mark.parametrize("path", sorted(CONSTRUCTION_PATHS))
+    def test_every_construction_path_checks(self, path):
+        build, valid = CONSTRUCTION_PATHS[path], CovarianceMatrix(np.eye(2))
+        cm = build(CovarianceMatrix, valid, ([[2.0, 0.5], [0.5 + 1e-15, 2.0]],))
+        assert type(cm) is CovarianceMatrix and not cm.data.flags.writeable
+        assert cm.data[0, 1] == cm.data[1, 0]
+        for data in [np.eye(3), [[1.0, 0.5], [0.0, 1.0]], [[math.nan, 0.0], [0.0, 1.0]]]:
+            with pytest.raises(DomainError):
+                build(CovarianceMatrix, valid, (data,))
+
+    @pytest.mark.parametrize("name", ["data", "extra"])
+    def test_attributes_cannot_be_set(self, name):
+        cm = CovarianceMatrix(np.eye(2))
+        with pytest.raises(AttributeError):
+            setattr(cm, name, np.zeros((2, 2)))
+        assert (cm.data == np.eye(2)).all()
 
 
 class TestSymplecticForm:
