@@ -10,9 +10,9 @@ platforms.
 
 numpy is imported only where arrays or matrices are handled: by a scan, through
 the module-level ``scan`` that loads :mod:`entdist.scanner` on its first call
-and :mod:`entdist.render`, which renders the scan, and by the finite-mu runs of
-``point --mu`` and ``converge``. ``point`` without ``--mu``, ``--help`` and
-usage errors load no numpy, and no dataclass machinery either.
+and :mod:`entdist.render`, which renders the scan, and by the runners that
+``point --mu`` calls. ``converge``, ``point`` without ``--mu``, ``--help`` and
+usage errors load no numpy, no dataclass machinery, and ``json`` only for JSON.
 
 Output is produced as a sequence of blocks of ASCII bytes that
 ``_write_output`` writes as they come, through a binary file or the bytes
@@ -27,7 +27,6 @@ reallocate every block of the old file first.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import stat
@@ -67,7 +66,7 @@ _PROTOCOLS = {
     "environment": Protocol.ENVIRONMENT_ONLY,
 }
 
-# finite-mu runners of the distribution protocols, for `point` and `converge`
+# finite-mu runners of the distribution protocols: run by `point --mu`, named by `converge`
 _RUNNERS = {"direct": run_direct, "swap": run_swap}
 
 
@@ -218,6 +217,7 @@ def _render_table(table, fmt_kind: str) -> str:
     """JSON or CSV text of the `point` report (a dict, written in CSV as
     ``key,value`` rows) or of the `converge` rows (a list of dicts)."""
     if fmt_kind == "json":
+        import json
         return json.dumps(_json_ready(table), indent=2) + "\n"
     if isinstance(table, dict):
         table = [{"key": key, "value": value} for key, value in table.items()]
@@ -226,13 +226,14 @@ def _render_table(table, fmt_kind: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rel_error(protocol, mu, env, result) -> float:
-    """Relative distance |eps - eps_inf| / eps_inf of the finite-mu eps of `result`,
-    the run of `protocol` at `mu` and `env`, from its large-mu value: |r| / (1 +
-    eps/eps_inf), with r = eps^2/eps_inf^2 - 1 from the closed-form factors and
-    no difference of two rounded eps values."""
-    excess = _squared_spectra(mu, env, protocol)[1]
-    return abs(excess) / (1.0 + result.report.pts_min / result.asymptotic_eps)
+def _finite_eps(protocol, mu, env) -> tuple[float, float, float]:
+    """The runner's finite-mu and large-mu PTS eigenvalues eps and eps_inf at `mu` and
+    `env`, and |eps - eps_inf|/eps_inf = |r|/(1 + eps/eps_inf), with r = eps^2/eps_inf^2 - 1
+    from the closed-form factors and no difference of two rounded eps values."""
+    eps2, excess = _squared_spectra(mu, env, protocol)[:2]
+    eps = math.sqrt(eps2)
+    eps_inf = float(large_mu_eps(env.tau, env.omega, env.g, env.gp, protocol))
+    return eps, eps_inf, abs(excess) / (1.0 + eps / eps_inf)
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +278,11 @@ def cmd_point(args) -> int:
                 f"{name}_distillable": eps < DISTILLABLE_EPS,
             })
             if args.mu is not None:
-                result = runner(args.mu, env)
+                eps_finite, _, rel_error = _finite_eps(_PROTOCOLS[name], args.mu, env)
                 finite.update({
-                    f"{name}_eps_finite": result.report.pts_min,
-                    f"{name}_eps_rel_error": _rel_error(_PROTOCOLS[name], args.mu, env, result),
-                    f"{name}_coherent_info_finite": result.report.coherent_info,
+                    f"{name}_eps_finite": eps_finite,
+                    f"{name}_eps_rel_error": rel_error,
+                    f"{name}_coherent_info_finite": runner(args.mu, env).report.coherent_info,
                 })
         report.update(finite)
         code = EXIT_OK
@@ -336,16 +337,12 @@ def cmd_scan(args) -> int:
 
 def cmd_converge(args) -> int:
     env = EnvironmentParams(args.tau, _omega(args), args.g, args.gp)  # may raise DomainError
-    runner, protocol = _RUNNERS[args.protocol], _PROTOCOLS[args.protocol]
+    protocol = _PROTOCOLS[args.protocol]
     rows = []
     for mu in args.mu:
-        result = runner(mu, env)
-        rows.append({
-            "mu": mu,
-            "eps_finite": result.report.pts_min,
-            "eps_asymptotic": result.asymptotic_eps,
-            "rel_error": _rel_error(protocol, mu, env, result),
-        })
+        eps, eps_inf, rel_error = _finite_eps(protocol, mu, env)
+        rows.append({"mu": mu, "eps_finite": eps, "eps_asymptotic": eps_inf,
+                     "rel_error": rel_error})
     _write_output([_render_table(rows, args.format).encode()], _resolve_output(args))
     return EXIT_OK
 

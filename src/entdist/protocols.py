@@ -19,7 +19,7 @@ from typing import NamedTuple
 from . import symplectic
 from .environment import EnvironmentParams, require_variance, rising
 from .errors import DomainError
-from .symplectic import CovarianceMatrix, EntanglementReport, _report_with_pts
+from .symplectic import CovarianceMatrix, EntanglementReport, h, log_negativity
 
 
 class Protocol(Enum):
@@ -247,19 +247,22 @@ def _run(cm: CovarianceMatrix, mu: float, env: EnvironmentParams,
     :func:`_squared_spectra`'s closed forms, so neither `cm` nor its partial
     transpose is diagonalized: only mode 1's 2x2 block is, for S(B), by
     :func:`~entdist.symplectic._symplectic_spectrum`, which checks that it is
-    positive-definite. Those three eigenvalues are each within a few ulps of
-    their nu, so the coherent information sums :func:`~entdist.symplectic.h`
-    over them at h's own fixed windows.
+    positive-definite. The coherent information S(B) - S(AB) sums
+    :func:`~entdist.symplectic.h` over those three eigenvalues at h's own fixed
+    windows: each is within a few ulps of its nu, nu_B too, being at least its
+    block's largest entry over sqrt(2), so windows scaled by entries buy nothing.
     The closed forms need no positive-definiteness check: every factor is
     positive on a physical environment, and h refuses a nu below 1.
     """
     eps_inf = float(large_mu_eps(env.tau, env.omega, env.g, env.gp, protocol))
     eps2, _, nu2_a, nu2_b = _squared_spectra(mu, env, protocol)
+    eps = math.sqrt(eps2)
     spectrum = (math.sqrt(max(nu2_a, nu2_b)), math.sqrt(min(nu2_a, nu2_b)))
     nu_b = symplectic._symplectic_spectrum(cm.data[2:, 2:])
     return ProtocolResult(
         output_cm=cm,
-        report=_report_with_pts(math.sqrt(eps2), spectrum, nu_b),
+        report=EntanglementReport(eps, log_negativity(eps), h(nu_b) - sum(map(h, spectrum)),
+                                  spectrum),
         asymptotic_eps=eps_inf,
         asymptotic_coherent_info=coherent_info_asymptotic(eps_inf),
     )

@@ -111,8 +111,10 @@ class ScanSpec:
 
     @cached_property
     def _centers(self) -> tuple[np.ndarray, np.ndarray]:
-        steps = np.arange(self.resolution) + 0.5
-        return tuple(_read_only(lo + steps * (hi - lo) / self.resolution)
+        """(lo + hi)/2 + (k - (n - 1)/2)*((hi - lo)/n): exactly odd about a midpoint at 0,
+        so a symmetric window keeps the plane's mirror (g, gp) -> (-gp, -g) bit for bit."""
+        offsets = np.arange(self.resolution) - (self.resolution - 1) / 2.0
+        return tuple(_read_only((lo + hi) / 2.0 + offsets * ((hi - lo) / self.resolution))
                      for lo, hi in (self.g_range, self.gp_range))
 
 
@@ -326,6 +328,12 @@ class Contour:
     level: float
     points: np.ndarray
     closed: bool
+
+    def __eq__(self, other):  # the points as one array, not asked for their truth
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.level, self.closed) == (other.level, other.closed) and \
+            np.array_equal(self.points, other.points)
 
 
 def boundary_curves(spec: ScanSpec, levels: tuple[float, ...] = (1.0, DISTILLABLE_EPS)) -> list[Contour]:

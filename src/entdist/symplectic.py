@@ -1,9 +1,9 @@
-"""Covariance matrices and the entropies and report of the finite-mu runners.
+"""Covariance matrices, the entropy and the log-negativity of the finite-mu runners.
 
 The runners of :mod:`entdist.protocols` take the PTS eigenvalue and the full
 symplectic spectrum of their two-mode outputs in closed form, and mode B's
-symplectic eigenvalue from its 2x2 block (:func:`_symplectic_spectrum`); the
-report sums :func:`h`, at its fixed windows, over those numbers. The
+symplectic eigenvalue from its 2x2 block (:func:`_symplectic_spectrum`); their
+:class:`EntanglementReport` sums :func:`h`, at its fixed windows, over those. The
 generic n-mode algebra (symplectic form, partial transpose and trace, spectra
 and the report of any bipartition) is the tests' reference,
 ``tests/gaussian_reference.py``.
@@ -69,6 +69,15 @@ class CovarianceMatrix(_CovarianceFields):
     @classmethod
     def _make(cls, fields) -> CovarianceMatrix:
         return cls(*fields)
+
+    def __eq__(self, other):  # by value: tuple's == would ask the array for its truth
+        import numpy as np
+        return (len(other) == 1 and np.array_equal(self.data, other[0])
+                if isinstance(other, tuple) else NotImplemented)
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     @property
     def n_modes(self) -> int:
@@ -138,23 +147,3 @@ def log_negativity(pts_min: float) -> float:
     if not pts_min > 0.0:  # nan fails too
         raise DomainError(f"PTS eigenvalue must be positive, got {pts_min}")
     return max(0.0, -math.log(pts_min))
-
-
-def _report_with_pts(eps: float, spectrum: tuple[float, float], nu_b: float
-                     ) -> EntanglementReport:
-    """The report on a two-mode state toward mode B, given its PTS eigenvalue
-    `eps`, its symplectic `spectrum`, sorted descending, and mode B's
-    symplectic eigenvalue `nu_b`.
-
-    The coherent information S(B) - S(AB) sums :func:`h` at its own fixed
-    windows, one rule for every eigenvalue. A window scaled by the entries of
-    mode B's block would buy nothing: on the runners' outputs nu_b is at least
-    that block's largest entry over sqrt(2), so the block's rounding is a few
-    ulps of nu_b, as the closed-form spectrum's is of each nu.
-    """
-    return EntanglementReport(
-        pts_min=eps,
-        log_negativity=log_negativity(eps),
-        coherent_info=h(nu_b) - sum(map(h, spectrum)),
-        symplectic_spectrum=spectrum,
-    )

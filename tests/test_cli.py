@@ -26,13 +26,13 @@ from hypothesis import strategies as st
 import entdist
 import entdist.render
 from entdist import Activation, EnvKind, Protocol, ScanSpec, eb_threshold, scan
-from entdist.cli import (EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, OUTPUT_ENV_VAR, _json_ready,
-                         fmt, main)
+from entdist.cli import (EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, OUTPUT_ENV_VAR, _finite_eps,
+                         _json_ready, fmt, main)
 from entdist.render import (_RENDER_TILE_CELLS, _g9_text, _json_number, _needs_json_number,
                             _render_scan_csv, _render_scan_json)
 from entdist.scanner import ScanGrid
 
-from conftest import ACTIVATION_CODE, KIND_CODE
+from conftest import ACTIVATION_CODE, KIND_CODE, random_bona_fide_env
 
 
 def run_cli(capsys, *argv):
@@ -1150,6 +1150,39 @@ class TestConverge:
         assert code == EXIT_DOMAIN
         assert "omega^2 + g*gp" in err
 
+    @pytest.mark.parametrize("command, eigensolves", [
+        (("converge", "--protocol", "direct"), 0),
+        (("converge", "--protocol", "swap"), 0),
+        (("point", "--mu", "1e3"), 2),
+    ], ids=["converge-direct", "converge-swap", "point-mu"])
+    def test_only_coherent_info_runs_a_runner(self, capsys, monkeypatch, command, eigensolves):
+        # converge prints closed forms; point --mu runs each runner once, for
+        # its coherent information, and each diagonalizes mode B once
+        calls = []
+
+        def counted(v):
+            calls.append(np.shape(v))
+            return symplectic_spectrum(v)
+
+        symplectic_spectrum = entdist.symplectic._symplectic_spectrum
+        monkeypatch.setattr(entdist.symplectic, "_symplectic_spectrum", counted)
+        code, _, _ = run_cli(capsys, *command, "--tau", "0.75", "--at-eb", "--g", "4",
+                             "--gp=-4")
+        assert code == EXIT_OK
+        assert calls == [(2, 2)] * eigensolves
+
+    @pytest.mark.parametrize("protocol", [Protocol.DIRECT, Protocol.SWAP])
+    def test_finite_eps_is_the_runners(self, protocol):
+        # the printed eps values are the runner's own numbers, bit for bit
+        runner = {Protocol.DIRECT: entdist.run_direct, Protocol.SWAP: entdist.run_swap}[protocol]
+        rng = np.random.default_rng(40)
+        for _ in range(200):
+            env = random_bona_fide_env(rng, omega_range=(1.0, 50.0))
+            mu = float(10.0 ** rng.uniform(0.0, 15.0))
+            result = runner(mu, env)
+            assert _finite_eps(protocol, mu, env)[:2] == (result.report.pts_min,
+                                                           result.asymptotic_eps)
+
 
 class TestAtEb:
     @pytest.mark.parametrize("command", [
@@ -1376,12 +1409,13 @@ class TestImports:
     @staticmethod
     def fresh_modules(statement):
         """Run ``statement`` in a fresh interpreter; the value it leaves in ``code``,
-        the numpy modules loaded after it, and which of the scan renderer and of
-        ``dataclasses`` and the ``inspect`` it imports are loaded."""
+        the numpy modules loaded after it, and which of the scan renderer, ``json``
+        and ``dataclasses`` and the ``inspect`` it imports are loaded."""
         probe = (f"import sys\ncode = None\n{statement}\n"
                  "print(repr((code, sorted(m for m in sys.modules "
                  "if m.partition('.')[0] == 'numpy'), "
-                 "sorted({'entdist.render', 'dataclasses', 'inspect'} & set(sys.modules)))))")
+                 "sorted({'entdist.render', 'json', 'dataclasses', 'inspect'} "
+                 "& set(sys.modules)))))")
         result = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
                                 capture_output=True, text=True, check=True, timeout=60)
         return ast.literal_eval(result.stdout.splitlines()[-1])
@@ -1398,12 +1432,17 @@ class TestImports:
          EXIT_DOMAIN),
         (main_statement("--help"), EXIT_OK),
         (main_statement("point", "--tau", "2"), EXIT_USAGE),
+        (main_statement("converge", "--tau", "0.75", "--at-eb", "--g", "4", "--gp=-4",
+                        "--protocol", "direct"), EXIT_OK),
+        (main_statement("converge", "--tau", "0.75", "--at-eb", "--g", "4", "--gp=-4",
+                        "--protocol", "swap"), EXIT_OK),
     ], ids=["import-entdist", "import-cli", "point-separable", "point-forbidden", "help",
-            "usage-error"])
+            "usage-error", "converge-direct", "converge-swap"])
     def test_loads_no_numpy(self, statement, expected):
-        # numpy loads only where arrays or matrices are handled: a scan, a
-        # finite-mu run, a library call on arrays; the scan renderer only with
-        # a scan, and the records are NamedTuples, so nothing loads dataclasses
+        # numpy loads only where arrays or matrices are handled: a scan, the
+        # runners of point --mu, a library call on arrays; converge prints closed
+        # forms; the scan renderer only with a scan, json only for a JSON table,
+        # and the records are NamedTuples, so nothing loads dataclasses
         assert self.fresh_modules(statement) == (expected, [], [])
 
     @pytest.mark.parametrize("statement, renders", [
@@ -1428,4 +1467,4 @@ class TestImports:
                  if line.startswith("import time:")]
         assert "entdist.cli" in names
         assert not [name for name in names if name.partition(".")[0] == "numpy"]
-        assert not {"dataclasses", "inspect", "entdist.render"} & set(names)
+        assert not {"dataclasses", "inspect", "entdist.render", "json"} & set(names)

@@ -405,6 +405,18 @@ class TestProtocolRunners:
             runner(mu, EnvironmentParams(0.5, 7.0, 4.0, -4.0))
 
     @pytest.mark.parametrize("runner", [run_direct, run_swap])
+    def test_results_compare_by_value(self, runner):
+        # the output matrix's array made tuple's == raise ValueError
+        env = EnvironmentParams(0.75, 7.0, 4.0, -4.0)
+        result = runner(1e3, env)
+        assert result == runner(1e3, env) and not result != runner(1e3, env)
+        assert result == tuple(result) and tuple(result) == result
+        for other in (runner(1e4, env), runner(1e3, env._replace(g=3.0))):
+            assert result != other and not result == other
+        with pytest.raises(TypeError):
+            hash(result)
+
+    @pytest.mark.parametrize("runner", [run_direct, run_swap])
     def test_runner_rechecks_nothing_and_diagonalizes_once(self, runner, monkeypatch):
         # the reduced block of mode B, for S(B); the PTS eigenvalue and the
         # full spectrum are closed forms

@@ -124,7 +124,7 @@ class TestScanSpec:
             assert centers() is centers()
             with pytest.raises(ValueError):
                 centers()[0] = 0.0
-        np.testing.assert_array_equal(spec.gp_centers(), -1.0 + (np.arange(7) + 0.5) * 4.0 / 7)
+        np.testing.assert_array_equal(spec.gp_centers(), 1.0 + (np.arange(7) - 3.0) * (4.0 / 7))
 
 
 class TestScan:
@@ -1056,6 +1056,73 @@ class TestBoundaryMirror:
                     assert _hex([shape.cut(c, at(g))]) == _hex([cut(g)]), name
 
 
+def _mirrored(cells):
+    """Cell (i, j) holds what (n - 1 - j, n - 1 - i), its mirror under (g, gp) -> (-gp, -g), held."""
+    return cells[::-1, ::-1].T
+
+
+class TestReflectionSymmetry:
+    """(g, gp) -> (-gp, -g) swaps the two factors of rising and of falling, and IEEE
+    products commute, so on a window symmetric about 0, whose centers are exactly
+    odd, every cell's class is its mirror cell's, ties included, and the contours
+    map onto each other vertex for vertex."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tau=st.floats(0.05, 0.95), protocol=st.sampled_from(list(Protocol)),
+           resolution=st.integers(2, 150), omega=st.one_of(st.none(), st.floats(1.0, 20.0)),
+           half_width=st.floats(0.1, 1.5))
+    def test_classes_are_their_mirror(self, tau, protocol, resolution, omega, half_width):
+        w = eb_threshold(tau) if omega is None else omega
+        window = (-half_width * w, half_width * w)
+        grid = scan(ScanSpec(tau=tau, protocol=protocol, resolution=resolution, omega=omega,
+                             g_range=window, gp_range=window))
+        for cells in (grid.kind, grid.activation):
+            np.testing.assert_array_equal(cells, _mirrored(cells))
+
+    # at tau 0.75 and 1001^2, centers lo + (k + 0.5)(hi - lo)/n left 12 kind cells
+    # and 6 activation cells off their mirror, on exact ties such as (w + g)(w + gp) = 1
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.parametrize("tau", [0.55, 0.6, 0.75, 0.9])
+    @pytest.mark.parametrize("resolution", [200, 201, 1001])
+    def test_default_windows(self, protocol, tau, resolution):
+        spec = ScanSpec(tau=tau, protocol=protocol, resolution=resolution)
+        np.testing.assert_array_equal(spec.g_centers(), -spec.g_centers()[::-1])
+        grid = scan(spec)
+        for cells in (grid.kind, grid.activation):
+            np.testing.assert_array_equal(cells, _mirrored(cells))
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.parametrize("tau", [0.6, 0.75])
+    def test_contours_are_mirrored(self, protocol, tau):
+        spec = ScanSpec(tau=tau, protocol=protocol, resolution=201)
+        levels = (1.0, 1.3) if protocol is Protocol.ENVIRONMENT_ONLY else (1.0, DISTILLABLE_EPS)
+        curves = boundary_curves(spec, levels)
+        assert curves
+
+        def vertex_sets(mirror):
+            return sorted((c.level, c.closed, sorted({(-gp, -g) if mirror else (g, gp)
+                                                      for g, gp in c.points.tolist()}))
+                          for c in curves)
+
+        assert vertex_sets(False) == vertex_sets(True)
+
+
+class TestContourEquality:
+    def test_compares_by_value(self):
+        # the dataclass == compared the points arrays as a tuple item and raised
+        spec = ScanSpec(tau=0.75, protocol=Protocol.DIRECT, resolution=21)
+        curves, again = boundary_curves(spec), boundary_curves(spec)
+        assert len(curves) >= 2 and curves == again and not curves != again
+        first = curves[0]
+        assert first == scanner.Contour(first.level, first.points.copy(), first.closed)
+        for other in (curves[1], scanner.Contour(first.level, first.points + 1.0, first.closed),
+                      scanner.Contour(first.level, first.points, not first.closed),
+                      (first.level, first.points, first.closed)):
+            assert first != other and not first == other
+        with pytest.raises(TypeError):
+            hash(first)
+
+
 class TestExactContours:
     """boundary_curves against the root-finder reference: same contours in the
     same order, vertices within 1e-12 omega."""
@@ -1110,16 +1177,16 @@ class TestExactContours:
     GOLDEN = {
         "direct": (dict(tau=0.75, protocol=Protocol.DIRECT, resolution=201),
                    (1.0, DISTILLABLE_EPS),
-                   "2f9acb47e1c27a9075a6ee32ff9eb0b9d08aaaea1c50b095a19bd4aa3f88fe9c"),
+                   "ad78a1ba3028c177976c13f2f6cc74f9e7549de67f5c7008d7c0fe6803bb8ddd"),
         "swap": (dict(tau=0.9, protocol=Protocol.SWAP, resolution=61),
                  (1.0, DISTILLABLE_EPS),
-                 "336a01212c2327dbbdf20df72738846d51503e3c291098de9e4e211a16fe23f0"),
+                 "b149ef342daa8aed5eeb8111bce5b7016326081cf6f3f993d3ea8db292776ca3"),
         "environment": (dict(tau=0.7, protocol=Protocol.ENVIRONMENT_ONLY, resolution=61,
                              omega=3.0, g_range=(-2.5, 1.0), gp_range=(-1.0, 2.9)),
                         (0.5, 1.0, 1.3),
-                        "88433b1b98d69a28f2d2951c3006d588240d358b203f2b6cf1d8d27b2900c8f7"),
+                        "2262d7a1524764ea0c70ce62f27ee21368ac2408bfd675181ca535530c1549b7"),
         "environment-loops": (LOOP_SPEC, LOOP_LEVELS,
-                              "9e08e78ab2d7fa74395d47bd8d8d1b054bc2be119612a8d1c73104a43f0188e1"),
+                              "1f50c4239f6d1229b98025cba6690a7af48303488ad325fa98a8449362551149"),
     }
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))

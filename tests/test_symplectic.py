@@ -15,7 +15,7 @@ from entdist import (
     run_direct,
     run_swap,
 )
-from entdist.symplectic import _report_with_pts, _symplectic_spectrum
+from entdist.symplectic import _symplectic_spectrum
 
 from conftest import CONSTRUCTION_PATHS, random_physical_cm, random_symplectic
 from gaussian_reference import (
@@ -81,6 +81,18 @@ class TestCovarianceMatrix:
         with pytest.raises(AttributeError):
             setattr(cm, name, np.zeros((2, 2)))
         assert (cm.data == np.eye(2)).all()
+
+    def test_equality_compares_values(self):
+        # tuple's == asked the arrays for a truth value and raised ValueError
+        cm = CovarianceMatrix(np.eye(2))
+        assert cm == CovarianceMatrix(np.eye(2)) and not cm != CovarianceMatrix(np.eye(2))
+        assert cm == (np.eye(2),) and (np.eye(2),) == cm and not (np.eye(2),) != cm
+        assert cm == ([[1.0, 0.0], [0.0, 1.0]],)
+        for other in [CovarianceMatrix(2.0 * np.eye(2)), CovarianceMatrix(np.eye(4)),
+                      (np.eye(2), np.eye(2)), (), "data", None]:
+            assert cm != other and not cm == other and other != cm
+        with pytest.raises(TypeError):
+            hash(cm)
 
 
 class TestSymplecticForm:
@@ -275,10 +287,11 @@ class TestCoherentInformation:
     # diagonalized from its block, less h over the closed-form spectrum
 
     def test_epr_reduction(self):
-        # S(B) - S(AB) for a pure EPR: entropy of the thermal marginal, h(mu)
+        # S(B) - S(AB) for a pure EPR, whose spectrum is (1, 1): entropy of the
+        # thermal marginal, h(mu), summed as the runners sum it
         expected = 1.5 * math.log(1.5) - 0.5 * math.log(0.5)
         nu_b = _symplectic_spectrum(make_epr_cm(2.0).data[2:, 2:])
-        got = _report_with_pts(2.0 - math.sqrt(3.0), (1.0, 1.0), nu_b).coherent_info
+        got = h(nu_b) - sum(map(h, (1.0, 1.0)))
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.9547712524422192, abs=1e-12)
 
