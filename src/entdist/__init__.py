@@ -34,10 +34,8 @@ from .protocols import (
     coherent_info_asymptotic,
     direct_eps_asymptotic,
     direct_output_cm,
-    epr_variances_from_cm,
     run_direct,
     run_swap,
-    swap_coherent_info_determinant,
     swap_conditional_cm,
     swap_epr_variances_asymptotic,
     swap_eps_asymptotic,
@@ -72,7 +70,6 @@ __all__ = [
     "direct_eps_asymptotic",
     "direct_output_cm",
     "eb_threshold",
-    "epr_variances_from_cm",
     "eps_field",
     "h",
     "is_separable",
@@ -81,7 +78,6 @@ __all__ = [
     "run_swap",
     "scan",
     "separable_activation_exists",
-    "swap_coherent_info_determinant",
     "swap_conditional_cm",
     "swap_epr_variances_asymptotic",
     "swap_eps_asymptotic",

@@ -96,8 +96,6 @@ class BonaFideResult(NamedTuple):
     def __bool__(self) -> bool:
         return not self.failures
 
-    ok = property(__bool__)
-
 
 def rising(omega, a, gp):
     """(omega - a)(omega + gp), rising in gp where omega > a; elementwise, numpy-free.

@@ -4,7 +4,8 @@ The evaluators are closed forms: the finite-mu output covariance matrices, the
 PTS eigenvalue of each output, and their large-mu asymptotics. The symplectic
 pipelines that build the same states from beam splitters, partial traces and
 homodyne conditioning live with the tests, in ``tests/gaussian_reference.py``,
-as independent references.
+as independent references, beside the readers that take the EPR variances and
+the determinant form of the coherent information off a matrix.
 
 Every evaluator takes an :class:`~entdist.environment.EnvironmentParams`, which
 is physical by construction, so none of them re-checks the environment.
@@ -54,12 +55,11 @@ DISTILLABLE_EPS = math.exp(-1.0)
 
 
 class ProtocolResult(NamedTuple):
-    """Finite-mu output state and report, with large-mu reference values attached."""
+    """Finite-mu output state and its report; the large-mu values are
+    :func:`large_mu_eps` and :func:`coherent_info_asymptotic`."""
 
     output_cm: CovarianceMatrix
     report: EntanglementReport
-    asymptotic_eps: float
-    asymptotic_coherent_info: float
 
 
 class EprVariances(NamedTuple):
@@ -168,29 +168,6 @@ def swap_epr_variances_asymptotic(env: EnvironmentParams) -> EprVariances:
     return EprVariances(f * (env.omega - env.g), f * (env.omega + env.gp))
 
 
-def epr_variances_from_cm(cm: CovarianceMatrix) -> EprVariances:
-    """Read the remote EPR variances off a two-mode CM as quadratic forms."""
-    if cm.n_modes != 2:
-        raise DomainError(f"EPR variances need exactly 2 modes, got {cm.n_modes}")
-    v = cm.data
-    vq = 0.5 * (v[0, 0] + v[2, 2] - 2.0 * v[0, 2])
-    vp = 0.5 * (v[1, 1] + v[3, 3] + 2.0 * v[1, 3])
-    return EprVariances(float(vq), float(vp))
-
-
-def swap_coherent_info_determinant(cm: CovarianceMatrix) -> float:
-    """Determinant form ln((2/e) sqrt(det V_b / det V_ab)) of the remote
-    coherent information; agrees with the entropy difference at large mu."""
-    if cm.n_modes != 2:
-        raise DomainError(f"determinant form needs exactly 2 modes, got {cm.n_modes}")
-    import numpy as np
-    sign_b, logdet_b = np.linalg.slogdet(cm.mode_block(1, 1))
-    sign_ab, logdet_ab = np.linalg.slogdet(cm.data)
-    if sign_b <= 0.0 or sign_ab <= 0.0:
-        raise DomainError("covariance matrix is not positive-definite")
-    return math.log(2.0) - 1.0 + 0.5 * (float(logdet_b) - float(logdet_ab))
-
-
 # ---------------------------------------------------------------------------
 # protocol runners
 # ---------------------------------------------------------------------------
@@ -241,7 +218,7 @@ def _squared_spectra(mu: float, env: EnvironmentParams,
 def _run(cm: CovarianceMatrix, mu: float, env: EnvironmentParams,
          protocol: Protocol) -> ProtocolResult:
     """Report on `cm`, the output of `protocol` at `mu`, with partition/coherent
-    info toward mode 1, plus the large-mu reference values.
+    info toward mode 1.
 
     The PTS eigenvalue and the full symplectic spectrum are
     :func:`_squared_spectra`'s closed forms, so neither `cm` nor its partial
@@ -254,18 +231,12 @@ def _run(cm: CovarianceMatrix, mu: float, env: EnvironmentParams,
     The closed forms need no positive-definiteness check: every factor is
     positive on a physical environment, and h refuses a nu below 1.
     """
-    eps_inf = float(large_mu_eps(env.tau, env.omega, env.g, env.gp, protocol))
     eps2, _, nu2_a, nu2_b = _squared_spectra(mu, env, protocol)
     eps = math.sqrt(eps2)
     spectrum = (math.sqrt(max(nu2_a, nu2_b)), math.sqrt(min(nu2_a, nu2_b)))
     nu_b = symplectic._symplectic_spectrum(cm.data[2:, 2:])
-    return ProtocolResult(
-        output_cm=cm,
-        report=EntanglementReport(eps, log_negativity(eps), h(nu_b) - sum(map(h, spectrum)),
-                                  spectrum),
-        asymptotic_eps=eps_inf,
-        asymptotic_coherent_info=coherent_info_asymptotic(eps_inf),
-    )
+    return ProtocolResult(cm, EntanglementReport(eps, log_negativity(eps),
+                                                 h(nu_b) - sum(map(h, spectrum)), spectrum))
 
 
 def run_direct(mu: float, env: EnvironmentParams) -> ProtocolResult:

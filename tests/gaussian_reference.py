@@ -7,9 +7,11 @@ entanglement report of any bipartition built from them, beam splitters,
 symplectic conjugation, homodyne conditioning and the two-mode closed-form
 spectrum, the EPR and environment input states, the pipelines that build each
 protocol's output state from them (beam splitters, partial traces, homodyne
-conditioning), and the leading-order direct spectrum that the finite-mu
-spectrum converges to. The package itself never runs them. The module's name
-keeps pytest from collecting it; tests import it as they import ``conftest``.
+conditioning), the leading-order direct spectrum that the finite-mu
+spectrum converges to, and the readers that take the remote EPR variances and
+the determinant form of the coherent information off a two-mode output. The
+package itself never runs them. The module's name keeps pytest from collecting
+it; tests import it as they import ``conftest``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from entdist import (
     DomainError,
     EntanglementReport,
     EnvironmentParams,
+    EprVariances,
     h,
     log_negativity,
 )
@@ -377,3 +380,29 @@ def bell_port_variances(mu: float, env: EnvironmentParams) -> tuple[float, float
     :func:`_bell_measure`."""
     mixed = apply_symplectic(_swap_arms(mu, env), beam_splitter(0.5), (1, 2))
     return float(mixed.data[4, 4]), float(mixed.data[3, 3])
+
+
+# ---------------------------------------------------------------------------
+# readers of a two-mode output
+# ---------------------------------------------------------------------------
+
+def epr_variances_from_cm(cm: CovarianceMatrix) -> EprVariances:
+    """Read the remote EPR variances off a two-mode CM as quadratic forms."""
+    if cm.n_modes != 2:
+        raise DomainError(f"EPR variances need exactly 2 modes, got {cm.n_modes}")
+    v = cm.data
+    vq = 0.5 * (v[0, 0] + v[2, 2] - 2.0 * v[0, 2])
+    vp = 0.5 * (v[1, 1] + v[3, 3] + 2.0 * v[1, 3])
+    return EprVariances(float(vq), float(vp))
+
+
+def swap_coherent_info_determinant(cm: CovarianceMatrix) -> float:
+    """Determinant form ln((2/e) sqrt(det V_b / det V_ab)) of the remote
+    coherent information; agrees with the entropy difference at large mu."""
+    if cm.n_modes != 2:
+        raise DomainError(f"determinant form needs exactly 2 modes, got {cm.n_modes}")
+    sign_b, logdet_b = np.linalg.slogdet(cm.mode_block(1, 1))
+    sign_ab, logdet_ab = np.linalg.slogdet(cm.data)
+    if sign_b <= 0.0 or sign_ab <= 0.0:
+        raise DomainError("covariance matrix is not positive-definite")
+    return math.log(2.0) - 1.0 + 0.5 * (float(logdet_b) - float(logdet_ab))

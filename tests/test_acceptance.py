@@ -23,11 +23,9 @@ from entdist import (
     classify_environment,
     direct_eps_asymptotic,
     eb_threshold,
-    epr_variances_from_cm,
     run_direct,
     run_swap,
     scan,
-    swap_coherent_info_determinant,
     swap_conditional_cm,
     swap_epr_variances_asymptotic,
     swap_eps_asymptotic,
@@ -36,11 +34,13 @@ from entdist import (
 from conftest import ACTIVATION_CODE, KIND_CODE, random_bona_fide_env
 from gaussian_reference import (
     direct_output_pipeline,
+    epr_variances_from_cm,
     make_env_cm,
     make_epr_cm,
     one_mode_output_pipeline,
     pts_min_eigenvalue,
     reference_report,
+    swap_coherent_info_determinant,
     swap_conditional_pipeline,
     swap_noiseless_pipeline,
 )

@@ -1179,9 +1179,9 @@ class TestConverge:
         for _ in range(200):
             env = random_bona_fide_env(rng, omega_range=(1.0, 50.0))
             mu = float(10.0 ** rng.uniform(0.0, 15.0))
-            result = runner(mu, env)
-            assert _finite_eps(protocol, mu, env)[:2] == (result.report.pts_min,
-                                                           result.asymptotic_eps)
+            eps_inf = entdist.protocols.large_mu_eps(env.tau, env.omega, env.g, env.gp, protocol)
+            assert _finite_eps(protocol, mu, env)[:2] == (runner(mu, env).report.pts_min,
+                                                           eps_inf)
 
 
 class TestAtEb:

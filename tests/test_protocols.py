@@ -11,16 +11,15 @@ from entdist import (
     DomainError,
     EnvironmentParams,
     EnvKind,
+    ProtocolResult,
     classify_environment,
     coherent_info_asymptotic,
     direct_eps_asymptotic,
     direct_output_cm,
     eb_threshold,
-    epr_variances_from_cm,
     log_negativity,
     run_direct,
     run_swap,
-    swap_coherent_info_determinant,
     swap_conditional_cm,
     swap_epr_variances_asymptotic,
     swap_eps_asymptotic,
@@ -32,11 +31,13 @@ from gaussian_reference import (
     bell_port_variances,
     direct_output_pipeline,
     direct_spectrum_asymptotic,
+    epr_variances_from_cm,
     make_env_cm,
     make_epr_cm,
     one_mode_output_pipeline,
     pts_min_eigenvalue,
     reference_report,
+    swap_coherent_info_determinant,
     swap_conditional_pipeline,
     swap_noiseless_pipeline,
     symplectic_eigenvalues,
@@ -45,6 +46,7 @@ from test_reference_table import _finite_mu_spectra, oracles
 
 LARGE_MU = 1e6
 PROTOCOL_NAMES = {run_direct: "direct", run_swap: "swap"}
+EPS_ASYMPTOTIC = {run_direct: direct_eps_asymptotic, run_swap: swap_eps_asymptotic}
 # the closed-form PTS eigenvalue and full symplectic spectrum are square roots
 # of a few products, sums and quotients of positive terms, each rounded once:
 # a few ulps at most
@@ -382,17 +384,16 @@ class TestProtocolRunners:
     @pytest.mark.parametrize("runner", [run_direct, run_swap])
     def test_convergence_contract(self, runner):
         env = EnvironmentParams(0.75, 7.0, 4.0, -4.0)
+        eps_inf = EPS_ASYMPTOTIC[runner](env)
         for mu in (1e5, 1e6):
-            result = runner(mu, env)
-            assert abs(result.report.pts_min - result.asymptotic_eps) <= \
-                1e-3 * result.asymptotic_eps
+            assert abs(runner(mu, env).report.pts_min - eps_inf) <= 1e-3 * eps_inf
 
     @pytest.mark.parametrize("runner", [run_direct, run_swap])
     def test_monotone_convergence(self, runner):
         rng = np.random.default_rng(61)
         for _ in range(10):
             env = random_bona_fide_env(rng, omega_range=(1.2, 6.0))
-            errors = [abs(runner(mu, env).report.pts_min - runner(mu, env).asymptotic_eps)
+            errors = [abs(runner(mu, env).report.pts_min - EPS_ASYMPTOTIC[runner](env))
                       for mu in (1e2, 1e4, 1e6)]
             assert errors[0] >= errors[1] >= errors[2]
 
@@ -403,6 +404,13 @@ class TestProtocolRunners:
         # LinAlgError instead of a DomainError
         with pytest.raises(DomainError, match="magnitude"):
             runner(mu, EnvironmentParams(0.5, 7.0, 4.0, -4.0))
+
+    @pytest.mark.parametrize("runner", [run_direct, run_swap])
+    def test_result_is_the_output_and_its_report(self, runner):
+        # the large-mu values are large_mu_eps and coherent_info_asymptotic, not fields
+        result = runner(1e3, EnvironmentParams(0.75, 7.0, 4.0, -4.0))
+        assert type(result) is ProtocolResult
+        assert ProtocolResult._fields == ("output_cm", "report")
 
     @pytest.mark.parametrize("runner", [run_direct, run_swap])
     def test_results_compare_by_value(self, runner):
@@ -575,10 +583,10 @@ class TestProtocolRunners:
 
     def test_report_sides(self):
         env = EnvironmentParams(0.75, 7.0, 6.0, -6.0)
-        result = run_direct(LARGE_MU, env)
-        assert result.asymptotic_eps == pytest.approx(0.25)
-        assert result.report.pts_min == pytest.approx(0.25, rel=1e-3)
-        assert result.asymptotic_coherent_info == pytest.approx(math.log(4.0) - 1.0)
+        assert direct_eps_asymptotic(env) == pytest.approx(0.25)
+        assert run_direct(LARGE_MU, env).report.pts_min == pytest.approx(0.25, rel=1e-3)
+        assert coherent_info_asymptotic(direct_eps_asymptotic(env)) == \
+            pytest.approx(math.log(4.0) - 1.0)
 
 
 class TestCoherentInfoConsistency:

@@ -85,7 +85,8 @@ def test_package_neither_defines_nor_imports_the_references():
              "make_epr_cm", "make_env_cm",
              "symplectic_eigenvalues", "partial_transpose", "partial_trace",
              "pts_min_eigenvalue", "von_neumann_entropy", "reference_report",
-             "entanglement_report", "symplectic_form", "_checked_modes"}
+             "entanglement_report", "symplectic_form", "_checked_modes",
+             "epr_variances_from_cm", "swap_coherent_info_determinant"}
     found = []
     for path in sorted(Path(entdist.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
