@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import stat
 import sys
 from functools import partial
@@ -355,6 +356,16 @@ _COMMANDS = {"point": cmd_point, "scan": cmd_scan, "converge": cmd_converge}
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads "-5e0", "-5." or "-inf" as an option string, where "-5" and "-5.5" are
+    # numbers; joined to the flag before it, as "--gp=-5e0", a negative number is its value
+    for k in range(len(argv) - 1, 0, -1):
+        try:
+            float(argv[k])
+        except ValueError:
+            continue
+        if argv[k].startswith("-") and re.fullmatch("--[^=]+", argv[k - 1]):
+            argv[k - 1:k + 1] = [f"{argv[k - 1]}={argv[k]}"]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -31,11 +31,11 @@ from functools import partial
 import numpy as np
 
 from .cli import _json_ready, fmt
-from .scanner import Activation, EnvKind, ScanGrid
+from .scanner import _PAIRS, ScanGrid
 
-# ScanGrid pair code kind * 3 + activation indexes this list; codes 0-2 are the
+# the text of the scanner's pairs, indexed by pair code; codes 0-2 are the
 # Forbidden cells, which carry no eps
-_PAIRS = [(kind.value, act.value) for kind in EnvKind for act in Activation]
+_PAIR_TEXTS = [(kind.value, act.value) for kind, act in _PAIRS]
 
 
 def _json_number(x: float) -> str:
@@ -171,7 +171,7 @@ def _scan_rows(grid: ScanGrid, fragments, separator, json_numbers: bool, first, 
     take ``_json_number(eps)`` instead.
     """
     res = grid.spec.resolution
-    by_code = [fragments[code * res:(code + 1) * res] for code in range(len(_PAIRS))]
+    by_code = [fragments[code * res:(code + 1) * res] for code in range(len(_PAIR_TEXTS))]
     g_seps = [separator(g) for g in grid.spec.g_centers().tolist()]
     run_bounds, run_codes = grid.run_bounds.tolist(), grid.run_codes.tolist()
     rows_per_tile = max(1, _RENDER_TILE_CELLS // res)
@@ -232,7 +232,7 @@ def _render_scan_csv(grid: ScanGrid):
     """CSV bytes in blocks: the header, then one block per g row. Each row
     starts with the newline that ends the line before it."""
     gps = [fmt(gp) for gp in grid.spec.gp_centers().tolist()]
-    fragments = [f"{gp},{kind},{act},".encode() for kind, act in _PAIRS for gp in gps]
+    fragments = [f"{gp},{kind},{act},".encode() for kind, act in _PAIR_TEXTS for gp in gps]
     rows = partial(_scan_rows, grid, fragments, lambda g: f"\n{fmt(g)},".encode(), False)
     yield b"g,gp,env_class,activation,eps"
     yield from _split_rows(rows, grid.spec.resolution)
@@ -245,7 +245,7 @@ def _render_scan_json(grid: ScanGrid):
     brackets. Each cell starts with the close of the cell before it."""
     spec = grid.spec
     # counted from the runs, in pair-code order: nothing grid-sized is allocated here
-    counts = {f"{kind}/{act}": count for (kind, act), count in zip(_PAIRS, grid.counts)}
+    counts = {f"{kind}/{act}": count for (kind, act), count in zip(_PAIR_TEXTS, grid.counts)}
     total = spec.resolution ** 2
     fractions = {key: count / total for key, count in counts.items()}
     head = json.dumps(_json_ready({
@@ -267,7 +267,7 @@ def _render_scan_json(grid: ScanGrid):
     fragments = [
         f'"gp": {gp},\n      "env_class": "{kind}",\n      "activation": "{act}",\n'
         f'      "eps": {"null" if code < 3 else ""}'.encode()
-        for code, (kind, act) in enumerate(_PAIRS) for gp in gps
+        for code, (kind, act) in enumerate(_PAIR_TEXTS) for gp in gps
     ]
 
     def separator(g):  # closes the cell before, opens this one

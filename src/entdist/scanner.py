@@ -4,8 +4,9 @@ Every cell is evaluated at its center by the same formula functions that the
 point evaluators in :mod:`entdist.environment` and :mod:`entdist.protocols`
 call, here on arrays over the grid, so the scan and the point evaluators agree
 bit for bit by construction. Each spec's ``_eps_map`` alone decides which eps
-field a protocol has, and holds the plane's two boundary shapes: :func:`scan` bisects
-g rows on their predicates, :func:`boundary_curves` solves vertices from their cuts.
+field a protocol has, the environment's PTS eigenvalue under ENVIRONMENT_ONLY,
+and holds the plane's two boundary shapes: :func:`scan` bisects g rows on their
+predicates, :func:`boundary_curves` solves vertices from their cuts.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ _NOT_NUMBERS = (str, bytes, bytearray, bool, np.bool_)
 # activates; the plane's two boundary shapes, each a float predicate and a cut
 _EpsMap = namedtuple("_EpsMap", "eps scale levels rising falling")
 _Boundary = namedtuple("_Boundary", "holds cut")
-
-
-def _env_pts_field(omega, g, gp):
-    return np.sqrt(env_pts_radicand(omega, g, gp))  # the environment's PTS eigenvalue
 
 
 @dataclass(frozen=True)
@@ -104,7 +101,7 @@ class ScanSpec:
         up = _Boundary(lambda a, gp, c=1.0: rising(w, a, gp) >= c, lambda c, a: c / (w - a) - w)
         down = _Boundary(lambda a, gp, c=1.0: falling(w, a, gp) < c, lambda c, a: w - c / (w + a))
         if self.protocol is Protocol.ENVIRONMENT_ONLY:
-            return _EpsMap(partial(_env_pts_field, w), 1.0, (), up, down)
+            return _EpsMap(lambda g, gp: np.sqrt(env_pts_radicand(w, g, gp)), 1.0, (), up, down)
         return _EpsMap(partial(large_mu_eps, self.tau, w, protocol=self.protocol),
                        large_mu_eps_scale(self.tau, self.protocol), (1.0, DISTILLABLE_EPS),
                        up, down)
@@ -118,9 +115,8 @@ class ScanSpec:
                      for lo, hi in (self.g_range, self.gp_range))
 
 
-# pair codes kind * 3 + activation index these tuples as code // 3 and code % 3
-_KINDS = tuple(EnvKind)
-_ACTIVATIONS = tuple(Activation)
+# the (EnvKind, Activation) of each pair code kind * 3 + activation, in code order
+_PAIRS = tuple((kind, act) for kind in EnvKind for act in Activation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,9 +126,9 @@ class ScanGrid:
     (kind 0 Forbidden, 1 Separable, 2 Entangled; activation 0 None, 1 Entangling,
     2 Distillable), and ``counts`` is the number of cells of each pair code. The
     run arrays are read-only copies of those passed in; the per-cell ``kind``,
-    ``activation`` (int8), ``eps`` and ``env_pts`` (NaN on Forbidden cells, one
-    array under ENVIRONMENT_ONLY) are read-only, built on first access and
-    cached; ``eps_rows`` covers g rows only, NaN exactly on the Forbidden cells."""
+    ``activation`` (int8) and ``eps`` (NaN on Forbidden cells; the environment's
+    PTS eigenvalue under ENVIRONMENT_ONLY) are read-only, built on first access
+    and cached; ``eps_rows`` covers g rows only, NaN exactly on the Forbidden cells."""
 
     spec: ScanSpec
     run_bounds: np.ndarray
@@ -151,7 +147,7 @@ class ScanGrid:
     @property
     def summary(self) -> dict[tuple[EnvKind, Activation], int]:
         """Cell count of every (EnvKind, Activation) pair that occurs."""
-        return {(_KINDS[c // 3], _ACTIVATIONS[c % 3]): n for c, n in enumerate(self.counts) if n}
+        return {_PAIRS[c]: n for c, n in enumerate(self.counts) if n}
 
     def summary_fractions(self) -> dict[tuple[EnvKind, Activation], float]:
         return {pair: count / self.spec.resolution ** 2 for pair, count in self.summary.items()}
@@ -176,12 +172,6 @@ class ScanGrid:
     def eps(self) -> np.ndarray:
         return _read_only(_tiled_field(self.spec, self.spec._eps_map.eps, self._physical_rows))
 
-    @cached_property
-    def env_pts(self) -> np.ndarray:
-        if not self.spec._eps_map.levels:  # eps is the environment's PTS eigenvalue
-            return self.eps
-        env_pts = partial(_env_pts_field, self.spec.omega_value)
-        return _read_only(_tiled_field(self.spec, env_pts, self._physical_rows))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

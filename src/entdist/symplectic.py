@@ -79,14 +79,6 @@ class CovarianceMatrix(_CovarianceFields):
         equal = self.__eq__(other)
         return equal if equal is NotImplemented else not equal
 
-    @property
-    def n_modes(self) -> int:
-        return self.data.shape[0] // 2
-
-    def mode_block(self, i: int, j: int) -> np.ndarray:
-        """2x2 block coupling modes i and j."""
-        return self.data[2 * i:2 * i + 2, 2 * j:2 * j + 2]
-
 
 class EntanglementReport(NamedTuple):
     """Entanglement figures of merit for one bipartition of a Gaussian state."""

@@ -1,9 +1,10 @@
 """Generic symplectic algebra and the finite-mu symplectic pipelines.
 
 These are the independent references that the tests compare entdist's closed
-forms against: the symplectic form, the symplectic spectrum of a covariance
-matrix, partial transposition and trace, the von Neumann entropy and the
-entanglement report of any bipartition built from them, beam splitters,
+forms against: the mode count and the 2x2 blocks of a covariance matrix, the
+symplectic form, the symplectic spectrum of a covariance matrix, partial
+transposition and trace, the von Neumann entropy and the entanglement report
+of any bipartition built from them, beam splitters,
 symplectic conjugation, homodyne conditioning and the two-mode closed-form
 spectrum, the EPR and environment input states, the pipelines that build each
 protocol's output state from them (beam splitters, partial traces, homodyne
@@ -46,6 +47,15 @@ _Z = np.diag([1.0, -1.0])
 # ---------------------------------------------------------------------------
 # generic symplectic algebra
 # ---------------------------------------------------------------------------
+
+def n_modes(cm: CovarianceMatrix) -> int:
+    return cm.data.shape[0] // 2
+
+
+def mode_block(cm: CovarianceMatrix, i: int, j: int) -> np.ndarray:
+    """2x2 block coupling modes i and j."""
+    return cm.data[2 * i:2 * i + 2, 2 * j:2 * j + 2]
+
 
 @functools.cache
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -103,15 +113,15 @@ def symplectic_eigenvalues(cm: CovarianceMatrix) -> np.ndarray:
     v = cm.data
     if float(np.linalg.eigvalsh(v)[0]) <= 0.0:
         raise DomainError("covariance matrix is not positive-definite")
-    moduli = np.sort(np.abs(np.linalg.eigvals(symplectic_form(cm.n_modes) @ v)))
+    moduli = np.sort(np.abs(np.linalg.eigvals(symplectic_form(n_modes(cm)) @ v)))
     nus = 0.5 * (moduli[0::2] + moduli[1::2])
     return nus[::-1].copy()
 
 
 def partial_transpose(cm: CovarianceMatrix, modes: Iterable[int]) -> CovarianceMatrix:
     """Flip p -> -p on the given modes (conjugation by the per-mode reflection)."""
-    modes = _checked_modes(modes, cm.n_modes)
-    flip = np.ones(2 * cm.n_modes)
+    modes = _checked_modes(modes, n_modes(cm))
+    flip = np.ones(2 * n_modes(cm))
     for m in modes:
         flip[2 * m + 1] = -1.0
     return CovarianceMatrix(cm.data * np.outer(flip, flip))
@@ -123,16 +133,16 @@ def pts_min_eigenvalue(cm: CovarianceMatrix, partition: Iterable[int]) -> float:
     The bipartition must be proper: transposing nothing or everything leaves
     the spectrum unchanged and would certify nothing.
     """
-    modes = _checked_modes(partition, cm.n_modes)
-    if len(modes) == cm.n_modes:
+    modes = _checked_modes(partition, n_modes(cm))
+    if len(modes) == n_modes(cm):
         raise DomainError("partition must leave at least one mode untransposed")
     return float(symplectic_eigenvalues(partial_transpose(cm, modes))[-1])
 
 
 def partial_trace(cm: CovarianceMatrix, drop: Iterable[int]) -> CovarianceMatrix:
     """Discard the listed modes (delete their rows and columns)."""
-    drop_modes = _checked_modes(drop, cm.n_modes)
-    if len(drop_modes) == cm.n_modes:
+    drop_modes = _checked_modes(drop, n_modes(cm))
+    if len(drop_modes) == n_modes(cm):
         raise DomainError("cannot trace out every mode")
     idx = [i for m in drop_modes for i in (2 * m, 2 * m + 1)]
     v = np.delete(np.delete(cm.data, idx, axis=0), idx, axis=1)
@@ -165,8 +175,8 @@ def reference_report(cm: CovarianceMatrix, partition: Iterable[int]) -> Entangle
     CM, and the coherent information toward the partition,
     S(partition) - S(all), from the partial trace to the partition."""
     eps = pts_min_eigenvalue(cm, partition)
-    keep = _checked_modes(partition, cm.n_modes)
-    reduced = partial_trace(cm, drop=[m for m in range(cm.n_modes) if m not in keep])
+    keep = _checked_modes(partition, n_modes(cm))
+    reduced = partial_trace(cm, drop=[m for m in range(n_modes(cm)) if m not in keep])
     return EntanglementReport(
         pts_min=eps,
         log_negativity=log_negativity(eps),
@@ -184,11 +194,11 @@ def symplectic_eigenvalues_two_mode(cm: CovarianceMatrix) -> np.ndarray:
     cancellation that would otherwise wipe out the small eigenvalue for
     strongly squeezed states.
     """
-    if cm.n_modes != 2:
-        raise DomainError(f"closed formula needs exactly 2 modes, got {cm.n_modes}")
-    det_a = float(np.linalg.det(cm.mode_block(0, 0)))
-    det_b = float(np.linalg.det(cm.mode_block(1, 1)))
-    det_c = float(np.linalg.det(cm.mode_block(0, 1)))
+    if n_modes(cm) != 2:
+        raise DomainError(f"closed formula needs exactly 2 modes, got {n_modes(cm)}")
+    det_a = float(np.linalg.det(mode_block(cm, 0, 0)))
+    det_b = float(np.linalg.det(mode_block(cm, 1, 1)))
+    det_c = float(np.linalg.det(mode_block(cm, 0, 1)))
     det_v = float(np.linalg.det(cm.data))
     if det_v <= 0.0:
         raise DomainError("covariance matrix is not positive-definite")
@@ -223,9 +233,9 @@ def apply_symplectic(
             f"transform acts on {transform.n_modes} modes but {len(modes)} were given"
         )
     for m in modes:
-        if not 0 <= m < cm.n_modes:
-            raise DomainError(f"mode index {m} out of range for {cm.n_modes} modes")
-    full = np.eye(2 * cm.n_modes)
+        if not 0 <= m < n_modes(cm):
+            raise DomainError(f"mode index {m} out of range for {n_modes(cm)} modes")
+    full = np.eye(2 * n_modes(cm))
     s = transform.matrix
     for a, ma in enumerate(modes):
         for b, mb in enumerate(modes):
@@ -243,15 +253,15 @@ def homodyne_condition(cm: CovarianceMatrix, mode: int, quadrature: str) -> Cova
     """
     if quadrature not in ("q", "p"):
         raise DomainError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
-    if not 0 <= mode < cm.n_modes:
-        raise DomainError(f"mode index {mode} out of range for {cm.n_modes} modes")
-    if cm.n_modes < 2:
+    if not 0 <= mode < n_modes(cm):
+        raise DomainError(f"mode index {mode} out of range for {n_modes(cm)} modes")
+    if n_modes(cm) < 2:
         raise DomainError("conditioning needs at least one unmeasured mode")
     i = 2 * mode + (0 if quadrature == "q" else 1)
     var = float(cm.data[i, i])
     if var <= PINV_CUTOFF:
         raise DomainError("measured quadrature has (numerically) zero variance")
-    keep = [k for k in range(2 * cm.n_modes) if k not in (2 * mode, 2 * mode + 1)]
+    keep = [k for k in range(2 * n_modes(cm)) if k not in (2 * mode, 2 * mode + 1)]
     a = cm.data[np.ix_(keep, keep)]
     c = cm.data[np.ix_(keep, [i])]
     return CovarianceMatrix(a - (c @ c.T) / var)
@@ -388,8 +398,8 @@ def bell_port_variances(mu: float, env: EnvironmentParams) -> tuple[float, float
 
 def epr_variances_from_cm(cm: CovarianceMatrix) -> EprVariances:
     """Read the remote EPR variances off a two-mode CM as quadratic forms."""
-    if cm.n_modes != 2:
-        raise DomainError(f"EPR variances need exactly 2 modes, got {cm.n_modes}")
+    if n_modes(cm) != 2:
+        raise DomainError(f"EPR variances need exactly 2 modes, got {n_modes(cm)}")
     v = cm.data
     vq = 0.5 * (v[0, 0] + v[2, 2] - 2.0 * v[0, 2])
     vp = 0.5 * (v[1, 1] + v[3, 3] + 2.0 * v[1, 3])
@@ -399,9 +409,9 @@ def epr_variances_from_cm(cm: CovarianceMatrix) -> EprVariances:
 def swap_coherent_info_determinant(cm: CovarianceMatrix) -> float:
     """Determinant form ln((2/e) sqrt(det V_b / det V_ab)) of the remote
     coherent information; agrees with the entropy difference at large mu."""
-    if cm.n_modes != 2:
-        raise DomainError(f"determinant form needs exactly 2 modes, got {cm.n_modes}")
-    sign_b, logdet_b = np.linalg.slogdet(cm.mode_block(1, 1))
+    if n_modes(cm) != 2:
+        raise DomainError(f"determinant form needs exactly 2 modes, got {n_modes(cm)}")
+    sign_b, logdet_b = np.linalg.slogdet(mode_block(cm, 1, 1))
     sign_ab, logdet_ab = np.linalg.slogdet(cm.data)
     if sign_b <= 0.0 or sign_ab <= 0.0:
         raise DomainError("covariance matrix is not positive-definite")

@@ -248,7 +248,7 @@ def test_criterion_9_figure_scans():
         }
         none = ACTIVATION_CODE[Activation.NONE]
         for grid in grids.values():
-            for arr in (grid.kind, grid.activation, grid.env_pts, grid.eps):
+            for arr in (grid.kind, grid.activation, grid.eps):
                 assert arr.shape == (201, 201)
             assert sum(grid.summary.values()) == 201 * 201
             activated = grid.activation != none

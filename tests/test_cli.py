@@ -1119,6 +1119,48 @@ class TestNonFiniteFlags:
         assert "finite" in err
 
 
+class TestNegativeNumberFlags:
+    """A negative number after a flag is the flag's value however it is spelled:
+    argparse alone reads "-5e0", "-5." and "-inf" as option strings, where it
+    takes "-5" and "-5.5" for numbers."""
+
+    BASE = {
+        "point": ["--tau", "0.75", "--omega", "7", "--g", "5", "--gp", "-5", "--mu", "100"],
+        "converge": ["--protocol", "direct", "--tau", "0.75", "--omega", "7", "--g", "5",
+                     "--gp", "-5", "--mu", "100"],
+        "scan": ["--protocol", "direct", "--resolution", "3", "--tau", "0.5", "--omega", "2",
+                 "--g-min", "-1", "--g-max", "1", "--gp-min", "-1", "--gp-max", "1"],
+    }
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, argv in BASE.items()
+        for flag in argv[::2] if flag not in ("--protocol", "--resolution")])
+    @pytest.mark.parametrize("value", ["-5e-1", "-5.", "-1E0", "-inf"])
+    def test_reads_as_the_joined_form(self, capsys, command, flag, value):
+        argv, at = self.BASE[command], self.BASE[command].index(flag)
+        spaced = run_cli(capsys, command, *argv[:at], flag, value, *argv[at + 2:])
+        assert "expected one argument" not in spaced[2]
+        assert spaced == run_cli(capsys, command, *argv[:at], f"{flag}={value}", *argv[at + 2:])
+
+    @pytest.mark.parametrize("argv, exit_code, err", [
+        (["point", "--tau", "0.75", "--at-eb", "--g", "5", "--gp", "-5e0"], EXIT_OK, ""),
+        (["point", "--tau", "0.75", "--at-eb", "--g", "5", "--gp", "-5."], EXIT_OK, ""),
+        (["scan", "--tau", "0.5", "--at-eb", "--protocol", "direct", "--resolution", "3",
+          "--g-min", "-1e3", "--g-max", "1e3"], EXIT_OK, ""),
+        (["point", "--tau", "0.75", "--at-eb", "--g", "5", "--gp", "-inf"], EXIT_USAGE,
+         "argument --gp: expected a finite number, got '-inf'"),
+        (["converge", "--tau", "0.75", "--at-eb", "--g", "5", "--gp", "-5", "--protocol",
+          "direct", "--mu", "-1e3"], EXIT_USAGE, "argument --mu: mu must be >= 1"),
+    ], ids=["gp-exponent", "gp-trailing-point", "scan-window", "gp-minus-inf", "mu-negative"])
+    def test_exit_code_and_message(self, capsys, argv, exit_code, err):
+        code, out, got = run_cli(capsys, *argv)
+        assert code == exit_code
+        if exit_code == EXIT_OK:
+            assert out and not got
+        else:
+            assert not out and err in got
+
+
 class TestConverge:
     def test_default_mu_ladder_error_decreases(self, capsys):
         code, out, _ = run_cli(capsys, "converge", "--tau", "0.75", "--at-eb",

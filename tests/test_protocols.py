@@ -34,6 +34,7 @@ from gaussian_reference import (
     epr_variances_from_cm,
     make_env_cm,
     make_epr_cm,
+    mode_block,
     one_mode_output_pipeline,
     pts_min_eigenvalue,
     reference_report,
@@ -105,9 +106,9 @@ class TestDirectOutput:
         env = EnvironmentParams(0.6, 2.5, 1.0, -0.5)
         out = direct_output_cm(1.0, env)
         x = 0.6 * 1.0 + 0.4 * 2.5
-        np.testing.assert_allclose(out.mode_block(0, 0), x * np.eye(2), rtol=1e-14)
-        np.testing.assert_allclose(out.mode_block(1, 1), x * np.eye(2), rtol=1e-14)
-        np.testing.assert_allclose(out.mode_block(0, 1), 0.4 * np.diag([1.0, -0.5]),
+        np.testing.assert_allclose(mode_block(out, 0, 0), x * np.eye(2), rtol=1e-14)
+        np.testing.assert_allclose(mode_block(out, 1, 1), x * np.eye(2), rtol=1e-14)
+        np.testing.assert_allclose(mode_block(out, 0, 1), 0.4 * np.diag([1.0, -0.5]),
                                    rtol=1e-14)
 
     def test_large_mu_pts_reaches_asymptote(self):
@@ -253,8 +254,8 @@ class TestCoherentInfoAsymptotic:
 class TestSwapNoiseless:
     def test_mu_two_values(self):
         cm = swap_noiseless_pipeline(2.0)
-        np.testing.assert_allclose(cm.mode_block(0, 0), 1.25 * np.eye(2))
-        np.testing.assert_allclose(cm.mode_block(0, 1), 0.75 * np.diag([1.0, -1.0]))
+        np.testing.assert_allclose(mode_block(cm, 0, 0), 1.25 * np.eye(2))
+        np.testing.assert_allclose(mode_block(cm, 0, 1), 0.75 * np.diag([1.0, -1.0]))
         assert pts_min_eigenvalue(cm, (1,)) == pytest.approx(0.5, abs=1e-12)
 
     def test_mu_one_gives_vacua(self):
@@ -501,6 +502,42 @@ class TestProtocolRunners:
         report = run_direct(point[0], EnvironmentParams(*point[1:])).report
         expected = oracles.finite_mu_reference("direct", *point)
         assert all(oracles.within_contract((report.pts_min, report.coherent_info), expected))
+
+    # ROADMAP item 6's points: omega at the EB threshold, gp = 0, and g bisected on the
+    # 50-digit reference until the coherent information is 1e-4, 1e-7 or 1e-10
+    @pytest.mark.parametrize("protocol, tau, mu, coherent_info, g", [
+        ("direct", 0.8, 30.0, 1e-4, 8.643504813066263),
+        ("direct", 0.8, 30.0, 1e-7, 8.643427311115055),
+        ("direct", 0.8, 30.0, 1e-10, 8.643427233605278),
+        ("direct", 0.8, 1e4, 1e-4, 8.6241996290889),
+        ("direct", 0.8, 1e4, 1e-7, 8.624124517173243),
+        ("direct", 0.8, 1e4, 1e-10, 8.624124442053816),
+        ("direct", 0.8, 1e9, 1e-4, 8.624143836984276),
+        ("direct", 0.8, 1e9, 1e-7, 8.624068733420113),
+        ("direct", 0.8, 1e9, 1e-10, 8.624068658309039),
+        ("swap", 0.85, 30.0, 1e-4, 12.053851589440523),
+        ("swap", 0.85, 30.0, 1e-7, 12.053771949647096),
+        ("swap", 0.85, 30.0, 1e-10, 12.053771869999068),
+        ("swap", 0.85, 1e4, 1e-4, 11.981275166305796),
+        ("swap", 0.85, 1e4, 1e-7, 11.981204741708943),
+        ("swap", 0.85, 1e4, 1e-10, 11.981204671277304),
+        ("swap", 0.85, 1e9, 1e-4, 11.98104436935167),
+        ("swap", 0.85, 1e9, 1e-7, 11.98097397498374),
+        ("swap", 0.85, 1e9, 1e-10, 11.980973904582333),
+    ])
+    def test_near_zero_coherent_info_has_the_reference_sign(self, protocol, tau, mu,
+                                                           coherent_info, g):
+        # the sign is the one-way distillability verdict. The 9-digit relative
+        # contract is not asserted: 11 of the 18 points, every 1e-10 one among
+        # them, miss it by a few ulps of the larger entropy, the bound that
+        # assert_report_is_the_reference states
+        env = EnvironmentParams(tau, eb_threshold(tau), g, 0.0)
+        report = {"direct": run_direct, "swap": run_swap}[protocol](mu, env).report
+        with mpmath.workdps(60):
+            assert_report_is_the_reference(report, protocol, mu, env)
+        _, expected = oracles.finite_mu_reference(protocol, mu, *env)
+        assert expected == pytest.approx(coherent_info, rel=1e-4)
+        assert (report.coherent_info > 0) == (expected > 0)
 
     @pytest.mark.parametrize("runner", [run_direct, run_swap])
     def test_coherent_info_near_mu_one_is_the_reference(self, runner):

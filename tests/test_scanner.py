@@ -131,7 +131,7 @@ class TestScan:
     def test_shapes_and_summary_totals(self):
         spec = ScanSpec(tau=0.5, protocol=Protocol.DIRECT, resolution=41)
         grid = scan(spec)
-        for arr in (grid.kind, grid.activation, grid.env_pts, grid.eps):
+        for arr in (grid.kind, grid.activation, grid.eps):
             assert arr.shape == (41, 41)
         assert sum(grid.summary.values()) == 41 * 41
         fracs = grid.summary_fractions()
@@ -146,7 +146,6 @@ class TestScan:
         entangling = grid.eps[grid.activation == ENTANGLING]
         assert ((DISTILLABLE_EPS <= entangling) & (entangling < 1.0)).all()
         assert np.isnan(grid.eps[forbidden]).all()
-        assert np.isnan(grid.env_pts[forbidden]).all()
 
     def test_matches_scalar_evaluators_cellwise(self):
         self._assert_matches_scalar(Protocol.SWAP, swap_eps_asymptotic)
@@ -169,7 +168,6 @@ class TestScan:
                 expected = classify_environment(spec.omega_value, float(g), float(gp))
                 assert grid.kind[i, j] == KIND_CODE[expected.kind]
                 if expected.kind is not EnvKind.FORBIDDEN:
-                    assert grid.env_pts[i, j] == expected.env_pts
                     env = EnvironmentParams(spec.tau, spec.omega_value, float(g), float(gp))
                     assert grid.eps[i, j] == scalar_eps(env)
 
@@ -178,8 +176,8 @@ class TestScan:
                         omega=2.0)
         grid = scan(spec)
         assert (grid.activation == NONE).all()
-        physical = grid.kind != FORBIDDEN
-        np.testing.assert_array_equal(grid.eps[physical], grid.env_pts[physical])
+        # the environment's PTS eigenvalue, NaN exactly on the Forbidden cells
+        np.testing.assert_array_equal(grid.eps, _whole_grid(spec)[2])
 
     def test_known_distillable_separable_cell(self):
         spec = ScanSpec(tau=0.75, protocol=Protocol.SWAP, resolution=7,
@@ -215,7 +213,7 @@ class TestScan:
 
     def test_result_arrays_are_read_only(self):
         grid = scan(ScanSpec(tau=0.75, protocol=Protocol.DIRECT, resolution=11))
-        for arr in (grid.kind, grid.activation, grid.env_pts, grid.eps):
+        for arr in (grid.kind, grid.activation, grid.eps):
             with pytest.raises(ValueError):
                 arr[0, 0] = 0
 
@@ -272,7 +270,7 @@ def _whole_grid(spec):
 
 
 class TestScanTiles:
-    """The lazy eps and env_pts fields are filled one tile of g rows at a time,
+    """The lazy eps field is filled one tile of g rows at a time,
     and kind and activation from the scan's runs; with the tile shrunk to a few
     cells, small grids split into many tiles, which must join with no seam."""
 
@@ -290,9 +288,9 @@ class TestScanTiles:
         spec = ScanSpec(tau=0.75, protocol=protocol, resolution=resolution, **window)
         grid = scan(spec)
         expected = _whole_grid(spec)
-        for name, arr, want in zip(("kind", "activation", "env_pts", "eps"),
-                                   (grid.kind, grid.activation, grid.env_pts, grid.eps),
-                                   expected):
+        for name, arr, want in zip(("kind", "activation", "eps"),
+                                   (grid.kind, grid.activation, grid.eps),
+                                   (expected[0], expected[1], expected[3])):
             np.testing.assert_array_equal(arr, want, err_msg=name)
         assert grid.kind.dtype == grid.activation.dtype == np.int8
         # the grid holds every kind code, so none goes unchecked
@@ -443,9 +441,8 @@ def _row_slices(draw):
 
 
 class TestLazyFields:
-    """scan keeps the runs of class codes only; eps and env_pts are evaluated
-    tile by tile on first access and cached, and eps_rows evaluates a slice of
-    rows."""
+    """scan keeps the runs of class codes only; eps is evaluated tile by tile
+    on first access and cached, and eps_rows evaluates a slice of rows."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=_row_slices())
@@ -464,16 +461,12 @@ class TestLazyFields:
         monkeypatch.setattr(scanner, "_TILE_CELLS", 40)  # 3 rows a tile at 13^2
         spec = ScanSpec(tau=0.75, protocol=protocol, resolution=13)
         grid = scan(spec)
-        _, _, env, eps = _whole_grid(spec)
-        for name, want in (("eps", eps), ("env_pts", env)):
-            field = getattr(grid, name)
-            np.testing.assert_array_equal(field, want, err_msg=name)
-            assert getattr(grid, name) is field
-            assert not field.flags.writeable
-            with pytest.raises(ValueError):
-                field[0, 0] = 0.0
-        # ENVIRONMENT_ONLY reports env_pts as eps: one array for both
-        assert (grid.env_pts is grid.eps) == (protocol is Protocol.ENVIRONMENT_ONLY)
+        field = grid.eps
+        np.testing.assert_array_equal(field, _whole_grid(spec)[3])
+        assert grid.eps is field
+        assert not field.flags.writeable
+        with pytest.raises(ValueError):
+            field[0, 0] = 0.0
 
     @pytest.mark.parametrize("rows", [slice(0, 1), slice(4, 9), slice(11, 13), slice(None)],
                              ids=["first", "middle", "last", "all"])

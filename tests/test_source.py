@@ -86,18 +86,13 @@ def test_package_neither_defines_nor_imports_the_references():
              "symplectic_eigenvalues", "partial_transpose", "partial_trace",
              "pts_min_eigenvalue", "von_neumann_entropy", "reference_report",
              "entanglement_report", "symplectic_form", "_checked_modes",
-             "epr_variances_from_cm", "swap_coherent_info_determinant"}
+             "epr_variances_from_cm", "swap_coherent_info_determinant",
+             "n_modes", "mode_block"}
     found = []
     for path in sorted(Path(entdist.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        # ScanGrid.env_pts is the scan's field, not the scalar evaluator; no other
-        # method is exempt
-        exempt = {id(item) for node in ast.walk(tree)
-                  if isinstance(node, ast.ClassDef) and node.name == "ScanGrid"
-                  for item in node.body
-                  if isinstance(item, ast.FunctionDef) and item.name == "env_pts"}
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and id(node) not in exempt:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, ast.ImportFrom):
                 names = [alias.name for alias in node.names]
@@ -144,10 +139,10 @@ def _attribute_reads(paths, attrs):
 
 
 def test_cli_reads_no_whole_grid_float_field():
-    # a scan keeps runs of cells; ScanGrid.eps and ScanGrid.env_pts build a
-    # float64 array of the whole grid, so the renderer asks for the eps rows
-    # of each tile (ScanGrid.eps_rows) and reads neither
-    found = _attribute_reads(CLI_SOURCES, ("eps", "env_pts"))
+    # a scan keeps runs of cells; ScanGrid.eps builds a float64 array of the
+    # whole grid, so the renderer asks for the eps rows of each tile
+    # (ScanGrid.eps_rows) and does not read it
+    found = _attribute_reads(CLI_SOURCES, ("eps",))
     assert not found, f"whole-grid float fields read in the CLI: {', '.join(found)}"
 
 
