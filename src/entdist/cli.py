@@ -356,19 +356,23 @@ _COMMANDS = {"point": cmd_point, "scan": cmd_scan, "converge": cmd_converge}
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads "-5e0", "-5." or "-inf" as an option string, where "-5" and "-5.5" are
-    # numbers; joined to the flag before it, as "--gp=-5e0", a negative number is its value
-    for k in range(len(argv) - 1, 0, -1):
+    # numbers; joined to the flag before it, as "--gp=-5e0", a negative number is its value,
+    # and after a value of --mu, which takes several, it is one more value, "--mu=-5e0"
+    joined, flag = [], ""  # flag: the last token that is not a number
+    for token in sys.argv[1:] if argv is None else argv:
         try:
-            float(argv[k])
+            float(token)
         except ValueError:
+            joined.append(flag := token)
             continue
-        if argv[k].startswith("-") and re.fullmatch("--[^=]+", argv[k - 1]):
-            argv[k - 1:k + 1] = [f"{argv[k - 1]}={argv[k]}"]
+        if token.startswith("-") and joined[-1:] == [flag] and re.fullmatch("--[^=]+", flag):
+            joined[-1] = f"{flag}={token}"
+        else:
+            joined.append(f"--mu={token}" if token.startswith("-") and flag == "--mu" else token)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(joined)
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage errors
         return 0 if exc.code == 0 else EXIT_USAGE

@@ -6,7 +6,9 @@ call, here on arrays over the grid, so the scan and the point evaluators agree
 bit for bit by construction. Each spec's ``_eps_map`` alone decides which eps
 field a protocol has, the environment's PTS eigenvalue under ENVIRONMENT_ONLY,
 and holds the plane's two boundary shapes: :func:`scan` bisects g rows on their
-predicates, :func:`boundary_curves` solves vertices from their cuts.
+predicates, :func:`boundary_curves` solves vertices from their cuts. The field
+has two evaluators: :func:`eps_field` over the whole grid and
+:meth:`ScanGrid.eps_rows` over a slice of g rows.
 """
 
 from __future__ import annotations
@@ -125,10 +127,10 @@ class ScanGrid:
     k + 1]) of g row i have the pair code run_codes[i, k] = kind * 3 + activation
     (kind 0 Forbidden, 1 Separable, 2 Entangled; activation 0 None, 1 Entangling,
     2 Distillable), and ``counts`` is the number of cells of each pair code. The
-    run arrays are read-only copies of those passed in; the per-cell ``kind``,
-    ``activation`` (int8) and ``eps`` (NaN on Forbidden cells; the environment's
-    PTS eigenvalue under ENVIRONMENT_ONLY) are read-only, built on first access
-    and cached; ``eps_rows`` covers g rows only, NaN exactly on the Forbidden cells."""
+    run arrays are read-only copies of those passed in; the per-cell ``kind`` and
+    ``activation`` (int8) are read-only, built on first access and cached.
+    ``eps_rows`` gives eps on g rows, NaN exactly on the Forbidden cells; the
+    whole field is :func:`eps_field` of ``spec``."""
 
     spec: ScanSpec
     run_bounds: np.ndarray
@@ -160,18 +162,9 @@ class ScanGrid:
     kind = cached_property(lambda self: _read_only(self._cells(self.run_codes // 3)))
     activation = cached_property(lambda self: _read_only(self._cells(self.run_codes % 3)))
 
-    def _physical_rows(self, rows: slice) -> np.ndarray:
-        """True on the bona-fide cells of the g rows ``rows``."""
-        return self._cells(self.run_codes > 2, rows)
-
     def eps_rows(self, rows: slice) -> np.ndarray:
         """eps on the g rows ``rows``, NaN on Forbidden cells."""
-        return _evaluate_rows(self.spec, rows, self.spec._eps_map.eps, self._physical_rows(rows))
-
-    @cached_property
-    def eps(self) -> np.ndarray:
-        return _read_only(_tiled_field(self.spec, self.spec._eps_map.eps, self._physical_rows))
-
+        return _evaluate_rows(self.spec, rows, self._cells(self.run_codes > 2, rows))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -192,10 +185,10 @@ _MEMORY = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 _TILE_CELLS = 2 ** 16
 
 
-def _evaluate_rows(spec: ScanSpec, rows: slice, field_of, physical=None):
-    """``field_of(g, gp)`` on the g rows ``rows``, NaN off the bona-fide mask
-    ``physical``, evaluated where not given. The g column broadcasts against the
-    gp row, and every formula is elementwise, so no value depends on the slicing."""
+def _evaluate_rows(spec: ScanSpec, rows: slice, physical=None):
+    """The spec's eps on the g rows ``rows``, NaN off the bona-fide mask ``physical``,
+    evaluated where not given. The g column broadcasts against the gp row, and every
+    formula is elementwise, so no value depends on the slicing."""
     g, gp = spec.g_centers()[rows, np.newaxis], spec.gp_centers()
     if physical is None:
         marginal_g, marginal_gp, uncertainty = bona_fide_conditions(spec.omega_value, g, gp)
@@ -203,28 +196,24 @@ def _evaluate_rows(spec: ScanSpec, rows: slice, field_of, physical=None):
     # forbidden cells may have negative radicands; they are masked to NaN in
     # place, in about half the time of an np.where copy
     with np.errstate(invalid="ignore"):
-        field = field_of(g, gp)
+        field = spec._eps_map.eps(g, gp)
     field[~physical] = np.nan
-    return field
-
-
-def _tiled_field(spec: ScanSpec, field_of, physical_rows=lambda rows: None) -> np.ndarray:
-    """The whole grid of :func:`_evaluate_rows`, masked by ``physical_rows(tile)`` where not
-    None, a tile of about ``_TILE_CELLS`` cells (at least a g row) at a time; one tile uncopied."""
-    res, step = spec.resolution, max(1, _TILE_CELLS // spec.resolution)
-    if step >= res:
-        return _evaluate_rows(spec, slice(None), field_of, physical_rows(slice(None)))
-    field = np.empty((res, res))
-    for tile in (slice(start, start + step) for start in range(0, res, step)):
-        field[tile] = _evaluate_rows(spec, tile, field_of, physical_rows(tile))
     return field
 
 
 def eps_field(spec: ScanSpec) -> np.ndarray:
     """eps at every cell center, indexed [i_g, j_gp], NaN outside the physical
     region; the quantity contoured by :func:`boundary_curves`. For
-    ENVIRONMENT_ONLY it is the environment PTS eigenvalue itself."""
-    return _tiled_field(spec, spec._eps_map.eps)
+    ENVIRONMENT_ONLY it is the environment PTS eigenvalue itself. Evaluated a
+    tile of about ``_TILE_CELLS`` cells (at least a g row) at a time; a grid of
+    one tile is returned as evaluated, uncopied."""
+    res, step = spec.resolution, max(1, _TILE_CELLS // spec.resolution)
+    if step >= res:
+        return _evaluate_rows(spec, slice(None))
+    field = np.empty((res, res))
+    for tile in (slice(start, start + step) for start in range(0, res, step)):
+        field[tile] = _evaluate_rows(spec, tile)
+    return field
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from entdist import (
     classify_environment,
     direct_eps_asymptotic,
     eb_threshold,
+    eps_field,
     run_direct,
     run_swap,
     scan,
@@ -248,14 +249,15 @@ def test_criterion_9_figure_scans():
         }
         none = ACTIVATION_CODE[Activation.NONE]
         for grid in grids.values():
-            for arr in (grid.kind, grid.activation, grid.eps):
+            eps = eps_field(grid.spec)
+            for arr in (grid.kind, grid.activation, eps):
                 assert arr.shape == (201, 201)
             assert sum(grid.summary.values()) == 201 * 201
             activated = grid.activation != none
             assert (grid.kind[activated] != KIND_CODE[EnvKind.FORBIDDEN]).all()
-            distillable = grid.eps[grid.activation == ACTIVATION_CODE[Activation.DISTILLABLE]]
+            distillable = eps[grid.activation == ACTIVATION_CODE[Activation.DISTILLABLE]]
             assert (distillable < DISTILLABLE_EPS).all()
-            entangling = grid.eps[grid.activation == ACTIVATION_CODE[Activation.ENTANGLING]]
+            entangling = eps[grid.activation == ACTIVATION_CODE[Activation.ENTANGLING]]
             assert ((DISTILLABLE_EPS <= entangling) & (entangling < 1.0)).all()
         swap_activated = grids[Protocol.SWAP].activation != none
         assert (grids[Protocol.DIRECT].activation[swap_activated] != none).all()

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import entdist
 import entdist.render
-from entdist import Activation, EnvKind, Protocol, ScanSpec, eb_threshold, scan
+from entdist import Activation, EnvKind, Protocol, ScanSpec, eb_threshold, eps_field, scan
 from entdist.cli import (EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, OUTPUT_ENV_VAR, _finite_eps,
                          _json_ready, fmt, main)
 from entdist.render import (_RENDER_TILE_CELLS, _g9_text, _json_number, _needs_json_number,
@@ -344,14 +344,14 @@ class TestScanCommand:
 def reference_scan_output(spec, fmt_kind):
     """Scan output rendered whole, by ``json.dumps(indent=2)`` over cell dicts for
     JSON and by joining rows with newlines for CSV."""
-    grid = scan(spec)
+    grid, field = scan(spec), eps_field(spec)
     kinds = {code: kind for kind, code in KIND_CODE.items()}
     activations = {code: act for act, code in ACTIVATION_CODE.items()}
     cells = []
     for i, g in enumerate(spec.g_centers()):
         for j, gp in enumerate(spec.gp_centers()):
             kind = kinds[grid.kind[i, j]]
-            eps = None if kind is EnvKind.FORBIDDEN else float(grid.eps[i, j])
+            eps = None if kind is EnvKind.FORBIDDEN else float(field[i, j])
             cells.append({"g": float(g), "gp": float(gp), "env_class": kind.value,
                           "activation": activations[grid.activation[i, j]].value, "eps": eps})
     if fmt_kind == "csv":
@@ -440,14 +440,14 @@ class TestStreamedScanOutput:
             assert re.search(r"\d+e-0\d", out)
         protocols, pattern = self.JSON_NUMBER_PATHS.get(window, ((), None))
         if fmt_kind == "json" and protocol in protocols:
-            assert _needs_json_number(scan(spec).eps).any()
+            assert _needs_json_number(eps_field(spec)).any()
             assert re.search(pattern, out)
 
     @pytest.mark.parametrize("window", sorted(NOTATION_BOUNDARIES))
     @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
     def test_boundary_windows_straddle_the_boundary(self, protocol, window):
         spec = ScanSpec(protocol=self.PROTOCOLS[protocol], resolution=61, **self.WINDOWS[window][1])
-        eps = scan(spec).eps
+        eps = eps_field(spec)
         eps = eps[np.isfinite(eps)]
         assert eps.min() < self.NOTATION_BOUNDARIES[window] < eps.max()
 
@@ -1151,7 +1151,16 @@ class TestNegativeNumberFlags:
          "argument --gp: expected a finite number, got '-inf'"),
         (["converge", "--tau", "0.75", "--at-eb", "--g", "5", "--gp", "-5", "--protocol",
           "direct", "--mu", "-1e3"], EXIT_USAGE, "argument --mu: mu must be >= 1"),
-    ], ids=["gp-exponent", "gp-trailing-point", "scan-window", "gp-minus-inf", "mu-negative"])
+        # a later value of --mu, which takes several, is one more value too
+        (["converge", "--tau", "0.75", "--at-eb", "--g", "5", "--gp", "-5", "--protocol",
+          "direct", "--mu", "10", "-1e3"], EXIT_USAGE, "argument --mu: mu must be >= 1"),
+        (["converge", "--tau", "0.75", "--at-eb", "--g", "5", "--gp", "-5", "--protocol",
+          "direct", "--mu", "10", "-5."], EXIT_USAGE, "argument --mu: mu must be >= 1"),
+        (["converge", "--tau", "0.75", "--at-eb", "--g", "5", "--gp", "-5", "--protocol",
+          "direct", "--mu", "10", "-inf"], EXIT_USAGE,
+         "argument --mu: expected a finite number, got '-inf'"),
+    ], ids=["gp-exponent", "gp-trailing-point", "scan-window", "gp-minus-inf", "mu-negative",
+            "mu-later-exponent", "mu-later-trailing-point", "mu-later-minus-inf"])
     def test_exit_code_and_message(self, capsys, argv, exit_code, err):
         code, out, got = run_cli(capsys, *argv)
         assert code == exit_code
@@ -1451,13 +1460,15 @@ class TestImports:
     @staticmethod
     def fresh_modules(statement):
         """Run ``statement`` in a fresh interpreter; the value it leaves in ``code``,
-        the numpy modules loaded after it, and which of the scan renderer, ``json``
-        and ``dataclasses`` and the ``inspect`` it imports are loaded."""
+        the numpy modules loaded after it, which of the scan renderer, ``json``
+        and ``dataclasses`` and the ``inspect`` it imports are loaded, and the
+        modules of the test-only dependencies scipy, mpmath and hypothesis."""
         probe = (f"import sys\ncode = None\n{statement}\n"
                  "print(repr((code, sorted(m for m in sys.modules "
                  "if m.partition('.')[0] == 'numpy'), "
                  "sorted({'entdist.render', 'json', 'dataclasses', 'inspect'} "
-                 "& set(sys.modules)))))")
+                 "& set(sys.modules)), sorted(m for m in sys.modules "
+                 "if m.partition('.')[0] in ('scipy', 'mpmath', 'hypothesis')))))")
         result = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
                                 capture_output=True, text=True, check=True, timeout=60)
         return ast.literal_eval(result.stdout.splitlines()[-1])
@@ -1484,8 +1495,9 @@ class TestImports:
         # numpy loads only where arrays or matrices are handled: a scan, the
         # runners of point --mu, a library call on arrays; converge prints closed
         # forms; the scan renderer only with a scan, json only for a JSON table,
-        # and the records are NamedTuples, so nothing loads dataclasses
-        assert self.fresh_modules(statement) == (expected, [], [])
+        # and the records are NamedTuples, so nothing loads dataclasses; no path
+        # loads a test-only dependency
+        assert self.fresh_modules(statement) == (expected, [], [], [])
 
     @pytest.mark.parametrize("statement, renders", [
         ("import entdist\nentdist.ScanSpec", False),
@@ -1496,10 +1508,11 @@ class TestImports:
          False),
     ], ids=["scanner-name", "scanner-module", "scan", "point-mu"])
     def test_arrays_load_numpy(self, statement, renders):
-        code, numpy_modules, loaded = self.fresh_modules(statement)
+        code, numpy_modules, loaded, test_only = self.fresh_modules(statement)
         assert code in (None, EXIT_OK)
         assert "numpy" in numpy_modules
         assert ("entdist.render" in loaded) is renders
+        assert not test_only
 
     def test_importtime_lists_no_numpy(self):
         result = subprocess.run([sys.executable, "-X", "importtime", "-c", "import entdist.cli"],

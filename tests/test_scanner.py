@@ -131,7 +131,7 @@ class TestScan:
     def test_shapes_and_summary_totals(self):
         spec = ScanSpec(tau=0.5, protocol=Protocol.DIRECT, resolution=41)
         grid = scan(spec)
-        for arr in (grid.kind, grid.activation, grid.eps):
+        for arr in (grid.kind, grid.activation, eps_field(spec)):
             assert arr.shape == (41, 41)
         assert sum(grid.summary.values()) == 41 * 41
         fracs = grid.summary_fractions()
@@ -139,13 +139,14 @@ class TestScan:
 
     @pytest.mark.parametrize("protocol", [Protocol.DIRECT, Protocol.SWAP])
     def test_cell_invariants(self, protocol):
-        grid = scan(ScanSpec(tau=0.75, protocol=protocol, resolution=61))
+        spec = ScanSpec(tau=0.75, protocol=protocol, resolution=61)
+        grid, eps = scan(spec), eps_field(spec)
         forbidden = grid.kind == FORBIDDEN
         assert (grid.activation[forbidden] == NONE).all()
-        assert (grid.eps[grid.activation == DISTILLABLE] < DISTILLABLE_EPS).all()
-        entangling = grid.eps[grid.activation == ENTANGLING]
+        assert (eps[grid.activation == DISTILLABLE] < DISTILLABLE_EPS).all()
+        entangling = eps[grid.activation == ENTANGLING]
         assert ((DISTILLABLE_EPS <= entangling) & (entangling < 1.0)).all()
-        assert np.isnan(grid.eps[forbidden]).all()
+        assert np.isnan(eps[forbidden]).all()
 
     def test_matches_scalar_evaluators_cellwise(self):
         self._assert_matches_scalar(Protocol.SWAP, swap_eps_asymptotic)
@@ -161,7 +162,7 @@ class TestScan:
     @staticmethod
     def _assert_matches_scalar(protocol, scalar_eps):
         spec = ScanSpec(tau=0.75, protocol=protocol, resolution=31)
-        grid = scan(spec)
+        grid, eps = scan(spec), eps_field(spec)
         gs, gps = spec.g_centers(), spec.gp_centers()
         for i, g in enumerate(gs):
             for j, gp in enumerate(gps):
@@ -169,7 +170,7 @@ class TestScan:
                 assert grid.kind[i, j] == KIND_CODE[expected.kind]
                 if expected.kind is not EnvKind.FORBIDDEN:
                     env = EnvironmentParams(spec.tau, spec.omega_value, float(g), float(gp))
-                    assert grid.eps[i, j] == scalar_eps(env)
+                    assert eps[i, j] == scalar_eps(env)
 
     def test_environment_only_reports_env_pts(self):
         spec = ScanSpec(tau=0.5, protocol=Protocol.ENVIRONMENT_ONLY, resolution=21,
@@ -177,7 +178,7 @@ class TestScan:
         grid = scan(spec)
         assert (grid.activation == NONE).all()
         # the environment's PTS eigenvalue, NaN exactly on the Forbidden cells
-        np.testing.assert_array_equal(grid.eps, _whole_grid(spec)[2])
+        np.testing.assert_array_equal(eps_field(spec), _whole_grid(spec)[2])
 
     def test_known_distillable_separable_cell(self):
         spec = ScanSpec(tau=0.75, protocol=Protocol.SWAP, resolution=7,
@@ -185,7 +186,7 @@ class TestScan:
         grid = scan(spec)  # cell (6, 0) has center (6, -6)
         assert grid.kind[6, 0] == SEPARABLE
         assert grid.activation[6, 0] == DISTILLABLE
-        assert grid.eps[6, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert eps_field(spec)[6, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     @pytest.mark.parametrize("resolution", [51, 101, 333])
     @pytest.mark.parametrize("tau", [0.3, 0.45, 0.5])
@@ -194,8 +195,9 @@ class TestScan:
         # boundary, so a center landing on the shared curve can round to
         # (Separable, activated) by one ulp. Anything farther from eps = 1 than
         # rounding noise would be a genuine theorem violation.
-        grid = scan(ScanSpec(tau=tau, protocol=Protocol.SWAP, resolution=resolution))
-        activated = grid.eps[(grid.kind == SEPARABLE) & (grid.activation != NONE)]
+        spec = ScanSpec(tau=tau, protocol=Protocol.SWAP, resolution=resolution)
+        grid = scan(spec)
+        activated = eps_field(spec)[(grid.kind == SEPARABLE) & (grid.activation != NONE)]
         if activated.size:
             assert tau == 0.5
             np.testing.assert_allclose(activated, 1.0, rtol=0.0, atol=1e-12)
@@ -213,7 +215,7 @@ class TestScan:
 
     def test_result_arrays_are_read_only(self):
         grid = scan(ScanSpec(tau=0.75, protocol=Protocol.DIRECT, resolution=11))
-        for arr in (grid.kind, grid.activation, grid.eps):
+        for arr in (grid.kind, grid.activation):
             with pytest.raises(ValueError):
                 arr[0, 0] = 0
 
@@ -270,8 +272,8 @@ def _whole_grid(spec):
 
 
 class TestScanTiles:
-    """The lazy eps field is filled one tile of g rows at a time,
-    and kind and activation from the scan's runs; with the tile shrunk to a few
+    """eps_field is evaluated one tile of g rows at a time, and kind and
+    activation are spread from the scan's runs; with the tile shrunk to a few
     cells, small grids split into many tiles, which must join with no seam."""
 
     # (resolution, tile cells): one tile, 12 rows as 4 tiles of 3, 12 rows as
@@ -289,7 +291,7 @@ class TestScanTiles:
         grid = scan(spec)
         expected = _whole_grid(spec)
         for name, arr, want in zip(("kind", "activation", "eps"),
-                                   (grid.kind, grid.activation, grid.eps),
+                                   (grid.kind, grid.activation, eps_field(spec)),
                                    (expected[0], expected[1], expected[3])):
             np.testing.assert_array_equal(arr, want, err_msg=name)
         assert grid.kind.dtype == grid.activation.dtype == np.int8
@@ -441,8 +443,8 @@ def _row_slices(draw):
 
 
 class TestLazyFields:
-    """scan keeps the runs of class codes only; eps is evaluated tile by tile
-    on first access and cached, and eps_rows evaluates a slice of rows."""
+    """scan keeps the runs of class codes only; eps_rows evaluates eps on a
+    slice of rows, from the bona-fide mask of the runs."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=_row_slices())
@@ -453,20 +455,11 @@ class TestLazyFields:
         spec, rows = case
         grid = scan(spec)
         forbidden = np.repeat(grid.run_codes[rows] < 3, np.diff(grid.run_bounds[rows]).ravel())
-        np.testing.assert_array_equal(np.isnan(grid.eps_rows(rows)),
-                                      forbidden.reshape(-1, spec.resolution))
-
-    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.name)
-    def test_read_only_cached_and_equal_to_the_whole_grid(self, monkeypatch, protocol):
-        monkeypatch.setattr(scanner, "_TILE_CELLS", 40)  # 3 rows a tile at 13^2
-        spec = ScanSpec(tau=0.75, protocol=protocol, resolution=13)
-        grid = scan(spec)
-        field = grid.eps
-        np.testing.assert_array_equal(field, _whole_grid(spec)[3])
-        assert grid.eps is field
-        assert not field.flags.writeable
-        with pytest.raises(ValueError):
-            field[0, 0] = 0.0
+        eps = grid.eps_rows(rows)
+        np.testing.assert_array_equal(np.isnan(eps), forbidden.reshape(-1, spec.resolution))
+        # the two evaluators of the field, the whole grid's mask from the
+        # bona-fide conditions and the rows' from the runs, agree bit for bit
+        np.testing.assert_array_equal(eps_field(spec)[rows], eps)
 
     @pytest.mark.parametrize("rows", [slice(0, 1), slice(4, 9), slice(11, 13), slice(None)],
                              ids=["first", "middle", "last", "all"])
@@ -475,7 +468,6 @@ class TestLazyFields:
         spec = ScanSpec(tau=0.75, protocol=protocol, resolution=13)
         grid = scan(spec)
         np.testing.assert_array_equal(grid.eps_rows(rows), _whole_grid(spec)[3][rows])
-        assert "eps" not in vars(grid)  # the rows do not evaluate the whole field
 
 
 class TestSeparableActivationExists:
@@ -532,7 +524,7 @@ def reference_activation_search(tau, protocol, omega=None, max_resolution=1001):
         grid = scan(spec)
         activated = (grid.kind == SEPARABLE) & (grid.activation != NONE)
         if activated.any():
-            masked = np.where(activated, grid.eps, np.inf)
+            masked = np.where(activated, eps_field(spec), np.inf)
             i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
             return True, (float(spec.g_centers()[i]), float(spec.gp_centers()[j]))
     return False, None

@@ -87,7 +87,7 @@ def test_package_neither_defines_nor_imports_the_references():
              "pts_min_eigenvalue", "von_neumann_entropy", "reference_report",
              "entanglement_report", "symplectic_form", "_checked_modes",
              "epr_variances_from_cm", "swap_coherent_info_determinant",
-             "n_modes", "mode_block"}
+             "n_modes", "mode_block", "eps"}
     found = []
     for path in sorted(Path(entdist.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -139,10 +139,10 @@ def _attribute_reads(paths, attrs):
 
 
 def test_cli_reads_no_whole_grid_float_field():
-    # a scan keeps runs of cells; ScanGrid.eps builds a float64 array of the
+    # a scan keeps runs of cells; eps_field evaluates a float64 array of the
     # whole grid, so the renderer asks for the eps rows of each tile
-    # (ScanGrid.eps_rows) and does not read it
-    found = _attribute_reads(CLI_SOURCES, ("eps",))
+    # (ScanGrid.eps_rows) and reads it neither as a name nor as an attribute
+    found = [path.name for path in CLI_SOURCES if _reads(_parse(path))["eps_field"]]
     assert not found, f"whole-grid float fields read in the CLI: {', '.join(found)}"
 
 
