@@ -319,14 +319,16 @@ def boundary_curves(spec: ScanSpec, levels: tuple[float, ...] = (1.0, DISTILLABL
     """Iso-contours of the eps field over the bona-fide cells.
 
     Marching squares on the cell-center grid gives segments between crossed
-    edges, joined into chains where they share one: open paths first, then
-    closed loops. One numpy pass per level solves every crossing from the two
-    boundary shapes: along an edge eps**2 / scale**2 is rising(w, fixed, free),
-    falling(w, fixed, free) or the lesser, so a crossing whose first corner lies
-    below the level is the rising cut of c = (level / scale)**2 at a = fixed,
-    clamped to the edge, any other the falling one; a corner at the level is the
-    vertex. Squares touching non-physical cells are skipped, truncating contours
-    at the physical border.
+    edges, each edge an int id, joined into chains where they share one: open
+    paths first, each from its smaller end id, then closed loops, each from
+    its least id. The ids decode to their nodes in one numpy pass per level,
+    which also solves every crossing from the two boundary shapes: along an
+    edge eps**2 / scale**2 is rising(w, fixed, free), falling(w, fixed, free)
+    or the lesser, so a crossing whose first corner lies below the level is
+    the rising cut of c = (level / scale)**2 at a = fixed, clamped to the
+    edge, any other the falling one; a corner at the level is the vertex.
+    Squares touching non-physical cells are skipped, truncating contours at
+    the physical border.
     """
     xs, ys = spec.g_centers(), spec.gp_centers()
     field, scale = eps_field(spec), spec._eps_map.scale
@@ -336,10 +338,9 @@ def boundary_curves(spec: ScanSpec, levels: tuple[float, ...] = (1.0, DISTILLABL
         chains = _stitch_segments(_marching_squares_segments(field, level))
         if not chains:
             continue
-        kind, i, j = zip(*[edge for chain, _ in chains for edge in chain])
-        v = np.frombuffer("".join(kind).encode(), np.uint8) == ord("v")  # (i, j)-(i, j + 1)
-        i, j = np.fromiter(i, np.intp, len(i)), np.fromiter(j, np.intp, len(j))
-        i1, j1 = i + ~v, j + v
+        v, cell = divmod(np.array([edge for chain, _ in chains for edge in chain]), field.size)
+        i, j = divmod(cell, field.shape[1])
+        i1, j1 = i + 1 - v, j + v
         (x0, y0), (x1, y1) = (xs[i], ys[j]), (xs[i1], ys[j1])
         lo, hi, fixed = np.where(v, y0, x0), np.where(v, y1, x1), np.where(v, x0, y0)
         f0, f1, c = field[i, j], field[i1, j1], (level / scale) ** 2
@@ -354,8 +355,10 @@ def boundary_curves(spec: ScanSpec, levels: tuple[float, ...] = (1.0, DISTILLABL
 
 
 def _marching_squares_segments(field: np.ndarray, level: float):
-    """Segments as pairs of edge ids: ('h', i, j) joins nodes (i, j)-(i+1, j),
-    ('v', i, j) joins (i, j)-(i, j+1). Corners with f < level count as inside.
+    """Segments as pairs of edge ids. With n columns and size cells in the
+    field, the edge joining nodes (i, j)-(i+1, j) has id i*n + j and the one
+    joining (i, j)-(i, j+1) has id size + i*n + j. Corners with f < level
+    count as inside.
 
     Case codes are computed for every square at once; only the squares the
     level crosses, in row-major order, are visited one by one.
@@ -365,16 +368,13 @@ def _marching_squares_segments(field: np.ndarray, level: float):
     known = ~np.isnan(field)
     valid = known[:-1, :-1] & known[1:, :-1] & known[:-1, 1:] & known[1:, 1:]
     crossed_i, crossed_j = np.nonzero(valid & (code != 0) & (code != 15))
+    n, size = field.shape[1], field.size
     segments = []
-    for i, j, code_ij in zip(crossed_i.tolist(), crossed_j.tolist(),
-                             code[crossed_i, crossed_j].tolist()):
-        south = ("h", i, j)
-        north = ("h", i, j + 1)
-        west = ("v", i, j)
-        east = ("v", i + 1, j)
+    for south, code_ij in zip((crossed_i * n + crossed_j).tolist(),
+                              code[crossed_i, crossed_j].tolist()):
+        north, west, east = south + 1, size + south, size + south + n
         if code_ij in (5, 10):
-            f00, f10 = field[i, j], field[i + 1, j]
-            f01, f11 = field[i, j + 1], field[i + 1, j + 1]
+            f00, f10, f01, f11 = field.flat[[south, south + n, north, north + n]]
             center_inside = (f00 + f10 + f01 + f11) / 4.0 < level
             # code 5 has its inside corners on the main diagonal, 10 on the
             # anti-diagonal; an inside center joins the inside corners
@@ -404,7 +404,7 @@ def _stitch_segments(segments):
     graph is a path or a loop and is walked once, leaving each edge for its
     first unvisited neighbor. Paths come first, each from its smaller end;
     the loops left follow, each from its smallest edge, which it repeats at
-    the end. Starts are taken in sorted order.
+    the end. Starts are taken in sorted order: by id for the grid's edges.
     """
     adjacency = defaultdict(list)
     for a, b in segments:

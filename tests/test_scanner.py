@@ -695,7 +695,9 @@ class TestBoundaryCurves:
         assert boundary_curves(spec) == []
 
 
-SOUTH, EAST, NORTH, WEST = ("h", 0, 0), ("v", 1, 0), ("h", 0, 1), ("v", 0, 0)
+# the edge ids of the one square of a 2x2 field: with n = 2 columns and size = 4
+# cells, (i, j)-(i+1, j) is i*n + j and (i, j)-(i, j+1) is size + i*n + j
+SOUTH, EAST, NORTH, WEST = 0, 6, 1, 4
 
 
 class TestStitchSegments:
@@ -748,6 +750,64 @@ class TestStitchSegments:
 ])
 def test_saddle_square_segments(field, segments):
     assert _marching_squares_segments(np.array(field), 1.0) == segments
+
+
+# each edge of the square with its two corners, "ab" standing for field[a, b]
+EDGE_CORNERS = {SOUTH: ("00", "10"), EAST: ("10", "11"), NORTH: ("01", "11"), WEST: ("00", "01")}
+
+
+@pytest.mark.parametrize("code, center_inside", [
+    *((code, None) for code in range(1, 15) if code not in (5, 10)),
+    (5, True), (5, False), (10, True), (10, False),
+])
+def test_square_segments_follow_the_corner_rule(code, center_inside):
+    # code bits 1, 2, 4, 8 put corners 00, 10, 11, 01 below level 1; values
+    # 0 and 1.5 put the center of a saddle inside, 0.9 and 3 outside
+    inside = {corner: bool(code & bit) for corner, bit in (("00", 1), ("10", 2), ("11", 4),
+                                                            ("01", 8))}
+    low, high = (0.9, 3.0) if center_inside is False else (0.0, 1.5)
+    field = np.array([[low if inside[a + b] else high for b in "01"] for a in "01"])
+    # an edge is crossed where its corners lie on two sides; a square with two
+    # crossed edges joins them, in south, east, north, west order
+    crossed = [edge for edge, (p, q) in EDGE_CORNERS.items() if inside[p] != inside[q]]
+    if center_inside is None:
+        expected = [tuple(crossed)]
+    else:
+        # a saddle's segments cut off the two corners on the far side from its
+        # center, each joining a south or north edge to an east or west one
+        expected = [(sn, ew) for sn in (SOUTH, NORTH) for ew in (EAST, WEST)
+                    if any(inside[c] != center_inside
+                           for c in set(EDGE_CORNERS[sn]) & set(EDGE_CORNERS[ew]))]
+    assert len(crossed) == (2 if center_inside is None else 4)
+    assert _marching_squares_segments(field, 1.0) == expected
+
+
+def _edge_nodes(edge, shape):
+    """The two nodes of an int edge id of a field of ``shape``."""
+    v, cell = divmod(edge, shape[0] * shape[1])
+    i, j = divmod(cell, shape[1])
+    return (i, j), (i + 1 - v, j + v)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 5), (5, 2), (3, 4), (6, 6)])
+def test_edge_ids_sort_as_the_edge_tuples(shape):
+    # a field with one node below the level is crossed on exactly the edges at
+    # that node; the contour digests rest on the ids sorting as the tuples
+    # ("h", i, j) for (i, j)-(i+1, j) and ("v", i, j) for (i, j)-(i, j+1) did
+    ids = set()
+    for node in np.ndindex(shape):
+        field = np.full(shape, 2.0)
+        field[node] = 0.0
+        at_node = {edge for segment in _marching_squares_segments(field, 1.0) for edge in segment}
+        assert all(node in _edge_nodes(edge, shape) for edge in at_node)
+        assert len(at_node) == sum(0 <= node[0] + di < shape[0] and 0 <= node[1] + dj < shape[1]
+                                   for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)))
+        ids |= at_node
+    m, n = shape
+    tuples = [("hv"[b[1] - a[1]], *a)
+              for a, b in (_edge_nodes(edge, shape) for edge in sorted(ids))]
+    assert tuples == sorted([*(("h", i, j) for i in range(m - 1) for j in range(n)),
+                             *(("v", i, j) for i in range(m) for j in range(n - 1))])
 
 
 def reference_boundary_curves(spec, levels):
@@ -809,8 +869,9 @@ def reference_boundary_curves(spec, levels):
 
 
 def _edge_point(edge, xs, ys, field, level, omega, radicand):
-    """The point of ``edge`` at which eps = level, with ``radicand`` the squared
-    level over the squared scale of the spec's eps map.
+    """The point of the grid edge with int id ``edge`` at which eps = level,
+    with ``radicand`` the squared level over the squared scale of the spec's
+    eps map.
 
     Along an edge one coordinate is fixed, and the map's squared eps over its
     squared scale is the rising factor (omega - fixed)(omega + free), the
@@ -820,8 +881,9 @@ def _edge_point(edge, xs, ys, field, level, omega, radicand):
     other crossed edge where the falling one does, each at a free coordinate
     found without iteration.
     """
-    kind, i, j = edge
-    if kind == "h":
+    v, cell = divmod(edge, field.size)
+    i, j = divmod(cell, field.shape[1])
+    if not v:
         lo, hi, fixed = xs[i], xs[i + 1], ys[j]
         f0, f1 = field[i, j], field[i + 1, j]
     else:
@@ -835,7 +897,7 @@ def _edge_point(edge, xs, ys, field, level, omega, radicand):
         free = min(max(radicand / (omega - fixed) - omega, lo), hi)
     else:
         free = min(max(omega - radicand / (omega + fixed), lo), hi)
-    return (free, fixed) if kind == "h" else (fixed, free)
+    return (fixed, free) if v else (free, fixed)
 
 
 def edge_point_curves(spec, levels):
