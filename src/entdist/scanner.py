@@ -319,7 +319,8 @@ def boundary_curves(spec: ScanSpec, levels: tuple[float, ...] = (1.0, DISTILLABL
     """Iso-contours of the eps field over the bona-fide cells.
 
     Marching squares on the cell-center grid gives segments between crossed
-    edges, each edge an int id, joined into chains where they share one: open
+    edges, each edge an int id, for all squares at once from a 16-case table
+    of crossed edges. Segments are joined into chains where they share one: open
     paths first, each from its smaller end id, then closed loops, each from
     its least id. The ids decode to their nodes in one numpy pass per level,
     which also solves every crossing from the two boundary shapes: along an
@@ -354,14 +355,29 @@ def boundary_curves(spec: ScanSpec, levels: tuple[float, ...] = (1.0, DISTILLABL
     return contours
 
 
+# A square's segments by case code, as pairs of edge slots. Bits 1, 2, 4, 8
+# of the code put the corners 00, 10, 11, 01 below the level; slots 0-3 are
+# the south, east, north and west edges, slot k joining the corners of bits k
+# and k + 1 (mod 4), so it is crossed where those bits differ. A square joins
+# its first two crossed slots. The saddles, 5 with its inside corners on the
+# main diagonal and 10 on the anti-diagonal, have a second segment; their rows
+# join the inside corners, as an inside center does.
+_SEGMENT_SLOTS = np.array([[[k for k in range(4) if (c >> k ^ c >> (k + 1) % 4) & 1][:2] or [0, 0],
+                            [0, 0]] for c in range(16)])
+_SEGMENT_SLOTS[5], _SEGMENT_SLOTS[10] = [[0, 1], [2, 3]], [[0, 3], [2, 1]]
+
+
 def _marching_squares_segments(field: np.ndarray, level: float):
     """Segments as pairs of edge ids. With n columns and size cells in the
     field, the edge joining nodes (i, j)-(i+1, j) has id i*n + j and the one
     joining (i, j)-(i, j+1) has id size + i*n + j. Corners with f < level
     count as inside.
 
-    Case codes are computed for every square at once; only the squares the
-    level crosses, in row-major order, are visited one by one.
+    All squares are done at once: the crossed ones, in row-major order, look
+    their segments up in the 16-case table ``_SEGMENT_SLOTS`` by case code, a
+    saddle's two one after the other. A saddle whose center lies outside takes
+    the other saddle's row: code ^ 15 crosses the same edges and joins the
+    outside corners.
     """
     below = (field < level).astype(np.uint8)
     code = below[:-1, :-1] | below[1:, :-1] << 1 | below[1:, 1:] << 2 | below[:-1, 1:] << 3
@@ -369,32 +385,14 @@ def _marching_squares_segments(field: np.ndarray, level: float):
     valid = known[:-1, :-1] & known[1:, :-1] & known[:-1, 1:] & known[1:, 1:]
     crossed_i, crossed_j = np.nonzero(valid & (code != 0) & (code != 15))
     n, size = field.shape[1], field.size
-    segments = []
-    for south, code_ij in zip((crossed_i * n + crossed_j).tolist(),
-                              code[crossed_i, crossed_j].tolist()):
-        north, west, east = south + 1, size + south, size + south + n
-        if code_ij in (5, 10):
-            f00, f10, f01, f11 = field.flat[[south, south + n, north, north + n]]
-            center_inside = (f00 + f10 + f01 + f11) / 4.0 < level
-            # code 5 has its inside corners on the main diagonal, 10 on the
-            # anti-diagonal; an inside center joins the inside corners
-            if (code_ij == 5) == center_inside:
-                segments.extend([(south, east), (north, west)])
-            else:
-                segments.extend([(south, west), (north, east)])
-            continue
-        b00, b10, b11, b01 = (bool(code_ij & bit) for bit in (1, 2, 4, 8))
-        crossing = []
-        if b00 != b10:
-            crossing.append(south)
-        if b10 != b11:
-            crossing.append(east)
-        if b01 != b11:
-            crossing.append(north)
-        if b00 != b01:
-            crossing.append(west)
-        segments.append((crossing[0], crossing[1]))
-    return segments
+    south, case = crossed_i * n + crossed_j, code[crossed_i, crossed_j]
+    saddle = (case == 5) | (case == 10)
+    s, f = south[saddle], field.ravel()
+    center_inside = (f[s] + f[s + n] + f[s + 1] + f[s + n + 1]) / 4.0 < level
+    case[saddle] ^= np.uint8(15) * ~center_inside
+    edges = south[:, None, None] + np.array([0, size + n, 1, size])[_SEGMENT_SLOTS[case]]
+    segments = edges[np.column_stack([np.ones_like(saddle), saddle])]
+    return list(zip(segments[:, 0].tolist(), segments[:, 1].tolist()))
 
 
 def _stitch_segments(segments):

@@ -747,6 +747,13 @@ class TestStitchSegments:
     ([[0.9, 3.0], [3.0, 0.9]], [(SOUTH, WEST), (NORTH, EAST)]),  # code 5, center outside
     ([[1.5, 0.0], [0.0, 1.5]], [(SOUTH, WEST), (NORTH, EAST)]),  # code 10, center inside
     ([[3.0, 0.9], [0.9, 3.0]], [(SOUTH, EAST), (NORTH, WEST)]),  # code 10, center outside
+    # on the grid's border: square (0, 1) of a 3 x 4 field, the one with four
+    # known corners, code 5; its edges are south (0, 1)-(1, 1) = 1, north 2,
+    # west (0, 1)-(0, 2) = 12 + 1 and east (1, 1)-(1, 2) = 12 + 4 + 1
+    ([[math.nan, 0.0, 1.5, math.nan], [math.nan, 1.5, 0.0, math.nan], [math.nan] * 4],
+     [(1, 17), (2, 13)]),  # center inside
+    ([[math.nan, 0.0, 3.0, math.nan], [math.nan, 3.0, 0.0, math.nan], [math.nan] * 4],
+     [(1, 13), (2, 17)]),  # center outside
 ])
 def test_saddle_square_segments(field, segments):
     assert _marching_squares_segments(np.array(field), 1.0) == segments
@@ -810,6 +817,78 @@ def test_edge_ids_sort_as_the_edge_tuples(shape):
                              *(("v", i, j) for i in range(m) for j in range(n - 1))])
 
 
+@pytest.mark.parametrize("field", [
+    [[0.0, 2.0, 0.0, 2.0]],  # 1 x n: no square
+    [[0.0], [2.0], [0.0]],  # n x 1
+    [[0.0]],
+    [[math.nan] * 3] * 3,
+    [[2.0, 2.0, 3.0], [2.0, 1.0, 2.0]],  # no corner below the level
+    [[0.0, 0.5], [0.9, 0.0]],  # every corner below it
+    [[0.0, 2.0], [math.nan, 2.0]],  # crossed, but touching NaN
+])
+def test_fields_without_a_crossed_square_have_no_segments(field):
+    assert _marching_squares_segments(np.array(field), 1.0) == []
+
+
+def test_the_last_square_alone():
+    # only node (3, 4) lies below, so only square (2, 3) is crossed, on its
+    # east edge (3, 3)-(3, 4), id 20 + 3*5 + 3, and north edge (2, 4)-(3, 4)
+    field = np.full((4, 5), 2.0)
+    field[3, 4] = 0.0
+    assert _marching_squares_segments(field, 1.0) == [(38, 14)]
+
+
+def reference_segments(field, level):
+    """Marching-squares segments by a Python loop over every square, in
+    row-major order, each edge a tuple: ("h", i, j) joins nodes (i, j)-(i+1, j)
+    and ("v", i, j) joins (i, j)-(i, j+1)."""
+    out = []
+    for i in range(field.shape[0] - 1):
+        for j in range(field.shape[1] - 1):
+            f00, f10 = field[i, j], field[i + 1, j]
+            f01, f11 = field[i, j + 1], field[i + 1, j + 1]
+            if np.isnan([f00, f10, f01, f11]).any():
+                continue
+            b00, b10, b11, b01 = f00 < level, f10 < level, f11 < level, f01 < level
+            code = b00 + 2 * b10 + 4 * b11 + 8 * b01
+            if code in (0, 15):
+                continue
+            south, north = ("h", i, j), ("h", i, j + 1)
+            west, east = ("v", i, j), ("v", i + 1, j)
+            if code in (5, 10):
+                center_inside = (f00 + f10 + f01 + f11) / 4.0 < level
+                if (code == 5) == center_inside:
+                    out.extend([(south, east), (north, west)])
+                else:
+                    out.extend([(south, west), (north, east)])
+                continue
+            crossing = [edge for edge, crossed in ((south, b00 != b10), (east, b10 != b11),
+                                                   (north, b01 != b11), (west, b00 != b01))
+                        if crossed]
+            out.append((crossing[0], crossing[1]))
+    return out
+
+
+# corner values a level apart and a few ulps apart, so that the drawn fields
+# hold every case code, saddle centers on both sides and at the level, corners
+# exactly at the level, and squares touching NaN
+_CORNER_OFFSETS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(level=st.sampled_from([1.0, DISTILLABLE_EPS, 0.0, -3.25]),
+       shape=st.tuples(st.integers(1, 9), st.integers(1, 9)), data=st.data())
+def test_segments_match_the_per_square_loop(level, shape, data):
+    values = st.sampled_from([math.nan, math.nextafter(level, -math.inf),
+                              math.nextafter(level, math.inf), *(level + d for d in _CORNER_OFFSETS)])
+    m, n = shape
+    field = np.array(data.draw(st.lists(values, min_size=m * n, max_size=m * n))).reshape(shape)
+    # the int id of ("h" | "v", i, j) is i*n + j, plus the field's size for "v"
+    expected = [tuple(field.size * (kind == "v") + i * n + j for kind, i, j in segment)
+                for segment in reference_segments(field, level)]
+    assert _marching_squares_segments(field, level) == expected
+
+
 def reference_boundary_curves(spec, levels):
     """Contours as extracted before the exact edge solve: a Python loop over
     every square of the grid, and each edge crossing polished by ``brentq``
@@ -822,33 +901,6 @@ def reference_boundary_curves(spec, levels):
         if spec.protocol is Protocol.ENVIRONMENT_ONLY:
             return math.sqrt(env_pts_radicand(w, g, gp))
         return float(large_mu_eps(spec.tau, w, g, gp, spec.protocol))
-
-    def segments(level):
-        out = []
-        for i in range(len(xs) - 1):
-            for j in range(len(ys) - 1):
-                f00, f10 = field[i, j], field[i + 1, j]
-                f01, f11 = field[i, j + 1], field[i + 1, j + 1]
-                if np.isnan([f00, f10, f01, f11]).any():
-                    continue
-                b00, b10, b11, b01 = f00 < level, f10 < level, f11 < level, f01 < level
-                code = b00 + 2 * b10 + 4 * b11 + 8 * b01
-                if code in (0, 15):
-                    continue
-                south, north = ("h", i, j), ("h", i, j + 1)
-                west, east = ("v", i, j), ("v", i + 1, j)
-                if code in (5, 10):
-                    center_inside = (f00 + f10 + f01 + f11) / 4.0 < level
-                    if (code == 5) == center_inside:
-                        out.extend([(south, east), (north, west)])
-                    else:
-                        out.extend([(south, west), (north, east)])
-                    continue
-                crossing = [edge for edge, crossed in ((south, b00 != b10), (east, b10 != b11),
-                                                       (north, b01 != b11), (west, b00 != b01))
-                            if crossed]
-                out.append((crossing[0], crossing[1]))
-        return out
 
     def polish(edge, level):
         kind, i, j = edge
@@ -865,7 +917,8 @@ def reference_boundary_curves(spec, levels):
         return (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
 
     return [(level, np.array([polish(edge, level) for edge in chain]), closed)
-            for level in levels for chain, closed in _stitch_segments(segments(level))]
+            for level in levels
+            for chain, closed in _stitch_segments(reference_segments(field, level))]
 
 
 def _edge_point(edge, xs, ys, field, level, omega, radicand):
