@@ -222,19 +222,22 @@ def _run(cm: CovarianceMatrix, mu: float, env: EnvironmentParams,
 
     The PTS eigenvalue and the full symplectic spectrum are
     :func:`_squared_spectra`'s closed forms, so neither `cm` nor its partial
-    transpose is diagonalized: only mode 1's 2x2 block is, for S(B), by
+    transpose is diagonalized. For S(B), DIRECT's mode-1 block is x*I, so nu_B
+    is its diagonal entry x; SWAP's block is diagonalized by
     :func:`~entdist.symplectic._symplectic_spectrum`, which checks that it is
     positive-definite. The coherent information S(B) - S(AB) sums
     :func:`~entdist.symplectic.h` over those three eigenvalues at h's own fixed
     windows: each is within a few ulps of its nu, nu_B too, being at least its
     block's largest entry over sqrt(2), so windows scaled by entries buy nothing.
-    The closed forms need no positive-definiteness check: every factor is
-    positive on a physical environment, and h refuses a nu below 1.
+    The closed forms and x need no positive-definiteness check: every factor is
+    positive on a physical environment, x is a mean of mu and omega, both
+    validated >= 1, and h refuses a nu below 1.
     """
     eps2, _, nu2_a, nu2_b = _squared_spectra(mu, env, protocol)
     eps = math.sqrt(eps2)
     spectrum = (math.sqrt(max(nu2_a, nu2_b)), math.sqrt(min(nu2_a, nu2_b)))
-    nu_b = symplectic._symplectic_spectrum(cm.data[2:, 2:])
+    nu_b = (cm.data.item(2, 2) if protocol is _DIRECT
+            else symplectic._symplectic_spectrum(cm.data[2:, 2:]))
     return ProtocolResult(cm, EntanglementReport(eps, log_negativity(eps),
                                                  h(nu_b) - sum(map(h, spectrum)), spectrum))
 

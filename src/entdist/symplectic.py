@@ -2,7 +2,8 @@
 
 The runners of :mod:`entdist.protocols` take the PTS eigenvalue and the full
 symplectic spectrum of their two-mode outputs in closed form, and mode B's
-symplectic eigenvalue from its 2x2 block (:func:`_symplectic_spectrum`); their
+symplectic eigenvalue as the diagonal entry of the direct output's x*I block,
+or from the swapped output's 2x2 block (:func:`_symplectic_spectrum`); their
 :class:`EntanglementReport` sums :func:`h`, at its fixed windows, over those. The
 generic n-mode algebra (symplectic form, partial transpose and trace, spectra
 and the report of any bipartition) is the tests' reference,
@@ -103,8 +104,8 @@ def _symplectic_spectrum(v: np.ndarray) -> float:
 
     Computed as the modulus of the eigenvalues of i*Omega*V. Those come as a
     conjugate pair (+/- i*nu); the pair is averaged to wash out the slight
-    asymmetry of the nonsymmetric eigensolve. It runs once per report, on
-    mode B's block (:func:`entdist.protocols._run`).
+    asymmetry of the nonsymmetric eigensolve. It runs once per swap report,
+    on mode B's block (:func:`entdist.protocols._run`).
     """
     import numpy as np
     if float(np.linalg.eigvalsh(v)[0]) <= 0.0:

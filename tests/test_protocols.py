@@ -427,8 +427,8 @@ class TestProtocolRunners:
 
     @pytest.mark.parametrize("runner", [run_direct, run_swap])
     def test_runner_rechecks_nothing_and_diagonalizes_once(self, runner, monkeypatch):
-        # the reduced block of mode B, for S(B); the PTS eigenvalue and the
-        # full spectrum are closed forms
+        # swap's reduced block of mode B, for S(B); direct reads nu_B off its
+        # x*I block, and the PTS eigenvalue and the full spectrum are closed forms
         env = EnvironmentParams(0.75, 7.0, 4.0, -4.0)
         calls = []
 
@@ -443,7 +443,7 @@ class TestProtocolRunners:
         monkeypatch.setattr(entdist.environment, "require_bona_fide",
                             counted("check", entdist.environment.require_bona_fide))
         runner(1e3, env)
-        assert calls == [("eig", (2, 2))]
+        assert calls == ([] if runner is run_direct else [("eig", (2, 2))])
 
     @pytest.mark.parametrize("runner", [run_direct, run_swap])
     def test_report_is_the_reference_report(self, runner):
@@ -582,17 +582,36 @@ class TestProtocolRunners:
     @pytest.mark.parametrize("runner", [run_direct, run_swap])
     def test_mode_b_eigenvalue_bounds_its_block(self, runner):
         # nu_B >= M/sqrt(2), M the largest entry of mode B's block: direct's
-        # block is nu_B*I, and swap's is diag(a_q, a_p) with
-        # (mu^2 + 1)/(2mu) <= a_x <= mu, so max/min < 2. A rounding of a few
-        # ulps of M is then a few ulps of nu_B, and h's fixed windows fit S(B)
-        # as they fit the closed-form S(AB)
+        # block is nu_B*I, nu_B its diagonal entry, and swap's is
+        # diag(a_q, a_p) with (mu^2 + 1)/(2mu) <= a_x <= mu, so max/min < 2. A
+        # rounding of a few ulps of M is then a few ulps of nu_B, and h's fixed
+        # windows fit S(B) as they fit the closed-form S(AB)
         rng = np.random.default_rng(5)
         for _ in range(500):
             env = random_bona_fide_env(rng)
             mu = float(10.0 ** rng.uniform(0.0, 150.0))
             block = runner(mu, env).output_cm.data[2:, 2:]
-            assert _symplectic_spectrum(block) >= float(np.abs(block).max()) / math.sqrt(2.0), \
-                (mu, env)
+            nu_b = block.item(0, 0) if runner is run_direct else _symplectic_spectrum(block)
+            assert nu_b >= float(np.abs(block).max()) / math.sqrt(2.0), (mu, env)
+
+    def test_direct_mode_b_eigenvalue_is_its_diagonal_entry(self):
+        # direct's mode-B block is exactly x*I, x = tau*mu + (1 - tau)*omega,
+        # so its symplectic eigenvalue is x: the eigensolve agrees within a few
+        # ulps, and the report's S(B) is h(x) bit for bit
+        rng = np.random.default_rng(46)
+        for _ in range(500):
+            env = random_bona_fide_env(rng)
+            mu = float(10.0 ** rng.uniform(0.0, 150.0))
+            result = run_direct(mu, env)
+            block = result.output_cm.data[2:, 2:]
+            x = block.item(0, 0)
+            assert block.item(1, 1) == x, (mu, env)
+            for off in (block.item(0, 1), block.item(1, 0)):
+                assert off == 0.0 and math.copysign(1.0, off) == 1.0, (mu, env)
+            assert abs(_symplectic_spectrum(block) - x) <= PTS_ULPS * math.ulp(x), (mu, env)
+            report = result.report
+            s_ab = sum(map(entdist.h, report.symplectic_spectrum))
+            assert report.coherent_info == entdist.h(x) - s_ab, (mu, env)
 
     @pytest.mark.parametrize("runner", [run_direct, run_swap])
     @pytest.mark.parametrize("log10_mu", [2, 5, 7, 9, 12, 14])
