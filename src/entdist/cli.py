@@ -211,7 +211,10 @@ def _csv_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return fmt(value)
-    return str(value)
+    text = str(value)
+    if re.search('[,"\r\n]', text):  # RFC 4180: quoted, with its quotes doubled
+        text = '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _render_table(table, fmt_kind: str) -> str:

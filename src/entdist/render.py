@@ -8,15 +8,16 @@ class, followed by the cell's eps text. The scan keeps each g row as a few runs
 of one class pair, and a row's fragments are copied in by one list slice per
 run; the eps of each render tile are evaluated for that tile by
 ``ScanGrid.eps_rows``, NaN exactly on its Forbidden cells, so neither per-cell
-class codes nor a whole eps field is held. ``_g9_text`` writes that text for a
-tile of cells at a time with numpy operations, exactly as ``"%.9g"`` does, and
-empty text for NaN: a cell whose 9-digit rounding float64 cannot settle, or
-which needs the exponent notation, goes through ``"%.9g"`` itself. Memory does
-not grow with the size of the output. From ``_SPLIT_CELLS`` cells, on 2 CPUs,
-a forked worker renders the lower half of the rows meanwhile into a temporary
-file in ``TMPDIR`` of about half the output's size; the bytes are the same, and
-where the worker fails, a full ``TMPDIR`` included, the command renders those
-rows itself.
+class codes nor a whole eps field is held. ``_g9_text`` spells every number,
+centers and eps, as ``"%.9g"`` does, or for JSON as ``json.dumps`` does the
+9-digit rounding, and NaN as empty text, a tile at a time with numpy
+operations; a cell whose rounding float64 cannot settle, which needs the
+exponent notation, or whose JSON text is integral ("2.0"), goes through
+``"%.9g"`` itself. Memory does not grow with the size of the output. From
+``_SPLIT_CELLS`` cells, on 2 CPUs, a forked worker renders the lower half of
+the rows meanwhile into a temporary file in ``TMPDIR`` of about half the
+output's size; the bytes are the same, and where the worker fails, a full
+``TMPDIR`` included, the command renders those rows itself.
 """
 
 from __future__ import annotations
@@ -30,35 +31,12 @@ from functools import partial
 
 import numpy as np
 
-from .cli import _json_ready, fmt
+from .cli import _json_ready
 from .scanner import _PAIRS, ScanGrid
 
 # the text of the scanner's pairs, indexed by pair code; codes 0-2 are the
 # Forbidden cells, which carry no eps
 _PAIR_TEXTS = [(kind.value, act.value) for kind, act in _PAIRS]
-
-
-def _json_number(x: float) -> str:
-    """``repr(float(fmt(x)))``, which is what ``json.dumps`` prints for finite
-    ``x`` rounded to the 9-digit contract."""
-    text = fmt(x)
-    # a plain decimal fraction (".9g" strips trailing zeros) is its own repr;
-    # integers and exponent forms are spelled differently by repr
-    return text if "." in text and "e" not in text else repr(float(text))
-
-
-def _needs_json_number(x):
-    """True (elementwise) where ``"%.9g" % x`` may differ from ``_json_number(x)``.
-
-    The two differ only where the 9-digit result is integral ("2" against
-    "2.0") or ``|x| >= 1e9`` ("1e+09" against "1000000000.0"). An integral
-    result lies within half a unit of the 9th digit of x, at most 5e-9*|x|, so
-    x is at least that close to an integer; and from ``|x| = 5e7`` on every x
-    is within 0.5 <= 1e-8*|x| of one. So this flags a superset of both cases.
-    NaN is never flagged.
-    """
-    return np.abs(x - np.rint(x)) <= 1e-8 * np.maximum(np.abs(x), 1.0)
-
 
 # cells per render tile, whose eps are formatted at once: 16 g rows at 1001^2
 _RENDER_TILE_CELLS = 2**14
@@ -68,8 +46,8 @@ _RENDER_TILE_CELLS = 2**14
 # 401^2 50.3/56.9 -> 48.5/54.2, 451^2 68.8/78.4 -> 51.0/59.7, 1001^2 320/304 -> 196/217
 _SPLIT_CELLS = 450**2
 
-# "%.9g" text is at most 16 bytes long ("-1.23456789e-100"); the fast path
-# writes at most 14 ("0.000123456789")
+# the fast path writes at most 14 bytes ("0.000123456789"); the slow texts, up
+# to 19 in JSON ("-1466666670000000.0"), go into the row lists instead
 _TEXT_WIDTH = 16
 _ASCII_0, _ASCII_DOT = ord("0"), ord(".")
 
@@ -94,30 +72,53 @@ def _g9_tables():
 _POW10, _ZERO_POINT, _DIGIT_WORDS = _g9_tables()
 
 
-def _g9_text(x):
-    """``"%.9g" % v`` for each value v of the float64 array x that is not NaN, and
-    empty text for NaN, as an ``S16`` array of x's shape.
+def _g9_text(x, json_numbers: bool):
+    """The text of each value v of the 2-d float64 array x, as a list of rows of
+    bytes: ``"%.9g" % v``, or with ``json_numbers`` ``repr(float("%.9g" % v))``,
+    what ``json.dumps`` prints for v rounded to 9 digits; empty for NaN. The slow
+    cells of ``_g9_fast`` are spelled from ``"%.9g" % v`` itself into the rows,
+    once the kernel's temporaries are freed, unbound by its ``S16``."""
+    flat = x.ravel()
+    text, slow_cells = _g9_fast(flat, json_numbers)
+    texts = text.reshape(x.shape).tolist()
+    slow = [b"%.9g" % value for value in flat[slow_cells].tolist()]
+    if json_numbers:
+        slow = [repr(float(value)).encode() for value in slow]
+    for cell, value in zip(slow_cells.tolist(), slow):
+        row, col = divmod(cell, x.shape[1])
+        texts[row][col] = value
+    return texts
+
+
+def _g9_fast(x, json_numbers: bool):
+    """The kernel of ``_g9_text`` on the 1-d array x: an ``S16`` array that holds
+    the text of each fast cell and is empty elsewhere, and the indices of the
+    slow cells, NaN excluded.
 
     A value 5e-5 <= v < 1e9 has the exponent e = floor(log10(v)) and the
     9-digit mantissa n = rint(m), m = v * 10**(8 - e). The power of ten is
     exact, so m carries a single rounding, under 6e-8; as n + 0.5 is a float64,
     that rounding can land m on a half-way point but never carry it across one.
-    A cell takes ``"%.9g" % v`` instead where m lies within 1e-6 of a half-way
-    point (only m = n + 0.5 is undecided; the rest of the margin is headroom),
-    where m < 1e8 or n = 1e9 (log10 one off next to a power of ten, or a
-    rounding up to the next one), where e is outside -4..8 (the exponent
-    notation), and for zero, negative and infinite values. The others are
-    written in the fixed notation of their e by numpy operations on all cells
-    of one e at a time, the trailing zeros of the fraction as NUL bytes, which
-    ``tolist()`` strips.
+    A cell is slow where m lies within 1e-6 of a half-way point (only
+    m = n + 0.5 is undecided; the rest of the margin is headroom), where
+    m < 1e8 or n = 1e9 (log10 one off next to a power of ten, or a rounding up
+    to the next one), where e is outside -4..8 (the exponent notation), and for
+    zero, negative and infinite values. In JSON the cells whose 9-digit text is
+    integral are slow too, as repr spells them "2.0": those whose fraction
+    digits n mod 10**(8 - e) are all zero, which only happens at e >= 0.
+    Elsewhere in -4..8 the fixed notation that "%.9g" prints is its own repr.
+    The fast cells are written in the fixed notation of their e by numpy
+    operations on all cells of one e at a time, the trailing zeros of the
+    fraction as NUL bytes, which ``tolist()`` strips.
     """
-    shape, x = x.shape, x.ravel()
     in_range = (x >= 5e-5) & (x < 1e9)
     v = np.where(in_range, x, 1.0)
     e = np.clip(np.floor(np.log10(v)), -5, 8).astype(np.int8)
     m = v * _POW10.take(8 - e)
     n = np.rint(m)
     fast = in_range & (e >= -4) & (m >= 1e8) & (n < 1e9) & (np.abs(m - n) < 0.5 - 1e-6)
+    if json_numbers:
+        fast &= np.fmod(n, _POW10.take(8 - e)) != 0
     # sorted by exponent, the fast cells of one e are a contiguous run; the
     # other cells follow, 9 those to format by "%.9g", 10 the NaN, left empty
     key = np.where(fast, e, np.int8(9) + np.isnan(x))
@@ -153,36 +154,30 @@ def _g9_text(x):
                 block[:, exp + 2:10] = digs[:, exp + 1:]
     text = np.zeros(x.size, f"S{_TEXT_WIDTH}")
     text[fast_cells] = chars.view(text.dtype)[:, 0]
-    text[slow_cells] = ["%.9g" % value for value in x[slow_cells].tolist()]
-    return text.reshape(shape)
+    return text, slow_cells
 
 
-def _scan_rows(grid: ScanGrid, fragments, separator, json_numbers: bool, first, stop):
+def _scan_rows(grid: ScanGrid, fragments, separator: bytes, json_numbers: bool, first, stop):
     """One block of bytes per g row in [first, stop), the row's cells joined at once.
 
-    Row g's cell at gp column j is ``separator(g)``, then the fragment of the
+    Row g's cell at gp column j is ``separator % g``, then the fragment of the
     cell's pair code, ``fragments[code * resolution + j]``, then the cell's eps
-    text: ``_g9_text`` of the eps, formatted a tile of ``_RENDER_TILE_CELLS``
-    cells at a time. The fragments of a row are copied in by one slice of the
-    fragment list per run of the row, so no per-cell code is built. The eps of
-    a tile are evaluated for it by ``grid.eps_rows``, so the whole eps field is
-    never held; they are NaN exactly on the Forbidden cells, whose text is
-    empty. With ``json_numbers`` the cells that ``_needs_json_number`` flags
-    take ``_json_number(eps)`` instead.
+    text. Every number is spelled by ``_g9_text`` for ``json_numbers``: the g
+    centers at once, and the eps a tile of ``_RENDER_TILE_CELLS`` cells at a
+    time. The fragments of a row are copied in by one slice of the fragment
+    list per run of the row, so no per-cell code is built. The eps of a tile
+    are evaluated for it by ``grid.eps_rows``, so the whole eps field is never
+    held; they are NaN exactly on the Forbidden cells, whose text is empty.
     """
     res = grid.spec.resolution
     by_code = [fragments[code * res:(code + 1) * res] for code in range(len(_PAIR_TEXTS))]
-    g_seps = [separator(g) for g in grid.spec.g_centers().tolist()]
+    g_seps = [separator % g for g in _g9_text(grid.spec.g_centers()[None], json_numbers)[0]]
     run_bounds, run_codes = grid.run_bounds.tolist(), grid.run_codes.tolist()
     rows_per_tile = max(1, _RENDER_TILE_CELLS // res)
     parts = [b""] * (3 * res)
     for start in range(first, stop, rows_per_tile):
         tile = slice(start, min(start + rows_per_tile, stop))
-        eps = grid.eps_rows(tile)
-        texts = _g9_text(eps).tolist()
-        if json_numbers:
-            for i, j in np.argwhere(_needs_json_number(eps)).tolist():
-                texts[i][j] = _json_number(eps[i, j]).encode()
+        texts = _g9_text(grid.eps_rows(tile), json_numbers)
         for sep, bounds, codes, text_row in zip(g_seps[tile], run_bounds[tile],
                                                 run_codes[tile], texts):
             parts[0::3] = [sep] * res
@@ -231,9 +226,9 @@ def _split_rows(rows, res: int):
 def _render_scan_csv(grid: ScanGrid):
     """CSV bytes in blocks: the header, then one block per g row. Each row
     starts with the newline that ends the line before it."""
-    gps = [fmt(gp) for gp in grid.spec.gp_centers().tolist()]
-    fragments = [f"{gp},{kind},{act},".encode() for kind, act in _PAIR_TEXTS for gp in gps]
-    rows = partial(_scan_rows, grid, fragments, lambda g: f"\n{fmt(g)},".encode(), False)
+    gps = _g9_text(grid.spec.gp_centers()[None], False)[0]
+    fragments = [gp + f",{kind},{act},".encode() for kind, act in _PAIR_TEXTS for gp in gps]
+    rows = partial(_scan_rows, grid, fragments, b"\n%s,", False)
     yield b"g,gp,env_class,activation,eps"
     yield from _split_rows(rows, grid.spec.resolution)
     yield b"\n"
@@ -262,17 +257,14 @@ def _render_scan_json(grid: ScanGrid):
     }), indent=2)
     # the cells list goes in as the last key, before the closing "\n}" of the head
     yield (head[:-2] + ',\n  "cells": [').encode()
-    gps = [_json_number(gp) for gp in spec.gp_centers().tolist()]
+    gps = _g9_text(spec.gp_centers()[None], True)[0]
     # a cell from its "gp" key to its eps value
     fragments = [
-        f'"gp": {gp},\n      "env_class": "{kind}",\n      "activation": "{act}",\n'
+        b'"gp": ' + gp + f',\n      "env_class": "{kind}",\n      "activation": "{act}",\n'
         f'      "eps": {"null" if code < 3 else ""}'.encode()
         for code, (kind, act) in enumerate(_PAIR_TEXTS) for gp in gps
     ]
-
-    def separator(g):  # closes the cell before, opens this one
-        return f'\n    }},\n    {{\n      "g": {_json_number(g)},\n      '.encode()
-
+    separator = b'\n    },\n    {\n      "g": %s,\n      '  # closes the cell before, opens this one
     rows = _split_rows(partial(_scan_rows, grid, fragments, separator, True), spec.resolution)
     yield next(rows)[len(b"\n    },"):]  # no cell closes before the first
     yield from rows

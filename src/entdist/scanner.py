@@ -334,9 +334,11 @@ def boundary_curves(spec: ScanSpec, levels: tuple[float, ...] = (1.0, DISTILLABL
     xs, ys = spec.g_centers(), spec.gp_centers()
     field, scale = eps_field(spec), spec._eps_map.scale
     up, down = spec._eps_map.rising.cut, spec._eps_map.falling.cut
+    known = ~np.isnan(field)
+    valid = known[:-1, :-1] & known[1:, :-1] & known[:-1, 1:] & known[1:, 1:]
     contours = []
     for level in levels:
-        chains = _stitch_segments(_marching_squares_segments(field, level))
+        chains = _stitch_segments(_marching_squares_segments(field, valid, level))
         if not chains:
             continue
         v, cell = divmod(np.array([edge for chain, _ in chains for edge in chain]), field.size)
@@ -367,11 +369,11 @@ _SEGMENT_SLOTS = np.array([[[k for k in range(4) if (c >> k ^ c >> (k + 1) % 4) 
 _SEGMENT_SLOTS[5], _SEGMENT_SLOTS[10] = [[0, 1], [2, 3]], [[0, 3], [2, 1]]
 
 
-def _marching_squares_segments(field: np.ndarray, level: float):
+def _marching_squares_segments(field: np.ndarray, valid: np.ndarray, level: float):
     """Segments as pairs of edge ids. With n columns and size cells in the
     field, the edge joining nodes (i, j)-(i+1, j) has id i*n + j and the one
     joining (i, j)-(i, j+1) has id size + i*n + j. Corners with f < level
-    count as inside.
+    count as inside, on the squares that ``valid`` marks: no corner NaN.
 
     All squares are done at once: the crossed ones, in row-major order, look
     their segments up in the 16-case table ``_SEGMENT_SLOTS`` by case code, a
@@ -381,8 +383,6 @@ def _marching_squares_segments(field: np.ndarray, level: float):
     """
     below = (field < level).astype(np.uint8)
     code = below[:-1, :-1] | below[1:, :-1] << 1 | below[1:, 1:] << 2 | below[:-1, 1:] << 3
-    known = ~np.isnan(field)
-    valid = known[:-1, :-1] & known[1:, :-1] & known[:-1, 1:] & known[1:, 1:]
     crossed_i, crossed_j = np.nonzero(valid & (code != 0) & (code != 15))
     n, size = field.shape[1], field.size
     south, case = crossed_i * n + crossed_j, code[crossed_i, crossed_j]

@@ -28,8 +28,7 @@ import entdist.render
 from entdist import Activation, EnvKind, Protocol, ScanSpec, eb_threshold, eps_field, scan
 from entdist.cli import (EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, OUTPUT_ENV_VAR, _finite_eps,
                          _json_ready, fmt, main)
-from entdist.render import (_RENDER_TILE_CELLS, _g9_text, _json_number, _needs_json_number,
-                            _render_scan_csv, _render_scan_json)
+from entdist.render import _RENDER_TILE_CELLS, _g9_text, _render_scan_csv, _render_scan_json
 from entdist.scanner import ScanGrid
 
 from conftest import ACTIVATION_CODE, KIND_CODE, random_bona_fide_env
@@ -113,6 +112,16 @@ class TestPoint:
         assert "omega^2 + g*gp" in failures
         printed = re.findall(r"= (\S+) < 1\b", failures)
         assert printed == ["0.25"]
+
+    def test_failures_holding_a_comma_are_one_quoted_csv_value(self, capsys):
+        # both uncertainty products lie below 1: the failure lists them, comma-separated
+        code, out, _ = run_cli(capsys, "point", "--tau", "0.75", "--omega", "2",
+                               "--g", "1.9", "--gp=-1.9")
+        assert code == EXIT_DOMAIN
+        assert {len(row) for row in csv.reader(io.StringIO(out))} == {2}
+        failures = parse_point_csv(out)["bona_fide_failures"]
+        assert re.findall(r"= (\S+) < 1\b", failures) == ["0.39000000000000035"] * 2
+        assert '"' + failures + '"' in out
 
     def test_omega_and_at_eb_mutually_exclusive(self, capsys):
         code, _, _ = run_cli(capsys, "point", "--tau", "0.5", "--omega", "2",
@@ -411,11 +420,15 @@ class TestStreamedScanOutput:
                            "gp_range": (-1e4, -9999.997)}),
         # eps on both sides of 1e9, where "%.9g" turns from 999999999 to 1e+09
         "eps_near_1e9": (("--tau", "0.5", "--omega", "1.5e9"), {"tau": 0.5, "omega": 1.5e9}),
+        # eps on both sides of 1e16, where JSON turns from 7500000000000000.0 to 1.125e+16,
+        # and JSON centers of 19 characters (-7500000000000000.0), longer than "%.9g" text
+        "long_json_numbers": (("--tau", "0.5", "--omega", "1.5e16"),
+                              {"tau": 0.5, "omega": 1.5e16}),
     }
     # the windows whose eps straddle a change of notation, with the value where it changes
-    NOTATION_BOUNDARIES = {"eps_near_1e-4": 1e-4, "eps_near_1e9": 1e9}
-    # JSON windows that reach the row renderer's _json_number path: the
-    # protocols where they do, and the eps text that shows it
+    NOTATION_BOUNDARIES = {"eps_near_1e-4": 1e-4, "eps_near_1e9": 1e9, "long_json_numbers": 1e16}
+    # JSON windows whose eps reach a 9-digit rounding that JSON spells otherwise than
+    # "%.9g": the protocols where they do, and the eps text that shows it
     JSON_NUMBER_PATHS = {
         "large_eps": ({"direct", "swap", "environment"}, r'"eps": \d{10,}\.0\n'),
         "integral_eps": ({"swap", "environment"}, r'"eps": \d+\.0\n'),
@@ -440,7 +453,8 @@ class TestStreamedScanOutput:
             assert re.search(r"\d+e-0\d", out)
         protocols, pattern = self.JSON_NUMBER_PATHS.get(window, ((), None))
         if fmt_kind == "json" and protocol in protocols:
-            assert _needs_json_number(eps_field(spec)).any()
+            eps = eps_field(spec)
+            assert any(float(fmt(x)).is_integer() for x in eps[~np.isnan(eps)].tolist())
             assert re.search(pattern, out)
 
     @pytest.mark.parametrize("window", sorted(NOTATION_BOUNDARIES))
@@ -452,39 +466,33 @@ class TestStreamedScanOutput:
         assert eps.min() < self.NOTATION_BOUNDARIES[window] < eps.max()
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
-    def test_cell_numbers_are_json_dumps_of_rounded_values(self, x):
-        assert _json_number(x) == json.dumps(float(fmt(x))) == repr(float(fmt(x)))
-        assert "%.9g" % x == fmt(x)  # the CSV fragments' eps slot
-
-    @given(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
     @example(999999999.5)
     @example(99999999.99999)
     @example(123456789.0)
     @example(0.99999999996)
-    @example(1e16)
     @example(1.5e-5)
-    def test_unflagged_numbers_print_the_same_with_percent_g(self, x):
-        # the JSON fragments' "%.9g" slot is exact wherever no fix-up is flagged
-        if not _needs_json_number(x):
-            assert "%.9g" % x == _json_number(x)
+    @example(-1.46666667e15)
+    @example(1e16)
+    def test_cell_numbers_are_json_dumps_of_rounded_values(self, x):
+        assert eps_text([x], True) == [json.dumps(float(fmt(x))).encode()]
+        assert eps_text([x], False) == [fmt(x).encode()]  # the CSV cells
 
     @pytest.mark.parametrize("x", [0.0, 2.0, 3.0000000001, 999999999.5, 1e9, 1.41421356e12])
-    def test_numbers_that_differ_are_flagged(self, x):
-        assert "%.9g" % x != _json_number(x)
-        assert _needs_json_number(x)
-
-    def test_nan_is_not_flagged(self):
-        # Forbidden cells carry NaN eps and render "null"
-        assert not _needs_json_number(math.nan)
+    def test_json_spells_integral_roundings_otherwise(self, x):
+        assert eps_text([x], True) == [repr(float(fmt(x))).encode()] != eps_text([x], False)
 
 
 def percent_g(values):
     return [b"%.9g" % value for value in values]
 
 
-def eps_text(values):
-    """``_g9_text`` of every value."""
-    return _g9_text(np.array(values, dtype=float)).tolist()
+def json_g(values):
+    return [repr(float("%.9g" % value)).encode() for value in values]
+
+
+def eps_text(values, json_numbers=False):
+    """``_g9_text`` of every value, as one row."""
+    return _g9_text(np.array([values], dtype=float), json_numbers)[0]
 
 
 class InjectedEpsGrid(ScanGrid):
@@ -501,21 +509,40 @@ class InjectedEpsGrid(ScanGrid):
 
 
 class TestEpsText:
-    """``_g9_text`` formats a tile of eps at once, exactly as ``"%.9g"`` does, and
-    NaN, the eps of a Forbidden cell, as empty text."""
+    """``_g9_text`` formats a tile of eps at once, exactly as ``"%.9g"`` does, or for
+    JSON as ``repr(float("%.9g" % v))``, and NaN, the eps of a Forbidden cell, as
+    empty text."""
 
     finite = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+    # for JSON also the negative axis centers, and [1e15, 1e16], whose JSON text
+    # is 17 to 19 characters long ("-1466666670000000.0")
+    signed = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.floats(1e15, 1e16), st.floats(-1e16, -1e15))
 
     @given(st.lists(finite, max_size=40))
     def test_equals_percent_g(self, values):
         assert eps_text(values) == percent_g(values)
 
-    @given(st.integers(10**9, 10**10 - 1), st.integers(-14, 0))
-    def test_equals_percent_g_next_to_half_way_points(self, digits, exponent):
+    @given(st.lists(signed, max_size=40))
+    def test_json_equals_repr_of_percent_g(self, values):
+        assert eps_text(values, True) == json_g(values)
+
+    @staticmethod
+    def next_to_half_way_points(digits, exponent):
         # a 10-digit decimal ending in 5 lies half way between two 9-digit ones
         values = [float(f"{digits}e{exponent}"), float(f"{digits // 10}5e{exponent}")]
-        values += [np.nextafter(v, to) for v in values for to in (0.0, math.inf)]
+        return values + [np.nextafter(v, to) for v in values for to in (0.0, math.inf)]
+
+    @given(st.integers(10**9, 10**10 - 1), st.integers(-14, 0))
+    def test_equals_percent_g_next_to_half_way_points(self, digits, exponent):
+        values = self.next_to_half_way_points(digits, exponent)
         assert eps_text(values) == percent_g(values)
+
+    @given(st.integers(10**9, 10**10 - 1), st.integers(-14, 7), st.sampled_from([1.0, -1.0]))
+    def test_json_equals_repr_next_to_half_way_points(self, digits, exponent, sign):
+        # exponents up to 7 reach the decimals of [1e15, 1e17] too
+        values = [sign * v for v in self.next_to_half_way_points(digits, exponent)]
+        assert eps_text(values, True) == json_g(values)
 
     EDGES = [
         0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300, 1.7976931348623157e308,
@@ -533,27 +560,36 @@ class TestEpsText:
     def test_edges(self):
         assert eps_text(self.EDGES) == percent_g(self.EDGES)
 
+    # the edges of both signs, and the longest JSON texts: 19 characters below
+    # -1e15, and "1e+16" where repr turns to the exponent notation
+    JSON_EDGES = [*EDGES, *(-x for x in EDGES), -1.46666667e15, -9999999999999998.0, 1e15,
+                  *(np.nextafter(1e16, to) for to in (0.0, 1e16, math.inf)), 999999999999999.9]
+
+    def test_json_edges(self):
+        assert eps_text(self.JSON_EDGES, True) == json_g(self.JSON_EDGES)
+
     def test_non_finite_and_negative_values(self):
         values = [math.inf, -math.inf, -1.5, -0.0, -1e-300]
         assert eps_text(values) == percent_g(values)
 
     def test_nan_is_empty(self):
+        # Forbidden cells carry NaN eps: empty in CSV, and "null" in the JSON fragment
         x = np.array([[1.5, math.nan], [-math.nan, 3.0]])
-        assert _g9_text(x).tolist() == [[b"1.5", b""], [b"", b"3"]]
+        assert _g9_text(x, False) == [[b"1.5", b""], [b"", b"3"]]
+        assert _g9_text(x, True) == [[b"1.5", b""], [b"", b"3.0"]]
 
     @staticmethod
     def assert_scan_eps(values):
-        # JSON cells that _needs_json_number flags take _json_number; every
-        # other cell's "%.9g" text is the same, so the JSON eps of every cell
-        # is _json_number(eps), and the CSV eps fmt(eps). The grid is 4x4
-        # Separable cells with the values, repeated, as eps.
+        # the JSON eps of every cell is repr(float(fmt(eps))), what json.dumps
+        # prints for the 9-digit rounding, and the CSV eps fmt(eps). The grid is
+        # 4x4 Separable cells with the values, repeated, as eps.
         eps = np.resize(np.array(values, dtype=float), (4, 4))
         codes = np.full(eps.shape, KIND_CODE[EnvKind.SEPARABLE], dtype=np.int8)
         spec = ScanSpec(tau=0.5, protocol=Protocol.DIRECT, resolution=4)
         grid = InjectedEpsGrid(spec, codes, np.zeros_like(codes), eps)
         expected = eps.ravel().tolist()
         cells = json.loads(b"".join(_render_scan_json(grid)), parse_float=str)["cells"]
-        assert [cell["eps"] for cell in cells] == [_json_number(x) for x in expected]
+        assert [cell["eps"] for cell in cells] == [repr(float(fmt(x))) for x in expected]
         rows = csv.DictReader(io.StringIO(b"".join(_render_scan_csv(grid)).decode()))
         assert [row["eps"] for row in rows] == [fmt(x) for x in expected]
 
@@ -562,8 +598,9 @@ class TestEpsText:
         self.assert_scan_eps(values)
 
     def test_scan_output_of_flagged_cells(self):
+        # every 9-digit rounding is integral, so JSON spells it otherwise than "%.9g"
         values = [0.0, 2.0, 3.0000000001, 999999999.5, 1e9, 1.41421356e12, 1e16, 123456789.0]
-        assert _needs_json_number(np.array(values)).all()
+        assert all(float(fmt(x)).is_integer() for x in values)
         self.assert_scan_eps(values)
 
 

@@ -739,6 +739,15 @@ class TestStitchSegments:
         assert _stitch_segments(segments) == [([SOUTH, EAST, NORTH, WEST, SOUTH], True)]
 
 
+def marching_squares(field, level):
+    """``_marching_squares_segments`` of ``field`` at ``level``, with the mask of the
+    squares whose four corners are not NaN, as ``boundary_curves`` builds it."""
+    field = np.asarray(field)
+    known = ~np.isnan(field)
+    valid = known[:-1, :-1] & known[1:, :-1] & known[:-1, 1:] & known[1:, 1:]
+    return _marching_squares_segments(field, valid, level)
+
+
 # field[i_g, j_gp] of one square at level 1: code 5 has its below-level
 # corners on the main diagonal, code 10 on the anti-diagonal; a center below
 # the level joins those corners, and the segments cut off the other two
@@ -756,7 +765,7 @@ class TestStitchSegments:
      [(1, 13), (2, 17)]),  # center outside
 ])
 def test_saddle_square_segments(field, segments):
-    assert _marching_squares_segments(np.array(field), 1.0) == segments
+    assert marching_squares(field, 1.0) == segments
 
 
 # each edge of the square with its two corners, "ab" standing for field[a, b]
@@ -786,7 +795,7 @@ def test_square_segments_follow_the_corner_rule(code, center_inside):
                     if any(inside[c] != center_inside
                            for c in set(EDGE_CORNERS[sn]) & set(EDGE_CORNERS[ew]))]
     assert len(crossed) == (2 if center_inside is None else 4)
-    assert _marching_squares_segments(field, 1.0) == expected
+    assert marching_squares(field, 1.0) == expected
 
 
 def _edge_nodes(edge, shape):
@@ -805,7 +814,7 @@ def test_edge_ids_sort_as_the_edge_tuples(shape):
     for node in np.ndindex(shape):
         field = np.full(shape, 2.0)
         field[node] = 0.0
-        at_node = {edge for segment in _marching_squares_segments(field, 1.0) for edge in segment}
+        at_node = {edge for segment in marching_squares(field, 1.0) for edge in segment}
         assert all(node in _edge_nodes(edge, shape) for edge in at_node)
         assert len(at_node) == sum(0 <= node[0] + di < shape[0] and 0 <= node[1] + dj < shape[1]
                                    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)))
@@ -827,7 +836,7 @@ def test_edge_ids_sort_as_the_edge_tuples(shape):
     [[0.0, 2.0], [math.nan, 2.0]],  # crossed, but touching NaN
 ])
 def test_fields_without_a_crossed_square_have_no_segments(field):
-    assert _marching_squares_segments(np.array(field), 1.0) == []
+    assert marching_squares(field, 1.0) == []
 
 
 def test_the_last_square_alone():
@@ -835,7 +844,7 @@ def test_the_last_square_alone():
     # east edge (3, 3)-(3, 4), id 20 + 3*5 + 3, and north edge (2, 4)-(3, 4)
     field = np.full((4, 5), 2.0)
     field[3, 4] = 0.0
-    assert _marching_squares_segments(field, 1.0) == [(38, 14)]
+    assert marching_squares(field, 1.0) == [(38, 14)]
 
 
 def reference_segments(field, level):
@@ -886,7 +895,7 @@ def test_segments_match_the_per_square_loop(level, shape, data):
     # the int id of ("h" | "v", i, j) is i*n + j, plus the field's size for "v"
     expected = [tuple(field.size * (kind == "v") + i * n + j for kind, i, j in segment)
                 for segment in reference_segments(field, level)]
-    assert _marching_squares_segments(field, level) == expected
+    assert marching_squares(field, level) == expected
 
 
 def reference_boundary_curves(spec, levels):
@@ -961,7 +970,7 @@ def edge_point_curves(spec, levels):
     curves = []
     for level in levels:
         radicand = (level / scale) ** 2
-        for chain, closed in _stitch_segments(_marching_squares_segments(field, level)):
+        for chain, closed in _stitch_segments(marching_squares(field, level)):
             points = [_edge_point(e, xs, ys, field, level, omega, radicand) for e in chain]
             curves.append((level, np.array(points), closed))
     return curves
