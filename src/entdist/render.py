@@ -73,20 +73,21 @@ _POW10, _ZERO_POINT, _DIGIT_WORDS = _g9_tables()
 
 
 def _g9_text(x, json_numbers: bool):
-    """The text of each value v of the 2-d float64 array x, as a list of rows of
-    bytes: ``"%.9g" % v``, or with ``json_numbers`` ``repr(float("%.9g" % v))``,
-    what ``json.dumps`` prints for v rounded to 9 digits; empty for NaN. The slow
-    cells of ``_g9_fast`` are spelled from ``"%.9g" % v`` itself into the rows,
-    once the kernel's temporaries are freed, unbound by its ``S16``."""
+    """The text of each value v of the 1-d or 2-d float64 array x, as a list (of
+    rows) of bytes: ``"%.9g" % v``, or with ``json_numbers`` ``repr(float("%.9g"
+    % v))``, what ``json.dumps`` prints for v rounded to 9 digits; empty for NaN.
+    The slow cells of ``_g9_fast`` are spelled from ``"%.9g" % v`` itself into the
+    list, once the kernel's temporaries are freed, unbound by its ``S16``."""
     flat = x.ravel()
     text, slow_cells = _g9_fast(flat, json_numbers)
     texts = text.reshape(x.shape).tolist()
+    rows = texts if x.ndim == 2 else [texts]
     slow = [b"%.9g" % value for value in flat[slow_cells].tolist()]
     if json_numbers:
         slow = [repr(float(value)).encode() for value in slow]
     for cell, value in zip(slow_cells.tolist(), slow):
-        row, col = divmod(cell, x.shape[1])
-        texts[row][col] = value
+        row, col = divmod(cell, x.shape[-1])
+        rows[row][col] = value
     return texts
 
 
@@ -171,7 +172,7 @@ def _scan_rows(grid: ScanGrid, fragments, separator: bytes, json_numbers: bool, 
     """
     res = grid.spec.resolution
     by_code = [fragments[code * res:(code + 1) * res] for code in range(len(_PAIR_TEXTS))]
-    g_seps = [separator % g for g in _g9_text(grid.spec.g_centers()[None], json_numbers)[0]]
+    g_seps = [separator % g for g in _g9_text(grid.spec.g_centers(), json_numbers)]
     run_bounds, run_codes = grid.run_bounds.tolist(), grid.run_codes.tolist()
     rows_per_tile = max(1, _RENDER_TILE_CELLS // res)
     parts = [b""] * (3 * res)
@@ -226,7 +227,7 @@ def _split_rows(rows, res: int):
 def _render_scan_csv(grid: ScanGrid):
     """CSV bytes in blocks: the header, then one block per g row. Each row
     starts with the newline that ends the line before it."""
-    gps = _g9_text(grid.spec.gp_centers()[None], False)[0]
+    gps = _g9_text(grid.spec.gp_centers(), False)
     fragments = [gp + f",{kind},{act},".encode() for kind, act in _PAIR_TEXTS for gp in gps]
     rows = partial(_scan_rows, grid, fragments, b"\n%s,", False)
     yield b"g,gp,env_class,activation,eps"
@@ -257,7 +258,7 @@ def _render_scan_json(grid: ScanGrid):
     }), indent=2)
     # the cells list goes in as the last key, before the closing "\n}" of the head
     yield (head[:-2] + ',\n  "cells": [').encode()
-    gps = _g9_text(spec.gp_centers()[None], True)[0]
+    gps = _g9_text(spec.gp_centers(), True)
     # a cell from its "gp" key to its eps value
     fragments = [
         b'"gp": ' + gp + f',\n      "env_class": "{kind}",\n      "activation": "{act}",\n'

@@ -334,11 +334,9 @@ def boundary_curves(spec: ScanSpec, levels: tuple[float, ...] = (1.0, DISTILLABL
     xs, ys = spec.g_centers(), spec.gp_centers()
     field, scale = eps_field(spec), spec._eps_map.scale
     up, down = spec._eps_map.rising.cut, spec._eps_map.falling.cut
-    known = ~np.isnan(field)
-    valid = known[:-1, :-1] & known[1:, :-1] & known[:-1, 1:] & known[1:, 1:]
     contours = []
-    for level in levels:
-        chains = _stitch_segments(_marching_squares_segments(field, valid, level))
+    for level, segments in zip(levels, _marching_squares_segments(field, levels)):
+        chains = _stitch_segments(segments)
         if not chains:
             continue
         v, cell = divmod(np.array([edge for chain, _ in chains for edge in chain]), field.size)
@@ -369,11 +367,12 @@ _SEGMENT_SLOTS = np.array([[[k for k in range(4) if (c >> k ^ c >> (k + 1) % 4) 
 _SEGMENT_SLOTS[5], _SEGMENT_SLOTS[10] = [[0, 1], [2, 3]], [[0, 3], [2, 1]]
 
 
-def _marching_squares_segments(field: np.ndarray, valid: np.ndarray, level: float):
-    """Segments as pairs of edge ids. With n columns and size cells in the
+def _marching_squares_segments(field: np.ndarray, levels):
+    """Yields the segments of each level of ``levels`` in turn, a list per
+    level, each segment a pair of edge ids. With n columns and size cells in the
     field, the edge joining nodes (i, j)-(i+1, j) has id i*n + j and the one
-    joining (i, j)-(i, j+1) has id size + i*n + j. Corners with f < level
-    count as inside, on the squares that ``valid`` marks: no corner NaN.
+    joining (i, j)-(i, j+1) has id size + i*n + j. Corners with f < level count
+    as inside; squares with a NaN corner are skipped, by one mask for all levels.
 
     All squares are done at once: the crossed ones, in row-major order, look
     their segments up in the 16-case table ``_SEGMENT_SLOTS`` by case code, a
@@ -381,18 +380,21 @@ def _marching_squares_segments(field: np.ndarray, valid: np.ndarray, level: floa
     the other saddle's row: code ^ 15 crosses the same edges and joins the
     outside corners.
     """
-    below = (field < level).astype(np.uint8)
-    code = below[:-1, :-1] | below[1:, :-1] << 1 | below[1:, 1:] << 2 | below[:-1, 1:] << 3
-    crossed_i, crossed_j = np.nonzero(valid & (code != 0) & (code != 15))
-    n, size = field.shape[1], field.size
-    south, case = crossed_i * n + crossed_j, code[crossed_i, crossed_j]
-    saddle = (case == 5) | (case == 10)
-    s, f = south[saddle], field.ravel()
-    center_inside = (f[s] + f[s + n] + f[s + 1] + f[s + n + 1]) / 4.0 < level
-    case[saddle] ^= np.uint8(15) * ~center_inside
-    edges = south[:, None, None] + np.array([0, size + n, 1, size])[_SEGMENT_SLOTS[case]]
-    segments = edges[np.column_stack([np.ones_like(saddle), saddle])]
-    return list(zip(segments[:, 0].tolist(), segments[:, 1].tolist()))
+    known = ~np.isnan(field)
+    valid = known[:-1, :-1] & known[1:, :-1] & known[:-1, 1:] & known[1:, 1:]
+    n, size, f = field.shape[1], field.size, field.ravel()
+    for level in levels:
+        below = (field < level).astype(np.uint8)
+        code = below[:-1, :-1] | below[1:, :-1] << 1 | below[1:, 1:] << 2 | below[:-1, 1:] << 3
+        crossed_i, crossed_j = np.nonzero(valid & (code != 0) & (code != 15))
+        south, case = crossed_i * n + crossed_j, code[crossed_i, crossed_j]
+        saddle = (case == 5) | (case == 10)
+        s = south[saddle]
+        center_inside = (f[s] + f[s + n] + f[s + 1] + f[s + n + 1]) / 4.0 < level
+        case[saddle] ^= np.uint8(15) * ~center_inside
+        edges = south[:, None, None] + np.array([0, size + n, 1, size])[_SEGMENT_SLOTS[case]]
+        segments = edges[np.column_stack([np.ones_like(saddle), saddle])]
+        yield list(zip(segments[:, 0].tolist(), segments[:, 1].tolist()))
 
 
 def _stitch_segments(segments):

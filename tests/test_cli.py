@@ -491,8 +491,8 @@ def json_g(values):
 
 
 def eps_text(values, json_numbers=False):
-    """``_g9_text`` of every value, as one row."""
-    return _g9_text(np.array([values], dtype=float), json_numbers)[0]
+    """``_g9_text`` of every value, as a 1-d array."""
+    return _g9_text(np.array(values, dtype=float), json_numbers)
 
 
 class InjectedEpsGrid(ScanGrid):
@@ -577,6 +577,12 @@ class TestEpsText:
         x = np.array([[1.5, math.nan], [-math.nan, 3.0]])
         assert _g9_text(x, False) == [[b"1.5", b""], [b"", b"3"]]
         assert _g9_text(x, True) == [[b"1.5", b""], [b"", b"3.0"]]
+
+    def test_rows_are_the_text_of_each_row(self):
+        # the slow cells, spelled after the kernel, land in their own row and column
+        x = np.array(self.JSON_EDGES[:96]).reshape(8, 12)
+        for json_numbers in (False, True):
+            assert _g9_text(x, json_numbers) == [_g9_text(row, json_numbers) for row in x]
 
     @staticmethod
     def assert_scan_eps(values):

@@ -739,15 +739,6 @@ class TestStitchSegments:
         assert _stitch_segments(segments) == [([SOUTH, EAST, NORTH, WEST, SOUTH], True)]
 
 
-def marching_squares(field, level):
-    """``_marching_squares_segments`` of ``field`` at ``level``, with the mask of the
-    squares whose four corners are not NaN, as ``boundary_curves`` builds it."""
-    field = np.asarray(field)
-    known = ~np.isnan(field)
-    valid = known[:-1, :-1] & known[1:, :-1] & known[:-1, 1:] & known[1:, 1:]
-    return _marching_squares_segments(field, valid, level)
-
-
 # field[i_g, j_gp] of one square at level 1: code 5 has its below-level
 # corners on the main diagonal, code 10 on the anti-diagonal; a center below
 # the level joins those corners, and the segments cut off the other two
@@ -765,7 +756,7 @@ def marching_squares(field, level):
      [(1, 13), (2, 17)]),  # center outside
 ])
 def test_saddle_square_segments(field, segments):
-    assert marching_squares(field, 1.0) == segments
+    assert list(_marching_squares_segments(np.array(field), (1.0,))) == [segments]
 
 
 # each edge of the square with its two corners, "ab" standing for field[a, b]
@@ -795,7 +786,7 @@ def test_square_segments_follow_the_corner_rule(code, center_inside):
                     if any(inside[c] != center_inside
                            for c in set(EDGE_CORNERS[sn]) & set(EDGE_CORNERS[ew]))]
     assert len(crossed) == (2 if center_inside is None else 4)
-    assert marching_squares(field, 1.0) == expected
+    assert list(_marching_squares_segments(field, (1.0,))) == [expected]
 
 
 def _edge_nodes(edge, shape):
@@ -814,7 +805,8 @@ def test_edge_ids_sort_as_the_edge_tuples(shape):
     for node in np.ndindex(shape):
         field = np.full(shape, 2.0)
         field[node] = 0.0
-        at_node = {edge for segment in marching_squares(field, 1.0) for edge in segment}
+        [segments] = _marching_squares_segments(field, (1.0,))
+        at_node = {edge for segment in segments for edge in segment}
         assert all(node in _edge_nodes(edge, shape) for edge in at_node)
         assert len(at_node) == sum(0 <= node[0] + di < shape[0] and 0 <= node[1] + dj < shape[1]
                                    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)))
@@ -836,7 +828,7 @@ def test_edge_ids_sort_as_the_edge_tuples(shape):
     [[0.0, 2.0], [math.nan, 2.0]],  # crossed, but touching NaN
 ])
 def test_fields_without_a_crossed_square_have_no_segments(field):
-    assert marching_squares(field, 1.0) == []
+    assert list(_marching_squares_segments(np.array(field), (1.0,))) == [[]]
 
 
 def test_the_last_square_alone():
@@ -844,7 +836,7 @@ def test_the_last_square_alone():
     # east edge (3, 3)-(3, 4), id 20 + 3*5 + 3, and north edge (2, 4)-(3, 4)
     field = np.full((4, 5), 2.0)
     field[3, 4] = 0.0
-    assert marching_squares(field, 1.0) == [(38, 14)]
+    assert list(_marching_squares_segments(field, (1.0,))) == [[(38, 14)]]
 
 
 def reference_segments(field, level):
@@ -892,10 +884,12 @@ def test_segments_match_the_per_square_loop(level, shape, data):
                               math.nextafter(level, math.inf), *(level + d for d in _CORNER_OFFSETS)])
     m, n = shape
     field = np.array(data.draw(st.lists(values, min_size=m * n, max_size=m * n))).reshape(shape)
+    # the drawn level first, then every level in the same call, sharing one NaN mask;
     # the int id of ("h" | "v", i, j) is i*n + j, plus the field's size for "v"
-    expected = [tuple(field.size * (kind == "v") + i * n + j for kind, i, j in segment)
-                for segment in reference_segments(field, level)]
-    assert marching_squares(field, level) == expected
+    levels = (level, 1.0, DISTILLABLE_EPS, 0.0, -3.25)
+    expected = [[tuple(field.size * (kind == "v") + i * n + j for kind, i, j in segment)
+                 for segment in reference_segments(field, at)] for at in levels]
+    assert list(_marching_squares_segments(field, levels)) == expected
 
 
 def reference_boundary_curves(spec, levels):
@@ -968,9 +962,9 @@ def edge_point_curves(spec, levels):
     xs, ys = spec.g_centers().tolist(), spec.gp_centers().tolist()
     field, omega, scale = eps_field(spec), spec.omega_value, spec._eps_map.scale
     curves = []
-    for level in levels:
+    for level, segments in zip(levels, _marching_squares_segments(field, levels)):
         radicand = (level / scale) ** 2
-        for chain, closed in _stitch_segments(marching_squares(field, level)):
+        for chain, closed in _stitch_segments(segments):
             points = [_edge_point(e, xs, ys, field, level, omega, radicand) for e in chain]
             curves.append((level, np.array(points), closed))
     return curves
